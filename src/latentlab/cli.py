@@ -204,7 +204,7 @@ def _cmd_fit(args):
     elif fam == "irt":
         cfg = _em_cfg(args)
         quad = irt_mod.default_quadrature(args.quad_nodes)
-        params, report = irt_mod.fit_irt(X.astype(int), quad, cfg)
+        params, report = irt_mod.fit_irt(X, quad, cfg)
         datasets.write_model(args.out, "irt", params, _fit_config(args))
         _write_trace(args.out, report.objective_trace)
     elif fam == "vae":
@@ -296,7 +296,12 @@ def _cmd_sample(args):
     return 0
 
 
-def _per_point_loglik(family, params, args):
+def _model_quadrature(config):
+    """The quadrature an IRT model was fitted with (older files: the default)."""
+    return irt_mod.default_quadrature(int(config.get("quad_nodes", irt_mod.DEFAULT_NODES)))
+
+
+def _per_point_loglik(family, params, config, args):
     if family == "ppca":
         X = _load_matrix(args.data)
         cov = params.W @ params.W.T + params.sigma2 * np.eye(params.data_dim)
@@ -311,8 +316,8 @@ def _per_point_loglik(family, params, args):
         from .core import log_sum_exp_rows
         return log_sum_exp_rows(mixture._lca_log_joint(params, mixture._check_lca_data(params, X)))
     if family == "irt":
-        X = _load_matrix(args.data).astype(int)
-        quad = irt_mod.default_quadrature()
+        X = irt_mod._check_responses(_load_matrix(args.data), params.n_items)
+        quad = _model_quadrature(config)
         from .core import log_sum_exp_rows
         ll = irt_mod._log_lik_at_nodes(params, X, quad)
         return log_sum_exp_rows(ll + np.log(quad.weights))
@@ -343,8 +348,8 @@ def _per_point_loglik(family, params, args):
 
 
 def _cmd_eval(args):
-    family, params, _config = datasets.read_model(args.model)
-    lls = _per_point_loglik(family, params, args)
+    family, params, config = datasets.read_model(args.model)
+    lls = _per_point_loglik(family, params, config, args)
     for v in lls:
         print(FMT % v)
     print("total " + FMT % float(np.sum(lls)))
@@ -352,7 +357,7 @@ def _cmd_eval(args):
 
 
 def _cmd_infer(args):
-    family, params, _config = datasets.read_model(args.model)
+    family, params, config = datasets.read_model(args.model)
     if family == "ppca":
         X = _load_matrix(args.data)
         rows = np.stack([ppca_mod.posterior(params, x).mean for x in X])
@@ -366,9 +371,8 @@ def _cmd_infer(args):
         rows = mixture.lca_e_step(params, X).gamma
         datasets.write_csv(args.out, rows, header=[f"gamma{j}" for j in range(rows.shape[1])])
     elif family == "irt":
-        X = _load_matrix(args.data).astype(int)
-        quad = irt_mod.default_quadrature()
-        rows = np.array([irt_mod.posterior_theta(params, x, quad)[:2] for x in X])
+        X = _load_matrix(args.data)
+        rows = np.column_stack(irt_mod.posterior_moments(params, X, _model_quadrature(config)))
         datasets.write_csv(args.out, rows, header=["eap", "sd"])
     elif family in ("hmm", "ghmm"):
         seqs, _dx = datasets.read_seq(args.data)

@@ -213,15 +213,19 @@ def gaussian_logpdf(x, g):
 
 
 def gaussian_logpdf_rows(X, mean, cov):
-    """Vectorized gaussian_logpdf over the rows of X (shared mean/cov)."""
+    """Vectorized gaussian_logpdf over the rows of X (shared mean/cov).
+
+    The Mahalanobis term multiplies the rows by the inverse of the d x d
+    Cholesky factor, one (N, d) x (d, d) matmul; np.linalg.solve would
+    LU-factorize the triangular factor again for every call.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mean = np.asarray(mean, dtype=float)
     L = chol_psd(np.atleast_2d(cov))
-    diff = X - mean
-    sol = np.linalg.solve(L, diff.T)
+    sol = (X - mean) @ np.linalg.inv(L).T
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     d = mean.shape[0]
-    quad = np.sum(sol * sol, axis=0)
+    quad = np.sum(sol * sol, axis=1)
     return -0.5 * (d * math.log(2 * math.pi) + logdet + quad)
 
 

@@ -56,27 +56,35 @@ def run_em(e_step, m_step, objective, data, init_params, cfg,
            monotonic_slack=1e-8):
     """Drive EM to convergence.
 
-    e_step(params, data) -> posterior summary; m_step(data, posterior) ->
-    new params; objective(params, data) -> scalar to be maximized. Stops
+    e_step(params, data) -> posterior summary that also holds the objective
+    (log-likelihood or bound) at the params it was given; an exact E-step
+    gets it from the normalizer it already computes. objective(posterior)
+    reads that value back. m_step(data, posterior) -> new params, or
+    (params, events).
+
+    run_em runs one E-step on init_params, then alternates M-step and
+    E-step, so each iteration makes a single likelihood pass; trace entry t
+    is the objective the E-step reports for the params of M-step t. Stops
     when the relative objective change drops below cfg.rel_tol (or the
     absolute change below cfg.abs_tol), or after cfg.max_iters iterations.
     Raises MonotonicityError if the objective falls by more than
     monotonic_slack, which signals a broken update rather than bad data.
     """
-    params = init_params
-    prev = float(objective(params, data))
+    posterior = e_step(init_params, data)
+    prev = float(objective(posterior))
     if math.isnan(prev):
         raise FloatingPointError("objective is NaN at initialization")
+    params = init_params
     trace = []
     events = []
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        posterior = e_step(params, data)
         params = m_step(data, posterior)
         if isinstance(params, tuple):
             params, step_events = params
             events.extend(step_events)
-        obj = float(objective(params, data))
+        posterior = e_step(params, data)
+        obj = float(objective(posterior))
         if math.isnan(obj):
             raise FloatingPointError(f"objective is NaN at iteration {it}")
         trace.append(obj)

@@ -17,7 +17,7 @@ from .core import check_finite, log_sum_exp_rows
 from .em import EmConfig, run_em
 
 __all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik",
-           "posterior_theta", "fit_irt", "default_quadrature"]
+           "posterior_theta", "posterior_moments", "fit_irt", "default_quadrature"]
 
 DEFAULT_NODES = 41
 NEWTON_MAX_STEPS = 25
@@ -91,13 +91,13 @@ def item_prob(theta, a_j, b_j):
     return out
 
 
-def _check_responses(params, responses):
+def _check_responses(responses, n_items=None):
     X = np.atleast_2d(np.asarray(responses))
     Xf = np.asarray(X, dtype=float)
     if np.any((Xf != 0) & (Xf != 1)):
         raise ValueError("responses must be binary")
     X = Xf.astype(int)
-    if X.shape[1] != params.n_items:
+    if n_items is not None and X.shape[1] != n_items:
         raise ValueError("responses have wrong number of items")
     return X
 
@@ -113,7 +113,7 @@ def _log_lik_at_nodes(params, X, quad):
 
 def marginal_loglik(params, responses, quad):
     """Quadrature approximation of sum_i log integral p(x_i | th) N(th) dth."""
-    X = _check_responses(params, responses)
+    X = _check_responses(responses, params.n_items)
     ll = _log_lik_at_nodes(params, X, quad)
     return float(np.sum(log_sum_exp_rows(ll + np.log(quad.weights))))
 
@@ -124,7 +124,7 @@ def posterior_theta(params, x, quad):
     Returns (eap, sd, node_weights); node_weights is the normalized
     posterior mass over quadrature nodes.
     """
-    X = _check_responses(params, np.atleast_2d(x))
+    X = _check_responses(np.atleast_2d(x), params.n_items)
     ll = _log_lik_at_nodes(params, X, quad)[0] + np.log(quad.weights)
     ll -= ll.max()
     w = np.exp(ll)
@@ -135,10 +135,24 @@ def posterior_theta(params, x, quad):
 
 
 def _node_posteriors(params, X, quad):
+    """(N, Q) posterior node weights and the total marginal log-likelihood,
+    the sum of their log-normalizers (the arithmetic of marginal_loglik)."""
     ll = _log_lik_at_nodes(params, X, quad) + np.log(quad.weights)
-    gamma = np.exp(ll - log_sum_exp_rows(ll)[:, None])
+    lse = log_sum_exp_rows(ll)
+    gamma = np.exp(ll - lse[:, None])
     gamma /= gamma.sum(axis=1, keepdims=True)
-    return gamma                                           # (N, Q)
+    return gamma, float(np.sum(lse))
+
+
+def posterior_moments(params, responses, quad):
+    """Posterior mean (EAP) and standard deviation of ability for every row
+    of responses, from one pass over the quadrature grid: the vectorized
+    form of posterior_theta's first two outputs."""
+    X = _check_responses(responses, params.n_items)
+    gamma, _ = _node_posteriors(params, X, quad)
+    eap = gamma @ quad.nodes
+    var = np.sum(gamma * (quad.nodes[None, :] - eap[:, None]) ** 2, axis=1)
+    return eap, np.sqrt(np.maximum(var, 0.0))
 
 
 def _item_objective(c, b, theta, r, n):
@@ -198,7 +212,7 @@ def fit_irt(responses, quad, cfg: EmConfig, init=None):
     """EM fit of the 2PL model. The E-step discretizes each person's ability
     posterior on the quadrature grid; the M-step refits every item to the
     expected response counts at the nodes."""
-    X = np.atleast_2d(np.asarray(responses, dtype=int))
+    X = _check_responses(responses)
     N, J = X.shape
     if N < 2 or J < 1:
         raise ValueError("need at least 2 persons and 1 item")
@@ -212,10 +226,10 @@ def fit_irt(responses, quad, cfg: EmConfig, init=None):
         init = IrtParams(np.ones(J), b0)
 
     def e_step(params, data):
-        return params, _node_posteriors(params, data, quad)
+        return (params, *_node_posteriors(params, data, quad))
 
     def m_step(data, posterior):
-        prev, gamma = posterior
+        prev, gamma, _loglik = posterior
         n_q = gamma.sum(axis=0)                    # expected persons per node
         r = gamma.T @ data                         # (Q, J) expected correct
         a_new = np.empty(J)
@@ -227,8 +241,8 @@ def fit_irt(responses, quad, cfg: EmConfig, init=None):
             b_new[j] = b
         return IrtParams(a_new, b_new)
 
-    def objective(params, data):
-        return marginal_loglik(params, data, quad)
+    def objective(posterior):
+        return posterior[2]
 
     params, report = run_em(e_step, m_step, objective, X, init, cfg,
                             monotonic_slack=1e-6)

@@ -203,14 +203,18 @@ def fit_lda(hyper, corpus, cfg: EmConfig, init=None):
     if init is None:
         init = init_variational(hyper, corpus, RandomSource(cfg.seed).split(404))
 
+    # Coordinate ascent has no separate posterior: the "E-step" scores the
+    # current variational parameters and one sweep is the "M-step", so the
+    # trace holds the bound after each sweep and the last score costs no
+    # token update.
     def e_step(var, data):
-        return _token_update(hyper, data, var)
+        return var, elbo(hyper, data, var)
 
-    def m_step(data, var):
-        return _dirichlet_updates(hyper, data, var)
+    def m_step(data, scored):
+        return _dirichlet_updates(hyper, data, _token_update(hyper, data, scored[0]))
 
-    def objective(var, data):
-        return elbo(hyper, data, var)
+    def objective(scored):
+        return scored[1]
 
     return run_em(e_step, m_step, objective, corpus, init, cfg,
                   monotonic_slack=1e-6)

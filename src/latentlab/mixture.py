@@ -4,12 +4,13 @@ categorical items. All likelihood work is done in the log domain.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (RandomSource, chol_psd, check_finite, check_simplex_rows,
-                   log_sum_exp_rows)
+                   gaussian_logpdf_rows, log_sum_exp_rows)
 from .em import EmConfig, run_em
 
 __all__ = [
@@ -87,9 +88,12 @@ class LcaParams:
 
 @dataclass(frozen=True)
 class Responsibilities:
-    """Posterior component memberships, one simplex row per data point."""
+    """Posterior component memberships, one simplex row per data point, and
+    the total log-likelihood of the data under the parameters that produced
+    them (NaN when the rows did not come from an E-step)."""
 
     gamma: np.ndarray
+    loglik: float = math.nan
 
     def __post_init__(self):
         g = check_simplex_rows(np.atleast_2d(np.asarray(self.gamma, dtype=float)),
@@ -110,12 +114,7 @@ def _gmm_log_joint(params, X):
     out = np.empty((N, K))
     log_w = np.log(np.where(params.weights > 0, params.weights, 1e-300))
     for k in range(K):
-        L = chol_psd(params.covs[k])
-        diff = X - params.means[k]
-        sol = np.linalg.solve(L, diff.T)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        quad = np.sum(sol * sol, axis=0)
-        out[:, k] = log_w[k] - 0.5 * (d * np.log(2 * np.pi) + logdet + quad)
+        out[:, k] = log_w[k] + gaussian_logpdf_rows(X, params.means[k], params.covs[k])
     return out
 
 
@@ -124,12 +123,23 @@ def gmm_loglik(params, data):
     return float(np.sum(log_sum_exp_rows(_gmm_log_joint(params, data))))
 
 
+def _responsibilities(lj):
+    """Normalize an (N, K) log-joint into responsibilities; the row
+    normalizers sum to the log-likelihood, as in gmm_loglik/lca_loglik."""
+    lse = log_sum_exp_rows(lj)
+    gamma = np.exp(lj - lse[:, None])
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return Responsibilities(gamma, float(np.sum(lse)))
+
+
+def _resp_loglik(resp):
+    """run_em objective: the log-likelihood the E-step computed."""
+    return resp.loglik
+
+
 def gmm_e_step(params, data):
     """Responsibilities gamma_ik = p(z = k | x_i), computed in the log domain."""
-    lj = _gmm_log_joint(params, data)
-    gamma = np.exp(lj - log_sum_exp_rows(lj)[:, None])
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return Responsibilities(gamma)
+    return _responsibilities(_gmm_log_joint(params, data))
 
 
 # The component posterior IS the responsibility computation; one code path.
@@ -192,8 +202,14 @@ def _farthest_point_means(X, K, rng):
     return X[chosen].copy()
 
 
+def _check_k(K, what):
+    if K < 1:
+        raise ValueError(f"number of {what} must be >= 1, got {K}")
+
+
 def fit_gmm(data, K, cfg: EmConfig, init=None):
     """EM fit of a K-component Gaussian mixture; deterministic given cfg.seed."""
+    _check_k(K, "components")
     X = np.atleast_2d(np.asarray(data, dtype=float))
     check_finite(X, "data")
     N, d = X.shape
@@ -205,7 +221,7 @@ def fit_gmm(data, K, cfg: EmConfig, init=None):
         gcov = np.cov(X.T, bias=True).reshape(d, d)
         gcov = _cov_floor(gcov[None], 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12))[0]
         init = GmmParams(np.full(K, 1.0 / K), means, np.repeat(gcov[None], K, axis=0))
-    return run_em(gmm_e_step, gmm_m_step, gmm_loglik, X, init, cfg)
+    return run_em(gmm_e_step, gmm_m_step, _resp_loglik, X, init, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +261,7 @@ def lca_loglik(params, data):
 
 def lca_e_step(params, data):
     X = _check_lca_data(params, data)
-    lj = _lca_log_joint(params, X)
-    gamma = np.exp(lj - log_sum_exp_rows(lj)[:, None])
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return Responsibilities(gamma)
+    return _responsibilities(_lca_log_joint(params, X))
 
 
 lca_posterior = lca_e_step
@@ -291,6 +304,7 @@ def lca_m_step(data, resp, n_categories=None):
 
 def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
     """EM fit of a K-class latent class model over categorical items."""
+    _check_k(K, "classes")
     X = np.atleast_2d(np.asarray(data, dtype=int))
     N, J = X.shape
     if N < K:
@@ -314,4 +328,4 @@ def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
     def m_step(d, resp):
         return lca_m_step(d, resp, n_categories=n_categories)
 
-    return run_em(lca_e_step, m_step, lca_loglik, X, init, cfg)
+    return run_em(lca_e_step, m_step, _resp_loglik, X, init, cfg)

@@ -9,11 +9,13 @@ covariance eigenvalues and W = U_M (L_M - sigma2 I)^(1/2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Gaussian, RandomSource, check_finite, gaussian_logpdf_rows
+from .core import (Gaussian, RandomSource, check_finite, chol_psd,
+                   gaussian_logpdf_rows)
 from .em import EmConfig, run_em
 
 __all__ = ["PpcaParams", "PpcaPosterior", "fit_closed_form", "posterior",
@@ -181,16 +183,23 @@ def fit_em(data, M, cfg: EmConfig, init=None):
         raise ValueError("need more data points than latent dimensions")
     mu = X.mean(axis=0)
     Xc = X - mu
+    S = (Xc.T @ Xc) / N                             # mu is fixed, so S is too
 
     def e_step(params, _data):
         Mmat = _m_matrix(params)
         Minv = np.linalg.inv(Mmat)
         Ez = Xc @ (Minv @ params.W.T).T            # (N, M)
         Ezz_shared = params.sigma2 * Minv           # shared posterior covariance
-        return Ez, Ezz_shared
+        # exact marginal log-likelihood -N/2 (D log 2pi + logdet C + tr(C^-1 S))
+        L = chol_psd(params.W @ params.W.T + params.sigma2 * np.eye(D))
+        Linv = np.linalg.inv(L)
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        loglik = -0.5 * N * (D * math.log(2 * math.pi) + logdet
+                             + np.sum((Linv @ S) * Linv))
+        return Ez, Ezz_shared, float(loglik)
 
     def m_step(_data, post):
-        Ez, Ezz_shared = post
+        Ez, Ezz_shared, _loglik = post
         sum_xz = Xc.T @ Ez                          # (D, M)
         sum_zz = N * Ezz_shared + Ez.T @ Ez         # (M, M)
         W_new = np.linalg.solve(sum_zz.T, sum_xz.T).T
@@ -199,8 +208,8 @@ def fit_em(data, M, cfg: EmConfig, init=None):
         sigma2_new = max(resid / (N * D), SIGMA2_FLOOR)
         return PpcaParams(W_new, mu, sigma2_new)
 
-    def objective(params, _data):
-        return marginal_loglik(params, X)
+    def objective(post):
+        return post[2]
 
     if init is None:
         init = _em_init(X, M, RandomSource(cfg.seed))

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (NumericError, RandomSource, check_finite,
-                   check_simplex_rows, chol_psd, log_sum_exp_rows)
+                   check_simplex_rows, gaussian_logpdf_rows, log_sum_exp_rows)
 from .em import EmConfig, run_em
-from .mixture import _cov_floor, _farthest_point_means
+from .mixture import _check_k, _cov_floor, _farthest_point_means
 
 __all__ = [
     "DiscreteEmission", "GaussianEmission", "HmmParams", "LdsParams",
@@ -77,15 +77,8 @@ class GaussianEmission:
 
     def log_liks(self, obs):
         X = np.atleast_2d(np.asarray(obs, dtype=float))
-        T = X.shape[0]
-        K, d = self.means.shape
-        out = np.empty((T, K))
-        for k in range(K):
-            L = chol_psd(self.covs[k])
-            sol = np.linalg.solve(L, (X - self.means[k]).T)
-            logdet = 2.0 * np.sum(np.log(np.diag(L)))
-            out[:, k] = -0.5 * (d * np.log(2 * np.pi) + logdet + np.sum(sol * sol, axis=0))
-        return out
+        return np.column_stack([gaussian_logpdf_rows(X, m, c)
+                                for m, c in zip(self.means, self.covs)])
 
 
 @dataclass(frozen=True)
@@ -314,6 +307,7 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
     """Baum-Welch over one or more sequences; deterministic given cfg.seed."""
     if kind not in ("discrete", "gaussian"):
         raise ValueError("kind must be 'discrete' or 'gaussian'")
+    _check_k(K, "states")
     obs_set = [np.asarray(o) for o in obs_set]
     if not obs_set or any(len(o) == 0 for o in obs_set):
         raise ValueError("sequences must be non-empty")
@@ -343,25 +337,13 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
             init = HmmParams(np.full(K, 1.0 / K), trans,
                              GaussianEmission(means, np.repeat(gcov[None], K, axis=0)))
 
-    # share the forward-backward pass between objective and the next e_step
-    memo = {"params": None, "post": None}
-
-    def _posteriors(params, data):
-        if memo["params"] is not params:
-            memo["params"] = params
-            memo["post"] = [hmm_forward_backward(params, obs) for obs in data]
-        return memo["post"]
-
-    def e_step(params, data):
-        return _posteriors(params, data)
-
-    def objective(params, data):
-        return float(sum(p.loglik for p in _posteriors(params, data)))
+    def objective(posteriors):
+        return float(sum(p.loglik for p in posteriors))
 
     def m_step(data, posteriors):
         return _hmm_m_step(data, posteriors, kind, n_symbols=n_symbols)
 
-    return run_em(e_step, m_step, objective, obs_set, init, cfg)
+    return run_em(_hmm_e_step, m_step, objective, obs_set, init, cfg)
 
 
 def hmm_sample(params, T, rng):
@@ -495,26 +477,17 @@ def lds_fit(obs_set, state_dim, cfg: EmConfig, init=None, update_sigma0=None):
                          0.5 * max(xvar, 1e-6) * np.eye(dx),
                          np.zeros(dz), np.eye(dz))
 
-    # objective(params) and the following e_step(params) run on the same
-    # parameters; share the forward pass between them
-    memo = {"params": None, "filtered": None}
-
-    def _filtered(params, data):
-        if memo["params"] is not params:
-            memo["params"] = params
-            memo["filtered"] = [kalman_filter(params, obs) for obs in data]
-        return memo["filtered"]
-
-    def objective(params, data):
-        return float(sum(f[4] for f in _filtered(params, data)))
-
+    # The E-step is the forward pass alone, which gives the log-likelihood;
+    # the RTS pass runs in the M-step, so the final E-step does no smoothing.
     def e_step(params, data):
-        filts = _filtered(params, data)
-        return params, [kalman_smooth(params, obs, _filtered=f)
-                        for obs, f in zip(data, filts)]
+        return params, [kalman_filter(params, obs) for obs in data]
+
+    def objective(posterior):
+        return float(sum(f[4] for f in posterior[1]))
 
     def m_step(data, posterior):
-        prev, smoothed = posterior
+        prev, filtered = posterior
+        smoothed = [kalman_smooth(prev, obs, _filtered=f) for obs, f in zip(data, filtered)]
         dz_ = prev.state_dim
         S_tt_first = np.zeros((dz_, dz_))       # sum over t>=2 of E[z_t z_t^T]
         S_t1t1 = np.zeros((dz_, dz_))           # sum over t>=2 of E[z_{t-1} z_{t-1}^T]

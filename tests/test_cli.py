@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latentlab
+from latentlab import irt
 from latentlab.cli import main, worker_count
 from latentlab.core import RandomSource
 from latentlab.datasets import (SyntheticSpec, generate, read_csv, write_csv,
@@ -206,3 +211,60 @@ def test_numeric_failure_exit_code_1(tmp_path):
     data = tmp_path / "obs.txt"
     write_seq(data, [np.ones((5, 1))], dx=1)
     assert main(["eval", str(model), "--data", str(data)]) == 1
+
+
+def test_fit_k_zero_is_usage_error_without_traceback(tmp_path, blobs_csv):
+    data, _X = blobs_csv
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(latentlab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "latentlab", "fit", "gmm", "--data", str(data),
+                           "--k", "0", "--out", str(tmp_path / "m.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert ">= 1" in proc.stderr
+
+
+@pytest.fixture
+def irt_fit_21(tmp_path):
+    spec = SyntheticSpec("irt", {"a": [0.8, 1.5, 1.0, 2.0, 0.6],
+                                 "b": [-0.5, 0.0, 0.7, 0.2, -1.0]}, n=300, seed=8)
+    X, _, _ = generate(spec)
+    data = tmp_path / "irt.csv"
+    write_csv(data, X)
+    model = tmp_path / "irt.json"
+    assert main(["fit", "irt", "--data", str(data), "--quad-nodes", "21", "--max-iters", "20",
+                 "--seed", "1", "--out", str(model)]) == 0
+    _fam, params, config = read_model(model)
+    assert config["quad_nodes"] == 21
+    return data, model, params, np.asarray(X)
+
+
+def test_irt_eval_uses_recorded_quadrature(irt_fit_21, capsys):
+    data, model, params, X = irt_fit_21
+    capsys.readouterr()
+    assert main(["eval", str(model), "--data", str(data)]) == 0
+    total = float(capsys.readouterr().out.strip().split("\n")[-1].split()[1])
+    assert total == pytest.approx(irt.marginal_loglik(params, X, irt.default_quadrature(21)),
+                                  rel=1e-12)
+    assert total != pytest.approx(irt.marginal_loglik(params, X, irt.default_quadrature()),
+                                  rel=1e-12)
+
+
+def test_irt_infer_matches_per_row_posterior(irt_fit_21, tmp_path):
+    data, model, params, X = irt_fit_21
+    out = tmp_path / "theta.csv"
+    assert main(["infer", str(model), "--data", str(data), "--out", str(out)]) == 0
+    rows = read_csv(out)
+    quad = irt.default_quadrature(21)
+    expected = np.array([irt.posterior_theta(params, x, quad)[:2] for x in X])
+    assert rows.shape == (X.shape[0], 2)
+    assert np.allclose(rows, expected, rtol=0, atol=1e-12)
+
+
+def test_irt_infer_rejects_non_binary(irt_fit_21, tmp_path, capsys):
+    _data, model, _params, X = irt_fit_21
+    bad = tmp_path / "bad.csv"
+    write_csv(bad, np.where(X == 1, 2, X))
+    assert main(["infer", str(model), "--data", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "responses must be binary" in capsys.readouterr().err

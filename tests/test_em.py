@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from latentlab import irt, lda, mixture, ppca
+from latentlab import sequential as seq
 from latentlab.core import RandomSource
 from latentlab.em import EmConfig, MonotonicityError, run_em
-from latentlab.mixture import fit_gmm, gmm_e_step, gmm_loglik, gmm_m_step
+from latentlab.mixture import fit_gmm, fit_lca, gmm_e_step, gmm_loglik, gmm_m_step
 
 
 def _blob_data(seed=0, n=200):
@@ -68,7 +70,7 @@ def test_monotonicity_violation_raises():
 
     init, _ = fit_gmm(X, 2, EmConfig(seed=5, max_iters=1))
     with pytest.raises(MonotonicityError) as err:
-        run_em(gmm_e_step, bad_m_step, gmm_loglik, X, init, EmConfig(seed=5))
+        run_em(gmm_e_step, bad_m_step, lambda resp: resp.loglik, X, init, EmConfig(seed=5))
     assert err.value.iteration >= 1
 
 
@@ -77,3 +79,80 @@ def test_config_validation():
         EmConfig(max_iters=0)
     with pytest.raises(ValueError):
         EmConfig(rel_tol=0.0)
+
+
+def _rescore_cases():
+    """(name, fit, rescore) per EM family; fit() -> (params, report)."""
+    rng = RandomSource(60)
+    Xg = np.vstack([rng.standard_normal((40, 2)), rng.standard_normal((40, 2)) + 4.0])
+    Xc = rng.integers(0, 3, (60, 4))
+    theta = rng.standard_normal(80)
+    a, b = 0.5 + rng.uniform(4), rng.standard_normal(4)
+    Xi = (rng.uniform((80, 4)) < 1 / (1 + np.exp(-(np.outer(theta, a) - b)))).astype(int)
+    Xi[0], Xi[1] = 1, 0                     # no constant item
+    quad = irt.default_quadrature(21)
+    Xp = rng.standard_normal((60, 2)) @ rng.standard_normal((2, 4)) \
+        + 0.3 * rng.standard_normal((60, 4))
+    trans = np.array([[0.8, 0.2], [0.3, 0.7]])
+    hmm_true = seq.HmmParams([0.5, 0.5], trans,
+                             seq.DiscreteEmission([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]))
+    hs = [seq.hmm_sample(hmm_true, n, rng)[1] for n in (30, 45)]
+    ghmm_true = seq.HmmParams([0.5, 0.5], trans,
+                              seq.GaussianEmission([[-1.5], [1.5]], [[[0.6]], [[0.6]]]))
+    gs = [seq.hmm_sample(ghmm_true, n, rng)[1] for n in (30, 45)]
+    lds_true = seq.LdsParams([[0.7]], [[1.0], [0.5]], [[0.2]], 0.3 * np.eye(2), [0.0], [[1.0]])
+    ls = [seq.lds_sample(lds_true, n, rng)[1] for n in (25, 35)]
+    hyper = lda.LdaHyper(np.full(2, 1.0), np.full(5, 1.0), 2, 5)
+    corpus, _ = lda.generate_corpus(hyper, [12, 15, 9], rng)
+    cfg = EmConfig(max_iters=15, seed=6)
+    cases = [
+        ("gmm", lambda: fit_gmm(Xg, 2, cfg), lambda q: mixture.gmm_loglik(q, Xg)),
+        ("lca", lambda: fit_lca(Xc, 2, cfg), lambda q: mixture.lca_loglik(q, Xc)),
+        ("irt", lambda: irt.fit_irt(Xi, quad, cfg), lambda q: irt.marginal_loglik(q, Xi, quad)),
+        ("hmm", lambda: seq.hmm_fit(hs, 2, "discrete", cfg), lambda q: seq.hmm_loglik(q, hs)),
+        ("ghmm", lambda: seq.hmm_fit(gs, 2, "gaussian", cfg), lambda q: seq.hmm_loglik(q, gs)),
+        ("lds", lambda: seq.lds_fit(ls, 1, cfg), lambda q: seq.lds_loglik(q, ls)),
+        ("lda", lambda: lda.fit_lda(hyper, corpus, cfg), lambda q: lda.elbo(hyper, corpus, q)),
+        ("ppca", lambda: ppca.fit_em(Xp, 1, cfg), lambda q: ppca.marginal_loglik(q, Xp)),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, fit, rescore", _rescore_cases())
+def test_final_objective_equals_rescore(name, fit, rescore):
+    # The E-step scores the parameters the last M-step returned, with the
+    # arithmetic of the family's own scoring function; PPCA scores from the
+    # sample covariance instead of a pass over the rows.
+    params, report = fit()
+    assert report.iters >= 2
+    if name == "ppca":
+        assert report.final_objective == pytest.approx(rescore(params), rel=1e-9)
+    else:
+        assert report.final_objective == rescore(params)
+
+
+def test_gmm_fit_builds_log_joint_once_per_iteration(monkeypatch):
+    calls = []
+    log_joint = mixture._gmm_log_joint
+
+    def counting(params, X):
+        calls.append(1)
+        return log_joint(params, X)
+
+    monkeypatch.setattr(mixture, "_gmm_log_joint", counting)
+    X = _blob_data(6, n=150)
+    _params, report = fit_gmm(X, 2, EmConfig(seed=6, max_iters=7))
+    assert report.iters == 7
+    assert len(calls) == report.iters + 1
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, K: fit_gmm(X, K, EmConfig()),
+    lambda X, K: fit_lca(X.astype(int), K, EmConfig()),
+    lambda X, K: seq.hmm_fit([X[:, 0].astype(int)], K, "discrete", EmConfig()),
+], ids=["gmm", "lca", "hmm"])
+@pytest.mark.parametrize("K", [0, -1])
+def test_component_count_below_one_rejected(fit, K):
+    X = np.abs(_blob_data(7, n=20)).round()
+    with pytest.raises(ValueError, match=">= 1"):
+        fit(X, K)

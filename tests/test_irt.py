@@ -153,6 +153,12 @@ def test_fit_rejects_constant_item():
         fit_irt(X, default_quadrature(), EmConfig(seed=0))
 
 
+def test_fit_rejects_non_binary_responses():
+    X = RandomSource(36).integers(0, 3, (50, 3))
+    with pytest.raises(ValueError, match="responses must be binary"):
+        fit_irt(X, default_quadrature(), EmConfig(seed=0))
+
+
 def test_flat_item_factorizes_out():
     quad = default_quadrature()
     with_flat = IrtParams([1.0, 0.0], [0.2, 0.6])
