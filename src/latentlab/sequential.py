@@ -395,27 +395,26 @@ def kalman_filter(params, obs):
     dx = params.obs_dim
     A, C, Q, R = params.A, params.C, params.Q, params.R
     CT, AT = C.T, A.T
-    base = dx * math.log(2 * math.pi)
     means = np.empty((T, dz))
     covs = np.empty((T, dz, dz))
     pred_means = np.empty((T, dz))
     pred_covs = np.empty((T, dz, dz))
-    loglik = 0.0
+    innovs = np.empty((T, dx))
+    innov_covs = np.empty((T, dx, dx))
     m_pred, P_pred = params.mu0, params.Sigma0
+    # the loop solves one system per step for the gain; the Cholesky factors
+    # behind the log-likelihood are taken in one batched call afterwards
     for t in range(T):
         pred_means[t] = m_pred
         pred_covs[t] = P_pred
         CP = C @ P_pred
         S = CP @ CT + R
-        S = 0.5 * (S + S.T)
-        innov = X[t] - C @ m_pred
+        S = innov_covs[t] = 0.5 * (S + S.T)
+        innov = innovs[t] = X[t] - C @ m_pred
         try:
-            L = np.linalg.cholesky(S)
+            K_gain = np.linalg.solve(S, CP).T
         except np.linalg.LinAlgError:
             raise NumericError(f"singular innovation covariance at step {t}")
-        sol = np.linalg.solve(L, innov)
-        loglik += -0.5 * (base + 2.0 * np.sum(np.log(np.diag(L))) + sol @ sol)
-        K_gain = np.linalg.solve(S, CP).T
         means[t] = m_pred + K_gain @ innov
         P = P_pred - K_gain @ CP
         covs[t] = 0.5 * (P + P.T)
@@ -423,6 +422,18 @@ def kalman_filter(params, obs):
             m_pred = A @ means[t]
             P_pred = A @ covs[t] @ AT + Q
             P_pred = 0.5 * (P_pred + P_pred.T)
+    try:
+        L = np.linalg.cholesky(innov_covs)
+    except np.linalg.LinAlgError:
+        for t in range(T):
+            try:
+                np.linalg.cholesky(innov_covs[t])
+            except np.linalg.LinAlgError:
+                raise NumericError(f"singular innovation covariance at step {t}")
+        raise
+    sol = np.linalg.solve(L, innovs[:, :, None])[:, :, 0]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    loglik = -0.5 * np.sum(dx * math.log(2 * math.pi) + logdet + np.sum(sol * sol, axis=1))
     return means, covs, pred_means, pred_covs, float(loglik)
 
 
@@ -432,20 +443,20 @@ def kalman_smooth(params, obs, _filtered=None):
     if _filtered is None:
         _filtered = kalman_filter(params, obs)
     means_f, covs_f, pred_means, pred_covs, loglik = _filtered
-    T, dz = means_f.shape
-    A = params.A
+    T = means_f.shape[0]
     means_s = means_f.copy()
     covs_s = covs_f.copy()
-    lag_one = np.empty((max(T - 1, 0), dz, dz))
-    gains = np.empty((max(T - 1, 0), dz, dz))
+    # the smoother gains J_t = P_t A^T (P_{t+1|t})^{-1} depend on the
+    # filtered moments alone, so one batched solve gives all of them
+    gains = np.linalg.solve(pred_covs[1:].transpose(0, 2, 1),
+                            (covs_f[:-1] @ params.A.T).transpose(0, 2, 1)).transpose(0, 2, 1)
     for t in range(T - 2, -1, -1):
-        J = np.linalg.solve(pred_covs[t + 1].T, (covs_f[t] @ A.T).T).T
-        gains[t] = J
+        J = gains[t]
         means_s[t] = means_f[t] + J @ (means_s[t + 1] - pred_means[t + 1])
         P = covs_f[t] + J @ (covs_s[t + 1] - pred_covs[t + 1]) @ J.T
         covs_s[t] = 0.5 * (P + P.T)
-    for t in range(T - 1):
-        lag_one[t] = covs_s[t + 1] @ gains[t].T + np.outer(means_s[t + 1], means_s[t])
+    lag_one = (covs_s[1:] @ gains.transpose(0, 2, 1)
+               + means_s[1:, :, None] * means_s[:-1, None, :])
     return GaussianSmoothed(means_s, covs_s, lag_one, loglik)
 
 
