@@ -198,7 +198,7 @@ def _cmd_fit(args):
         _write_trace(args.out, report.objective_trace)
     elif fam == "lca":
         cfg = _em_cfg(args)
-        params, report = mixture.fit_lca(X.astype(int), args.k, cfg)
+        params, report = mixture.fit_lca(X, args.k, cfg)
         datasets.write_model(args.out, "lca", params, _fit_config(args))
         _write_trace(args.out, report.objective_trace)
     elif fam == "irt":
@@ -312,7 +312,7 @@ def _per_point_loglik(family, params, config, args):
         from .core import log_sum_exp_rows
         return log_sum_exp_rows(mixture._gmm_log_joint(params, X))
     if family == "lca":
-        X = _load_matrix(args.data).astype(int)
+        X = _load_matrix(args.data)
         from .core import log_sum_exp_rows
         return log_sum_exp_rows(mixture._lca_log_joint(params, mixture._check_lca_data(params, X)))
     if family == "irt":
@@ -329,10 +329,10 @@ def _per_point_loglik(family, params, config, args):
         return np.array([lda_mod.elbo(params["hyper"], corpus, var)])
     if family in ("hmm", "ghmm"):
         seqs, _dx = datasets.read_seq(args.data)
-        return np.array([seq_mod.hmm_forward_backward(params, s).loglik for s in seqs])
+        return seq_mod.hmm_infer(params, seqs, smooth=False).logliks
     if family == "lds":
         seqs, _dx = datasets.read_seq(args.data)
-        return np.array([seq_mod.kalman_filter(params, s)[4] for s in seqs])
+        return seq_mod.lds_infer(params, seqs, smooth=False).logliks
     if family == "vae":
         X = _load_matrix(args.data)
         rng = RandomSource(args.seed)
@@ -360,14 +360,14 @@ def _cmd_infer(args):
     family, params, config = datasets.read_model(args.model)
     if family == "ppca":
         X = _load_matrix(args.data)
-        rows = np.stack([ppca_mod.posterior(params, x).mean for x in X])
+        rows = ppca_mod.posterior_means(params, X)
         datasets.write_csv(args.out, rows, header=[f"z{j}" for j in range(rows.shape[1])])
     elif family == "gmm":
         X = _load_matrix(args.data)
         rows = mixture.gmm_e_step(params, X).gamma
         datasets.write_csv(args.out, rows, header=[f"gamma{j}" for j in range(rows.shape[1])])
     elif family == "lca":
-        X = _load_matrix(args.data).astype(int)
+        X = _load_matrix(args.data)
         rows = mixture.lca_e_step(params, X).gamma
         datasets.write_csv(args.out, rows, header=[f"gamma{j}" for j in range(rows.shape[1])])
     elif family == "irt":
@@ -376,13 +376,13 @@ def _cmd_infer(args):
         datasets.write_csv(args.out, rows, header=["eap", "sd"])
     elif family in ("hmm", "ghmm"):
         seqs, _dx = datasets.read_seq(args.data)
-        blocks = [seq_mod.hmm_forward_backward(params, s).states for s in seqs]
-        rows = np.vstack(blocks)
+        post = seq_mod.hmm_infer(params, seqs)
+        rows = post.pack.unpack(post.gamma)
         datasets.write_csv(args.out, rows, header=[f"p{j}" for j in range(rows.shape[1])])
     elif family == "lds":
         seqs, _dx = datasets.read_seq(args.data)
-        blocks = [seq_mod.kalman_smooth(params, s).means for s in seqs]
-        rows = np.vstack(blocks)
+        post = seq_mod.lds_infer(params, seqs)
+        rows = post.pack.unpack(post.means)
         datasets.write_csv(args.out, rows, header=[f"z{j}" for j in range(rows.shape[1])])
     elif family == "vae":
         X = _load_matrix(args.data)
@@ -398,7 +398,7 @@ def _cmd_reconstruct(args):
     family, params, _config = datasets.read_model(args.model)
     X = _load_matrix(args.data)
     if family == "ppca":
-        rows = np.stack([ppca_mod.reconstruct(params, x) for x in X])
+        rows = ppca_mod.reconstruct(params, X)
     elif family == "vae":
         rows = vae_mod.reconstruct(params, X)
     else:

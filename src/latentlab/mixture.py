@@ -227,13 +227,20 @@ def fit_gmm(data, K, cfg: EmConfig, init=None):
 # ---------------------------------------------------------------------------
 # Latent class analysis
 
-def _check_lca_data(params, data):
+def _lca_codes(data):
+    """Integer category codes as an int array; any non-integer code is
+    rejected before the cast, which would truncate it."""
     X = np.atleast_2d(np.asarray(data))
     if not np.issubdtype(X.dtype, np.integer):
         Xf = np.asarray(X, dtype=float)
-        if np.any(Xf != np.round(Xf)):
+        if not np.all(np.isfinite(Xf)) or np.any(Xf != np.round(Xf)):
             raise ValueError("LCA data must be integer category codes")
         X = Xf.astype(int)
+    return X
+
+
+def _check_lca_data(params, data):
+    X = _lca_codes(data)
     if X.shape[1] != params.n_items:
         raise ValueError(f"data has {X.shape[1]} items, model has {params.n_items}")
     for j, table in enumerate(params.item_probs):
@@ -305,7 +312,9 @@ def lca_m_step(data, resp, n_categories=None):
 def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
     """EM fit of a K-class latent class model over categorical items."""
     _check_k(K, "classes")
-    X = np.atleast_2d(np.asarray(data, dtype=int))
+    X = _lca_codes(data)
+    if np.any(X < 0):
+        raise ValueError("LCA category codes must be nonnegative")
     N, J = X.shape
     if N < K:
         raise ValueError("need at least K data points")

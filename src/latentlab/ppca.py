@@ -19,7 +19,8 @@ from .core import (Gaussian, RandomSource, check_finite, chol_psd,
 from .em import EmConfig, run_em
 
 __all__ = ["PpcaParams", "PpcaPosterior", "fit_closed_form", "posterior",
-           "reconstruct", "sample", "fit_em", "marginal_loglik", "canonicalize"]
+           "posterior_means", "reconstruct", "sample", "fit_em", "marginal_loglik",
+           "canonicalize"]
 
 SIGMA2_FLOOR = 1e-12
 
@@ -105,23 +106,30 @@ def fit_closed_form(data, M):
     return canonicalize(PpcaParams(W, mu, sigma2))
 
 
+def posterior_means(params, X):
+    """Posterior means Minv W^T (x - mu) of the rows of X, (N, M), from one
+    solve with M for all rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != params.data_dim:
+        raise ValueError("x has wrong dimension")
+    return np.linalg.solve(_m_matrix(params), params.W.T @ (X - params.mu).T).T
+
+
 def posterior(params, x):
     """Exact Gaussian posterior over the latent code for one observation."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != params.data_dim:
-        raise ValueError("x has wrong dimension")
-    Mmat = _m_matrix(params)
-    rhs = params.W.T @ (x - params.mu)
-    mean = np.linalg.solve(Mmat, rhs)
-    cov = params.sigma2 * np.linalg.inv(Mmat)
+    mean = posterior_means(params, x[None, :])[0]
+    cov = params.sigma2 * np.linalg.inv(_m_matrix(params))
     cov = 0.5 * (cov + cov.T)
     return PpcaPosterior(mean, cov)
 
 
 def reconstruct(params, x):
-    """Posterior-mean reconstruction W Minv W^T (x - mu) + mu."""
-    post = posterior(params, x)
-    return params.W @ post.mean + params.mu
+    """Posterior-mean reconstruction W Minv W^T (x - mu) + mu of one
+    observation, or of each row of a matrix."""
+    x = np.asarray(x, dtype=float)
+    rows = posterior_means(params, x) @ params.W.T + params.mu
+    return rows[0] if x.ndim == 1 else rows
 
 
 def marginal_loglik(params, data):

@@ -2,28 +2,42 @@
 Markov models with exact forward-backward smoothing and Baum-Welch training,
 and linear dynamical systems with Kalman filtering/RTS smoothing and EM.
 
-Forward-backward runs in the log domain with per-step log-normalizers.
-Multiple training sequences are handled by summing sufficient statistics;
-the initial-state distribution pools the t=1 posteriors of all sequences.
+Inference runs over a whole set of sequences at once. The set is packed once
+into a time-major layout sorted by descending length (SequencePack): step t
+is one contiguous block of rows, and the sequences still running at t are a
+prefix of that block, so one recursion over t = 0..Tmax-1 advances every
+sequence with one array operation per step. Forward-backward runs in the log
+domain with per-step log-normalizers. The Kalman filter and RTS smoother form
+the covariances, gains and log-determinants once per step, since they depend
+on the parameters and t alone, and advance the means of all running
+sequences together. hmm_forward_backward, kalman_filter and kalman_smooth
+run the same kernels on a set of one sequence.
+
+Baum-Welch and LDS EM read sufficient statistics off the packed rows; the
+initial-state distribution pools the t=1 posteriors of all sequences.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NumericError, RandomSource, check_finite,
-                   check_simplex_rows, gaussian_logpdf_rows, log_sum_exp_rows)
+from .core import (Gaussian, NumericError, RandomSource, check_finite,
+                   check_simplex_rows, chol_psd, gaussian_logpdf_rows,
+                   log_sum_exp_rows)
 from .em import EmConfig, run_em
 from .mixture import _check_k, _cov_floor, _farthest_point_means
 
 __all__ = [
     "DiscreteEmission", "GaussianEmission", "HmmParams", "LdsParams",
-    "SmoothedMarginals", "GaussianSmoothed",
-    "hmm_forward_backward", "hmm_fit", "hmm_sample",
-    "kalman_filter", "kalman_smooth", "lds_fit", "lds_sample",
-    "canonical_state_order",
+    "SmoothedMarginals", "GaussianSmoothed", "SequencePack",
+    "HmmSetPosterior", "LdsSetPosterior",
+    "hmm_infer", "hmm_forward_backward", "hmm_loglik", "hmm_fit", "hmm_sample",
+    "lds_infer", "kalman_filter", "kalman_smooth", "lds_loglik", "lds_fit",
+    "lds_sample", "canonical_state_order",
 ]
 
 EMPTY_STATE_COUNT = 1e-8
@@ -177,86 +191,209 @@ class GaussianSmoothed:
     loglik: float
 
 
+@dataclass(frozen=True)
+class SequencePack:
+    """A set of sequences in a time-major layout, longest first.
+
+    Step t occupies rows starts[t] to starts[t+1]-1. Its counts[t] rows are
+    the sequences still running at t, in order of decreasing length (ties in
+    input order), so the sequences running at t+1 are a prefix of the block
+    of t. index maps the rows of the sequences concatenated in input order
+    to packed rows; seq holds the input index of each packed row's sequence.
+    """
+
+    data: np.ndarray
+    lengths: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    index: np.ndarray
+    seq: np.ndarray
+
+    @classmethod
+    def build(cls, seqs):
+        """Pack a list of arrays whose first axis is time."""
+        if not seqs or any(len(s) == 0 for s in seqs):
+            raise ValueError("sequences must be non-empty")
+        lengths = np.array([len(s) for s in seqs])
+        n = lengths.size
+        rank = np.empty(n, dtype=int)
+        rank[np.argsort(-lengths, kind="stable")] = np.arange(n)
+        counts = n - np.cumsum(np.bincount(lengths))[:-1]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        owner = np.repeat(np.arange(n), lengths)
+        step = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        index = starts[step] + rank[owner]
+        flat = np.concatenate(seqs)
+        data = np.empty_like(flat)
+        data[index] = flat
+        seq = np.empty_like(owner)
+        seq[index] = owner
+        return cls(data, lengths, counts, starts, index, seq)
+
+    @property
+    def steps(self):
+        """The step t of every packed row."""
+        return np.repeat(np.arange(self.counts.size), self.counts)
+
+    @property
+    def prev(self):
+        """The packed row of the previous step, for every row past step 0."""
+        return (np.arange(self.counts[0], self.index.size)
+                - np.repeat(self.counts[:-1], self.counts[1:]))
+
+    @property
+    def last(self):
+        """The packed row of each sequence's final step, in input order."""
+        return self.index[np.cumsum(self.lengths) - 1]
+
+    def unpack(self, packed):
+        """The rows of a packed array in input order, sequence after sequence."""
+        return packed[self.index]
+
+    def sums(self, values):
+        """Per-sequence sums of one value per packed row, in input order."""
+        return np.bincount(self.seq, weights=values, minlength=self.lengths.size)
+
+
+def _total_loglik(posterior):
+    return float(posterior.logliks.sum())
+
+
 # ---------------------------------------------------------------------------
 # Hidden Markov models
 
-def hmm_forward_backward(params, obs):
-    """Exact smoothed posteriors and sequence log-likelihood.
+@dataclass(frozen=True)
+class HmmSetPosterior:
+    """Forward-backward over a packed set of sequences.
 
-    Log-domain alpha/beta recursions with per-step log-normalizers; the
-    accumulated normalizers give the log-likelihood.
+    Per packed row: emission log-likelihoods logB, normalized forward
+    messages log_alpha, step log-normalizers log_c (N, 1), scaled backward
+    messages log_beta and state marginals gamma (both None after a
+    forward-only pass). Per sequence, in input order: logliks.
     """
-    logB = params.emit.log_liks(obs)                 # (T, K)
-    T, K = logB.shape
-    if T == 0:
-        raise ValueError("observation sequence is empty")
-    with np.errstate(divide="ignore"):
-        logA = np.log(params.trans)
-        logpi = np.log(params.pi)
 
-    log_alpha = np.empty((T, K))
-    log_c = np.empty(T)
-    a = logpi + logB[0]
-    log_c[0] = _lse(a)
-    if log_c[0] == -np.inf:
-        raise NumericError("zero-probability sequence: no state explains step 0")
-    log_alpha[0] = a - log_c[0]
+    params: HmmParams
+    pack: SequencePack
+    logB: np.ndarray
+    log_alpha: np.ndarray
+    log_c: np.ndarray
+    logliks: np.ndarray
+    log_beta: np.ndarray = None
+    gamma: np.ndarray = None
+
+    def pairwise(self):
+        """Joint marginals of consecutive states, one (K, K) table per
+        packed row past step 0: over (state at the step before, state at
+        that row)."""
+        nxt = slice(self.pack.counts[0], None)
+        with np.errstate(divide="ignore"):
+            logA = np.log(self.params.trans)
+        lx = (self.log_alpha[self.pack.prev][:, :, None] + logA[None]
+              + (self.logB[nxt] + self.log_beta[nxt])[:, None, :])
+        xi = np.exp(lx - lx.max(axis=(1, 2), keepdims=True))
+        xi /= xi.sum(axis=(1, 2), keepdims=True)
+        return xi
+
+    def pairwise_sum(self):
+        """pairwise() summed over all rows as one (K, N) @ (N, K) product.
+
+        Each table is alpha_{t-1}(i) A_ij B_j(x_t) beta_t(j) up to a per-row
+        constant, which its normalization to one removes."""
+        A = self.params.trans
+        nxt = slice(self.pack.counts[0], None)
+        w = self.logB[nxt] + self.log_beta[nxt]
+        V = np.exp(w - w.max(axis=1, keepdims=True))
+        U = np.exp(self.log_alpha[self.pack.prev])
+        U /= np.sum((U @ A) * V, axis=1, keepdims=True)
+        return A * (U.T @ V)
+
+
+def _hmm_pack(discrete, obs_set):
+    if discrete:
+        return SequencePack.build([np.asarray(o, dtype=int) for o in obs_set])
+    return SequencePack.build([np.atleast_2d(np.asarray(o, dtype=float)) for o in obs_set])
+
+
+def _hmm_forward(params, pack):
+    """Forward recursion over every sequence of a pack."""
+    logB = params.emit.log_liks(pack.data)               # (N, K)
+    counts, starts = pack.counts.tolist(), pack.starts.tolist()
+    A = params.trans
+    log_alpha = np.empty_like(logB)
+    log_c = np.empty((logB.shape[0], 1))
     # normalized log-alpha entries are <= 0, so exp never overflows and the
-    # per-step matmul is the stable lse over previous states
-    with np.errstate(divide="ignore"):
-        A_lin = params.trans
-        for t in range(1, T):
-            prev = np.exp(log_alpha[t - 1])
-            a = logB[t] + np.log(prev @ A_lin)
-            log_c[t] = _lse(a)
-            if log_c[t] == -np.inf:
-                raise NumericError(f"zero-probability sequence: no path explains step {t}")
-            log_alpha[t] = a - log_c[t]
-    loglik = float(log_c.sum())
+    # matmul is the stable lse over previous states. A row with no possible
+    # state gets a normalizer of -inf, which is reported after the loop.
+    exp, log, lse = np.exp, np.log, np.logaddexp.reduce
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = log(params.pi) + logB[:counts[0]]
+        for t in range(len(counts)):
+            s, e = starts[t], starts[t + 1]
+            if t:
+                p = starts[t - 1]
+                a = logB[s:e] + log(exp(log_alpha[p:p + e - s]) @ A)
+            c = log_c[s:e] = lse(a, axis=1, keepdims=True)
+            log_alpha[s:e] = a - c
+    bad = np.flatnonzero(~np.isfinite(log_c[:, 0]))
+    if bad.size:
+        r = int(bad[0])
+        t = int(np.searchsorted(pack.starts, r, side="right")) - 1
+        raise NumericError(f"zero-probability sequence {pack.seq[r]}: "
+                           f"no path explains step {t}")
+    return HmmSetPosterior(params, pack, logB, log_alpha, log_c, pack.sums(log_c[:, 0]))
 
-    log_beta = np.zeros((T, K))
-    with np.errstate(divide="ignore"):
-        for t in range(T - 2, -1, -1):
-            nxt = logB[t + 1] + log_beta[t + 1]
-            m = nxt.max()
-            if m == -np.inf:
-                log_beta[t] = -np.inf
-            else:
-                log_beta[t] = m + np.log(A_lin @ np.exp(nxt - m)) - log_c[t + 1]
 
-    lg = log_alpha + log_beta
-    gamma = np.exp(lg - log_sum_exp_rows(lg)[:, None])
+def _hmm_backward(post):
+    """Backward recursion and state marginals over a forward pass."""
+    counts, starts = post.pack.counts.tolist(), post.pack.starts.tolist()
+    log_alpha, log_c = post.log_alpha, post.log_c
+    log_beta = np.zeros_like(post.logB)
+    logB_c = post.logB - log_c
+    AT = post.params.trans.T
+    exp, log = np.exp, np.log
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(len(counts) - 2, -1, -1):
+            s, q = starts[t], starts[t + 1]
+            n = counts[t + 1]
+            nxt = logB_c[q:q + n] + log_beta[q:q + n]
+            m = nxt.max(1, keepdims=True)
+            log_beta[s:s + n] = log(exp(nxt - m) @ AT) + m
+    gamma = log_alpha + log_beta
+    gamma -= log_sum_exp_rows(gamma)[:, None]
+    np.exp(gamma, out=gamma)
     gamma /= gamma.sum(axis=1, keepdims=True)
-
-    lx = (log_alpha[:-1, :, None] + logA[None, :, :]
-          + (logB[1:] + log_beta[1:])[:, None, :] - log_c[1:, None, None])
-    mx = lx.max(axis=(1, 2), keepdims=True)
-    xi = np.exp(lx - mx)
-    xi /= xi.sum(axis=(1, 2), keepdims=True)
-    return SmoothedMarginals(gamma, xi, loglik)
+    return dataclasses.replace(post, log_beta=log_beta, gamma=gamma)
 
 
-def _lse(v):
-    m = v.max()
-    if m == -np.inf:
-        return -np.inf
-    return float(m + np.log(np.sum(np.exp(v - m))))
+def hmm_infer(params, obs_set, smooth=True):
+    """Forward-backward over a whole set of sequences at once.
+
+    Returns an HmmSetPosterior; pack.unpack(gamma) gives the state marginals
+    of all steps in input order. smooth=False runs the forward pass alone,
+    which is all the per-sequence log-likelihoods need.
+    """
+    post = _hmm_forward(params, _hmm_pack(isinstance(params.emit, DiscreteEmission), obs_set))
+    return _hmm_backward(post) if smooth else post
+
+
+def hmm_forward_backward(params, obs):
+    """Exact smoothed posteriors and log-likelihood of one sequence."""
+    post = hmm_infer(params, [obs])
+    return SmoothedMarginals(post.gamma, post.pairwise(), float(post.logliks[0]))
 
 
 def hmm_loglik(params, obs_set):
-    return float(sum(hmm_forward_backward(params, obs).loglik for obs in obs_set))
+    return _total_loglik(hmm_infer(params, obs_set, smooth=False))
 
 
-def _hmm_e_step(params, obs_set):
-    return [hmm_forward_backward(params, obs) for obs in obs_set]
-
-
-def _hmm_m_step(obs_set, posteriors, kind, n_symbols=None, cov_floor=None):
-    K = posteriors[0].states.shape[1]
+def _hmm_m_step(pack, post, kind, n_symbols=None):
+    post = _hmm_backward(post)
+    K = post.params.n_states
+    gamma = post.gamma
     events = []
-    pi = sum(p.states[0] for p in posteriors)
+    pi = gamma[:pack.counts[0]].sum(axis=0)
     pi = pi / pi.sum()
-    trans_num = sum(p.pairwise.sum(axis=0) for p in posteriors)
+    trans_num = post.pairwise_sum()
     row = trans_num.sum(axis=1, keepdims=True)
     empty = np.where(row[:, 0] < EMPTY_STATE_COUNT)[0]
     for k in empty:
@@ -266,11 +403,8 @@ def _hmm_m_step(obs_set, posteriors, kind, n_symbols=None, cov_floor=None):
     trans = trans_num / row
 
     if kind == "discrete":
-        counts = np.zeros((K, n_symbols))
-        for obs, p in zip(obs_set, posteriors):
-            onehot = np.zeros((len(obs), n_symbols))
-            onehot[np.arange(len(obs)), np.asarray(obs, dtype=int)] = 1.0
-            counts += p.states.T @ onehot
+        counts = np.stack([np.bincount(pack.data, weights=g, minlength=n_symbols)
+                           for g in gamma.T])
         occ = counts.sum(axis=1, keepdims=True)
         for k in np.where(occ[:, 0] < EMPTY_STATE_COUNT)[0]:
             counts[k] = 1.0
@@ -280,14 +414,14 @@ def _hmm_m_step(obs_set, posteriors, kind, n_symbols=None, cov_floor=None):
         probs /= probs.sum(axis=1, keepdims=True)
         emit = DiscreteEmission(probs)
     else:
-        X = np.vstack([np.atleast_2d(np.asarray(o, dtype=float)) for o in obs_set])
-        G = np.vstack([p.states for p in posteriors])
+        X = pack.data
+        G = gamma
         occ = G.sum(axis=0)
         for k in np.where(occ < EMPTY_STATE_COUNT)[0]:
-            i = int(np.argmin(G.max(axis=1)))
+            i = int(np.argmin(G.max(axis=1)[pack.index]))    # input-order point
             G = G.copy()
-            G[i] = 0.0
-            G[i, k] = 1.0
+            G[pack.index[i]] = 0.0
+            G[pack.index[i], k] = 1.0
             events.append(f"state {k} empty; re-seeded at pooled point {i}")
         occ = G.sum(axis=0)
         d = X.shape[1]
@@ -296,7 +430,7 @@ def _hmm_m_step(obs_set, posteriors, kind, n_symbols=None, cov_floor=None):
         for k in range(K):
             diff = X - means[k]
             covs[k] = (G[:, k, None] * diff).T @ diff / occ[k]
-        floor = cov_floor if cov_floor is not None else 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12)
+        floor = 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12)
         covs = _cov_floor(covs, floor)
         emit = GaussianEmission(means, covs)
     params = HmmParams(pi, trans, emit)
@@ -308,12 +442,10 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
     if kind not in ("discrete", "gaussian"):
         raise ValueError("kind must be 'discrete' or 'gaussian'")
     _check_k(K, "states")
-    obs_set = [np.asarray(o) for o in obs_set]
-    if not obs_set or any(len(o) == 0 for o in obs_set):
-        raise ValueError("sequences must be non-empty")
+    pack = _hmm_pack(kind == "discrete", obs_set)
     rng = RandomSource(cfg.seed).split(303)
     if kind == "discrete":
-        flat = np.concatenate([np.asarray(o, dtype=int) for o in obs_set])
+        flat = pack.data
         if n_symbols is None:
             n_symbols = int(flat.max()) + 1
         if init is None:
@@ -325,44 +457,61 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
             tnoise = 1.0 + 0.1 * (2.0 * rng.uniform((K, K)) - 1.0)
             trans = tnoise / tnoise.sum(axis=1, keepdims=True)
             init = HmmParams(np.full(K, 1.0 / K), trans, DiscreteEmission(probs))
-    else:
-        X = np.vstack([np.atleast_2d(np.asarray(o, dtype=float)) for o in obs_set])
-        if init is None:
-            means = _farthest_point_means(X, K, rng)
-            d = X.shape[1]
-            gcov = np.cov(X.T, bias=True).reshape(d, d)
-            gcov = _cov_floor(gcov[None], 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12))[0]
-            tnoise = 1.0 + 0.1 * (2.0 * rng.uniform((K, K)) - 1.0)
-            trans = tnoise / tnoise.sum(axis=1, keepdims=True)
-            init = HmmParams(np.full(K, 1.0 / K), trans,
-                             GaussianEmission(means, np.repeat(gcov[None], K, axis=0)))
+    elif init is None:
+        X = pack.unpack(pack.data)           # input order for the seeded init
+        means = _farthest_point_means(X, K, rng)
+        d = X.shape[1]
+        gcov = np.cov(X.T, bias=True).reshape(d, d)
+        gcov = _cov_floor(gcov[None], 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12))[0]
+        tnoise = 1.0 + 0.1 * (2.0 * rng.uniform((K, K)) - 1.0)
+        trans = tnoise / tnoise.sum(axis=1, keepdims=True)
+        init = HmmParams(np.full(K, 1.0 / K), trans,
+                         GaussianEmission(means, np.repeat(gcov[None], K, axis=0)))
 
-    def objective(posteriors):
-        return float(sum(p.loglik for p in posteriors))
+    # The E-step is the forward pass alone, which gives the log-likelihood;
+    # the backward pass runs in the M-step, so the final E-step skips it.
+    def m_step(data, post):
+        return _hmm_m_step(data, post, kind, n_symbols=n_symbols)
 
-    def m_step(data, posteriors):
-        return _hmm_m_step(data, posteriors, kind, n_symbols=n_symbols)
-
-    return run_em(_hmm_e_step, m_step, objective, obs_set, init, cfg)
+    return run_em(_hmm_forward, m_step, _total_loglik, pack, init, cfg)
 
 
 def hmm_sample(params, T, rng):
-    """Ancestral draw of (states, observations) of length T."""
-    from .core import sample_categorical, Simplex, sample_gaussian, Gaussian
-    states = np.empty(T, dtype=int)
-    states[0] = sample_categorical(Simplex(params.pi), rng)
-    for t in range(1, T):
-        states[t] = sample_categorical(Simplex(params.trans[states[t - 1]]), rng)
+    """Ancestral draw of (states, observations) of length T.
+
+    The stream gives T uniforms to the state chain, then T uniforms to the
+    symbols, or one standard normal vector to each step whose state has a
+    nonzero covariance: the draws of a step-by-step sampler, made in blocks.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    K = params.n_states
+    u = rng.uniform(T).tolist()
+    cum = np.cumsum(params.trans, axis=1).tolist()
+    s = min(bisect_right(np.cumsum(params.pi).tolist(), u[0]), K - 1)
+    path = [s]
+    for x in u[1:]:
+        s = min(bisect_right(cum[s], x), K - 1)
+        path.append(s)
+    states = np.array(path)
     if isinstance(params.emit, DiscreteEmission):
-        obs = np.empty(T, dtype=int)
-        for t in range(T):
-            obs[t] = sample_categorical(Simplex(params.emit.probs[states[t]]), rng)
-    else:
-        d = params.emit.dim
-        obs = np.empty((T, d))
-        for t in range(T):
-            obs[t] = sample_gaussian(Gaussian(params.emit.means[states[t]],
-                                              params.emit.covs[states[t]]), rng)
+        cum_emit = np.cumsum(params.emit.probs, axis=1)
+        v = rng.uniform(T)
+        obs = np.minimum(np.sum(cum_emit[states] <= v[:, None], axis=1),
+                         params.emit.n_symbols - 1)
+        return states, obs
+    d = params.emit.dim
+    chol = np.zeros((K, d, d))
+    noisy = np.zeros(K, dtype=bool)
+    for k in np.unique(states):
+        g = Gaussian(params.emit.means[k], params.emit.covs[k])
+        if np.any(g.cov):
+            noisy[k] = True
+            chol[k] = chol_psd(g.cov)
+    obs = params.emit.means[states]
+    drawn = noisy[states]
+    eps = rng.standard_normal((int(drawn.sum()), d))
+    obs[drawn] += (chol[states[drawn]] @ eps[:, :, None])[:, :, 0]
     return states, obs
 
 
@@ -384,84 +533,150 @@ def canonical_state_order(params):
 # ---------------------------------------------------------------------------
 # Linear dynamical systems
 
-def kalman_filter(params, obs):
-    """Forward recursion: filtered moments per step plus the log-likelihood
-    accumulated from the innovation Gaussians."""
-    X = np.atleast_2d(np.asarray(obs, dtype=float))
-    T = X.shape[0]
+@dataclass(frozen=True)
+class LdsSetPosterior:
+    """Kalman filter, and optionally RTS smoother, over a packed set.
+
+    Per packed row: filtered means means_f and predicted means pred_means.
+    Per step, shared by all sequences: filtered and predicted covariances
+    covs_f and pred_covs (Tmax, dz, dz). Per sequence, in input order:
+    logliks. After smoothing: smoothed means (N, dz) and covs (N, dz, dz)
+    per row, and the smoother gains (Tmax-1, dz, dz) per step.
+    """
+
+    params: LdsParams
+    pack: SequencePack
+    means_f: np.ndarray
+    covs_f: np.ndarray
+    pred_means: np.ndarray
+    pred_covs: np.ndarray
+    logliks: np.ndarray
+    means: np.ndarray = None
+    covs: np.ndarray = None
+    gains: np.ndarray = None
+
+
+def _lds_pack(obs_set):
+    return SequencePack.build([np.atleast_2d(np.asarray(o, dtype=float)) for o in obs_set])
+
+
+def _kalman_pass(params, pack):
+    """Kalman filter over every sequence of a pack.
+
+    The covariances, the gain and the innovation covariance depend on the
+    parameters and t alone, so each is formed once per step; the means of
+    all running sequences advance together. The loop solves one system per
+    step for the gain; the Cholesky factors behind the log-likelihood are
+    taken in one batched call afterwards, and each row's innovation is
+    whitened by the factor of its step.
+    """
+    X = pack.data
     if X.shape[1] != params.obs_dim:
         raise ValueError("observation dimension mismatch")
-    dz = params.state_dim
-    dx = params.obs_dim
+    counts, starts = pack.counts.tolist(), pack.starts.tolist()
+    Tm = len(counts)
+    N = X.shape[0]
+    dz, dx = params.state_dim, params.obs_dim
     A, C, Q, R = params.A, params.C, params.Q, params.R
     CT, AT = C.T, A.T
-    means = np.empty((T, dz))
-    covs = np.empty((T, dz, dz))
-    pred_means = np.empty((T, dz))
-    pred_covs = np.empty((T, dz, dz))
-    innovs = np.empty((T, dx))
-    innov_covs = np.empty((T, dx, dx))
-    m_pred, P_pred = params.mu0, params.Sigma0
-    # the loop solves one system per step for the gain; the Cholesky factors
-    # behind the log-likelihood are taken in one batched call afterwards
-    for t in range(T):
-        pred_means[t] = m_pred
+    means = np.empty((N, dz))
+    covs = np.empty((Tm, dz, dz))
+    pred_covs = np.empty((Tm, dz, dz))
+    innov_covs = np.empty((Tm, dx, dx))
+    m_pred, P_pred = params.mu0[None, :], params.Sigma0
+    for t in range(Tm):
+        s, e = starts[t], starts[t + 1]
         pred_covs[t] = P_pred
         CP = C @ P_pred
-        S = CP @ CT + R
-        S = innov_covs[t] = 0.5 * (S + S.T)
-        innov = innovs[t] = X[t] - C @ m_pred
+        # S is symmetric up to rounding; the Cholesky factors below read one triangle
+        S = innov_covs[t] = CP @ CT + R
         try:
-            K_gain = np.linalg.solve(S, CP).T
+            gain_T = np.linalg.solve(S, CP)                   # K^T, (dx, dz)
         except np.linalg.LinAlgError:
             raise NumericError(f"singular innovation covariance at step {t}")
-        means[t] = m_pred + K_gain @ innov
-        P = P_pred - K_gain @ CP
-        covs[t] = 0.5 * (P + P.T)
-        if t < T - 1:
-            m_pred = A @ means[t]
-            P_pred = A @ covs[t] @ AT + Q
-            P_pred = 0.5 * (P_pred + P_pred.T)
+        means[s:e] = m_pred + (X[s:e] - m_pred @ CT) @ gain_T
+        P = P_pred - gain_T.T @ CP
+        P = covs[t] = 0.5 * (P + P.T)
+        if t < Tm - 1:
+            m_pred = means[s:s + counts[t + 1]] @ AT
+            # symmetric up to rounding; it feeds S and the next P, which is
+            # symmetrized again
+            P_pred = A @ P @ AT + Q
     try:
         L = np.linalg.cholesky(innov_covs)
     except np.linalg.LinAlgError:
-        for t in range(T):
+        for t in range(Tm):
             try:
                 np.linalg.cholesky(innov_covs[t])
             except np.linalg.LinAlgError:
                 raise NumericError(f"singular innovation covariance at step {t}")
         raise
-    sol = np.linalg.solve(L, innovs[:, :, None])[:, :, 0]
+    pred_means = np.empty((N, dz))
+    pred_means[:counts[0]] = params.mu0
+    pred_means[counts[0]:] = means[pack.prev] @ AT
+    steps = pack.steps
+    sol = np.linalg.solve(L[steps], (X - pred_means @ CT)[:, :, None])[:, :, 0]
     logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-    loglik = -0.5 * np.sum(dx * math.log(2 * math.pi) + logdet + np.sum(sol * sol, axis=1))
-    return means, covs, pred_means, pred_covs, float(loglik)
+    row_ll = -0.5 * (dx * math.log(2 * math.pi) + logdet[steps] + np.sum(sol * sol, axis=1))
+    return LdsSetPosterior(params, pack, means, covs, pred_means, pred_covs,
+                           pack.sums(row_ll))
 
 
-def kalman_smooth(params, obs, _filtered=None):
-    """RTS backward pass over the filtered moments; also returns the lag-one
-    cross second moments needed by the EM M-step."""
-    if _filtered is None:
-        _filtered = kalman_filter(params, obs)
-    means_f, covs_f, pred_means, pred_covs, loglik = _filtered
-    T = means_f.shape[0]
-    means_s = means_f.copy()
-    covs_s = covs_f.copy()
-    # the smoother gains J_t = P_t A^T (P_{t+1|t})^{-1} depend on the
-    # filtered moments alone, so one batched solve gives all of them
+def _rts_pass(filt):
+    """RTS backward pass over a filtered set. The smoothed covariances are
+    per row, since they depend on each sequence's length."""
+    counts, starts = filt.pack.counts.tolist(), filt.pack.starts.tolist()
+    covs_f, pred_covs, pred_means = filt.covs_f, filt.pred_covs, filt.pred_means
+    # the smoother gains J_t = P_t A^T (P_{t+1|t})^{-1} depend on t alone,
+    # so one batched solve gives all of them
     gains = np.linalg.solve(pred_covs[1:].transpose(0, 2, 1),
-                            (covs_f[:-1] @ params.A.T).transpose(0, 2, 1)).transpose(0, 2, 1)
-    for t in range(T - 2, -1, -1):
-        J = gains[t]
-        means_s[t] = means_f[t] + J @ (means_s[t + 1] - pred_means[t + 1])
-        P = covs_f[t] + J @ (covs_s[t + 1] - pred_covs[t + 1]) @ J.T
-        covs_s[t] = 0.5 * (P + P.T)
-    lag_one = (covs_s[1:] @ gains.transpose(0, 2, 1)
-               + means_s[1:, :, None] * means_s[:-1, None, :])
-    return GaussianSmoothed(means_s, covs_s, lag_one, loglik)
+                            (covs_f[:-1] @ filt.params.A.T).transpose(0, 2, 1)
+                            ).transpose(0, 2, 1)
+    gains_T = gains.transpose(0, 2, 1)
+    # P_s[t] = P_t + J_t (P_s[t+1] - P_{t+1|t}) J_t^T, split into a part
+    # that depends on t alone and one per row
+    base = covs_f[:-1] - gains @ pred_covs[1:] @ gains_T
+    means = filt.means_f.copy()
+    covs = covs_f[filt.pack.steps]
+    for t in range(len(counts) - 2, -1, -1):
+        s, q = starts[t], starts[t + 1]
+        n = counts[t + 1]
+        means[s:s + n] += (means[q:q + n] - pred_means[q:q + n]) @ gains_T[t]
+        covs[s:s + n] = base[t] + gains[t] @ covs[q:q + n] @ gains_T[t]
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    return dataclasses.replace(filt, means=means, covs=covs, gains=gains)
+
+
+def lds_infer(params, obs_set, smooth=True):
+    """Kalman filtering and RTS smoothing over a whole set of sequences.
+
+    Returns an LdsSetPosterior; pack.unpack(means) gives the smoothed means
+    of all steps in input order. smooth=False runs the filter alone, which
+    is all the per-sequence log-likelihoods need.
+    """
+    filt = _kalman_pass(params, _lds_pack(obs_set))
+    return _rts_pass(filt) if smooth else filt
+
+
+def kalman_filter(params, obs):
+    """Forward recursion over one sequence: filtered means and covariances,
+    predicted means and covariances, and the log-likelihood accumulated from
+    the innovation Gaussians."""
+    f = lds_infer(params, [obs], smooth=False)
+    return f.means_f, f.covs_f, f.pred_means, f.pred_covs, float(f.logliks[0])
+
+
+def kalman_smooth(params, obs):
+    """RTS-smoothed posteriors of one sequence, with the lag-one cross
+    second moments needed by the EM M-step."""
+    sm = lds_infer(params, [obs])
+    lag_one = (sm.covs[1:] @ sm.gains.transpose(0, 2, 1)
+               + sm.means[1:, :, None] * sm.means[:-1, None, :])
+    return GaussianSmoothed(sm.means, sm.covs, lag_one, float(sm.logliks[0]))
 
 
 def lds_loglik(params, obs_set):
-    return float(sum(kalman_filter(params, obs)[4] for obs in obs_set))
+    return _total_loglik(lds_infer(params, obs_set, smooth=False))
 
 
 def lds_fit(obs_set, state_dim, cfg: EmConfig, init=None, update_sigma0=None):
@@ -472,86 +687,83 @@ def lds_fit(obs_set, state_dim, cfg: EmConfig, init=None, update_sigma0=None):
     single sequence it is held at its initial value (one observation of z_1
     cannot identify it). Override with update_sigma0.
     """
-    obs_set = [np.atleast_2d(np.asarray(o, dtype=float)) for o in obs_set]
-    if any(o.shape[0] < 2 for o in obs_set):
+    pack = _lds_pack(obs_set)
+    if np.any(pack.lengths < 2):
         raise ValueError("sequences must have length >= 2")
-    dx = obs_set[0].shape[1]
-    dz = state_dim
+    X = pack.data
+    N, dx = X.shape
+    n_seq = pack.lengths.size
     if update_sigma0 is None:
-        update_sigma0 = len(obs_set) >= 2
+        update_sigma0 = n_seq >= 2
     if init is None:
-        X = np.vstack(obs_set)
         xvar = float(np.mean(np.var(X, axis=0)))
-        C0 = np.eye(dx, dz)
-        init = LdsParams(0.5 * np.eye(dz), C0,
-                         0.1 * max(xvar, 1e-6) * np.eye(dz),
+        C0 = np.eye(dx, state_dim)
+        init = LdsParams(0.5 * np.eye(state_dim), C0,
+                         0.1 * max(xvar, 1e-6) * np.eye(state_dim),
                          0.5 * max(xvar, 1e-6) * np.eye(dx),
-                         np.zeros(dz), np.eye(dz))
+                         np.zeros(state_dim), np.eye(state_dim))
+    S_xx = X.T @ X
+    first, nxt = slice(0, n_seq), slice(n_seq, None)
+    prev_rows, last_rows = pack.prev, pack.last
 
-    # The E-step is the forward pass alone, which gives the log-likelihood;
-    # the RTS pass runs in the M-step, so the final E-step does no smoothing.
-    def e_step(params, data):
-        return params, [kalman_filter(params, obs) for obs in data]
-
-    def objective(posterior):
-        return float(sum(f[4] for f in posterior[1]))
-
-    def m_step(data, posterior):
-        prev, filtered = posterior
-        smoothed = [kalman_smooth(prev, obs, _filtered=f) for obs, f in zip(data, filtered)]
-        dz_ = prev.state_dim
-        S_tt_first = np.zeros((dz_, dz_))       # sum over t>=2 of E[z_t z_t^T]
-        S_t1t1 = np.zeros((dz_, dz_))           # sum over t>=2 of E[z_{t-1} z_{t-1}^T]
-        S_t_t1 = np.zeros((dz_, dz_))           # sum over t>=2 of E[z_t z_{t-1}^T]
-        S_zz_all = np.zeros((dz_, dz_))         # sum over all t of E[z_t z_t^T]
-        S_xz = np.zeros((dx, dz_))
-        S_xx = np.zeros((dx, dx))
-        n_trans = 0
-        n_obs = 0
-        mu0_acc = np.zeros(dz_)
-        S0_acc = np.zeros((dz_, dz_))
-        for obs, sm in zip(data, smoothed):
-            T = obs.shape[0]
-            Ezz = sm.covs + np.einsum("ti,tj->tij", sm.means, sm.means)
-            S_zz_all += Ezz.sum(axis=0)
-            S_tt_first += Ezz[1:].sum(axis=0)
-            S_t1t1 += Ezz[:-1].sum(axis=0)
-            S_t_t1 += sm.lag_one.sum(axis=0)
-            S_xz += obs.T @ sm.means
-            S_xx += obs.T @ obs
-            n_trans += T - 1
-            n_obs += T
-            mu0_acc += sm.means[0]
-            S0_acc += Ezz[0]
-        A_new = np.linalg.solve((S_t1t1 + RIDGE * np.eye(dz_)).T, S_t_t1.T).T
+    # The E-step is the filter alone, which gives the log-likelihood; the
+    # RTS pass runs in the M-step, so the final E-step does no smoothing.
+    def m_step(_pack, filt):
+        sm = _rts_pass(filt)
+        M, P = sm.means, sm.covs
+        dz = M.shape[1]
+        P_step = np.add.reduceat(P, pack.starts[:-1], axis=0)    # per-step sums
+        S_zz_all = P_step.sum(axis=0) + M.T @ M                   # E[z_t z_t^T], all t
+        S0_acc = P_step[0] + M[first].T @ M[first]                # first steps
+        S_last = P[last_rows].sum(axis=0) + M[last_rows].T @ M[last_rows]
+        S_tt_first = S_zz_all - S0_acc                            # t >= 2
+        S_t1t1 = S_zz_all - S_last                                # t <= T-1
+        S_t_t1 = (np.einsum("tij,tkj->ik", P_step[1:], sm.gains)  # E[z_t z_{t-1}^T]
+                  + M[nxt].T @ M[prev_rows])
+        S_xz = X.T @ M
+        n_trans = N - n_seq
+        A_new = np.linalg.solve((S_t1t1 + RIDGE * np.eye(dz)).T, S_t_t1.T).T
         Q_new = (S_tt_first - A_new @ S_t_t1.T - S_t_t1 @ A_new.T
                  + A_new @ S_t1t1 @ A_new.T) / n_trans
-        Q_new = 0.5 * (Q_new + Q_new.T) + RIDGE * np.eye(dz_)
-        C_new = np.linalg.solve((S_zz_all + RIDGE * np.eye(dz_)).T, S_xz.T).T
+        Q_new = 0.5 * (Q_new + Q_new.T) + RIDGE * np.eye(dz)
+        C_new = np.linalg.solve((S_zz_all + RIDGE * np.eye(dz)).T, S_xz.T).T
         R_new = (S_xx - C_new @ S_xz.T - S_xz @ C_new.T
-                 + C_new @ S_zz_all @ C_new.T) / n_obs
+                 + C_new @ S_zz_all @ C_new.T) / N
         R_new = 0.5 * (R_new + R_new.T) + RIDGE * np.eye(dx)
-        n_seq = len(data)
-        mu0_new = mu0_acc / n_seq
+        mu0_new = M[first].sum(axis=0) / n_seq
         if update_sigma0:
             S0_new = S0_acc / n_seq - np.outer(mu0_new, mu0_new)
-            S0_new = 0.5 * (S0_new + S0_new.T) + RIDGE * np.eye(dz_)
+            S0_new = 0.5 * (S0_new + S0_new.T) + RIDGE * np.eye(dz)
         else:
-            S0_new = prev.Sigma0
+            S0_new = filt.params.Sigma0
         return LdsParams(A_new, C_new, Q_new, R_new, mu0_new, S0_new)
 
-    return run_em(e_step, m_step, objective, obs_set, init, cfg)
+    return run_em(_kalman_pass, m_step, _total_loglik, pack, init, cfg)
 
 
 def lds_sample(params, T, rng):
-    """Ancestral draw of (states, observations) of length T."""
-    from .core import Gaussian, sample_gaussian
+    """Ancestral draw of (states, observations) of length T.
+
+    The stream gives one standard normal vector to z_1, then T-1 to the
+    process noise, then T to the observation noise, with no draws for an
+    all-zero covariance: the draws of a step-by-step sampler, made in blocks.
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
     dz, dx = params.state_dim, params.obs_dim
+
+    def noise(cov, n, d):
+        g = Gaussian(np.zeros(d), cov)
+        if not np.any(g.cov):
+            return np.zeros((n, d))
+        return rng.standard_normal((n, d)) @ chol_psd(g.cov).T
+
     Z = np.empty((T, dz))
-    X = np.empty((T, dx))
-    Z[0] = sample_gaussian(Gaussian(params.mu0, params.Sigma0), rng)
-    for t in range(1, T):
-        Z[t] = sample_gaussian(Gaussian(params.A @ Z[t - 1], params.Q), rng)
-    for t in range(T):
-        X[t] = sample_gaussian(Gaussian(params.C @ Z[t], params.R), rng)
-    return Z, X
+    Z[0] = params.mu0 + noise(params.Sigma0, 1, dz)[0]
+    if T > 1:
+        W = noise(params.Q, T - 1, dz)
+        A = params.A
+        for t in range(1, T):
+            Z[t] = A @ Z[t - 1] + W[t - 1]
+    X = Z @ params.C.T + noise(params.R, T, dx)
+    return check_finite(Z, "sampled states"), check_finite(X, "sampled observations")

@@ -268,3 +268,96 @@ def test_irt_infer_rejects_non_binary(irt_fit_21, tmp_path, capsys):
     write_csv(bad, np.where(X == 1, 2, X))
     assert main(["infer", str(model), "--data", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
     assert "responses must be binary" in capsys.readouterr().err
+
+
+def test_lca_non_integer_codes_are_usage_errors_without_traceback(tmp_path):
+    X = RandomSource(12).integers(0, 3, (60, 4)).astype(float)
+    good = tmp_path / "lca.csv"
+    write_csv(good, X)
+    model = tmp_path / "lca.json"
+    assert main(["fit", "lca", "--data", str(good), "--k", "2", "--max-iters", "5",
+                 "--out", str(model)]) == 0
+    X[7, 2] = 1.7
+    bad = tmp_path / "bad.csv"
+    write_csv(bad, X)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(latentlab.__file__)))
+    for argv in (["fit", "lca", "--data", str(bad), "--k", "2", "--out", str(tmp_path / "m.json")],
+                 ["eval", str(model), "--data", str(bad)],
+                 ["infer", str(model), "--data", str(bad), "--out", str(tmp_path / "i.csv")]):
+        proc = subprocess.run([sys.executable, "-m", "latentlab"] + argv,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, argv
+        assert "Traceback" not in proc.stderr
+        assert "integer category codes" in proc.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("family", ["hmm", "ghmm", "lds"])
+def test_sequence_eval_and_infer_match_per_sequence_calls(family, tmp_path, capsys):
+    from latentlab import sequential as seq
+    rng = RandomSource(13)
+    lengths = (9, 3, 14, 1 if family != "lds" else 2, 14)
+    if family == "hmm":
+        true = seq.HmmParams([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]],
+                             seq.DiscreteEmission([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]))
+        seqs = [seq.hmm_sample(true, T, rng)[1] for T in lengths]
+        write_seq(tmp_path / "s.seq", seqs)
+    elif family == "ghmm":
+        true = seq.HmmParams([0.6, 0.4], [[0.8, 0.2], [0.3, 0.7]],
+                             seq.GaussianEmission([[-1.0, 0.0], [1.5, 1.0]],
+                                                  [np.eye(2), 0.5 * np.eye(2)]))
+        seqs = [seq.hmm_sample(true, T, rng)[1] for T in lengths]
+        write_seq(tmp_path / "s.seq", seqs, dx=2)
+    else:
+        true = seq.LdsParams([[0.8, 0.1], [0.0, 0.7]], [[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]],
+                             0.2 * np.eye(2), 0.3 * np.eye(3), [0.0, 0.0], np.eye(2))
+        seqs = [seq.lds_sample(true, T, rng)[1] for T in lengths]
+        write_seq(tmp_path / "s.seq", seqs, dx=3)
+    data, model = str(tmp_path / "s.seq"), str(tmp_path / "m.json")
+    flags = ["--latent-dim", "2"] if family == "lds" else ["--k", "2"]
+    assert main(["fit", family, "--data", data, "--max-iters", "5", "--out", model] + flags) == 0
+    _fam, params, _cfg = read_model(model)
+    capsys.readouterr()
+    assert main(["eval", model, "--data", data]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == len(seqs) + 1 and lines[-1].startswith("total ")
+    out = tmp_path / "infer.csv"
+    assert main(["infer", model, "--data", data, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    if family == "lds":
+        ref_ll = [seq.kalman_filter(params, s)[4] for s in seqs]
+        ref_rows = np.vstack([seq.kalman_smooth(params, s).means for s in seqs])
+    else:
+        singles = [seq.hmm_forward_backward(params, s) for s in seqs]
+        ref_ll = [sm.loglik for sm in singles]
+        ref_rows = np.vstack([sm.states for sm in singles])
+    for line, ll in zip(lines, ref_ll):
+        assert abs(float(line) - ll) < 1e-12 * max(1.0, abs(ll))
+    assert rows.shape == ref_rows.shape == (sum(lengths), 2)
+    assert np.max(np.abs(rows - ref_rows)) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["hmm", "lds"])
+def test_sample_zero_length_sequence_is_usage_error(family, tmp_path):
+    from latentlab import sequential as seq
+    if family == "hmm":
+        seqs = [seq.hmm_sample(seq.HmmParams([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]],
+                                             seq.DiscreteEmission([[0.8, 0.2], [0.3, 0.7]])),
+                               40, RandomSource(14))[1]]
+        write_seq(tmp_path / "s.seq", seqs)
+        fit = ["fit", "hmm", "--k", "2"]
+    else:
+        seqs = [seq.lds_sample(seq.LdsParams([[0.8]], [[1.0]], [[0.2]], [[0.3]], [0.0], [[1.0]]),
+                               40, RandomSource(14))[1]]
+        write_seq(tmp_path / "s.seq", seqs, dx=1)
+        fit = ["fit", "lds", "--latent-dim", "1"]
+    model = str(tmp_path / "m.json")
+    assert main(fit + ["--data", str(tmp_path / "s.seq"), "--max-iters", "3", "--out", model]) == 0
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(latentlab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "latentlab", "sample", model, "--n", "0",
+                           "--out", str(tmp_path / "x.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

@@ -272,3 +272,13 @@ def test_posterior_is_e_step_same_code_path():
     Xc = RandomSource(33).integers(0, 2, (10, 3))
     assert lca_posterior is lca_e_step
     assert np.array_equal(lca_e_step(lparams, Xc).gamma, lca_posterior(lparams, Xc).gamma)
+
+
+def test_fit_lca_rejects_non_integer_and_negative_codes():
+    X = RandomSource(60).integers(0, 3, (40, 3)).astype(float)
+    X[5, 1] = 1.7
+    with pytest.raises(ValueError, match="integer category codes"):
+        fit_lca(X, 2, EmConfig(seed=0))
+    X[5, 1] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit_lca(X, 2, EmConfig(seed=0))

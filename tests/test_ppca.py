@@ -231,3 +231,21 @@ def test_canonicalize_deterministic():
         assert col[np.argmax(np.abs(col))] >= 0
     assert marginal_loglik(canon, _simulate(params, 50, 25)) == pytest.approx(
         marginal_loglik(params, _simulate(params, 50, 25)), abs=1e-10)
+
+
+def test_posterior_means_and_reconstruct_match_per_row():
+    from latentlab.ppca import posterior_means
+    params = _random_params(30, D=5, M=2)
+    X = _simulate(params, 40, 31)
+    means = posterior_means(params, X)
+    assert means.shape == (40, 2)
+    per_row = np.stack([posterior(params, x).mean for x in X])
+    assert np.max(np.abs(means - per_row)) < 1e-12
+    Minv = np.linalg.inv(params.W.T @ params.W + params.sigma2 * np.eye(2))
+    direct = np.stack([Minv @ params.W.T @ (x - params.mu) for x in X])
+    assert np.max(np.abs(means - direct)) < 1e-12
+    rec = reconstruct(params, X)
+    assert rec.shape == X.shape
+    assert np.max(np.abs(rec - np.stack([reconstruct(params, x) for x in X]))) < 1e-12
+    with pytest.raises(ValueError):
+        posterior_means(params, X[:, :4])

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_utils import enumerate_hmm_posteriors, stacked_joint
 from latentlab.core import (Gaussian, NumericError, RandomSource,
                             gaussian_condition, gaussian_logpdf)
 from latentlab.em import EmConfig
 from latentlab.sequential import (DiscreteEmission, GaussianEmission,
-                                  HmmParams, LdsParams, hmm_fit,
-                                  hmm_forward_backward, hmm_sample,
-                                  kalman_filter, kalman_smooth, lds_fit,
-                                  lds_loglik, lds_sample,
+                                  HmmParams, LdsParams, SequencePack, hmm_fit,
+                                  hmm_forward_backward, hmm_infer, hmm_loglik,
+                                  hmm_sample, kalman_filter, kalman_smooth,
+                                  lds_fit, lds_infer, lds_loglik, lds_sample,
                                   canonical_state_order)
 
 
@@ -376,3 +379,198 @@ def test_lds_single_sequence_holds_sigma0():
 def test_lds_fit_rejects_short_sequences():
     with pytest.raises(ValueError):
         lds_fit([np.zeros((1, 2))], 2, EmConfig(seed=0))
+
+
+# -- packed set-level inference ----------------------------------------------------
+
+def _sequence_rows(post, i):
+    """Packed rows of sequence i in time order."""
+    offsets = np.concatenate(([0], np.cumsum(post.pack.lengths)))
+    return post.pack.index[offsets[i]:offsets[i + 1]]
+
+
+def _split(pack, packed):
+    """A packed array cut into one array per sequence, in input order."""
+    return np.split(pack.unpack(packed), np.cumsum(pack.lengths)[:-1])
+
+
+def test_pack_layout_is_time_major_longest_first():
+    pack = SequencePack.build([np.arange(2), np.arange(10, 15), np.arange(20, 23)])
+    assert pack.counts.tolist() == [3, 3, 2, 1, 1]
+    assert pack.starts.tolist() == [0, 3, 6, 8, 9, 10]
+    # step 0 holds the first step of the sequences longest first
+    assert pack.data[:3].tolist() == [10, 20, 0]
+    assert pack.data[8:].tolist() == [13, 14]
+    assert np.array_equal(pack.unpack(pack.data), np.concatenate(
+        [np.arange(2), np.arange(10, 15), np.arange(20, 23)]))
+    assert [s.tolist() for s in _split(pack, pack.data)] == \
+        [[0, 1], [10, 11, 12, 13, 14], [20, 21, 22]]
+    assert pack.sums(np.ones(10)).tolist() == [2.0, 5.0, 3.0]
+    assert np.array_equal(pack.data[pack.last], [1, 14, 22])
+    assert np.array_equal(pack.data[pack.prev] + 1, pack.data[3:])
+
+
+def test_ragged_hmm_batch_matches_enumeration():
+    params = _random_hmm(40, K=3, S=4)
+    rng = RandomSource(41)
+    lengths = [5, 1, 6, 3, 5, 2]
+    seqs = [rng.integers(0, 4, L) for L in lengths]
+    post = hmm_infer(params, seqs)
+    states = _split(post.pack, post.gamma)
+    pairwise = post.pairwise()
+    n0 = post.pack.counts[0]
+    for i, obs in enumerate(seqs):
+        marg, pair, ll = enumerate_hmm_posteriors(params, obs)
+        assert np.max(np.abs(states[i] - marg)) < 1e-10
+        assert np.max(np.abs(pairwise[_sequence_rows(post, i)[1:] - n0] - pair),
+                      initial=0.0) < 1e-10
+        assert abs(post.logliks[i] - ll) < 1e-10
+
+
+def test_ragged_lds_batch_matches_stacked_joint():
+    params = _random_lds(42)
+    rng = RandomSource(43)
+    seqs = [lds_sample(params, T, rng)[1] for T in (3, 5, 2)]
+    post = lds_infer(params, seqs)
+    dz, dx = 2, 2
+    for i, obs in enumerate(seqs):
+        T = len(obs)
+        rows = _sequence_rows(post, i)
+        joint = stacked_joint(params, T)
+        for t in range(T):
+            idx_f = list(range(t * dz, (t + 1) * dz)) + [T * dz + j for j in range((t + 1) * dx)]
+            cond_f = gaussian_condition(Gaussian(joint.mean[idx_f], joint.cov[np.ix_(idx_f, idx_f)]),
+                                        dz, obs[:t + 1].ravel())
+            assert np.max(np.abs(post.means_f[rows[t]] - cond_f.mean)) < 1e-8
+            assert np.max(np.abs(post.covs_f[t] - cond_f.cov)) < 1e-8
+            idx_s = list(range(t * dz, (t + 1) * dz)) + list(range(T * dz, T * (dz + dx)))
+            cond_s = gaussian_condition(Gaussian(joint.mean[idx_s], joint.cov[np.ix_(idx_s, idx_s)]),
+                                        dz, obs.ravel())
+            assert np.max(np.abs(post.means[rows[t]] - cond_s.mean)) < 1e-8
+            assert np.max(np.abs(post.covs[rows[t]] - cond_s.cov)) < 1e-8
+        obs_idx = list(range(T * dz, T * (dz + dx)))
+        marginal = Gaussian(joint.mean[obs_idx], joint.cov[np.ix_(obs_idx, obs_idx)])
+        assert abs(post.logliks[i] - gaussian_logpdf(obs.ravel(), marginal)) < 1e-8
+
+
+def test_set_e_step_equals_sum_of_single_sequence_calls():
+    params = _random_hmm(44, K=3, S=4)
+    rng = RandomSource(45)
+    seqs = [rng.integers(0, 4, L) for L in (7, 1, 12, 4, 12)]
+    post = hmm_infer(params, seqs)
+    singles = [hmm_forward_backward(params, o) for o in seqs]
+    pair_sum = sum(sm.pairwise.sum(axis=0) for sm in singles if len(sm.pairwise))
+    assert np.max(np.abs(post.pairwise_sum() - pair_sum)) < 1e-12
+    first = post.gamma[:post.pack.counts[0]].sum(axis=0)
+    assert np.max(np.abs(first - sum(sm.states[0] for sm in singles))) < 1e-12
+    assert abs(hmm_loglik(params, seqs) - sum(sm.loglik for sm in singles)) < 1e-12
+
+    lparams = _random_lds(46)
+    lseqs = [lds_sample(lparams, T, RandomSource(47 + T))[1] for T in (4, 9, 2, 9)]
+    lpost = lds_infer(lparams, lseqs)
+    smoothed = [kalman_smooth(lparams, o) for o in lseqs]
+    assert abs(lds_loglik(lparams, lseqs) - sum(sm.loglik for sm in smoothed)) < 1e-12
+    lag_sum = sum(sm.lag_one.sum(axis=0) for sm in smoothed)
+    P, M = lpost.covs, lpost.means
+    P_step = np.add.reduceat(P, lpost.pack.starts[:-1], axis=0)
+    lag_set = (np.einsum("tij,tkj->ik", P_step[1:], lpost.gains)
+               + M[lpost.pack.counts[0]:].T @ M[lpost.pack.prev])
+    assert np.max(np.abs(lag_set - lag_sum)) < 1e-12
+
+
+def test_zero_probability_sequence_in_batch_names_index_and_step():
+    params = HmmParams([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]],
+                       DiscreteEmission([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
+    seqs = [[0, 1, 0, 1], [1, 1], [0, 0, 1, 2, 0], [1]]
+    with pytest.raises(NumericError, match=r"sequence 2\b.*step 3\b"):
+        hmm_infer(params, seqs)
+    with pytest.raises(NumericError, match=r"sequence 2\b.*step 3\b"):
+        hmm_fit(seqs, 2, "discrete", EmConfig(seed=0), init=params)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=6), st.integers(0, 2**16))
+def test_packed_kernels_match_single_sequences(lengths, seed):
+    rng = RandomSource(seed)
+    params = _random_hmm(seed, K=2, S=3)
+    seqs = [rng.integers(0, 3, L) for L in lengths]
+    post = hmm_infer(params, seqs)
+    for i, (obs, states) in enumerate(zip(seqs, _split(post.pack, post.gamma))):
+        marg, _pair, ll = enumerate_hmm_posteriors(params, obs)
+        assert np.max(np.abs(states - marg)) < 1e-10
+        assert abs(post.logliks[i] - ll) < 1e-10
+        sm = hmm_forward_backward(params, obs)
+        assert np.max(np.abs(states - sm.states)) < 1e-12
+        assert np.max(np.abs(post.logliks[i] - sm.loglik)) < 1e-12 * max(1.0, abs(sm.loglik))
+    lparams = _random_lds(seed)
+    lseqs = [rng.standard_normal((L, 2)) for L in lengths]
+    lpost = lds_infer(lparams, lseqs)
+    for i, (obs, means, covs) in enumerate(zip(lseqs, _split(lpost.pack, lpost.means),
+                                                _split(lpost.pack, lpost.covs))):
+        sm = kalman_smooth(lparams, obs)
+        assert np.max(np.abs(means - sm.means)) < 1e-12
+        assert np.max(np.abs(covs - sm.covs)) < 1e-12
+        assert abs(lpost.logliks[i] - sm.loglik) < 1e-12 * max(1.0, abs(sm.loglik))
+
+
+# -- samplers against the step-by-step draws ----------------------------------------
+
+def _hmm_sample_stepwise(params, T, rng):
+    from latentlab.core import Simplex, sample_categorical, sample_gaussian
+    states = np.empty(T, dtype=int)
+    states[0] = sample_categorical(Simplex(params.pi), rng)
+    for t in range(1, T):
+        states[t] = sample_categorical(Simplex(params.trans[states[t - 1]]), rng)
+    if isinstance(params.emit, DiscreteEmission):
+        obs = np.empty(T, dtype=int)
+        for t in range(T):
+            obs[t] = sample_categorical(Simplex(params.emit.probs[states[t]]), rng)
+    else:
+        obs = np.empty((T, params.emit.dim))
+        for t in range(T):
+            obs[t] = sample_gaussian(Gaussian(params.emit.means[states[t]],
+                                              params.emit.covs[states[t]]), rng)
+    return states, obs
+
+
+def _lds_sample_stepwise(params, T, rng):
+    from latentlab.core import sample_gaussian
+    Z = np.empty((T, params.state_dim))
+    X = np.empty((T, params.obs_dim))
+    Z[0] = sample_gaussian(Gaussian(params.mu0, params.Sigma0), rng)
+    for t in range(1, T):
+        Z[t] = sample_gaussian(Gaussian(params.A @ Z[t - 1], params.Q), rng)
+    for t in range(T):
+        X[t] = sample_gaussian(Gaussian(params.C @ Z[t], params.R), rng)
+    return Z, X
+
+
+@pytest.mark.parametrize("T", [1, 2, 57])
+def test_hmm_sample_matches_stepwise_draws(T):
+    gauss = HmmParams([0.3, 0.7, 0.0], [[0.8, 0.2, 0.0], [0.1, 0.6, 0.3], [0.5, 0.0, 0.5]],
+                      GaussianEmission([[0.0, 1.0], [2.0, -1.0], [5.0, 5.0]],
+                                       [[[1.0, 0.3], [0.3, 0.5]], np.zeros((2, 2)),
+                                        [[0.2, 0.0], [0.0, 0.2]]]))
+    for params in (_random_hmm(50, K=3, S=5), gauss):
+        r_new, r_old = RandomSource(51), RandomSource(51)
+        states, obs = hmm_sample(params, T, r_new)
+        ref_states, ref_obs = _hmm_sample_stepwise(params, T, r_old)
+        assert np.array_equal(states, ref_states)
+        if isinstance(params.emit, DiscreteEmission):
+            assert np.array_equal(obs, ref_obs)
+        else:
+            assert np.max(np.abs(obs - ref_obs)) < 1e-12
+        assert r_new.uniform() == r_old.uniform()
+
+
+@pytest.mark.parametrize("T", [1, 2, 40])
+def test_lds_sample_matches_stepwise_draws(T):
+    base = _random_lds(52, dz=2, dx=3)
+    noiseless = LdsParams(base.A, base.C, np.zeros((2, 2)), base.R, base.mu0, np.zeros((2, 2)))
+    for params in (base, noiseless):
+        r_new, r_old = RandomSource(53), RandomSource(53)
+        Z, X = lds_sample(params, T, r_new)
+        ref_Z, ref_X = _lds_sample_stepwise(params, T, r_old)
+        assert np.max(np.abs(Z - ref_Z)) < 1e-12
+        assert np.max(np.abs(X - ref_X)) < 1e-12
+        assert r_new.uniform() == r_old.uniform()
