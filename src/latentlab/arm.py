@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, Mlp, Tensor, adam_step, backward, zero_grad
+from .core import integer_codes
+from .nn import Mlp, Tensor, fit_minibatch
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
            "train", "sample", "position_logits"]
@@ -46,7 +47,7 @@ def make_ar_model(seq_len, alphabet, rng, hidden=64):
 
 
 def _check_sequences(model, x):
-    X = np.atleast_2d(np.asarray(x, dtype=int))
+    X = integer_codes(x, "ARM sequences")
     if X.shape[1] != model.seq_len:
         raise ValueError("sequences have wrong length")
     if np.any((X < 0) | (X >= model.alphabet)):
@@ -128,25 +129,8 @@ def log_likelihood_batch(model, x):
 def train(model, data, epochs, batch, rng, lr=1e-3):
     """Teacher-forced ascent on mean log-likelihood; per-epoch means returned."""
     X = _check_sequences(model, data)
-    N = X.shape[0]
-    params = model.params()
-    state = AdamState()
-    trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(N)
-        epoch_lls = []
-        for start in range(0, N, batch):
-            idx = order[start:start + batch]
-            ll = _loglik_tensor(model, X[idx]) * (1.0 / len(idx))
-            if not np.isfinite(ll.values):
-                raise FloatingPointError(f"log-likelihood diverged at epoch {epoch}")
-            loss = -ll
-            zero_grad(params)
-            backward(loss)
-            state = adam_step(params, [p.grad for p in params], state, lr=lr)
-            epoch_lls.append(float(ll.values))
-        trace.append(float(np.mean(epoch_lls)))
-    return np.asarray(trace)
+    return -fit_minibatch(lambda xb, _r: -(_loglik_tensor(model, xb) * (1.0 / len(xb))),
+                          model.params(), X, epochs, batch, rng, lr)
 
 
 def sample(model, n, rng):

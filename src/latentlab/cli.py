@@ -4,50 +4,35 @@ across every model family, emitting plot-ready trace files.
 Every command is a pure function of (config, input files, seed): repeated
 runs with the same seed produce byte-identical outputs. Exit codes: 0 on
 success, 2 on usage errors, 1 on numeric failures. Flags override values
-from an optional JSON --config file. LATENTLAB_THREADS caps the worker
-count modules may use for data-parallel E-steps (default: available cores).
+from an optional JSON --config file. What each family reads and which
+commands it supports is its record in families.FAMILIES.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import arm as arm_mod
 from . import datasets
-from . import diffusion as diff_mod
-from . import flow as flow_mod
-from . import gan as gan_mod
-from . import irt as irt_mod
-from . import lda as lda_mod
-from . import mixture
-from . import ppca as ppca_mod
-from . import sequential as seq_mod
-from . import vae as vae_mod
 from .core import NumericError, RandomSource
-from .em import EmConfig, MonotonicityError
+from .em import MonotonicityError
+from .families import FAMILIES
 
-__all__ = ["main", "console_main", "worker_count"]
+__all__ = ["main", "console_main"]
 
-FIT_FAMILIES = ("ppca", "gmm", "lca", "irt", "lda", "hmm", "ghmm", "lds",
-                "vae", "flow", "diffusion", "arm", "gan")
+FIT_FAMILIES = tuple(FAMILIES)
 FMT = "%.17g"
-
-
-def worker_count():
-    """Worker cap for data-parallel E-steps (LATENTLAB_THREADS, default cores)."""
-    cores = os.cpu_count() or 1
-    raw = os.environ.get("LATENTLAB_THREADS")
-    if raw is None:
-        return cores
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"LATENTLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, cores))
+# Usage error for a command a family does not define, by record field.
+UNDEFINED = {
+    "sample": "cannot sample family {!r}",
+    "loglik": "eval is not defined for family {!r}",
+    "infer": "infer is not defined for family {!r}",
+    "reconstruct": "reconstruct supports "
+                   + " and ".join(f for f, rec in FAMILIES.items() if rec.reconstruct)
+                   + ", not {!r}",
+}
 
 
 class UsageError(Exception):
@@ -137,11 +122,6 @@ def _apply_config(args, argv):
     return args
 
 
-def _em_cfg(args, default_rel_tol=1e-7):
-    rel = args.rel_tol if getattr(args, "rel_tol", None) else default_rel_tol
-    return EmConfig(max_iters=args.max_iters, rel_tol=rel, seed=args.seed)
-
-
 def _write_trace(out_path, trace):
     lines = ["iter,objective"]
     for i, v in enumerate(np.asarray(trace, dtype=float), start=1):
@@ -150,206 +130,69 @@ def _write_trace(out_path, trace):
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_matrix(path):
-    return datasets.read_csv(path)
+def _read_matrix(path):
+    """A CSV of finite reals with at least one data row."""
+    X = datasets.read_csv(path)
+    if X.size == 0:
+        raise UsageError(f"{path}: no data rows")
+    bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
+    if bad.size:
+        raise UsageError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
+    return X
+
+
+def _read_data(family, args):
+    """The --data file of a command, read as the family's input kind."""
+    kind, path = FAMILIES[family].input, args.data
+    if kind == "matrix":
+        return _read_matrix(path)
+    if kind == "corpus":
+        return datasets.read_corpus(path, V=getattr(args, "vocab", None))
+    seqs, dx = datasets.read_seq(path)
+    if kind == "seq" and dx is not None:
+        raise UsageError(f"{family} requires a discrete sequence file")
+    if kind == "real_seq":
+        if dx is None:
+            raise UsageError(f"{family} requires a continuous sequence file (dx= header)")
+        if not all(np.all(np.isfinite(s)) for s in seqs):
+            raise UsageError(f"{path}: sequences must be finite")
+    return seqs
+
+
+def _model_command(args, field):
+    """The family, params and config of the --model file, and the family's
+    function for a command (a usage error if the family does not define it)."""
+    family, params, config = datasets.read_model(args.model)
+    fn = getattr(FAMILIES[family], field)
+    if fn is None:
+        raise UsageError(UNDEFINED[field].format(family))
+    return family, fn, params, config
 
 
 def _cmd_fit(args):
-    fam = args.family
-    seed = args.seed
-    if fam in ("hmm", "ghmm", "lds"):
-        seqs, dx = datasets.read_seq(args.data)
-        if fam != "hmm" and dx is None:
-            raise UsageError(f"{fam} requires a continuous sequence file (dx= header)")
-        if fam == "hmm" and dx is not None:
-            raise UsageError("hmm requires a discrete sequence file")
-        cfg = _em_cfg(args)
-        if fam == "hmm":
-            params, report = seq_mod.hmm_fit(seqs, args.k, "discrete", cfg)
-            datasets.write_model(args.out, "hmm", params, _fit_config(args))
-        elif fam == "ghmm":
-            params, report = seq_mod.hmm_fit(seqs, args.k, "gaussian", cfg)
-            datasets.write_model(args.out, "ghmm", params, _fit_config(args))
-        else:
-            params, report = seq_mod.lds_fit(seqs, args.latent_dim, cfg)
-            datasets.write_model(args.out, "lds", params, _fit_config(args))
-        _write_trace(args.out, report.objective_trace)
-        return 0
-    if fam == "lda":
-        corpus = datasets.read_corpus(args.data, V=args.vocab)
-        hyper = lda_mod.LdaHyper(args.alpha, args.beta, args.k, corpus.V)
-        cfg = _em_cfg(args, default_rel_tol=1e-6)
-        var, report = lda_mod.fit_lda(hyper, corpus, cfg)
-        datasets.write_model(args.out, "lda", (var, hyper), _fit_config(args))
-        _write_trace(args.out, report.objective_trace)
-        return 0
-
-    X = _load_matrix(args.data)
-    rng = RandomSource(seed)
-    if fam == "ppca":
-        cfg = _em_cfg(args)
-        params, report = ppca_mod.fit_em(X, args.latent_dim, cfg)
-        datasets.write_model(args.out, "ppca", params, _fit_config(args))
-        _write_trace(args.out, report.objective_trace)
-    elif fam == "gmm":
-        cfg = _em_cfg(args)
-        params, report = mixture.fit_gmm(X, args.k, cfg)
-        datasets.write_model(args.out, "gmm", params, _fit_config(args))
-        _write_trace(args.out, report.objective_trace)
-    elif fam == "lca":
-        cfg = _em_cfg(args)
-        params, report = mixture.fit_lca(X, args.k, cfg)
-        datasets.write_model(args.out, "lca", params, _fit_config(args))
-        _write_trace(args.out, report.objective_trace)
-    elif fam == "irt":
-        cfg = _em_cfg(args)
-        quad = irt_mod.default_quadrature(args.quad_nodes)
-        params, report = irt_mod.fit_irt(X, quad, cfg)
-        datasets.write_model(args.out, "irt", params, _fit_config(args))
-        _write_trace(args.out, report.objective_trace)
-    elif fam == "vae":
-        model = vae_mod.make_vae(X.shape[1], args.latent_dim, rng, hidden=args.hidden,
-                                 likelihood=args.likelihood, sigma_dec=args.sigma_dec)
-        trace = vae_mod.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
-        datasets.write_model(args.out, "vae", model, _fit_config(args))
-        _write_trace(args.out, trace)
-    elif fam == "flow":
-        model = flow_mod.make_coupling_stack(X.shape[1], args.layers, rng, hidden=args.hidden)
-        trace = flow_mod.fit(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
-        datasets.write_model(args.out, "flow", model, _fit_config(args))
-        _write_trace(args.out, trace)
-    elif fam == "diffusion":
-        model = diff_mod.make_diffusion(X.shape[1], rng, T=args.T, hidden=args.hidden)
-        trace = diff_mod.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
-        datasets.write_model(args.out, "diffusion", model, _fit_config(args))
-        _write_trace(args.out, trace)
-    elif fam == "arm":
-        Xi = X.astype(int)
-        seq_len = args.seq_len or Xi.shape[1]
-        alphabet = args.alphabet or int(Xi.max()) + 1
-        model = arm_mod.make_ar_model(seq_len, alphabet, rng, hidden=args.hidden)
-        trace = arm_mod.train(model, Xi, args.epochs, args.batch, rng.split(7), lr=args.lr)
-        datasets.write_model(args.out, "arm", model, _fit_config(args))
-        _write_trace(args.out, trace)
-    elif fam == "gan":
-        model = gan_mod.make_gan(X.shape[1], args.latent_dim, rng, hidden=args.hidden)
-        disc_trace, _gen_trace = gan_mod.train(model, X, args.steps, args.batch,
-                                               rng.split(7), lr=args.lr)
-        datasets.write_model(args.out, "gan", model, _fit_config(args))
-        _write_trace(args.out, disc_trace)
-    else:
-        raise UsageError(f"cannot fit family {fam!r}")
+    record = FAMILIES[args.family]
+    params, trace = record.fit(_read_data(args.family, args), args, RandomSource(args.seed))
+    config = {"family": args.family, "seed": args.seed}
+    config.update((flag, getattr(args, flag)) for flag in record.flags)
+    datasets.write_model(args.out, args.family, params, config)
+    _write_trace(args.out, trace)
     return 0
-
-
-def _fit_config(args):
-    keep = ("family", "seed", "k", "latent_dim", "T", "epochs", "batch", "steps",
-            "hidden", "lr", "max_iters", "alpha", "beta", "quad_nodes",
-            "likelihood", "sigma_dec", "layers")
-    return {k: getattr(args, k) for k in keep if hasattr(args, k)}
 
 
 def _cmd_sample(args):
-    family, params, _config = datasets.read_model(args.model)
-    rng = RandomSource(args.seed)
-    n = args.n
-    if family == "ppca":
-        if args.mode == "posterior":
-            if not args.given:
-                raise UsageError("posterior sampling requires --given")
-            given = _load_matrix(args.given)
-            X = ppca_mod.sample(params, n, rng, mode="posterior", given=given[0])
-        else:
-            X = ppca_mod.sample(params, n, rng)
-    elif family == "gmm":
-        spec = datasets.SyntheticSpec("gmm", {"weights": params.weights,
-                                              "means": params.means,
-                                              "covs": params.covs}, n=n, seed=args.seed)
-        X, _, _ = datasets.generate(spec)
-    elif family == "lca":
-        spec = datasets.SyntheticSpec("lca", {"weights": params.weights,
-                                              "item_probs": params.item_probs},
-                                      n=n, seed=args.seed)
-        X, _, _ = datasets.generate(spec)
-    elif family == "irt":
-        spec = datasets.SyntheticSpec("irt", {"a": params.a, "b": params.b},
-                                      n=n, seed=args.seed)
-        X, _, _ = datasets.generate(spec)
-    elif family in ("hmm", "ghmm"):
-        _states, obs = seq_mod.hmm_sample(params, n, rng)
-        X = np.atleast_2d(obs) if family == "ghmm" else np.asarray(obs, dtype=float)[:, None]
-    elif family == "lds":
-        _z, X = seq_mod.lds_sample(params, n, rng)
-    elif family == "vae":
-        X = vae_mod.sample(params, n, rng)
-    elif family == "flow":
-        X = flow_mod.sample(params, n, rng)
-    elif family == "diffusion":
-        X = diff_mod.sample(params, n, rng)
-    elif family == "arm":
-        X = arm_mod.sample(params, n, rng).astype(float)
-    elif family == "gan":
-        X = gan_mod.sample(params, n, rng)
-    else:
-        raise UsageError(f"cannot sample family {family!r}")
-    datasets.write_csv(args.out, X)
+    _family, sample, params, _config = _model_command(args, "sample")
+    given = None
+    if args.mode == "posterior":
+        if not args.given:
+            raise UsageError("posterior sampling requires --given")
+        given = _read_matrix(args.given)[0]
+    datasets.write_csv(args.out, sample(params, args.n, RandomSource(args.seed), given))
     return 0
 
 
-def _model_quadrature(config):
-    """The quadrature an IRT model was fitted with (older files: the default)."""
-    return irt_mod.default_quadrature(int(config.get("quad_nodes", irt_mod.DEFAULT_NODES)))
-
-
-def _per_point_loglik(family, params, config, args):
-    if family == "ppca":
-        X = _load_matrix(args.data)
-        cov = params.W @ params.W.T + params.sigma2 * np.eye(params.data_dim)
-        from .core import gaussian_logpdf_rows
-        return gaussian_logpdf_rows(X, params.mu, cov)
-    if family == "gmm":
-        X = _load_matrix(args.data)
-        from .core import log_sum_exp_rows
-        return log_sum_exp_rows(mixture._gmm_log_joint(params, X))
-    if family == "lca":
-        X = _load_matrix(args.data)
-        from .core import log_sum_exp_rows
-        return log_sum_exp_rows(mixture._lca_log_joint(params, mixture._check_lca_data(params, X)))
-    if family == "irt":
-        X = irt_mod._check_responses(_load_matrix(args.data), params.n_items)
-        quad = _model_quadrature(config)
-        from .core import log_sum_exp_rows
-        ll = irt_mod._log_lik_at_nodes(params, X, quad)
-        return log_sum_exp_rows(ll + np.log(quad.weights))
-    if family == "lda":
-        corpus = datasets.read_corpus(args.data, V=params["hyper"].V)
-        var, _report = lda_mod.fit_lda(params["hyper"], corpus,
-                                       EmConfig(max_iters=200, rel_tol=1e-6, seed=args.seed),
-                                       init=None)
-        return np.array([lda_mod.elbo(params["hyper"], corpus, var)])
-    if family in ("hmm", "ghmm"):
-        seqs, _dx = datasets.read_seq(args.data)
-        return seq_mod.hmm_infer(params, seqs, smooth=False).logliks
-    if family == "lds":
-        seqs, _dx = datasets.read_seq(args.data)
-        return seq_mod.lds_infer(params, seqs, smooth=False).logliks
-    if family == "vae":
-        X = _load_matrix(args.data)
-        rng = RandomSource(args.seed)
-        parts = vae_mod.elbo(params, X, rng, n_samples=16)
-        return np.array([float(parts.elbo.values)])
-    if family == "flow":
-        X = _load_matrix(args.data)
-        return flow_mod.log_likelihood(params, X)
-    if family == "arm":
-        X = _load_matrix(args.data).astype(int)
-        return arm_mod.log_likelihood_batch(params, X)
-    raise UsageError(f"eval is not defined for family {family!r}")
-
-
 def _cmd_eval(args):
-    family, params, config = datasets.read_model(args.model)
-    lls = _per_point_loglik(family, params, config, args)
+    family, loglik, params, config = _model_command(args, "loglik")
+    lls = loglik(params, _read_data(family, args), config, args.seed)
     for v in lls:
         print(FMT % v)
     print("total " + FMT % float(np.sum(lls)))
@@ -357,53 +200,15 @@ def _cmd_eval(args):
 
 
 def _cmd_infer(args):
-    family, params, config = datasets.read_model(args.model)
-    if family == "ppca":
-        X = _load_matrix(args.data)
-        rows = ppca_mod.posterior_means(params, X)
-        datasets.write_csv(args.out, rows, header=[f"z{j}" for j in range(rows.shape[1])])
-    elif family == "gmm":
-        X = _load_matrix(args.data)
-        rows = mixture.gmm_e_step(params, X).gamma
-        datasets.write_csv(args.out, rows, header=[f"gamma{j}" for j in range(rows.shape[1])])
-    elif family == "lca":
-        X = _load_matrix(args.data)
-        rows = mixture.lca_e_step(params, X).gamma
-        datasets.write_csv(args.out, rows, header=[f"gamma{j}" for j in range(rows.shape[1])])
-    elif family == "irt":
-        X = _load_matrix(args.data)
-        rows = np.column_stack(irt_mod.posterior_moments(params, X, _model_quadrature(config)))
-        datasets.write_csv(args.out, rows, header=["eap", "sd"])
-    elif family in ("hmm", "ghmm"):
-        seqs, _dx = datasets.read_seq(args.data)
-        post = seq_mod.hmm_infer(params, seqs)
-        rows = post.pack.unpack(post.gamma)
-        datasets.write_csv(args.out, rows, header=[f"p{j}" for j in range(rows.shape[1])])
-    elif family == "lds":
-        seqs, _dx = datasets.read_seq(args.data)
-        post = seq_mod.lds_infer(params, seqs)
-        rows = post.pack.unpack(post.means)
-        datasets.write_csv(args.out, rows, header=[f"z{j}" for j in range(rows.shape[1])])
-    elif family == "vae":
-        X = _load_matrix(args.data)
-        mu, _sigma = vae_mod.encode(params, X)
-        datasets.write_csv(args.out, mu.values,
-                           header=[f"z{j}" for j in range(mu.values.shape[1])])
-    else:
-        raise UsageError(f"infer is not defined for family {family!r}")
+    family, infer, params, config = _model_command(args, "infer")
+    rows, header = infer(params, _read_data(family, args), config)
+    datasets.write_csv(args.out, rows, header=header)
     return 0
 
 
 def _cmd_reconstruct(args):
-    family, params, _config = datasets.read_model(args.model)
-    X = _load_matrix(args.data)
-    if family == "ppca":
-        rows = ppca_mod.reconstruct(params, X)
-    elif family == "vae":
-        rows = vae_mod.reconstruct(params, X)
-    else:
-        raise UsageError(f"reconstruct supports ppca and vae, not {family!r}")
-    datasets.write_csv(args.out, rows)
+    family, reconstruct, params, _config = _model_command(args, "reconstruct")
+    datasets.write_csv(args.out, reconstruct(params, _read_data(family, args)))
     return 0
 
 
@@ -415,14 +220,13 @@ def _cmd_synth(args):
                                   lengths=tuple(doc.get("lengths", ())),
                                   seed=doc.get("seed", args.seed))
     data, _latents, _true = datasets.generate(spec)
-    if spec.family == "lda":
+    kind = FAMILIES[spec.family].input if spec.family in FAMILIES else "matrix"
+    if kind == "corpus":
         datasets.write_corpus(args.out, data)
-    elif spec.family in ("hmm",):
-        datasets.write_seq(args.out, data)
-    elif spec.family in ("ghmm", "lds"):
-        datasets.write_seq(args.out, data, dx=data[0].shape[1])
-    else:
+    elif kind == "matrix":
         datasets.write_csv(args.out, np.asarray(data, dtype=float))
+    else:
+        datasets.write_seq(args.out, data, dx=data[0].shape[1] if kind == "real_seq" else None)
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,10 @@ __all__ = [
     "chol_psd",
     "as_matrix",
     "check_finite",
+    "integer_codes",
+    "float_list",
+    "fields_to_json",
+    "fields_from_json",
 ]
 
 
@@ -42,6 +46,44 @@ def check_finite(a, name="array"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def integer_codes(data, name):
+    """Integer category codes as an int array; a non-integer or non-finite
+    code is rejected before the cast, which would truncate it."""
+    X = np.atleast_2d(np.asarray(data))
+    if not np.issubdtype(X.dtype, np.integer):
+        Xf = np.asarray(X, dtype=float)
+        if not np.all(np.isfinite(Xf)) or np.any(Xf != np.round(Xf)):
+            raise ValueError(f"{name} must be integer category codes")
+        X = Xf.astype(int)
+    return X
+
+
+def float_list(a):
+    """Nested list of floats, the JSON form of an array."""
+    return np.asarray(a, dtype=float).tolist()
+
+
+def fields_to_json(obj):
+    """JSON form of a dataclass, field by field: arrays as nested lists, a
+    field with a to_json() method (a network) through it, other values as
+    they are."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif hasattr(value, "to_json"):
+            value = value.to_json()
+        out[f.name] = value
+    return out
+
+
+def fields_from_json(cls, obj, convert=lambda value: value):
+    """The dataclass cls from its fields_to_json form; convert maps each
+    field's JSON value back (e.g. to a network)."""
+    return cls(*(convert(obj[f.name]) for f in fields(cls)))
 
 
 def as_matrix(data, rows, cols, name="matrix"):

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RNG_ALGORITHM, RandomSource, sample_categorical_many
-from . import ppca as ppca_mod
+from . import families
 from . import mixture as mixture_mod
 from . import irt as irt_mod
 from . import lda as lda_mod
 from . import sequential as seq_mod
-from .nn import Mlp, Tensor
 
 __all__ = ["SyntheticSpec", "generate", "read_csv", "write_csv", "read_seq",
            "write_seq", "read_corpus", "write_corpus", "write_model",
@@ -28,8 +27,8 @@ __all__ = ["SyntheticSpec", "generate", "read_csv", "write_csv", "read_seq",
 MODEL_SCHEMA = "latentlab-model-v1"
 FMT = "%.17g"
 
-FAMILIES = ("ppca", "gmm", "lca", "irt", "lda", "hmm", "ghmm", "lds",
-            "mixture1d", "blobs2d", "markov-seq")
+SYNTHETIC_FAMILIES = ("ppca", "gmm", "lca", "irt", "lda", "hmm", "ghmm", "lds",
+                      "mixture1d", "blobs2d", "markov-seq")
 
 
 @dataclass(frozen=True)
@@ -43,44 +42,52 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in SYNTHETIC_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
 
 
 def generate(spec):
     """Exact ancestral sampling for the named family; returns
-    (data, true_latents, true_params). Deterministic given spec.seed."""
+    (data, true_latents, true_params). Deterministic given spec.seed. The
+    params of a model family other than lda take its model-file JSON form."""
     rng = RandomSource(spec.seed)
     fam = spec.family
     p = spec.params
+    if fam == "lda":
+        hyper = lda_mod.LdaHyper(np.asarray(p["alpha"], dtype=float),
+                                 np.asarray(p["beta"], dtype=float),
+                                 int(p["K"]), int(p["V"]))
+        corpus, latents = lda_mod.generate_corpus(hyper, spec.lengths, rng)
+        return corpus, latents, hyper
+    if fam == "blobs2d":
+        sep = float(p.get("separation", 10.0))
+        fam, p = "gmm", {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [sep, 0.0]],
+                         "covs": [np.eye(2), np.eye(2)]}
+    if fam in families.FAMILIES:
+        params = families.FAMILIES[fam].from_json(p)
     if fam == "ppca":
-        params = ppca_mod.PpcaParams(np.asarray(p["W"], dtype=float),
-                                     np.asarray(p["mu"], dtype=float),
-                                     float(p["sigma2"]))
         Z = rng.standard_normal((spec.n, params.latent_dim))
         X = Z @ params.W.T + params.mu \
             + np.sqrt(params.sigma2) * rng.standard_normal((spec.n, params.data_dim))
         return X, {"latents": Z}, params
-    if fam in ("gmm", "blobs2d"):
-        if fam == "blobs2d":
-            sep = float(p.get("separation", 10.0))
-            means = np.array([[0.0, 0.0], [sep, 0.0]])
-            covs = np.array([np.eye(2), np.eye(2)])
-            weights = np.array([0.5, 0.5])
-        else:
-            weights = np.asarray(p["weights"], dtype=float)
-            means = np.asarray(p["means"], dtype=float)
-            covs = np.asarray(p["covs"], dtype=float)
-        params = mixture_mod.GmmParams(weights, means, covs)
-        z = sample_categorical_many(weights, rng, spec.n)
-        X = np.empty((spec.n, means.shape[1]))
-        for k in range(means.shape[0]):
-            rows = np.where(z == k)[0]
-            if rows.size:
-                L = np.linalg.cholesky(covs[k] + 1e-12 * np.eye(covs[k].shape[0]))
-                X[rows] = means[k] + rng.standard_normal((rows.size, means.shape[1])) @ L.T
+    if fam == "gmm":
+        X, z = mixture_mod.gmm_sample(params, spec.n, rng)
         return X, {"assignments": z}, params
+    if fam == "lca":
+        X, z = mixture_mod.lca_sample(params, spec.n, rng)
+        return X, {"assignments": z}, params
+    if fam == "irt":
+        X, theta = irt_mod.sample(params, spec.n, rng)
+        return X, {"abilities": theta}, params
+    if fam in ("hmm", "ghmm", "lds"):
+        sample = seq_mod.lds_sample if fam == "lds" else seq_mod.hmm_sample
+        paths, seqs = [], []
+        for T in spec.lengths:
+            states, obs = sample(params, T, rng)
+            paths.append(states)
+            seqs.append(obs)
+        return seqs, {"states": paths}, params
     if fam == "mixture1d":
         weights = np.asarray(p.get("weights", [0.5, 0.5]), dtype=float)
         means = np.asarray(p.get("means", [-2.0, 2.0]), dtype=float)
@@ -88,55 +95,6 @@ def generate(spec):
         z = sample_categorical_many(weights, rng, spec.n)
         X = (means[z] + sds[z] * rng.standard_normal(spec.n))[:, None]
         return X, {"assignments": z}, {"weights": weights, "means": means, "sds": sds}
-    if fam == "lca":
-        params = mixture_mod.LcaParams(np.asarray(p["weights"], dtype=float),
-                                       tuple(np.asarray(t, dtype=float) for t in p["item_probs"]))
-        z = sample_categorical_many(params.weights, rng, spec.n)
-        X = np.empty((spec.n, params.n_items), dtype=int)
-        for j, table in enumerate(params.item_probs):
-            for k in range(params.n_classes):
-                rows = np.where(z == k)[0]
-                if rows.size:
-                    X[rows, j] = sample_categorical_many(table[k], rng, rows.size)
-        return X, {"assignments": z}, params
-    if fam == "irt":
-        params = irt_mod.IrtParams(np.asarray(p["a"], dtype=float),
-                                   np.asarray(p["b"], dtype=float))
-        theta = rng.standard_normal(spec.n)
-        probs = 1.0 / (1.0 + np.exp(-(np.outer(theta, params.a) - params.b)))
-        X = (rng.uniform(probs.shape) < probs).astype(int)
-        return X, {"abilities": theta}, params
-    if fam == "lda":
-        hyper = lda_mod.LdaHyper(np.asarray(p["alpha"], dtype=float),
-                                 np.asarray(p["beta"], dtype=float),
-                                 int(p["K"]), int(p["V"]))
-        corpus, latents = lda_mod.generate_corpus(hyper, spec.lengths, rng)
-        return corpus, latents, hyper
-    if fam in ("hmm", "ghmm"):
-        emit = seq_mod.DiscreteEmission(np.asarray(p["emit"], dtype=float)) if fam == "hmm" \
-            else seq_mod.GaussianEmission(np.asarray(p["means"], dtype=float),
-                                          np.asarray(p["covs"], dtype=float))
-        params = seq_mod.HmmParams(np.asarray(p["pi"], dtype=float),
-                                   np.asarray(p["trans"], dtype=float), emit)
-        seqs, paths = [], []
-        for T in spec.lengths:
-            states, obs = seq_mod.hmm_sample(params, T, rng)
-            seqs.append(obs)
-            paths.append(states)
-        return seqs, {"states": paths}, params
-    if fam == "lds":
-        params = seq_mod.LdsParams(np.asarray(p["A"], dtype=float),
-                                   np.asarray(p["C"], dtype=float),
-                                   np.asarray(p["Q"], dtype=float),
-                                   np.asarray(p["R"], dtype=float),
-                                   np.asarray(p["mu0"], dtype=float),
-                                   np.asarray(p["Sigma0"], dtype=float))
-        seqs, paths = [], []
-        for T in spec.lengths:
-            Z, X = seq_mod.lds_sample(params, T, rng)
-            seqs.append(X)
-            paths.append(Z)
-        return seqs, {"states": paths}, params
     if fam == "markov-seq":
         pi = np.asarray(p["pi"], dtype=float)
         trans = np.asarray(p["trans"], dtype=float)
@@ -246,160 +204,19 @@ def read_corpus(path, V=None):
 
 
 # ---------------------------------------------------------------------------
-# Model serialization: versioned JSON with canonical parameter ordering
+# Model files: versioned JSON; each family's record gives its parameters'
+# canonical JSON form
 
-def _tolist(a):
-    return np.asarray(a, dtype=float).tolist()
-
-
-def _mlp_to_json(mlp):
-    return {"dims": [mlp.weights[0].shape[0]] + [w.shape[1] for w in mlp.weights],
-            "activations": list(mlp.activations),
-            "weights": [w.values.tolist() for w in mlp.weights],
-            "biases": [b.values.tolist() for b in mlp.biases]}
-
-
-def _mlp_from_json(obj):
-    weights = [Tensor.param(np.asarray(w, dtype=float)) for w in obj["weights"]]
-    biases = [Tensor.param(np.asarray(b, dtype=float)) for b in obj["biases"]]
-    return Mlp(weights, biases, list(obj["activations"]))
-
-
-def _params_to_json(family, params):
-    if family == "ppca":
-        params = ppca_mod.canonicalize(params)
-        return {"W": _tolist(params.W), "mu": _tolist(params.mu), "sigma2": params.sigma2}
-    if family == "gmm":
-        order = np.argsort(np.linalg.norm(params.means, axis=1), kind="stable")
-        return {"weights": _tolist(params.weights[order]),
-                "means": _tolist(params.means[order]),
-                "covs": _tolist(params.covs[order])}
-    if family == "lca":
-        stacked = np.concatenate(list(params.item_probs), axis=1)   # (K, sum C_j)
-        ent = -np.sum(np.where(stacked > 0, stacked * np.log(stacked), 0.0), axis=1)
-        order = np.argsort(ent, kind="stable")
-        return {"weights": _tolist(params.weights[order]),
-                "item_probs": [_tolist(t[order]) for t in params.item_probs]}
-    if family == "irt":
-        return {"a": _tolist(params.a), "b": _tolist(params.b)}
-    if family == "lda":
-        var, hyper = params
-        return {"K": hyper.K, "V": hyper.V, "alpha": _tolist(hyper.alpha),
-                "beta": _tolist(hyper.beta),
-                "doc_topic": _tolist(var.doc_topic),
-                "topic_word": _tolist(var.topic_word)}
-    if family in ("hmm", "ghmm"):
-        params = seq_mod.canonical_state_order(params)
-        out = {"pi": _tolist(params.pi), "trans": _tolist(params.trans)}
-        if isinstance(params.emit, seq_mod.DiscreteEmission):
-            out["emit"] = _tolist(params.emit.probs)
-        else:
-            out["means"] = _tolist(params.emit.means)
-            out["covs"] = _tolist(params.emit.covs)
-        return out
-    if family == "lds":
-        return {"A": _tolist(params.A), "C": _tolist(params.C),
-                "Q": _tolist(params.Q), "R": _tolist(params.R),
-                "mu0": _tolist(params.mu0), "Sigma0": _tolist(params.Sigma0)}
-    if family == "vae":
-        return {"latent_dim": params.latent_dim, "likelihood": params.likelihood,
-                "sigma_dec": params.sigma_dec,
-                "encoder": _mlp_to_json(params.encoder),
-                "decoder": _mlp_to_json(params.decoder)}
-    if family == "flow":
-        from . import flow as flow_mod
-        layers = []
-        for layer in params.layers:
-            if isinstance(layer, flow_mod.PlanarLayer):
-                layers.append({"kind": "planar", "u": _tolist(layer.u.values),
-                               "w": _tolist(layer.w.values), "b": _tolist(layer.b.values)})
-            elif isinstance(layer, flow_mod.CouplingLayer):
-                layers.append({"kind": "coupling",
-                               "idx_a": [int(i) for i in layer.idx_a],
-                               "idx_b": [int(i) for i in layer.idx_b],
-                               "s_net": _mlp_to_json(layer.s_net),
-                               "t_net": _mlp_to_json(layer.t_net)})
-            else:
-                layers.append({"kind": "permutation",
-                               "perm": [int(i) for i in layer.perm]})
-        return {"dim": params.dim, "layers": layers}
-    if family == "diffusion":
-        return {"dim": params.dim, "betas": _tolist(params.schedule.betas),
-                "eps_net": _mlp_to_json(params.eps_net)}
-    if family == "arm":
-        return {"seq_len": params.seq_len, "alphabet": params.alphabet,
-                "cond_net": _mlp_to_json(params.cond_net)}
-    if family == "gan":
-        return {"prior_dim": params.prior_dim, "gen": _mlp_to_json(params.gen),
-                "disc": _mlp_to_json(params.disc)}
-    raise ValueError(f"cannot serialize family {family!r}")
-
-
-def _params_from_json(family, obj):
-    if family == "ppca":
-        return ppca_mod.PpcaParams(np.asarray(obj["W"]), np.asarray(obj["mu"]),
-                                   float(obj["sigma2"]))
-    if family == "gmm":
-        return mixture_mod.GmmParams(np.asarray(obj["weights"]),
-                                     np.asarray(obj["means"]), np.asarray(obj["covs"]))
-    if family == "lca":
-        return mixture_mod.LcaParams(np.asarray(obj["weights"]),
-                                     tuple(np.asarray(t) for t in obj["item_probs"]))
-    if family == "irt":
-        return irt_mod.IrtParams(np.asarray(obj["a"]), np.asarray(obj["b"]))
-    if family == "lda":
-        hyper = lda_mod.LdaHyper(np.asarray(obj["alpha"]), np.asarray(obj["beta"]),
-                                 int(obj["K"]), int(obj["V"]))
-        return {"hyper": hyper, "doc_topic": np.asarray(obj["doc_topic"]),
-                "topic_word": np.asarray(obj["topic_word"])}
-    if family in ("hmm", "ghmm"):
-        emit = seq_mod.DiscreteEmission(np.asarray(obj["emit"])) if "emit" in obj \
-            else seq_mod.GaussianEmission(np.asarray(obj["means"]), np.asarray(obj["covs"]))
-        return seq_mod.HmmParams(np.asarray(obj["pi"]), np.asarray(obj["trans"]), emit)
-    if family == "lds":
-        return seq_mod.LdsParams(np.asarray(obj["A"]), np.asarray(obj["C"]),
-                                 np.asarray(obj["Q"]), np.asarray(obj["R"]),
-                                 np.asarray(obj["mu0"]), np.asarray(obj["Sigma0"]))
-    if family == "vae":
-        from .vae import VaeModel
-        return VaeModel(_mlp_from_json(obj["encoder"]), _mlp_from_json(obj["decoder"]),
-                        int(obj["latent_dim"]), obj["likelihood"], float(obj["sigma_dec"]))
-    if family == "flow":
-        from . import flow as flow_mod
-        layers = []
-        for lo in obj["layers"]:
-            if lo["kind"] == "planar":
-                layers.append(flow_mod.PlanarLayer(Tensor.param(np.asarray(lo["u"])),
-                                                   Tensor.param(np.asarray(lo["w"])),
-                                                   Tensor.param(np.asarray(lo["b"]))))
-            elif lo["kind"] == "coupling":
-                layers.append(flow_mod.CouplingLayer(np.asarray(lo["idx_a"], dtype=int),
-                                                     np.asarray(lo["idx_b"], dtype=int),
-                                                     _mlp_from_json(lo["s_net"]),
-                                                     _mlp_from_json(lo["t_net"])))
-            else:
-                layers.append(flow_mod.PermutationLayer(np.asarray(lo["perm"], dtype=int)))
-        return flow_mod.FlowModel(layers, int(obj["dim"]))
-    if family == "diffusion":
-        from . import diffusion as diff_mod
-        betas = np.asarray(obj["betas"], dtype=float)
-        sched = diff_mod.NoiseSchedule(betas, np.cumprod(1.0 - betas))
-        return diff_mod.DiffusionModel(sched, _mlp_from_json(obj["eps_net"]), int(obj["dim"]))
-    if family == "arm":
-        from .arm import ArModel
-        return ArModel(int(obj["seq_len"]), int(obj["alphabet"]),
-                       _mlp_from_json(obj["cond_net"]))
-    if family == "gan":
-        from .gan import GanModel
-        return GanModel(_mlp_from_json(obj["gen"]), _mlp_from_json(obj["disc"]),
-                        int(obj["prior_dim"]))
-    raise ValueError(f"cannot load family {family!r}")
+def _family(family, verb):
+    if family not in families.FAMILIES:
+        raise ValueError(f"cannot {verb} family {family!r}")
+    return families.FAMILIES[family]
 
 
 def write_model(path, family, params, config=None):
     doc = {"schema": MODEL_SCHEMA, "family": family,
            "rng_algorithm": RNG_ALGORITHM,
-           "params": _params_to_json(family, params),
+           "params": _family(family, "serialize").to_json(params),
            "config": config or {}}
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -412,4 +229,4 @@ def read_model(path):
     if doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"{path}: unknown model schema {doc.get('schema')!r}")
     family = doc["family"]
-    return family, _params_from_json(family, doc["params"]), doc.get("config", {})
+    return family, _family(family, "load").from_json(doc["params"]), doc.get("config", {})

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, Mlp, Tensor, adam_step, backward, concat, zero_grad
+from .core import float_list
+from .nn import Mlp, Tensor, concat, fit_minibatch
 
 __all__ = ["NoiseSchedule", "DiffusionModel", "linear_schedule", "make_diffusion",
            "time_features", "q_sample", "posterior_params", "loss_simple",
-           "elbo_terms", "sample", "train", "TIME_FEATURES"]
+           "elbo_terms", "sample", "train", "to_json", "from_json", "TIME_FEATURES"]
 
 TIME_FEATURES = 5
 
@@ -81,6 +82,17 @@ class DiffusionModel:
 
     def params(self):
         return self.eps_net.params()
+
+
+def to_json(model):
+    return {"dim": model.dim, "betas": float_list(model.schedule.betas),
+            "eps_net": model.eps_net.to_json()}
+
+
+def from_json(obj):
+    betas = np.asarray(obj["betas"], dtype=float)
+    return DiffusionModel(NoiseSchedule(betas, np.cumprod(1.0 - betas)),
+                          Mlp.from_json(obj["eps_net"]), int(obj["dim"]))
 
 
 def make_diffusion(dim, rng, T=50, hidden=64, hidden_layers=2,
@@ -211,21 +223,5 @@ def sample(model, n, rng):
 def train(model, data, epochs, batch, rng, lr=1e-3):
     """Minibatch descent on loss_simple; returns per-epoch mean loss."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    N = X.shape[0]
-    params = model.params()
-    state = AdamState()
-    trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(N)
-        losses = []
-        for start in range(0, N, batch):
-            idx = order[start:start + batch]
-            loss = loss_simple(model, X[idx], rng)
-            if not np.isfinite(loss.values):
-                raise FloatingPointError(f"loss diverged at epoch {epoch}")
-            zero_grad(params)
-            backward(loss)
-            state = adam_step(params, [p.grad for p in params], state, lr=lr)
-            losses.append(float(loss.values))
-        trace.append(float(np.mean(losses)))
-    return np.asarray(trace)
+    return fit_minibatch(lambda xb, r: loss_simple(model, xb, r), model.params(), X,
+                         epochs, batch, rng, lr)

@@ -1,0 +1,215 @@
+"""The model families behind the command line, one record each.
+
+A record names the family's input kind, the fit flags its fit reads (a
+model's config keeps exactly these), the function behind each command it
+supports (None where a command is undefined) and its parameters' JSON form.
+Records call model functions through their module at call time, so a tool
+that rebinds module attributes (a tracer, a test fake) sees every call.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
+
+import numpy as np
+
+from . import arm, diffusion, flow, gan, irt, lda, mixture, nn, ppca, vae
+from . import sequential as seq
+from .core import RandomSource, fields_from_json, fields_to_json
+from .em import EmConfig
+
+__all__ = ["Family", "FAMILIES"]
+
+EM_FLAGS = ("max_iters", "rel_tol")
+TRAIN_FLAGS = ("hidden", "epochs", "batch", "lr")
+
+
+@dataclass(frozen=True)
+class Family:
+    """input: "matrix" (a CSV of finite reals), "seq" (discrete sequences),
+    "real_seq" (continuous sequences) or "corpus".
+
+    fit(data, args, rng) -> (params, trace); sample(params, n, rng, given) -> rows,
+    where given is the conditioning row of posterior sampling or None;
+    loglik(params, data, config, seed) -> per-point values;
+    infer(params, data, config) -> (rows, header); reconstruct(params, X) -> rows.
+    """
+
+    input: str
+    flags: tuple
+    to_json: Callable
+    from_json: Callable
+    fit: Callable
+    sample: Optional[Callable] = None
+    loglik: Optional[Callable] = None
+    infer: Optional[Callable] = None
+    reconstruct: Optional[Callable] = None
+
+
+def _network(value):
+    return nn.Mlp.from_json(value) if isinstance(value, dict) else value
+
+
+def _em_cfg(args, default_rel_tol=1e-7):
+    return EmConfig(max_iters=args.max_iters, rel_tol=args.rel_tol or default_rel_tol,
+                    seed=args.seed)
+
+
+def _with_trace(fitted):
+    params, report = fitted
+    return params, report.objective_trace
+
+
+def _columns(prefix, rows):
+    return rows, [f"{prefix}{j}" for j in range(rows.shape[1])]
+
+
+def _quadrature(config):
+    """The quadrature an IRT model was fitted with (older files: the default)."""
+    return irt.default_quadrature(int(config.get("quad_nodes", irt.DEFAULT_NODES)))
+
+
+def _fit_lda(corpus, args, _rng):
+    hyper = lda.LdaHyper(args.alpha, args.beta, args.k, corpus.V)
+    var, report = lda.fit_lda(hyper, corpus, _em_cfg(args, default_rel_tol=1e-6))
+    model = {"hyper": hyper, "doc_topic": var.doc_topic, "topic_word": var.topic_word}
+    return model, report.objective_trace
+
+
+def _lda_loglik(model, corpus, _config, seed):
+    hyper = model["hyper"]
+    corpus = lda.Corpus(corpus.docs, hyper.V)
+    var, _report = lda.fit_lda(hyper, corpus, EmConfig(max_iters=200, rel_tol=1e-6, seed=seed))
+    return np.array([lda.elbo(hyper, corpus, var)])
+
+
+def _hmm_infer(params, seqs, _config):
+    post = seq.hmm_infer(params, seqs)
+    return _columns("p", post.pack.unpack(post.gamma))
+
+
+def _lds_infer(params, seqs, _config):
+    post = seq.lds_infer(params, seqs)
+    return _columns("z", post.pack.unpack(post.means))
+
+
+def _fit_vae(X, args, rng):
+    model = vae.make_vae(X.shape[1], args.latent_dim, rng, hidden=args.hidden,
+                         likelihood=args.likelihood, sigma_dec=args.sigma_dec)
+    return model, vae.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
+
+
+def _fit_flow(X, args, rng):
+    model = flow.make_coupling_stack(X.shape[1], args.layers, rng, hidden=args.hidden)
+    return model, flow.fit(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
+
+
+def _fit_diffusion(X, args, rng):
+    model = diffusion.make_diffusion(X.shape[1], rng, T=args.T, hidden=args.hidden)
+    return model, diffusion.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
+
+
+def _fit_arm(X, args, rng):
+    model = arm.make_ar_model(args.seq_len or X.shape[1], args.alphabet or int(X.max()) + 1,
+                              rng, hidden=args.hidden)
+    return model, arm.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
+
+
+def _fit_gan(X, args, rng):
+    model = gan.make_gan(X.shape[1], args.latent_dim, rng, hidden=args.hidden)
+    disc_trace, _gen_trace = gan.train(model, X, args.steps, args.batch, rng.split(7), lr=args.lr)
+    return model, disc_trace
+
+
+_HMM = Family(
+    "seq", ("k",) + EM_FLAGS,
+    to_json=lambda p: seq.hmm_to_json(p), from_json=lambda o: seq.hmm_from_json(o),
+    fit=lambda S, a, _r: _with_trace(seq.hmm_fit(S, a.k, "discrete", _em_cfg(a))),
+    sample=lambda p, n, rng, _g: np.asarray(seq.hmm_sample(p, n, rng)[1], dtype=float)[:, None],
+    loglik=lambda p, S, _c, _s: seq.hmm_infer(p, S, smooth=False).logliks,
+    infer=_hmm_infer)
+
+FAMILIES = {
+    "ppca": Family(
+        "matrix", ("latent_dim",) + EM_FLAGS,
+        to_json=lambda p: fields_to_json(ppca.canonicalize(p)),
+        from_json=lambda o: fields_from_json(ppca.PpcaParams, o),
+        fit=lambda X, a, _r: _with_trace(ppca.fit_em(X, a.latent_dim, _em_cfg(a))),
+        sample=lambda p, n, rng, given: ppca.sample(p, n, rng) if given is None
+        else ppca.sample(p, n, rng, mode="posterior", given=given),
+        loglik=lambda p, X, _c, _s: ppca.loglik_rows(p, X),
+        infer=lambda p, X, _c: _columns("z", ppca.posterior_means(p, X)),
+        reconstruct=lambda p, X: ppca.reconstruct(p, X)),
+    "gmm": Family(
+        "matrix", ("k",) + EM_FLAGS,
+        to_json=lambda p: mixture.gmm_to_json(p),
+        from_json=lambda o: fields_from_json(mixture.GmmParams, o),
+        fit=lambda X, a, _r: _with_trace(mixture.fit_gmm(X, a.k, _em_cfg(a))),
+        sample=lambda p, n, rng, _g: mixture.gmm_sample(p, n, rng)[0],
+        loglik=lambda p, X, _c, _s: mixture.gmm_loglik_rows(p, X),
+        infer=lambda p, X, _c: _columns("gamma", mixture.gmm_e_step(p, X).gamma)),
+    "lca": Family(
+        "matrix", ("k",) + EM_FLAGS,
+        to_json=lambda p: mixture.lca_to_json(p),
+        from_json=lambda o: fields_from_json(mixture.LcaParams, o),
+        fit=lambda X, a, _r: _with_trace(mixture.fit_lca(X, a.k, _em_cfg(a))),
+        sample=lambda p, n, rng, _g: mixture.lca_sample(p, n, rng)[0],
+        loglik=lambda p, X, _c, _s: mixture.lca_loglik_rows(p, X),
+        infer=lambda p, X, _c: _columns("gamma", mixture.lca_e_step(p, X).gamma)),
+    "irt": Family(
+        "matrix", ("quad_nodes",) + EM_FLAGS,
+        to_json=fields_to_json, from_json=lambda o: fields_from_json(irt.IrtParams, o),
+        fit=lambda X, a, _r: _with_trace(
+            irt.fit_irt(X, irt.default_quadrature(a.quad_nodes), _em_cfg(a))),
+        sample=lambda p, n, rng, _g: irt.sample(p, n, rng)[0],
+        loglik=lambda p, X, c, _s: irt.loglik_rows(p, X, _quadrature(c)),
+        infer=lambda p, X, c: (np.column_stack(irt.posterior_moments(p, X, _quadrature(c))),
+                               ["eap", "sd"])),
+    "lda": Family(
+        "corpus", ("k", "alpha", "beta", "vocab") + EM_FLAGS,
+        to_json=lambda m: lda.to_json(m), from_json=lambda o: lda.from_json(o),
+        fit=_fit_lda, loglik=_lda_loglik),
+    "hmm": _HMM,
+    "ghmm": replace(
+        _HMM, input="real_seq",
+        fit=lambda S, a, _r: _with_trace(seq.hmm_fit(S, a.k, "gaussian", _em_cfg(a))),
+        sample=lambda p, n, rng, _g: np.atleast_2d(seq.hmm_sample(p, n, rng)[1])),
+    "lds": Family(
+        "real_seq", ("latent_dim",) + EM_FLAGS,
+        to_json=fields_to_json, from_json=lambda o: fields_from_json(seq.LdsParams, o),
+        fit=lambda S, a, _r: _with_trace(seq.lds_fit(S, a.latent_dim, _em_cfg(a))),
+        sample=lambda p, n, rng, _g: seq.lds_sample(p, n, rng)[1],
+        loglik=lambda p, S, _c, _s: seq.lds_infer(p, S, smooth=False).logliks,
+        infer=_lds_infer),
+    "vae": Family(
+        "matrix", ("latent_dim", "likelihood", "sigma_dec") + TRAIN_FLAGS,
+        to_json=fields_to_json, from_json=lambda o: fields_from_json(vae.VaeModel, o, _network),
+        fit=_fit_vae,
+        sample=lambda m, n, rng, _g: vae.sample(m, n, rng),
+        loglik=lambda m, X, _c, seed: np.array(
+            [float(vae.elbo(m, X, RandomSource(seed), n_samples=16).elbo.values)]),
+        infer=lambda m, X, _c: _columns("z", vae.encode(m, X)[0].values),
+        reconstruct=lambda m, X: vae.reconstruct(m, X)),
+    "flow": Family(
+        "matrix", ("layers",) + TRAIN_FLAGS,
+        to_json=lambda m: flow.to_json(m), from_json=lambda o: flow.from_json(o),
+        fit=_fit_flow,
+        sample=lambda m, n, rng, _g: flow.sample(m, n, rng),
+        loglik=lambda m, X, _c, _s: flow.log_likelihood(m, X)),
+    "diffusion": Family(
+        "matrix", ("T",) + TRAIN_FLAGS,
+        to_json=lambda m: diffusion.to_json(m), from_json=lambda o: diffusion.from_json(o),
+        fit=_fit_diffusion,
+        sample=lambda m, n, rng, _g: diffusion.sample(m, n, rng)),
+    "arm": Family(
+        "matrix", ("seq_len", "alphabet") + TRAIN_FLAGS,
+        to_json=fields_to_json, from_json=lambda o: fields_from_json(arm.ArModel, o, _network),
+        fit=_fit_arm,
+        sample=lambda m, n, rng, _g: arm.sample(m, n, rng).astype(float),
+        loglik=lambda m, X, _c, _s: arm.log_likelihood_batch(m, X)),
+    "gan": Family(
+        "matrix", ("latent_dim", "hidden", "steps", "batch", "lr"),
+        to_json=fields_to_json, from_json=lambda o: fields_from_json(gan.GanModel, o, _network),
+        fit=_fit_gan,
+        sample=lambda m, n, rng, _g: gan.sample(m, n, rng)),
+}

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, Mlp, Tensor, adam_step, backward, concat, zero_grad
+from .core import float_list
+from .nn import Mlp, Tensor, concat, fit_minibatch
 
 __all__ = ["PlanarLayer", "CouplingLayer", "PermutationLayer", "FlowModel",
            "forward_with_logdet", "inverse", "log_likelihood", "fit",
-           "sample", "make_coupling_stack"]
+           "sample", "make_coupling_stack", "to_json", "from_json"]
 
 S_CLAMP = 5.0
 PLANAR_ROOT_MAX_ITERS = 100
@@ -234,6 +235,35 @@ class FlowModel:
         return out
 
 
+def _layer_to_json(layer):
+    if isinstance(layer, PlanarLayer):
+        return {"kind": "planar", "u": float_list(layer.u.values),
+                "w": float_list(layer.w.values), "b": float_list(layer.b.values)}
+    if isinstance(layer, CouplingLayer):
+        return {"kind": "coupling", "idx_a": [int(i) for i in layer.idx_a],
+                "idx_b": [int(i) for i in layer.idx_b],
+                "s_net": layer.s_net.to_json(), "t_net": layer.t_net.to_json()}
+    return {"kind": "permutation", "perm": [int(i) for i in layer.perm]}
+
+
+def _layer_from_json(obj):
+    if obj["kind"] == "planar":
+        return PlanarLayer(*(Tensor.param(np.asarray(obj[k])) for k in ("u", "w", "b")))
+    if obj["kind"] == "coupling":
+        return CouplingLayer(np.asarray(obj["idx_a"], dtype=int),
+                             np.asarray(obj["idx_b"], dtype=int),
+                             Mlp.from_json(obj["s_net"]), Mlp.from_json(obj["t_net"]))
+    return PermutationLayer(np.asarray(obj["perm"], dtype=int))
+
+
+def to_json(model):
+    return {"dim": model.dim, "layers": [_layer_to_json(layer) for layer in model.layers]}
+
+
+def from_json(obj):
+    return FlowModel([_layer_from_json(lo) for lo in obj["layers"]], int(obj["dim"]))
+
+
 def make_coupling_stack(dim, n_layers, rng, hidden=32):
     """Couplings interleaved with roll-by-one permutations.
 
@@ -301,25 +331,8 @@ def _loglik_tensor(model, x):
 def fit(model, data, epochs, batch, rng, lr=1e-3):
     """Minibatch maximum likelihood; returns per-epoch mean log-likelihood."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    N = X.shape[0]
-    params = model.params()
-    state = AdamState()
-    trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(N)
-        epoch_lls = []
-        for start in range(0, N, batch):
-            idx = order[start:start + batch]
-            ll = _loglik_tensor(model, Tensor(X[idx])).mean()
-            if not np.isfinite(ll.values):
-                raise FloatingPointError(f"log-likelihood diverged at epoch {epoch}")
-            loss = -ll
-            zero_grad(params)
-            backward(loss)
-            state = adam_step(params, [p.grad for p in params], state, lr=lr)
-            epoch_lls.append(float(ll.values))
-        trace.append(float(np.mean(epoch_lls)))
-    return np.asarray(trace)
+    return -fit_minibatch(lambda xb, _r: -_loglik_tensor(model, Tensor(xb)).mean(),
+                          model.params(), X, epochs, batch, rng, lr)
 
 
 def sample(model, n, rng):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, Mlp, Tensor, adam_step, backward, zero_grad
+from .nn import AdamState, Mlp, Tensor, adam_step, backward, check_counts, zero_grad
 
 __all__ = ["GanModel", "make_gan", "disc_loss", "gen_loss", "train", "sample"]
 
@@ -80,6 +80,7 @@ def _gen_forward(model, n, rng):
 def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
     """Alternating minimax training: k_disc discriminator updates per
     generator update. Returns (disc_trace, gen_trace)."""
+    check_counts(steps=steps, batch=batch)
     X = np.atleast_2d(np.asarray(data, dtype=float))
     N = X.shape[0]
     gen_params = model.gen.params()
@@ -98,7 +99,7 @@ def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
             zero_grad(disc_params)
             backward(dl)
             disc_state = adam_step(disc_params, [p.grad for p in disc_params],
-                                   disc_state, lr=lr)
+                                disc_state, lr=lr)
         fake = _gen_forward(model, batch, rng)
         gl = gen_loss(model, fake, saturating=saturating)
         if not np.isfinite(gl.values):
@@ -107,7 +108,7 @@ def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
         zero_grad(disc_params)
         backward(gl)
         gen_state = adam_step(gen_params, [p.grad for p in gen_params],
-                              gen_state, lr=lr)
+                           gen_state, lr=lr)
         zero_grad(disc_params)
         disc_trace[step] = float(dl.values)
         gen_trace[step] = float(gl.values)

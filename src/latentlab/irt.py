@@ -16,8 +16,9 @@ from numpy.polynomial.hermite_e import hermegauss
 from .core import check_finite, log_sum_exp_rows
 from .em import EmConfig, run_em
 
-__all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik",
-           "posterior_theta", "posterior_moments", "fit_irt", "default_quadrature"]
+__all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik", "loglik_rows",
+           "posterior_theta", "posterior_moments", "fit_irt", "default_quadrature",
+           "sample"]
 
 DEFAULT_NODES = 41
 NEWTON_MAX_STEPS = 25
@@ -48,6 +49,7 @@ class IrtParams:
     @property
     def n_items(self):
         return self.a.shape[0]
+
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,25 @@ def _log_lik_at_nodes(params, X, quad):
     return X @ log_p1.T + (1 - X) @ log_p0.T               # (N, Q)
 
 
-def marginal_loglik(params, responses, quad):
-    """Quadrature approximation of sum_i log integral p(x_i | th) N(th) dth."""
+def loglik_rows(params, responses, quad):
+    """Quadrature approximation of log integral p(x_i | th) N(th) dth for
+    each row x_i of responses."""
     X = _check_responses(responses, params.n_items)
     ll = _log_lik_at_nodes(params, X, quad)
-    return float(np.sum(log_sum_exp_rows(ll + np.log(quad.weights))))
+    return log_sum_exp_rows(ll + np.log(quad.weights))
+
+
+def marginal_loglik(params, responses, quad):
+    """Quadrature approximation of sum_i log integral p(x_i | th) N(th) dth."""
+    return float(np.sum(loglik_rows(params, responses, quad)))
+
+
+def sample(params, n, rng):
+    """Ancestral draws: an ability per row, then each item's response.
+    Returns (binary responses, abilities)."""
+    theta = rng.standard_normal(n)
+    probs = 1.0 / (1.0 + np.exp(-(np.outer(theta, params.a) - params.b)))
+    return (rng.uniform(probs.shape) < probs).astype(int), theta
 
 
 def posterior_theta(params, x, quad):

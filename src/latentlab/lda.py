@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .core import RandomSource, check_finite, sample_categorical_many, sample_dirichlet
+from .core import (RandomSource, check_finite, fields_from_json, fields_to_json, float_list,
+                   sample_categorical_many, sample_dirichlet)
 from .em import EmConfig, run_em
 
 __all__ = ["LdaHyper", "Corpus", "LdaVariational", "generate_corpus", "elbo",
-           "fit_lda"]
+           "fit_lda", "to_json", "from_json"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,17 @@ class LdaVariational:
         object.__setattr__(self, "doc_topic", dt)
         object.__setattr__(self, "topic_word", tw)
         object.__setattr__(self, "word_topic", tuple(wts))
+
+
+def to_json(model):
+    """JSON form of a fitted model, a dict of "hyper", "doc_topic", "topic_word"."""
+    return {**fields_to_json(model["hyper"]), "doc_topic": float_list(model["doc_topic"]),
+            "topic_word": float_list(model["topic_word"])}
+
+
+def from_json(obj):
+    return {"hyper": fields_from_json(LdaHyper, obj), "doc_topic": np.asarray(obj["doc_topic"]),
+            "topic_word": np.asarray(obj["topic_word"])}
 
 
 def generate_corpus(hyper, doc_lengths, rng):

@@ -9,14 +9,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RandomSource, chol_psd, check_finite, check_simplex_rows,
-                   gaussian_logpdf_rows, log_sum_exp_rows)
+from .core import (RandomSource, chol_psd, check_finite, check_simplex_rows, float_list,
+                   gaussian_logpdf_rows, integer_codes, log_sum_exp_rows,
+                   sample_categorical_many)
 from .em import EmConfig, run_em
 
 __all__ = [
     "GmmParams", "LcaParams", "Responsibilities",
-    "gmm_loglik", "gmm_e_step", "gmm_m_step", "fit_gmm",
-    "lca_loglik", "lca_e_step", "lca_m_step", "fit_lca",
+    "gmm_loglik", "gmm_loglik_rows", "gmm_e_step", "gmm_m_step", "fit_gmm", "gmm_sample",
+    "gmm_to_json", "lca_loglik", "lca_loglik_rows", "lca_e_step", "lca_m_step", "fit_lca",
+    "lca_sample", "lca_to_json",
 ]
 
 EMPTY_COMPONENT_COUNT = 1e-8
@@ -53,6 +55,15 @@ class GmmParams:
         return self.means.shape[1]
 
 
+def gmm_to_json(params):
+    """JSON form with components ordered by the norm of their means."""
+    order = np.argsort(np.linalg.norm(params.means, axis=1), kind="stable")
+    return {"weights": float_list(params.weights[order]),
+            "means": float_list(params.means[order]),
+            "covs": float_list(params.covs[order])}
+
+
+
 @dataclass(frozen=True)
 class LcaParams:
     """Class weights (K,) and per-item conditional category tables.
@@ -84,6 +95,16 @@ class LcaParams:
     @property
     def n_items(self):
         return len(self.item_probs)
+
+
+def lca_to_json(params):
+    """JSON form with classes ordered by the entropy of their item tables."""
+    stacked = np.concatenate(list(params.item_probs), axis=1)   # (K, sum C_j)
+    ent = -np.sum(np.where(stacked > 0, stacked * np.log(stacked), 0.0), axis=1)
+    order = np.argsort(ent, kind="stable")
+    return {"weights": float_list(params.weights[order]),
+            "item_probs": [float_list(t[order]) for t in params.item_probs]}
+
 
 
 @dataclass(frozen=True)
@@ -118,9 +139,14 @@ def _gmm_log_joint(params, X):
     return out
 
 
+def gmm_loglik_rows(params, data):
+    """Log-likelihood log sum_k pi_k N(x_i | mu_k, Sigma_k) of each row x_i."""
+    return log_sum_exp_rows(_gmm_log_joint(params, data))
+
+
 def gmm_loglik(params, data):
     """Total log-likelihood sum_i log sum_k pi_k N(x_i | mu_k, Sigma_k)."""
-    return float(np.sum(log_sum_exp_rows(_gmm_log_joint(params, data))))
+    return float(np.sum(gmm_loglik_rows(params, data)))
 
 
 def _responsibilities(lj):
@@ -189,6 +215,19 @@ def gmm_m_step(data, resp, cov_floor=None):
     return (params, events) if events else params
 
 
+def gmm_sample(params, n, rng):
+    """Ancestral draws: a component per row, then that component's Gaussian.
+    Returns (X, assignments)."""
+    z = sample_categorical_many(params.weights, rng, n)
+    X = np.empty((n, params.dim))
+    for k in range(params.n_components):
+        rows = np.where(z == k)[0]
+        if rows.size:
+            L = np.linalg.cholesky(params.covs[k] + 1e-12 * np.eye(params.dim))
+            X[rows] = params.means[k] + rng.standard_normal((rows.size, params.dim)) @ L.T
+    return X, z
+
+
 def _farthest_point_means(X, K, rng):
     """Greedy farthest-point sweep from a seeded start; deterministic."""
     N = X.shape[0]
@@ -227,20 +266,21 @@ def fit_gmm(data, K, cfg: EmConfig, init=None):
 # ---------------------------------------------------------------------------
 # Latent class analysis
 
-def _lca_codes(data):
-    """Integer category codes as an int array; any non-integer code is
-    rejected before the cast, which would truncate it."""
-    X = np.atleast_2d(np.asarray(data))
-    if not np.issubdtype(X.dtype, np.integer):
-        Xf = np.asarray(X, dtype=float)
-        if not np.all(np.isfinite(Xf)) or np.any(Xf != np.round(Xf)):
-            raise ValueError("LCA data must be integer category codes")
-        X = Xf.astype(int)
-    return X
+def lca_sample(params, n, rng):
+    """Ancestral draws: a class per row, then each item's category given the
+    class. Returns (integer codes, assignments)."""
+    z = sample_categorical_many(params.weights, rng, n)
+    X = np.empty((n, params.n_items), dtype=int)
+    for j, table in enumerate(params.item_probs):
+        for k in range(params.n_classes):
+            rows = np.where(z == k)[0]
+            if rows.size:
+                X[rows, j] = sample_categorical_many(table[k], rng, rows.size)
+    return X, z
 
 
 def _check_lca_data(params, data):
-    X = _lca_codes(data)
+    X = integer_codes(data, "LCA data")
     if X.shape[1] != params.n_items:
         raise ValueError(f"data has {X.shape[1]} items, model has {params.n_items}")
     for j, table in enumerate(params.item_probs):
@@ -261,9 +301,13 @@ def _lca_log_joint(params, X):
     return out
 
 
+def lca_loglik_rows(params, data):
+    """Log-likelihood of each row of integer codes."""
+    return log_sum_exp_rows(_lca_log_joint(params, _check_lca_data(params, data)))
+
+
 def lca_loglik(params, data):
-    X = _check_lca_data(params, data)
-    return float(np.sum(log_sum_exp_rows(_lca_log_joint(params, X))))
+    return float(np.sum(lca_loglik_rows(params, data)))
 
 
 def lca_e_step(params, data):
@@ -312,7 +356,7 @@ def lca_m_step(data, resp, n_categories=None):
 def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
     """EM fit of a K-class latent class model over categorical items."""
     _check_k(K, "classes")
-    X = _lca_codes(data)
+    X = integer_codes(data, "LCA data")
     if np.any(X < 0):
         raise ValueError("LCA category codes must be nonnegative")
     N, J = X.shape

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["Tensor", "Mlp", "AdamState", "forward", "backward", "adam_step",
-           "concat", "zero_grad"]
+           "concat", "zero_grad", "fit_minibatch", "check_counts"]
 
 ACTIVATIONS = ("tanh", "relu", "identity", "sigmoid", "softplus")
 
@@ -352,6 +352,18 @@ class Mlp:
     def params(self):
         return list(self.weights) + list(self.biases)
 
+    def to_json(self):
+        return {"dims": [self.in_dim] + [w.shape[1] for w in self.weights],
+                "activations": list(self.activations),
+                "weights": [w.values.tolist() for w in self.weights],
+                "biases": [b.values.tolist() for b in self.biases]}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls([Tensor.param(np.asarray(w, dtype=float)) for w in obj["weights"]],
+                   [Tensor.param(np.asarray(b, dtype=float)) for b in obj["biases"]],
+                   list(obj["activations"]))
+
     def forward(self, x):
         """Apply the layer stack to a (batch, in_dim) tensor."""
         if not isinstance(x, Tensor):
@@ -404,3 +416,36 @@ def adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2 ** t)
         p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + eps)
     return state
+
+
+def check_counts(**counts):
+    """Raise ValueError naming the first count (epochs, steps, batch) below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def fit_minibatch(loss_fn, params, X, epochs, batch, rng, lr):
+    """Minibatch Adam descent on loss_fn(rows, rng), a scalar Tensor over a
+    batch of rows of X; returns the mean loss of each epoch.
+
+    Each epoch visits the rows in a fresh rng permutation, batch rows at a
+    time; a non-finite loss raises FloatingPointError.
+    """
+    check_counts(epochs=epochs, batch=batch)
+    N = X.shape[0]
+    state = AdamState()
+    trace = []
+    for epoch in range(epochs):
+        order = rng.permutation(N)
+        losses = []
+        for start in range(0, N, batch):
+            loss = loss_fn(X[order[start:start + batch]], rng)
+            if not np.isfinite(loss.values):
+                raise FloatingPointError(f"loss diverged at epoch {epoch}")
+            zero_grad(params)
+            backward(loss)
+            state = adam_step(params, [p.grad for p in params], state, lr=lr)
+            losses.append(float(loss.values))
+        trace.append(float(np.mean(losses)))
+    return np.asarray(trace)

@@ -20,7 +20,7 @@ from .em import EmConfig, run_em
 
 __all__ = ["PpcaParams", "PpcaPosterior", "fit_closed_form", "posterior",
            "posterior_means", "reconstruct", "sample", "fit_em", "marginal_loglik",
-           "canonicalize"]
+           "loglik_rows", "canonicalize"]
 
 SIGMA2_FLOOR = 1e-12
 
@@ -62,6 +62,7 @@ class PpcaParams:
         """Gaussian over x: N(mu, W W^T + sigma2 I)."""
         D = self.data_dim
         return Gaussian(self.mu, self.W @ self.W.T + self.sigma2 * np.eye(D))
+
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,17 @@ def reconstruct(params, x):
     return rows[0] if x.ndim == 1 else rows
 
 
-def marginal_loglik(params, data):
-    """Total log-likelihood of the rows of data under the marginal Gaussian."""
+def loglik_rows(params, data):
+    """Log-likelihood of each row of data under the marginal Gaussian."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
     D = params.data_dim
     cov = params.W @ params.W.T + params.sigma2 * np.eye(D)
-    return float(np.sum(gaussian_logpdf_rows(X, params.mu, cov)))
+    return gaussian_logpdf_rows(X, params.mu, cov)
+
+
+def marginal_loglik(params, data):
+    """Total log-likelihood of the rows of data under the marginal Gaussian."""
+    return float(np.sum(loglik_rows(params, data)))
 
 
 def sample(params, n, rng, mode="prior", given=None):

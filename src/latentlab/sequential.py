@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Gaussian, NumericError, RandomSource, check_finite,
-                   check_simplex_rows, chol_psd, gaussian_logpdf_rows,
+                   check_simplex_rows, chol_psd, float_list, gaussian_logpdf_rows,
                    log_sum_exp_rows)
 from .em import EmConfig, run_em
 from .mixture import _check_k, _cov_floor, _farthest_point_means
@@ -37,7 +37,7 @@ __all__ = [
     "HmmSetPosterior", "LdsSetPosterior",
     "hmm_infer", "hmm_forward_backward", "hmm_loglik", "hmm_fit", "hmm_sample",
     "lds_infer", "kalman_filter", "kalman_smooth", "lds_loglik", "lds_fit",
-    "lds_sample", "canonical_state_order",
+    "lds_sample", "canonical_state_order", "hmm_to_json", "hmm_from_json",
 ]
 
 EMPTY_STATE_COUNT = 1e-8
@@ -125,6 +125,24 @@ class HmmParams:
         return self.pi.shape[0]
 
 
+def hmm_to_json(params):
+    """JSON form in canonical state order (see canonical_state_order)."""
+    params = canonical_state_order(params)
+    out = {"pi": float_list(params.pi), "trans": float_list(params.trans)}
+    if isinstance(params.emit, DiscreteEmission):
+        out["emit"] = float_list(params.emit.probs)
+    else:
+        out["means"] = float_list(params.emit.means)
+        out["covs"] = float_list(params.emit.covs)
+    return out
+
+
+def hmm_from_json(obj):
+    emit = DiscreteEmission(np.asarray(obj["emit"])) if "emit" in obj \
+        else GaussianEmission(np.asarray(obj["means"]), np.asarray(obj["covs"]))
+    return HmmParams(np.asarray(obj["pi"]), np.asarray(obj["trans"]), emit)
+
+
 @dataclass(frozen=True)
 class SmoothedMarginals:
     """HMM posteriors given a full sequence: per-step state marginals (T, K),
@@ -177,6 +195,7 @@ class LdsParams:
     @property
     def obs_dim(self):
         return self.C.shape[0]
+
 
 
 @dataclass(frozen=True)

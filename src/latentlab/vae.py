@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, Mlp, Tensor, adam_step, backward, zero_grad
+from .nn import Mlp, Tensor, fit_minibatch
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
            "elbo", "train", "sample", "reconstruct"]
@@ -138,25 +138,8 @@ def elbo(model, x, rng, n_samples=1):
 def train(model, data, epochs, batch, rng, lr=1e-3):
     """Minibatch ascent on the single-sample ELBO; returns per-epoch means."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    N = X.shape[0]
-    params = model.params()
-    state = AdamState()
-    trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(N)
-        epoch_elbos = []
-        for start in range(0, N, batch):
-            idx = order[start:start + batch]
-            parts = elbo(model, X[idx], rng)
-            if not np.isfinite(parts.elbo.values):
-                raise FloatingPointError(f"ELBO diverged at epoch {epoch}")
-            loss = -parts.elbo
-            zero_grad(params)
-            backward(loss)
-            state = adam_step(params, [p.grad for p in params], state, lr=lr)
-            epoch_elbos.append(float(parts.elbo.values))
-        trace.append(float(np.mean(epoch_elbos)))
-    return np.asarray(trace)
+    return -fit_minibatch(lambda xb, r: -elbo(model, xb, r).elbo, model.params(), X,
+                          epochs, batch, rng, lr)
 
 
 def sample(model, n, rng, binarize=False):

@@ -8,7 +8,7 @@ import pytest
 
 import latentlab
 from latentlab import irt
-from latentlab.cli import main, worker_count
+from latentlab.cli import main
 from latentlab.core import RandomSource
 from latentlab.datasets import (SyntheticSpec, generate, read_csv, write_csv,
                                 write_seq, write_corpus, read_model)
@@ -190,16 +190,6 @@ def test_lda_cli(tmp_path):
     assert np.asarray(params["topic_word"]).shape == (2, 5)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("LATENTLAB_THREADS", raising=False)
-    default = worker_count()
-    assert default >= 1
-    monkeypatch.setenv("LATENTLAB_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("LATENTLAB_THREADS", "100000")
-    assert worker_count() == default
-
-
 def test_numeric_failure_exit_code_1(tmp_path):
     # an LDS with C = 0 and R = 0 has an exactly singular innovation
     # covariance: eval must fail numerically with exit code 1
@@ -361,3 +351,112 @@ def test_sample_zero_length_sequence_is_usage_error(family, tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture
+def real_csv(tmp_path):
+    path = tmp_path / "real.csv"
+    write_csv(path, RandomSource(15).standard_normal((30, 2)))
+    return path
+
+
+@pytest.mark.parametrize("family", ["vae", "flow", "diffusion", "arm", "gan"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_deep_fit_rejects_bad_sizes(family, value, tmp_path, real_csv, capsys):
+    data = real_csv
+    if family == "arm":
+        data = tmp_path / "codes.csv"
+        write_csv(data, RandomSource(16).integers(0, 3, (30, 4)).astype(float))
+    count_flag = "--steps" if family == "gan" else "--epochs"
+    for flag in ("--batch", count_flag):
+        out = tmp_path / f"{family}{flag}.json"
+        assert main(["fit", family, "--data", str(data), "--out", str(out), "--epochs", "1",
+                     "--steps", "2", "--hidden", "4", flag, str(value)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{flag.lstrip('-')} must be >= 1, got {value}" in err
+        assert not out.exists()
+        assert not (tmp_path / f"{family}{flag}.json.trace.csv").exists()
+
+
+def test_arm_non_integer_codes_are_usage_errors(tmp_path, capsys):
+    X = RandomSource(17).integers(0, 3, (40, 4)).astype(float)
+    good = tmp_path / "codes.csv"
+    write_csv(good, X)
+    model = tmp_path / "arm.json"
+    assert main(["fit", "arm", "--data", str(good), "--epochs", "1", "--hidden", "4",
+                 "--out", str(model)]) == 0
+    X[5, 1] = 1.7
+    bad = tmp_path / "bad.csv"
+    write_csv(bad, X)
+    capsys.readouterr()
+    for argv in (["fit", "arm", "--data", str(bad), "--epochs", "1",
+                  "--out", str(tmp_path / "m.json")],
+                 ["eval", str(model), "--data", str(bad)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "ARM sequences must be integer category codes" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_eval_rejects_non_finite_data(tmp_path, real_csv, capsys):
+    X = read_csv(real_csv)
+    X[3, 1] = np.nan
+    bad = tmp_path / "nan.csv"
+    write_csv(bad, X)
+    fits = {"gmm": ["--k", "2"], "ppca": ["--latent-dim", "1"],
+            "vae": ["--epochs", "1", "--hidden", "4"], "flow": ["--epochs", "1", "--hidden", "4"]}
+    for family, flags in fits.items():
+        model = tmp_path / f"{family}.json"
+        assert main(["fit", family, "--data", str(real_csv), "--out", str(model)] + flags) == 0
+        capsys.readouterr()
+        assert main(["eval", str(model), "--data", str(bad)]) == 2, family
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "data row 4 holds a non-finite value" in captured.err
+        assert "nan" not in captured.out
+
+
+def test_undefined_commands_are_usage_errors(tmp_path, capsys):
+    from latentlab import flow, gan
+    from latentlab.datasets import write_model
+    from latentlab.lda import LdaHyper
+    from latentlab.mixture import GmmParams
+    models = {
+        "gmm": GmmParams([0.5, 0.5], [[0.0, 0.0], [3.0, 0.0]], [np.eye(2), np.eye(2)]),
+        "flow": flow.make_coupling_stack(2, 2, RandomSource(1), hidden=4),
+        "gan": gan.make_gan(2, 1, RandomSource(2), hidden=4),
+        "lda": {"hyper": LdaHyper(np.ones(2), np.ones(3), 2, 3),
+                "doc_topic": np.ones((1, 2)), "topic_word": np.ones((2, 3))},
+    }
+    for family, params in models.items():
+        write_model(tmp_path / f"{family}.json", family, params)
+    data = tmp_path / "x.csv"
+    write_csv(data, np.zeros((3, 2)))
+    out = str(tmp_path / "out.csv")
+    cases = [(["reconstruct", "gmm.json", "--data", str(data), "--out", out],
+              "reconstruct supports ppca and vae, not 'gmm'"),
+             (["infer", "flow.json", "--data", str(data), "--out", out],
+              "infer is not defined for family 'flow'"),
+             (["eval", "gan.json", "--data", str(data)], "eval is not defined for family 'gan'"),
+             (["sample", "lda.json", "--n", "3", "--out", out], "cannot sample family 'lda'")]
+    for argv, message in cases:
+        argv[1] = str(tmp_path / argv[1])
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
+    assert not os.path.exists(out)
+
+
+def test_fit_config_holds_only_the_family_flags(tmp_path, real_csv):
+    expected = {"gmm": {"k", "max_iters", "rel_tol"},
+                "vae": {"latent_dim", "likelihood", "sigma_dec", "hidden", "epochs", "batch",
+                        "lr"}}
+    for family, flags in expected.items():
+        model = tmp_path / f"{family}.json"
+        assert main(["fit", family, "--data", str(real_csv), "--epochs", "1", "--seed", "4",
+                     "--out", str(model)]) == 0
+        _fam, _params, config = read_model(model)
+        assert set(config) == {"family", "seed"} | flags
+        assert config["family"] == family and config["seed"] == 4

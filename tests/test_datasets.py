@@ -196,3 +196,53 @@ def test_model_schema_check(tmp_path):
     p.write_text('{"schema": "other", "family": "gmm", "params": {}}')
     with pytest.raises(ValueError, match="schema"):
         read_model(p)
+
+
+def _round_trip(tmp_path, family, params):
+    """Write, read and write again: both files must be byte-identical."""
+    a, b = tmp_path / f"{family}_a.json", tmp_path / f"{family}_b.json"
+    write_model(a, family, params, {"seed": 2})
+    fam, loaded, config = read_model(a)
+    assert fam == family and config == {"seed": 2}
+    write_model(b, family, loaded, {"seed": 2})
+    assert a.read_bytes() == b.read_bytes()
+    return loaded
+
+
+def test_model_round_trip_lca(tmp_path):
+    from latentlab.mixture import LcaParams, lca_loglik
+    params = LcaParams([0.3, 0.7], ([[0.2, 0.8], [0.9, 0.1]],
+                                    [[0.1, 0.3, 0.6], [0.5, 0.25, 0.25]]))
+    loaded = _round_trip(tmp_path, "lca", params)
+    X = np.array([[0, 2], [1, 0], [1, 1]])
+    assert lca_loglik(loaded, X) == pytest.approx(lca_loglik(params, X), rel=1e-15)
+
+
+def test_model_round_trip_irt(tmp_path):
+    from latentlab.irt import IrtParams
+    params = IrtParams([0.8, 1.5, 0.0], [-0.5, 0.25, 1.0])
+    loaded = _round_trip(tmp_path, "irt", params)
+    assert np.array_equal(loaded.a, params.a) and np.array_equal(loaded.b, params.b)
+
+
+def test_model_round_trip_lda(tmp_path):
+    from latentlab.lda import LdaHyper
+    model = {"hyper": LdaHyper(np.array([0.5, 1.5]), np.full(4, 0.1), 2, 4),
+             "doc_topic": np.array([[1.5, 2.0], [3.25, 0.5], [1.0, 1.0]]),
+             "topic_word": np.array([[1.0, 2.0, 3.0, 0.5], [0.25, 4.0, 1.0, 2.0]])}
+    loaded = _round_trip(tmp_path, "lda", model)
+    assert loaded.keys() == model.keys()
+    for name in ("doc_topic", "topic_word"):
+        assert np.array_equal(loaded[name], model[name])
+    for name in ("alpha", "beta", "K", "V"):
+        assert np.array_equal(getattr(loaded["hyper"], name), getattr(model["hyper"], name))
+
+
+def test_model_round_trip_ghmm(tmp_path):
+    from latentlab.sequential import GaussianEmission, hmm_loglik
+    params = HmmParams([0.4, 0.6], [[0.9, 0.1], [0.3, 0.7]],
+                       GaussianEmission([[3.0, 0.0], [0.0, 1.0]],
+                                        [np.eye(2), [[2.0, 0.5], [0.5, 1.0]]]))
+    loaded = _round_trip(tmp_path, "ghmm", params)
+    obs = np.array([[0.1, 0.9], [2.5, -0.2], [0.0, 1.4]])
+    assert hmm_loglik(loaded, [obs]) == pytest.approx(hmm_loglik(params, [obs]), rel=1e-14)

@@ -253,3 +253,58 @@ def test_mlp_rejects_bad_specs():
         Mlp.create([3, 4], ["tanh", "identity"], RandomSource(0))
     with pytest.raises(ValueError):
         Mlp([Tensor.param(np.zeros((3, 2)))], [Tensor.param(np.zeros(2))], ["mystery"])
+
+
+def _reference_loop(objective, sign, params, X, epochs, batch, rng, lr):
+    """The minibatch loop each deep trainer carried before fit_minibatch:
+    the trace holds the per-epoch mean of the objective, and the loss is
+    sign * objective."""
+    state = AdamState()
+    trace = []
+    for _epoch in range(epochs):
+        order = rng.permutation(X.shape[0])
+        values = []
+        for start in range(0, X.shape[0], batch):
+            obj = objective(X[order[start:start + batch]], rng)
+            assert np.isfinite(obj.values)
+            loss = -obj if sign < 0 else obj
+            zero_grad(params)
+            backward(loss)
+            state = adam_step(params, [p.grad for p in params], state, lr=lr)
+            values.append(float(obj.values))
+        trace.append(float(np.mean(values)))
+    return np.asarray(trace)
+
+
+@pytest.mark.parametrize("family", ["vae", "flow", "diffusion", "arm"])
+def test_trainers_match_reference_loop(family):
+    from latentlab import arm, diffusion, flow, vae
+    X = RandomSource(21).standard_normal((23, 3))
+    if family == "vae":
+        make = lambda: vae.make_vae(3, 1, RandomSource(1), hidden=5)
+        train = vae.train
+        objective = lambda m: (lambda xb, r: vae.elbo(m, xb, r).elbo)
+        sign = -1
+    elif family == "flow":
+        make = lambda: flow.make_coupling_stack(3, 2, RandomSource(2), hidden=5)
+        train = flow.fit
+        objective = lambda m: (lambda xb, r: flow._loglik_tensor(m, Tensor(xb)).mean())
+        sign = -1
+    elif family == "diffusion":
+        make = lambda: diffusion.make_diffusion(3, RandomSource(3), T=7, hidden=5)
+        train = diffusion.train
+        objective = lambda m: (lambda xb, r: diffusion.loss_simple(m, xb, r))
+        sign = 1
+    else:
+        X = RandomSource(22).integers(0, 3, (23, 4))
+        make = lambda: arm.make_ar_model(4, 3, RandomSource(4), hidden=5)
+        train = arm.train
+        objective = lambda m: (lambda xb, r: arm._loglik_tensor(m, xb) * (1.0 / len(xb)))
+        sign = -1
+    model, ref = make(), make()
+    trace = train(model, X, 2, 5, RandomSource(9), lr=0.01)
+    ref_trace = _reference_loop(objective(ref), sign, ref.params(), X, 2, 5, RandomSource(9),
+                                0.01)
+    assert np.array_equal(trace, ref_trace)
+    for p, q in zip(model.params(), ref.params()):
+        assert np.array_equal(p.values, q.values)
