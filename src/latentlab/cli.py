@@ -27,6 +27,7 @@ FMT = "%.17g"
 # Usage error for a command a family does not define, by record field.
 UNDEFINED = {
     "sample": "cannot sample family {!r}",
+    "sample_posterior": "posterior sampling is not defined for family {!r}",
     "loglik": "eval is not defined for family {!r}",
     "infer": "infer is not defined for family {!r}",
     "reconstruct": "reconstruct supports "
@@ -169,24 +170,39 @@ def _model_command(args, field):
     return family, fn, params, config
 
 
+def _report_fit(family, report):
+    """One stderr line per rescue event, and one if the fit hit --max-iters."""
+    for event in report.events:
+        print(f"latentlab: fit {family}: {event}", file=sys.stderr)
+    if not report.converged:
+        print(f"latentlab: fit {family}: stopped at --max-iters after {report.iters} "
+              f"iterations without converging (last relative change {report.rel_change:.3g})",
+              file=sys.stderr)
+
+
 def _cmd_fit(args):
     record = FAMILIES[args.family]
-    params, trace = record.fit(_read_data(args.family, args), args, RandomSource(args.seed))
+    params, trace, report = record.fit(_read_data(args.family, args), args,
+                                       RandomSource(args.seed))
     config = {"family": args.family, "seed": args.seed}
     config.update((flag, getattr(args, flag)) for flag in record.flags)
     datasets.write_model(args.out, args.family, params, config)
     _write_trace(args.out, trace)
+    if report is not None:
+        _report_fit(args.family, report)
     return 0
 
 
 def _cmd_sample(args):
-    _family, sample, params, _config = _model_command(args, "sample")
-    given = None
-    if args.mode == "posterior":
+    posterior = args.mode == "posterior"
+    _family, sample, params, _config = _model_command(
+        args, "sample_posterior" if posterior else "sample")
+    given = ()
+    if posterior:
         if not args.given:
             raise UsageError("posterior sampling requires --given")
-        given = _read_matrix(args.given)[0]
-    datasets.write_csv(args.out, sample(params, args.n, RandomSource(args.seed), given))
+        given = (_read_matrix(args.given)[0],)
+    datasets.write_csv(args.out, sample(params, args.n, RandomSource(args.seed), *given))
     return 0
 
 

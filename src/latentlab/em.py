@@ -30,7 +30,9 @@ class FitReport:
 
     The trace holds the objective after each completed EM iteration and is
     non-decreasing up to the driver's slack. events records recoverable
-    interventions (e.g. empty-component rescues).
+    interventions (e.g. empty-component rescues). rel_change is the relative
+    objective change of the last iteration, the quantity compared with
+    rel_tol.
     """
 
     objective_trace: np.ndarray
@@ -38,6 +40,7 @@ class FitReport:
     iters: int
     final_objective: float
     events: list = field(default_factory=list)
+    rel_change: float = math.nan
 
 
 class MonotonicityError(RuntimeError):
@@ -78,6 +81,7 @@ def run_em(e_step, m_step, objective, data, init_params, cfg,
     trace = []
     events = []
     converged = False
+    rel_change = math.nan
     for it in range(1, cfg.max_iters + 1):
         params = m_step(data, posterior)
         if isinstance(params, tuple):
@@ -91,7 +95,8 @@ def run_em(e_step, m_step, objective, data, init_params, cfg,
         if obj < prev - monotonic_slack:
             raise MonotonicityError(it, prev, obj)
         delta = abs(obj - prev)
-        if delta / max(1.0, abs(obj)) < cfg.rel_tol or delta < cfg.abs_tol:
+        rel_change = delta / max(1.0, abs(obj))
+        if rel_change < cfg.rel_tol or delta < cfg.abs_tol:
             converged = True
             prev = obj
             break
@@ -102,5 +107,6 @@ def run_em(e_step, m_step, objective, data, init_params, cfg,
         iters=len(trace),
         final_objective=prev,
         events=events,
+        rel_change=rel_change,
     )
     return params, report

@@ -29,9 +29,10 @@ class Family:
     """input: "matrix" (a CSV of finite reals), "seq" (discrete sequences),
     "real_seq" (continuous sequences) or "corpus".
 
-    fit(data, args, rng) -> (params, trace); sample(params, n, rng, given) -> rows,
-    where given is the conditioning row of posterior sampling or None;
-    loglik(params, data, config, seed) -> per-point values;
+    fit(data, args, rng) -> (params, trace, report), where report is the EM
+    FitReport or None for a trained family; sample(params, n, rng) -> prior
+    rows; sample_posterior(params, n, rng, given) -> rows drawn given the
+    conditioning row given; loglik(params, data, config, seed) -> per-point values;
     infer(params, data, config) -> (rows, header); reconstruct(params, X) -> rows.
     """
 
@@ -41,6 +42,7 @@ class Family:
     from_json: Callable
     fit: Callable
     sample: Optional[Callable] = None
+    sample_posterior: Optional[Callable] = None
     loglik: Optional[Callable] = None
     infer: Optional[Callable] = None
     reconstruct: Optional[Callable] = None
@@ -55,9 +57,9 @@ def _em_cfg(args, default_rel_tol=1e-7):
                     seed=args.seed)
 
 
-def _with_trace(fitted):
+def _em_fit(fitted):
     params, report = fitted
-    return params, report.objective_trace
+    return params, report.objective_trace, report
 
 
 def _columns(prefix, rows):
@@ -73,13 +75,15 @@ def _fit_lda(corpus, args, _rng):
     hyper = lda.LdaHyper(args.alpha, args.beta, args.k, corpus.V)
     var, report = lda.fit_lda(hyper, corpus, _em_cfg(args, default_rel_tol=1e-6))
     model = {"hyper": hyper, "doc_topic": var.doc_topic, "topic_word": var.topic_word}
-    return model, report.objective_trace
+    return model, report.objective_trace, report
 
 
-def _lda_loglik(model, corpus, _config, seed):
+def _lda_loglik(model, corpus, _config, _seed):
+    """The bound of the corpus under the model's fitted topics."""
     hyper = model["hyper"]
     corpus = lda.Corpus(corpus.docs, hyper.V)
-    var, _report = lda.fit_lda(hyper, corpus, EmConfig(max_iters=200, rel_tol=1e-6, seed=seed))
+    var, _report = lda.fit_documents(hyper, corpus, model["topic_word"],
+                                     EmConfig(max_iters=200, rel_tol=1e-6))
     return np.array([lda.elbo(hyper, corpus, var)])
 
 
@@ -96,36 +100,37 @@ def _lds_infer(params, seqs, _config):
 def _fit_vae(X, args, rng):
     model = vae.make_vae(X.shape[1], args.latent_dim, rng, hidden=args.hidden,
                          likelihood=args.likelihood, sigma_dec=args.sigma_dec)
-    return model, vae.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
+    return model, vae.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 
 def _fit_flow(X, args, rng):
     model = flow.make_coupling_stack(X.shape[1], args.layers, rng, hidden=args.hidden)
-    return model, flow.fit(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
+    return model, flow.fit(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 
 def _fit_diffusion(X, args, rng):
     model = diffusion.make_diffusion(X.shape[1], rng, T=args.T, hidden=args.hidden)
-    return model, diffusion.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
+    return model, diffusion.train(model, X, args.epochs, args.batch, rng.split(7),
+                                  lr=args.lr), None
 
 
 def _fit_arm(X, args, rng):
     model = arm.make_ar_model(args.seq_len or X.shape[1], args.alphabet or int(X.max()) + 1,
                               rng, hidden=args.hidden)
-    return model, arm.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr)
+    return model, arm.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 
 def _fit_gan(X, args, rng):
     model = gan.make_gan(X.shape[1], args.latent_dim, rng, hidden=args.hidden)
     disc_trace, _gen_trace = gan.train(model, X, args.steps, args.batch, rng.split(7), lr=args.lr)
-    return model, disc_trace
+    return model, disc_trace, None
 
 
 _HMM = Family(
     "seq", ("k",) + EM_FLAGS,
     to_json=lambda p: seq.hmm_to_json(p), from_json=lambda o: seq.hmm_from_json(o),
-    fit=lambda S, a, _r: _with_trace(seq.hmm_fit(S, a.k, "discrete", _em_cfg(a))),
-    sample=lambda p, n, rng, _g: np.asarray(seq.hmm_sample(p, n, rng)[1], dtype=float)[:, None],
+    fit=lambda S, a, _r: _em_fit(seq.hmm_fit(S, a.k, "discrete", _em_cfg(a))),
+    sample=lambda p, n, rng: np.asarray(seq.hmm_sample(p, n, rng)[1], dtype=float)[:, None],
     loglik=lambda p, S, _c, _s: seq.hmm_infer(p, S, smooth=False).logliks,
     infer=_hmm_infer)
 
@@ -134,9 +139,10 @@ FAMILIES = {
         "matrix", ("latent_dim",) + EM_FLAGS,
         to_json=lambda p: fields_to_json(ppca.canonicalize(p)),
         from_json=lambda o: fields_from_json(ppca.PpcaParams, o),
-        fit=lambda X, a, _r: _with_trace(ppca.fit_em(X, a.latent_dim, _em_cfg(a))),
-        sample=lambda p, n, rng, given: ppca.sample(p, n, rng) if given is None
-        else ppca.sample(p, n, rng, mode="posterior", given=given),
+        fit=lambda X, a, _r: _em_fit(ppca.fit_em(X, a.latent_dim, _em_cfg(a))),
+        sample=lambda p, n, rng: ppca.sample(p, n, rng),
+        sample_posterior=lambda p, n, rng, given: ppca.sample(p, n, rng, mode="posterior",
+                                                              given=given),
         loglik=lambda p, X, _c, _s: ppca.loglik_rows(p, X),
         infer=lambda p, X, _c: _columns("z", ppca.posterior_means(p, X)),
         reconstruct=lambda p, X: ppca.reconstruct(p, X)),
@@ -144,24 +150,24 @@ FAMILIES = {
         "matrix", ("k",) + EM_FLAGS,
         to_json=lambda p: mixture.gmm_to_json(p),
         from_json=lambda o: fields_from_json(mixture.GmmParams, o),
-        fit=lambda X, a, _r: _with_trace(mixture.fit_gmm(X, a.k, _em_cfg(a))),
-        sample=lambda p, n, rng, _g: mixture.gmm_sample(p, n, rng)[0],
+        fit=lambda X, a, _r: _em_fit(mixture.fit_gmm(X, a.k, _em_cfg(a))),
+        sample=lambda p, n, rng: mixture.gmm_sample(p, n, rng)[0],
         loglik=lambda p, X, _c, _s: mixture.gmm_loglik_rows(p, X),
         infer=lambda p, X, _c: _columns("gamma", mixture.gmm_e_step(p, X).gamma)),
     "lca": Family(
         "matrix", ("k",) + EM_FLAGS,
         to_json=lambda p: mixture.lca_to_json(p),
         from_json=lambda o: fields_from_json(mixture.LcaParams, o),
-        fit=lambda X, a, _r: _with_trace(mixture.fit_lca(X, a.k, _em_cfg(a))),
-        sample=lambda p, n, rng, _g: mixture.lca_sample(p, n, rng)[0],
+        fit=lambda X, a, _r: _em_fit(mixture.fit_lca(X, a.k, _em_cfg(a))),
+        sample=lambda p, n, rng: mixture.lca_sample(p, n, rng)[0],
         loglik=lambda p, X, _c, _s: mixture.lca_loglik_rows(p, X),
         infer=lambda p, X, _c: _columns("gamma", mixture.lca_e_step(p, X).gamma)),
     "irt": Family(
         "matrix", ("quad_nodes",) + EM_FLAGS,
         to_json=fields_to_json, from_json=lambda o: fields_from_json(irt.IrtParams, o),
-        fit=lambda X, a, _r: _with_trace(
+        fit=lambda X, a, _r: _em_fit(
             irt.fit_irt(X, irt.default_quadrature(a.quad_nodes), _em_cfg(a))),
-        sample=lambda p, n, rng, _g: irt.sample(p, n, rng)[0],
+        sample=lambda p, n, rng: irt.sample(p, n, rng)[0],
         loglik=lambda p, X, c, _s: irt.loglik_rows(p, X, _quadrature(c)),
         infer=lambda p, X, c: (np.column_stack(irt.posterior_moments(p, X, _quadrature(c))),
                                ["eap", "sd"])),
@@ -172,44 +178,43 @@ FAMILIES = {
     "hmm": _HMM,
     "ghmm": replace(
         _HMM, input="real_seq",
-        fit=lambda S, a, _r: _with_trace(seq.hmm_fit(S, a.k, "gaussian", _em_cfg(a))),
-        sample=lambda p, n, rng, _g: np.atleast_2d(seq.hmm_sample(p, n, rng)[1])),
+        fit=lambda S, a, _r: _em_fit(seq.hmm_fit(S, a.k, "gaussian", _em_cfg(a))),
+        sample=lambda p, n, rng: np.atleast_2d(seq.hmm_sample(p, n, rng)[1])),
     "lds": Family(
         "real_seq", ("latent_dim",) + EM_FLAGS,
         to_json=fields_to_json, from_json=lambda o: fields_from_json(seq.LdsParams, o),
-        fit=lambda S, a, _r: _with_trace(seq.lds_fit(S, a.latent_dim, _em_cfg(a))),
-        sample=lambda p, n, rng, _g: seq.lds_sample(p, n, rng)[1],
+        fit=lambda S, a, _r: _em_fit(seq.lds_fit(S, a.latent_dim, _em_cfg(a))),
+        sample=lambda p, n, rng: seq.lds_sample(p, n, rng)[1],
         loglik=lambda p, S, _c, _s: seq.lds_infer(p, S, smooth=False).logliks,
         infer=_lds_infer),
     "vae": Family(
         "matrix", ("latent_dim", "likelihood", "sigma_dec") + TRAIN_FLAGS,
         to_json=fields_to_json, from_json=lambda o: fields_from_json(vae.VaeModel, o, _network),
         fit=_fit_vae,
-        sample=lambda m, n, rng, _g: vae.sample(m, n, rng),
-        loglik=lambda m, X, _c, seed: np.array(
-            [float(vae.elbo(m, X, RandomSource(seed), n_samples=16).elbo.values)]),
+        sample=lambda m, n, rng: vae.sample(m, n, rng),
+        loglik=lambda m, X, _c, seed: vae.elbo_rows(m, X, RandomSource(seed), n_samples=16),
         infer=lambda m, X, _c: _columns("z", vae.encode(m, X)[0].values),
         reconstruct=lambda m, X: vae.reconstruct(m, X)),
     "flow": Family(
         "matrix", ("layers",) + TRAIN_FLAGS,
         to_json=lambda m: flow.to_json(m), from_json=lambda o: flow.from_json(o),
         fit=_fit_flow,
-        sample=lambda m, n, rng, _g: flow.sample(m, n, rng),
+        sample=lambda m, n, rng: flow.sample(m, n, rng),
         loglik=lambda m, X, _c, _s: flow.log_likelihood(m, X)),
     "diffusion": Family(
         "matrix", ("T",) + TRAIN_FLAGS,
         to_json=lambda m: diffusion.to_json(m), from_json=lambda o: diffusion.from_json(o),
         fit=_fit_diffusion,
-        sample=lambda m, n, rng, _g: diffusion.sample(m, n, rng)),
+        sample=lambda m, n, rng: diffusion.sample(m, n, rng)),
     "arm": Family(
         "matrix", ("seq_len", "alphabet") + TRAIN_FLAGS,
         to_json=fields_to_json, from_json=lambda o: fields_from_json(arm.ArModel, o, _network),
         fit=_fit_arm,
-        sample=lambda m, n, rng, _g: arm.sample(m, n, rng).astype(float),
+        sample=lambda m, n, rng: arm.sample(m, n, rng).astype(float),
         loglik=lambda m, X, _c, _s: arm.log_likelihood_batch(m, X)),
     "gan": Family(
         "matrix", ("latent_dim", "hidden", "steps", "batch", "lr"),
         to_json=fields_to_json, from_json=lambda o: fields_from_json(gan.GanModel, o, _network),
         fit=_fit_gan,
-        sample=lambda m, n, rng, _g: gan.sample(m, n, rng)),
+        sample=lambda m, n, rng: gan.sample(m, n, rng)),
 }

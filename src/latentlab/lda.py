@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .core import (RandomSource, check_finite, fields_from_json, fields_to_json, float_list,
                    sample_categorical_many, sample_dirichlet)
 from .em import EmConfig, run_em
 
 __all__ = ["LdaHyper", "Corpus", "LdaVariational", "generate_corpus", "elbo",
-           "fit_lda", "to_json", "from_json"]
+           "fit_lda", "fit_documents", "to_json", "from_json"]
 
 
 @dataclass(frozen=True)
@@ -133,12 +132,14 @@ def generate_corpus(hyper, doc_lengths, rng):
 
 def _dirichlet_elog(params):
     """E[log p] rows for Dirichlet parameter rows."""
+    from scipy.special import digamma  # loaded here so only LDA pays its import
     params = np.atleast_2d(params)
     return digamma(params) - digamma(params.sum(axis=1, keepdims=True))
 
 
 def _dirichlet_logpdf_expectation(prior, elog):
     """E_q[log Dir(x; prior)] where elog = E_q[log x], for rows."""
+    from scipy.special import gammaln  # loaded here so only LDA pays its import
     prior = np.atleast_2d(prior)
     return (gammaln(prior.sum(axis=1)) - gammaln(prior).sum(axis=1)
             + ((prior - 1.0) * elog).sum(axis=1))
@@ -146,6 +147,7 @@ def _dirichlet_logpdf_expectation(prior, elog):
 
 def _entropy_dirichlet(params, elog):
     """-E_q[log q] for Dirichlet rows with precomputed elog."""
+    from scipy.special import gammaln  # loaded here so only LDA pays its import
     params = np.atleast_2d(params)
     return -(gammaln(params.sum(axis=1)) - gammaln(params).sum(axis=1)
              + ((params - 1.0) * elog).sum(axis=1))
@@ -185,15 +187,20 @@ def _token_update(hyper, corpus, var):
     return LdaVariational(var.doc_topic, var.topic_word, tuple(new_wt))
 
 
+def _doc_topic(hyper, word_topic):
+    """Exact coordinate update of the document Dirichlets."""
+    doc_topic = np.empty((len(word_topic), hyper.K))
+    for d, phi_d in enumerate(word_topic):
+        doc_topic[d] = hyper.alpha + phi_d.sum(axis=0)
+    return doc_topic
+
+
 def _dirichlet_updates(hyper, corpus, var):
     """Exact coordinate updates of the document and topic Dirichlets."""
-    D, K, V = corpus.n_docs, hyper.K, hyper.V
-    doc_topic = np.empty((D, K))
-    topic_word = np.tile(hyper.beta, (K, 1))
-    for d, (w, phi_d) in enumerate(zip(corpus.docs, var.word_topic)):
-        doc_topic[d] = hyper.alpha + phi_d.sum(axis=0)
+    topic_word = np.tile(hyper.beta, (hyper.K, 1))
+    for w, phi_d in zip(corpus.docs, var.word_topic):
         np.add.at(topic_word.T, w, phi_d)
-    return LdaVariational(doc_topic, topic_word, var.word_topic)
+    return LdaVariational(_doc_topic(hyper, var.word_topic), topic_word, var.word_topic)
 
 
 def init_variational(hyper, corpus, rng):
@@ -215,6 +222,27 @@ def fit_lda(hyper, corpus, cfg: EmConfig, init=None):
     if init is None:
         init = init_variational(hyper, corpus, RandomSource(cfg.seed).split(404))
 
+    def m_step(data, scored):
+        return _dirichlet_updates(hyper, data, _token_update(hyper, data, scored[0]))
+
+    return _ascend(hyper, corpus, init, m_step, cfg)
+
+
+def fit_documents(hyper, corpus, topic_word, cfg: EmConfig):
+    """Coordinate-ascent sweeps over the token and document factors only, the
+    topic Dirichlets held at topic_word (a fitted model's), from uniform
+    token weights; stops like fit_lda."""
+    word_topic = tuple(np.full((len(w), hyper.K), 1.0 / hyper.K) for w in corpus.docs)
+    init = LdaVariational(_doc_topic(hyper, word_topic), topic_word, word_topic)
+
+    def m_step(data, scored):
+        var = _token_update(hyper, data, scored[0])
+        return LdaVariational(_doc_topic(hyper, var.word_topic), topic_word, var.word_topic)
+
+    return _ascend(hyper, corpus, init, m_step, cfg)
+
+
+def _ascend(hyper, corpus, init, sweep, cfg):
     # Coordinate ascent has no separate posterior: the "E-step" scores the
     # current variational parameters and one sweep is the "M-step", so the
     # trace holds the bound after each sweep and the last score costs no
@@ -222,11 +250,7 @@ def fit_lda(hyper, corpus, cfg: EmConfig, init=None):
     def e_step(var, data):
         return var, elbo(hyper, data, var)
 
-    def m_step(data, scored):
-        return _dirichlet_updates(hyper, data, _token_update(hyper, data, scored[0]))
-
     def objective(scored):
         return scored[1]
 
-    return run_em(e_step, m_step, objective, corpus, init, cfg,
-                  monotonic_slack=1e-6)
+    return run_em(e_step, sweep, objective, corpus, init, cfg, monotonic_slack=1e-6)

@@ -12,7 +12,7 @@ import numpy as np
 from .nn import Mlp, Tensor, fit_minibatch
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
-           "elbo", "train", "sample", "reconstruct"]
+           "elbo", "elbo_rows", "train", "sample", "reconstruct"]
 
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 1e4
@@ -115,12 +115,8 @@ def _recon_loglik(model, x_batch, z):
     return per_point
 
 
-def elbo(model, x, rng, n_samples=1):
-    """Reparameterized ELBO for a batch, averaged over points.
-
-    KL is the closed form 0.5 * sum(sigma^2 + mu^2 - 1 - log sigma^2); the
-    reconstruction term uses n_samples epsilon draws (1 by default).
-    """
+def _elbo_terms(model, x, rng, n_samples):
+    """Per-point (sum over n_samples draws of log p(x|z), KL) tensors."""
     xb = _as_batch(x)
     mu, sigma = encode(model, xb)
     sigma2 = sigma * sigma
@@ -130,9 +126,26 @@ def elbo(model, x, rng, n_samples=1):
         z = reparameterize(mu, sigma, rng)
         r = _recon_loglik(model, xb, z)
         recon_acc = r if recon_acc is None else recon_acc + r
+    return recon_acc, kl_per_point
+
+
+def elbo(model, x, rng, n_samples=1):
+    """Reparameterized ELBO for a batch, averaged over points.
+
+    KL is the closed form 0.5 * sum(sigma^2 + mu^2 - 1 - log sigma^2); the
+    reconstruction term uses n_samples epsilon draws (1 by default).
+    """
+    recon_acc, kl_per_point = _elbo_terms(model, x, rng, n_samples)
     recon = recon_acc.mean() * (1.0 / n_samples)
     kl = kl_per_point.mean()
     return ElboParts(recon, kl, recon - kl)
+
+
+def elbo_rows(model, x, rng, n_samples=1):
+    """The ELBO of each point (N,) from the draws elbo() makes with the same
+    rng; their mean is elbo(...).elbo."""
+    recon_acc, kl_per_point = _elbo_terms(model, x, rng, n_samples)
+    return recon_acc.values * (1.0 / n_samples) - kl_per_point.values
 
 
 def train(model, data, epochs, batch, rng, lr=1e-3):

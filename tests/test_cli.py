@@ -460,3 +460,131 @@ def test_fit_config_holds_only_the_family_flags(tmp_path, real_csv):
         _fam, _params, config = read_model(model)
         assert set(config) == {"family", "seed"} | flags
         assert config["family"] == family and config["seed"] == 4
+
+
+def test_cli_process_loads_no_scipy_until_lda(tmp_path, blobs_csv):
+    from latentlab.lda import LdaHyper, generate_corpus
+    data, _X = blobs_csv
+    corpus, _ = generate_corpus(LdaHyper(np.ones(2), np.ones(5), 2, 5), [10] * 4,
+                                RandomSource(6))
+    write_corpus(tmp_path / "corpus.txt", corpus)
+    script = """
+import sys
+import latentlab
+from latentlab.cli import main
+data, tmp = sys.argv[1:]
+assert main(["fit", "gmm", "--data", data, "--k", "2", "--out", tmp + "/gmm.json"]) == 0
+assert main(["eval", tmp + "/gmm.json", "--data", data]) == 0
+assert main(["sample", tmp + "/gmm.json", "--n", "5", "--out", tmp + "/s.csv"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert main(["fit", "lda", "--data", tmp + "/corpus.txt", "--k", "2", "--vocab", "5",
+             "--max-iters", "5", "--out", tmp + "/lda.json"]) == 0
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(latentlab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, str(data), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert read_model(tmp_path / "lda.json")[0] == "lda"
+
+
+def _fit_every_sampler(tmp_path):
+    """A small fitted model file of each family that has a sampler."""
+    from latentlab.families import FAMILIES
+    rng = RandomSource(5)
+    write_csv(tmp_path / "x.csv", rng.standard_normal((40, 2)))
+    write_csv(tmp_path / "b.csv", (rng.uniform((40, 3)) < 0.5).astype(float))
+    write_seq(tmp_path / "d.seq", [np.array([0, 1, 1, 0, 1] * 4)])
+    write_seq(tmp_path / "r.seq", [rng.standard_normal((20, 2))], dx=2)
+    data = {"lca": "b.csv", "irt": "b.csv", "arm": "b.csv", "hmm": "d.seq",
+            "ghmm": "r.seq", "lds": "r.seq"}
+    flags = ["--k", "2", "--latent-dim", "1", "--max-iters", "3", "--epochs", "1",
+             "--hidden", "4", "--steps", "2", "--T", "5"]
+    models = {}
+    for family, record in FAMILIES.items():
+        if record.sample is None:
+            continue
+        models[family] = tmp_path / f"{family}.json"
+        assert main(["fit", family, "--data", str(tmp_path / data.get(family, "x.csv")),
+                     "--out", str(models[family])] + flags) == 0, family
+    return models
+
+
+def test_posterior_sampling_only_where_the_family_defines_it(tmp_path, capsys):
+    models = _fit_every_sampler(tmp_path)
+    assert len(models) == 12
+    given = str(tmp_path / "x.csv")
+    for family, model in models.items():
+        out = tmp_path / f"{family}_post.csv"
+        capsys.readouterr()
+        rc = main(["sample", str(model), "--from", "posterior", "--given", given,
+                   "--n", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        if family == "ppca":
+            assert rc == 0 and read_csv(out).shape == (3, 2)
+        else:
+            assert rc == 2, family
+            assert f"posterior sampling is not defined for family {family!r}" in err
+            assert "Traceback" not in err and not out.exists()
+
+
+def test_lda_eval_reads_the_model_topics(tmp_path, capsys):
+    from latentlab.lda import LdaHyper, generate_corpus
+    hyper = LdaHyper(np.ones(2), np.ones(5), 2, 5)
+    corpus, _ = generate_corpus(hyper, [12] * 8, RandomSource(6))
+    data = tmp_path / "corpus.txt"
+    write_corpus(data, corpus)
+    model = tmp_path / "lda.json"
+    assert main(["fit", "lda", "--data", str(data), "--k", "2", "--vocab", "5",
+                 "--max-iters", "30", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["params"]["topic_word"] = (3.0 * np.asarray(doc["params"]["topic_word"])[::-1]).tolist()
+    perturbed = tmp_path / "lda_perturbed.json"
+    perturbed.write_text(json.dumps(doc))
+    totals = []
+    for path in (model, perturbed):
+        capsys.readouterr()
+        assert main(["eval", str(path), "--data", str(data)]) == 0
+        totals.append(float(capsys.readouterr().out.strip().split("\n")[-1].split()[1]))
+    assert np.all(np.isfinite(totals))
+    assert totals[0] != totals[1]
+
+
+def test_vae_eval_prints_per_point_elbo(tmp_path, real_csv, capsys):
+    from latentlab import vae
+    model = tmp_path / "vae.json"
+    assert main(["fit", "vae", "--data", str(real_csv), "--epochs", "2", "--hidden", "4",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(model), "--data", str(real_csv), "--seed", "5"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    X = read_csv(real_csv)
+    values = np.array([float(v) for v in lines[:-1]])
+    assert values.shape == (X.shape[0],)
+    assert float(lines[-1].split()[1]) == pytest.approx(values.sum(), rel=1e-12)
+    _fam, fitted, _cfg = read_model(model)
+    expected = float(vae.elbo(fitted, X, RandomSource(5), n_samples=16).elbo.values)
+    assert values.mean() == pytest.approx(expected, rel=1e-12)
+
+
+def test_fit_reports_max_iters_and_rescues_on_stderr(tmp_path, blobs_csv, capsys):
+    data, _X = blobs_csv
+    capped, converged = tmp_path / "capped.json", tmp_path / "converged.json"
+    assert main(["fit", "gmm", "--data", str(data), "--k", "2", "--max-iters", "3",
+                 "--out", str(capped)]) == 0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert err[0].startswith("latentlab: fit gmm: stopped at --max-iters after 3 iterations "
+                             "without converging (last relative change ")
+    assert len((tmp_path / "capped.json.trace.csv").read_text().strip().split("\n")) == 4
+    assert main(["fit", "gmm", "--data", str(data), "--k", "2", "--out", str(converged)]) == 0
+    assert capsys.readouterr().err == ""
+    # a single one-step sequence has no transitions: every state's row is reset
+    one = tmp_path / "one.seq"
+    write_seq(one, [np.array([1])])
+    assert main(["fit", "hmm", "--data", str(one), "--k", "2",
+                 "--out", str(tmp_path / "hmm.json")]) == 0
+    err = capsys.readouterr().err
+    for k in range(2):
+        assert f"latentlab: fit hmm: state {k} saw no transitions; row reset to uniform" in err

@@ -49,6 +49,16 @@ def test_trace_length_equals_iters():
     assert report.final_objective == report.objective_trace[-1]
 
 
+def test_report_holds_the_last_relative_change():
+    X = _blob_data(3)
+    _params, capped = fit_gmm(X, 2, EmConfig(seed=3, max_iters=2, rel_tol=1e-300))
+    _params, done = fit_gmm(X, 2, EmConfig(seed=3, rel_tol=1e-6))
+    a, b = capped.objective_trace
+    assert not capped.converged
+    assert capped.rel_change == abs(b - a) / max(1.0, abs(b))
+    assert done.converged and done.rel_change < 1e-6
+
+
 def test_idempotence_at_fixed_point():
     rng = RandomSource(40)
     X = np.vstack([rng.standard_normal((200, 2)), rng.standard_normal((200, 2)) + [8, 0]])

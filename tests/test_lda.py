@@ -7,7 +7,7 @@ from scipy.special import digamma, gammaln
 
 from latentlab.core import RandomSource
 from latentlab.em import EmConfig
-from latentlab.lda import (Corpus, LdaHyper, LdaVariational, elbo, fit_lda,
+from latentlab.lda import (Corpus, LdaHyper, LdaVariational, elbo, fit_documents, fit_lda,
                            generate_corpus, init_variational)
 
 
@@ -232,3 +232,18 @@ def test_corpus_validation():
         Corpus((np.array([], dtype=int),), 3)
     with pytest.raises(ValueError):
         Corpus((np.array([0, 5]),), 3)
+
+
+def test_fit_documents_holds_the_topics_and_ascends():
+    hyper = LdaHyper(np.ones(3), np.full(6, 0.5), 3, 6)
+    corpus, _ = generate_corpus(hyper, [15] * 10, RandomSource(12))
+    fitted, _ = fit_lda(hyper, corpus, EmConfig(max_iters=40, rel_tol=1e-9, seed=2))
+    var, report = fit_documents(hyper, corpus, fitted.topic_word,
+                                EmConfig(max_iters=200, rel_tol=1e-9))
+    assert np.array_equal(var.topic_word, fitted.topic_word)
+    assert np.all(np.diff(report.objective_trace) >= -1e-6)
+    assert report.final_objective == elbo(hyper, corpus, var)
+    # other topics give another bound on the same corpus
+    other, _ = fit_documents(hyper, corpus, 3.0 * fitted.topic_word[::-1],
+                             EmConfig(max_iters=200, rel_tol=1e-9))
+    assert elbo(hyper, corpus, other) != report.final_objective
