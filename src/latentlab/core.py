@@ -28,7 +28,6 @@ __all__ = [
     "sample_dirichlet",
     "kl_divergence_categorical",
     "chol_psd",
-    "as_matrix",
     "check_finite",
     "integer_codes",
     "float_list",
@@ -84,12 +83,6 @@ def fields_from_json(cls, obj, convert=lambda value: value):
     """The dataclass cls from its fields_to_json form; convert maps each
     field's JSON value back (e.g. to a network)."""
     return cls(*(convert(obj[f.name]) for f in fields(cls)))
-
-
-def as_matrix(data, rows, cols, name="matrix"):
-    """Validate and reshape row-major data into a (rows, cols) float array."""
-    a = np.asarray(data, dtype=float).reshape(rows, cols)
-    return check_finite(a, name)
 
 
 def chol_psd(cov, jitter_scale=1e-9):

@@ -79,12 +79,13 @@ def _fit_lda(corpus, args, _rng):
 
 
 def _lda_loglik(model, corpus, _config, _seed):
-    """The bound of the corpus under the model's fitted topics."""
+    """The bound of each document under the model's fitted topics, the topic
+    terms split evenly across the documents."""
     hyper = model["hyper"]
     corpus = lda.Corpus(corpus.docs, hyper.V)
     var, _report = lda.fit_documents(hyper, corpus, model["topic_word"],
                                      EmConfig(max_iters=200, rel_tol=1e-6))
-    return np.array([lda.elbo(hyper, corpus, var)])
+    return lda.document_elbo(hyper, corpus, var)
 
 
 def _hmm_infer(params, seqs, _config):

@@ -5,10 +5,18 @@ topic proportions, and per-token assignments; the coordinate updates are the
 exact maximizers of the bound under that factorization (token weights
 proportional to exp of digamma expectations, Dirichlet parameters equal to
 prior plus expected counts).
+
+A corpus is held flat: one array of all N tokens plus document offsets. Each
+sweep works on one (N_tokens, K) block of token weights: the token update is
+a gather of digamma expectations by each token's document and word, the
+topic update one scatter-add over the words, and the bound a per-token row
+sum reduced per document. The document sums go document by document over
+views into the block, which adds the rows in the same order as a
+per-document loop, so fits are bit-identical to one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +25,7 @@ from .core import (RandomSource, check_finite, fields_from_json, fields_to_json,
 from .em import EmConfig, run_em
 
 __all__ = ["LdaHyper", "Corpus", "LdaVariational", "generate_corpus", "elbo",
-           "fit_lda", "fit_documents", "to_json", "from_json"]
+           "document_elbo", "fit_lda", "fit_documents", "to_json", "from_json"]
 
 
 @dataclass(frozen=True)
@@ -49,21 +57,36 @@ class LdaHyper:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Documents as integer word-index sequences over a vocabulary of size V."""
+    """Documents as integer word-index sequences over a vocabulary of size V.
+
+    The tokens are stored flat: words (N_tokens,) in document order, offsets
+    (D+1,) with document d at words[offsets[d]:offsets[d+1]], and doc_of
+    (N_tokens,) the document of each token. docs holds the documents as
+    views into words."""
 
     docs: tuple
     V: int
+    words: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    doc_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        docs = []
-        for d, doc in enumerate(self.docs):
-            w = np.asarray(doc, dtype=int)
-            if w.size == 0:
-                raise ValueError(f"document {d} is empty")
-            if np.any((w < 0) | (w >= self.V)):
-                raise ValueError(f"document {d} has word index out of range")
-            docs.append(w)
-        object.__setattr__(self, "docs", tuple(docs))
+        docs = [np.asarray(doc, dtype=int) for doc in self.docs]
+        lengths = np.array([w.size for w in docs], dtype=int)
+        words = np.concatenate(docs) if docs else np.zeros(0, dtype=int)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        doc_of = np.repeat(np.arange(len(docs)), lengths)
+        empty = np.flatnonzero(lengths == 0)
+        if empty.size:
+            raise ValueError(f"document {empty[0]} is empty")
+        out_of_range = doc_of[(words < 0) | (words >= self.V)]
+        if out_of_range.size:
+            raise ValueError(f"document {out_of_range[0]} has word index out of range")
+        words.flags.writeable = False      # docs are views into it
+        object.__setattr__(self, "docs", _blocks(words, offsets))
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "doc_of", doc_of)
 
     @property
     def n_docs(self):
@@ -71,33 +94,53 @@ class Corpus:
 
     @property
     def n_tokens(self):
-        return sum(len(d) for d in self.docs)
+        return self.words.size
+
+
+def _blocks(flat, offsets):
+    """The per-document views into a flat token array."""
+    return tuple(flat[a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
 
 @dataclass(frozen=True)
 class LdaVariational:
     """doc_topic (D, K): Dirichlet parameters of each q(theta_d);
     topic_word (K, V): Dirichlet parameters of each q(phi_k);
-    word_topic: per-document (N_d, K) simplex rows, the token assignments."""
+    weights (N_tokens, K): the token assignments, one simplex row per token
+    in corpus order; offsets (D+1,): the corpus's document bounds.
+
+    weights may also be given as a sequence of per-document (N_d, K) blocks,
+    with offsets left out; word_topic gives the blocks back as views."""
 
     doc_topic: np.ndarray
     topic_word: np.ndarray
-    word_topic: tuple
+    weights: np.ndarray
+    offsets: np.ndarray = None
 
     def __post_init__(self):
         dt = np.asarray(self.doc_topic, dtype=float)
         tw = np.asarray(self.topic_word, dtype=float)
         if np.any(dt <= 0) or np.any(tw <= 0):
             raise ValueError("Dirichlet parameters must be positive")
-        wts = []
-        for d, phi in enumerate(self.word_topic):
-            p = np.asarray(phi, dtype=float)
-            if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-9):
-                raise ValueError(f"token weights of document {d} are not simplex rows")
-            wts.append(p)
+        wt, offsets = self.weights, self.offsets
+        if offsets is None:
+            blocks = [np.asarray(b, dtype=float) for b in wt]
+            offsets = np.concatenate(([0], np.cumsum([len(b) for b in blocks], dtype=int)))
+            wt = np.concatenate(blocks) if blocks else np.zeros((0, dt.shape[1]))
+        wt = np.asarray(wt, dtype=float)
+        simplex = np.all(wt >= 0, axis=1) & np.isclose(wt.sum(axis=1), 1.0, atol=1e-9)
+        if not np.all(simplex):
+            d = np.searchsorted(offsets, np.argmin(simplex), side="right") - 1
+            raise ValueError(f"token weights of document {d} are not simplex rows")
         object.__setattr__(self, "doc_topic", dt)
         object.__setattr__(self, "topic_word", tw)
-        object.__setattr__(self, "word_topic", tuple(wts))
+        object.__setattr__(self, "weights", wt)
+        object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def word_topic(self):
+        """The per-document (N_d, K) token weights, as views into weights."""
+        return _blocks(self.weights, self.offsets)
 
 
 def to_json(model):
@@ -116,13 +159,19 @@ def generate_corpus(hyper, doc_lengths, rng):
     (topics, per-document proportions, token assignments) for oracle checks."""
     K, V = hyper.K, hyper.V
     phi = np.stack([sample_dirichlet(hyper.beta, rng).probs for _ in range(K)])
+    cum_phi = np.cumsum(phi, axis=1)
     thetas = []
     zs = []
     docs = []
     for length in doc_lengths:
         theta = sample_dirichlet(hyper.alpha, rng).probs
         z = sample_categorical_many(theta, rng, int(length))
-        w = np.array([sample_categorical_many(phi[zk], rng, 1)[0] for zk in z])
+        # one uniform per token, in token order, inverted through its topic's cdf
+        u = rng.uniform(len(z))
+        w = np.empty(len(z), dtype=int)
+        for k in np.unique(z):
+            at = z == k
+            w[at] = np.searchsorted(cum_phi[k], u[at], side="right").clip(0, V - 1)
         thetas.append(theta)
         zs.append(z)
         docs.append(w)
@@ -153,65 +202,82 @@ def _entropy_dirichlet(params, elog):
              + ((params - 1.0) * elog).sum(axis=1))
 
 
+def _token_logits(corpus, elog_theta, elog_phi):
+    """(N_tokens, K) E[log theta_dk] + E[log phi_kw] of each token's document and word."""
+    return elog_theta[corpus.doc_of] + np.ascontiguousarray(elog_phi.T)[corpus.words]
+
+
+def _bound_terms(hyper, corpus, var):
+    """The bound split as (topics, docs): the q(phi) prior and entropy terms,
+    a float, and the (D,) rest of the bound, document by document."""
+    elog_theta = _dirichlet_elog(var.doc_topic)       # (D, K)
+    elog_phi = _dirichlet_elog(var.topic_word)        # (K, V)
+    topics = float(np.sum(_dirichlet_logpdf_expectation(hyper.beta[None, :], elog_phi)
+                          + _entropy_dirichlet(var.topic_word, elog_phi)))
+    docs = (_dirichlet_logpdf_expectation(hyper.alpha[None, :], elog_theta)
+            + _entropy_dirichlet(var.doc_topic, elog_theta))
+    wt = var.weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(wt > 0, wt * np.log(wt), 0.0)
+    tokens = np.sum(wt * _token_logits(corpus, elog_theta, elog_phi) - plogp, axis=1)
+    docs += np.bincount(corpus.doc_of, weights=tokens, minlength=corpus.n_docs)
+    return topics, docs
+
+
 def elbo(hyper, corpus, var):
     """Evidence lower bound of the mean-field family; analytic in the
     Dirichlet/categorical expectations, bounded above by log p(w)."""
-    elog_theta = _dirichlet_elog(var.doc_topic)       # (D, K)
-    elog_phi = _dirichlet_elog(var.topic_word)        # (K, V)
-    total = float(np.sum(_dirichlet_logpdf_expectation(hyper.beta[None, :].repeat(hyper.K, 0),
-                                                       elog_phi)))
-    total += float(np.sum(_dirichlet_logpdf_expectation(hyper.alpha[None, :].repeat(corpus.n_docs, 0),
-                                                        elog_theta)))
-    total += float(np.sum(_entropy_dirichlet(var.topic_word, elog_phi)))
-    total += float(np.sum(_entropy_dirichlet(var.doc_topic, elog_theta)))
-    for d, (w, phi_d) in enumerate(zip(corpus.docs, var.word_topic)):
-        total += float(np.sum(phi_d * elog_theta[d][None, :]))
-        total += float(np.sum(phi_d * elog_phi[:, w].T))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(phi_d > 0, phi_d * np.log(phi_d), 0.0)
-        total -= float(np.sum(plogp))
-    return total
+    topics, docs = _bound_terms(hyper, corpus, var)
+    return topics + float(np.sum(docs))
+
+
+def document_elbo(hyper, corpus, var):
+    """The bound as (D,) per-document values that sum to elbo: each document's
+    own terms plus an equal share of the topic terms."""
+    topics, docs = _bound_terms(hyper, corpus, var)
+    return docs + topics / corpus.n_docs
 
 
 def _token_update(hyper, corpus, var):
     """Exact coordinate update of the per-token assignment weights."""
-    elog_theta = _dirichlet_elog(var.doc_topic)
-    elog_phi = _dirichlet_elog(var.topic_word)
-    new_wt = []
-    for d, w in enumerate(corpus.docs):
-        logits = elog_theta[d][None, :] + elog_phi[:, w].T
-        logits -= logits.max(axis=1, keepdims=True)
-        phi_d = np.exp(logits)
-        phi_d /= phi_d.sum(axis=1, keepdims=True)
-        new_wt.append(phi_d)
-    return LdaVariational(var.doc_topic, var.topic_word, tuple(new_wt))
+    logits = _token_logits(corpus, _dirichlet_elog(var.doc_topic),
+                           _dirichlet_elog(var.topic_word))
+    logits -= logits.max(axis=1, keepdims=True)
+    wt = np.exp(logits)
+    wt /= wt.sum(axis=1, keepdims=True)
+    return LdaVariational(var.doc_topic, var.topic_word, wt, corpus.offsets)
 
 
-def _doc_topic(hyper, word_topic):
+def _doc_topic(hyper, corpus, weights):
     """Exact coordinate update of the document Dirichlets."""
-    doc_topic = np.empty((len(word_topic), hyper.K))
-    for d, phi_d in enumerate(word_topic):
-        doc_topic[d] = hyper.alpha + phi_d.sum(axis=0)
+    doc_topic = np.empty((corpus.n_docs, hyper.K))
+    for d, wt_d in enumerate(_blocks(weights, corpus.offsets)):
+        doc_topic[d] = hyper.alpha + wt_d.sum(axis=0)
     return doc_topic
 
 
 def _dirichlet_updates(hyper, corpus, var):
     """Exact coordinate updates of the document and topic Dirichlets."""
     topic_word = np.tile(hyper.beta, (hyper.K, 1))
-    for w, phi_d in zip(corpus.docs, var.word_topic):
-        np.add.at(topic_word.T, w, phi_d)
-    return LdaVariational(_doc_topic(hyper, var.word_topic), topic_word, var.word_topic)
+    np.add.at(topic_word.T, corpus.words, var.weights)
+    return LdaVariational(_doc_topic(hyper, corpus, var.weights), topic_word, var.weights,
+                          corpus.offsets)
 
 
 def init_variational(hyper, corpus, rng):
-    """Seeded symmetric-Dirichlet token weights, then consistent Dirichlets."""
-    wt = []
-    for w in corpus.docs:
-        phi_d = np.stack([sample_dirichlet(np.ones(hyper.K), rng).probs
-                          for _ in range(len(w))])
-        wt.append(phi_d)
-    var = LdaVariational(np.ones((corpus.n_docs, hyper.K)),
-                         np.ones((hyper.K, hyper.V)), tuple(wt))
+    """Seeded symmetric-Dirichlet token weights, then consistent Dirichlets.
+
+    One standard-gamma block, normalized row by row as core.sample_dirichlet
+    normalizes a single draw, gives the same weights as one draw per token."""
+    g = rng.standard_gamma(np.ones((corpus.n_tokens, hyper.K)))
+    total = g.sum(axis=1, keepdims=True)
+    underflow = total[:, 0] == 0.0
+    g[underflow] = 1.0
+    total[underflow] = hyper.K
+    wt = g / total
+    wt /= wt.sum(axis=1, keepdims=True)
+    var = LdaVariational(np.ones((corpus.n_docs, hyper.K)), np.ones((hyper.K, hyper.V)),
+                         wt, corpus.offsets)
     return _dirichlet_updates(hyper, corpus, var)
 
 
@@ -232,12 +298,13 @@ def fit_documents(hyper, corpus, topic_word, cfg: EmConfig):
     """Coordinate-ascent sweeps over the token and document factors only, the
     topic Dirichlets held at topic_word (a fitted model's), from uniform
     token weights; stops like fit_lda."""
-    word_topic = tuple(np.full((len(w), hyper.K), 1.0 / hyper.K) for w in corpus.docs)
-    init = LdaVariational(_doc_topic(hyper, word_topic), topic_word, word_topic)
+    weights = np.full((corpus.n_tokens, hyper.K), 1.0 / hyper.K)
+    init = LdaVariational(_doc_topic(hyper, corpus, weights), topic_word, weights, corpus.offsets)
 
     def m_step(data, scored):
         var = _token_update(hyper, data, scored[0])
-        return LdaVariational(_doc_topic(hyper, var.word_topic), topic_word, var.word_topic)
+        return LdaVariational(_doc_topic(hyper, data, var.weights), topic_word, var.weights,
+                              data.offsets)
 
     return _ascend(hyper, corpus, init, m_step, cfg)
 

@@ -551,6 +551,30 @@ def test_lda_eval_reads_the_model_topics(tmp_path, capsys):
     assert totals[0] != totals[1]
 
 
+def test_lda_eval_prints_one_bound_per_document(tmp_path, capsys):
+    from latentlab import lda
+    from latentlab.em import EmConfig
+    hyper = lda.LdaHyper(np.ones(2), np.ones(5), 2, 5)
+    corpus, _ = lda.generate_corpus(hyper, [12, 1, 30, 7, 12], RandomSource(6))
+    data = tmp_path / "corpus.txt"
+    write_corpus(data, corpus)
+    model = tmp_path / "lda.json"
+    assert main(["fit", "lda", "--data", str(data), "--k", "2", "--vocab", "5",
+                 "--max-iters", "30", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(model), "--data", str(data)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    values = np.array([float(v) for v in lines[:-1]])
+    total = float(lines[-1].split()[1])
+    assert values.shape == (corpus.n_docs,)
+    assert total == values.sum()
+    # the same sweeps as eval: the document factors fitted under the model's topics
+    _fam, fitted, _cfg = read_model(model)
+    var, _report = lda.fit_documents(fitted["hyper"], corpus, fitted["topic_word"],
+                                     EmConfig(max_iters=200, rel_tol=1e-6))
+    assert total == pytest.approx(lda.elbo(fitted["hyper"], corpus, var), rel=1e-9)
+
+
 def test_vae_eval_prints_per_point_elbo(tmp_path, real_csv, capsys):
     from latentlab import vae
     model = tmp_path / "vae.json"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import digamma, gammaln
 
-from latentlab.core import RandomSource
-from latentlab.em import EmConfig
+from latentlab.core import RandomSource, sample_dirichlet
+from latentlab.em import EmConfig, run_em
 from latentlab.lda import (Corpus, LdaHyper, LdaVariational, elbo, fit_documents, fit_lda,
                            generate_corpus, init_variational)
 
@@ -247,3 +247,124 @@ def test_fit_documents_holds_the_topics_and_ascends():
     other, _ = fit_documents(hyper, corpus, 3.0 * fitted.topic_word[::-1],
                              EmConfig(max_iters=200, rel_tol=1e-9))
     assert elbo(hyper, corpus, other) != report.final_objective
+
+
+# -- flat token arrays vs the per-document reference loop ----------------------
+# A copy of the per-document, per-token coordinate ascent that the flat
+# (N_tokens, K) sweeps replace; the state is the list [doc_topic, topic_word,
+# per-document weights] (a list, as run_em reads a returned tuple as
+# (params, events)). The flat sweeps must reproduce it bit for bit.
+
+def _ref_elog(params):
+    return digamma(params) - digamma(params.sum(axis=1, keepdims=True))
+
+
+def _ref_dirichlet_term(params, elog):
+    """E_q[log Dir(x; params)] for rows, with elog = E_q[log x]."""
+    return (gammaln(params.sum(axis=1)) - gammaln(params).sum(axis=1)
+            + ((params - 1.0) * elog).sum(axis=1))
+
+
+def _ref_dirichlet_updates(hyper, docs, wt):
+    topic_word = np.tile(hyper.beta, (hyper.K, 1))
+    for w, phi_d in zip(docs, wt):
+        np.add.at(topic_word.T, w, phi_d)
+    return [_ref_doc_topic(hyper, wt), topic_word, wt]
+
+
+def _ref_doc_topic(hyper, wt):
+    return np.stack([hyper.alpha + phi_d.sum(axis=0) for phi_d in wt])
+
+
+def _ref_init(hyper, docs, rng):
+    wt = [np.stack([sample_dirichlet(np.ones(hyper.K), rng).probs for _ in range(len(w))])
+          for w in docs]
+    return _ref_dirichlet_updates(hyper, docs, wt)
+
+
+def _ref_token_update(docs, doc_topic, topic_word):
+    elog_theta, elog_phi = _ref_elog(doc_topic), _ref_elog(topic_word)
+    wt = []
+    for d, w in enumerate(docs):
+        logits = elog_theta[d][None, :] + elog_phi[:, w].T
+        logits -= logits.max(axis=1, keepdims=True)
+        phi_d = np.exp(logits)
+        phi_d /= phi_d.sum(axis=1, keepdims=True)
+        wt.append(phi_d)
+    return wt
+
+
+def _ref_elbo(hyper, docs, state):
+    doc_topic, topic_word, wt = state
+    elog_theta, elog_phi = _ref_elog(doc_topic), _ref_elog(topic_word)
+    total = float(np.sum(_ref_dirichlet_term(np.tile(hyper.beta, (hyper.K, 1)), elog_phi)))
+    total += float(np.sum(_ref_dirichlet_term(np.tile(hyper.alpha, (len(docs), 1)),
+                                              elog_theta)))
+    total -= float(np.sum(_ref_dirichlet_term(topic_word, elog_phi)))
+    total -= float(np.sum(_ref_dirichlet_term(doc_topic, elog_theta)))
+    for d, (w, phi_d) in enumerate(zip(docs, wt)):
+        total += float(np.sum(phi_d * elog_theta[d][None, :]))
+        total += float(np.sum(phi_d * elog_phi[:, w].T))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total -= float(np.sum(np.where(phi_d > 0, phi_d * np.log(phi_d), 0.0)))
+    return total
+
+
+def _ref_ascend(hyper, docs, init, sweep, cfg):
+    return run_em(lambda state, _docs: (state, _ref_elbo(hyper, docs, state)), sweep,
+                  lambda scored: scored[1], docs, init, cfg, monotonic_slack=1e-6)
+
+
+def _assert_same_state(var, state):
+    doc_topic, topic_word, wt = state
+    assert np.array_equal(var.doc_topic, doc_topic)
+    assert np.array_equal(var.topic_word, topic_word)
+    assert len(var.word_topic) == len(wt)
+    assert all(np.array_equal(a, b) for a, b in zip(var.word_topic, wt))
+
+
+def _assert_same_report(report, ref_report):
+    assert report.iters == ref_report.iters
+    assert report.converged == ref_report.converged
+    np.testing.assert_allclose(report.objective_trace, ref_report.objective_trace,
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("K, V, lengths, seed", [
+    (2, 7, [1, 5, 13], 0),            # a 1-token document
+    (3, 40, [9, 1, 30, 2, 17], 1),    # most of the vocabulary unused
+    (9, 25, [40, 3, 1, 22], 2),       # K above numpy's 8-way pairwise block
+])
+def test_flat_sweeps_match_reference_loop(K, V, lengths, seed):
+    r = np.random.default_rng(seed)
+    docs = [r.integers(0, V // 2, n) for n in lengths]   # words V//2.. never occur
+    corpus = Corpus(tuple(docs), V)
+    hyper = LdaHyper(np.linspace(0.5, 1.5, K), np.full(V, 0.8), K, V)
+    cfg = EmConfig(seed=seed, max_iters=300, rel_tol=1e-12)
+
+    init = init_variational(hyper, corpus, RandomSource(seed))
+    ref_init = _ref_init(hyper, docs, RandomSource(seed))
+    _assert_same_state(init, ref_init)
+    assert elbo(hyper, corpus, init) == pytest.approx(_ref_elbo(hyper, docs, ref_init),
+                                                      rel=1e-14, abs=0)
+
+    var, report = fit_lda(hyper, corpus, cfg, init=init)
+    ref, ref_report = _ref_ascend(
+        hyper, docs, ref_init,
+        lambda _docs, scored: _ref_dirichlet_updates(
+            hyper, docs, _ref_token_update(docs, *scored[0][:2])), cfg)
+    _assert_same_state(var, ref)
+    _assert_same_report(report, ref_report)
+
+    topic_word = var.topic_word
+    uniform = [np.full((n, K), 1.0 / K) for n in lengths]
+
+    def ref_doc_sweep(_docs, scored):
+        wt = _ref_token_update(docs, scored[0][0], topic_word)
+        return [_ref_doc_topic(hyper, wt), topic_word, wt]
+
+    held, held_report = fit_documents(hyper, corpus, topic_word, cfg)
+    ref_held, ref_held_report = _ref_ascend(
+        hyper, docs, [_ref_doc_topic(hyper, uniform), topic_word, uniform], ref_doc_sweep, cfg)
+    _assert_same_state(held, ref_held)
+    _assert_same_report(held_report, ref_held_report)
