@@ -234,6 +234,16 @@ def log_sum_exp_rows(mat):
     return out
 
 
+def normalize_log_rows(log_rows):
+    """Row-normalized probabilities of an (N, K) array of log-weights, and
+    each row's log-normalizer: the posterior over K discrete values."""
+    lse = log_sum_exp_rows(log_rows)
+    probs = log_rows - lse[:, None]
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs, lse
+
+
 def gaussian_logpdf(x, g):
     """Log density of a multivariate normal, via Cholesky."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -262,6 +272,16 @@ def gaussian_logpdf_rows(X, mean, cov):
     d = mean.shape[0]
     quad = np.sum(sol * sol, axis=1)
     return -0.5 * (d * math.log(2 * math.pi) + logdet + quad)
+
+
+def gaussian_logpdf_columns(X, means, covs):
+    """(N, K) log-densities of the rows of X under K Gaussians, column k
+    from gaussian_logpdf_rows(X, means[k], covs[k])."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty((X.shape[0], len(means)))
+    for k in range(len(means)):
+        out[:, k] = gaussian_logpdf_rows(X, means[k], covs[k])
+    return out
 
 
 def gaussian_condition(joint, n_a, observed_b):

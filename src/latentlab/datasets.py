@@ -28,7 +28,7 @@ MODEL_SCHEMA = "latentlab-model-v1"
 FMT = "%.17g"
 
 SYNTHETIC_FAMILIES = ("ppca", "gmm", "lca", "irt", "lda", "hmm", "ghmm", "lds",
-                      "mixture1d", "blobs2d", "markov-seq")
+                      "mixture1d", "blobs2d")
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,6 @@ def generate(spec):
         z = sample_categorical_many(weights, rng, spec.n)
         X = (means[z] + sds[z] * rng.standard_normal(spec.n))[:, None]
         return X, {"assignments": z}, {"weights": weights, "means": means, "sds": sds}
-    if fam == "markov-seq":
-        pi = np.asarray(p["pi"], dtype=float)
-        trans = np.asarray(p["trans"], dtype=float)
-        D = int(p["length"])
-        X = np.empty((spec.n, D), dtype=int)
-        for i in range(spec.n):
-            X[i, 0] = sample_categorical_many(pi, rng, 1)[0]
-            for d in range(1, D):
-                X[i, d] = sample_categorical_many(trans[X[i, d - 1]], rng, 1)[0]
-        return X, {}, {"pi": pi, "trans": trans}
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -121,12 +111,19 @@ def write_csv(path, data, header=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path):
+def _lines(path):
+    """The non-blank lines of a text file, any newline convention; a file
+    with none is an error."""
     with open(path, "r", newline="") as fh:
         raw = fh.read()
     lines = [ln for ln in raw.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
+    return lines
+
+
+def read_csv(path):
+    lines = _lines(path)
     rows = []
     width = len(lines[0].split(","))
     for lineno, line in enumerate(lines[1:], start=2):
@@ -157,11 +154,7 @@ def write_seq(path, sequences, dx=None):
 
 def read_seq(path):
     """Returns (sequences, dx) where dx is None for discrete files."""
-    with open(path, "r", newline="") as fh:
-        raw = fh.read()
-    lines = [ln for ln in raw.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
+    lines = _lines(path)
     dx = None
     start = 0
     if lines[0].startswith("dx="):
@@ -189,11 +182,8 @@ def write_corpus(path, corpus):
 
 
 def read_corpus(path, V=None):
-    with open(path, "r", newline="") as fh:
-        raw = fh.read()
-    lines = [ln for ln in raw.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln.strip()]
     docs = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_lines(path), start=1):
         try:
             docs.append(np.array([int(v) for v in line.split()], dtype=int))
         except ValueError:

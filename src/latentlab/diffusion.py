@@ -129,21 +129,25 @@ def q_sample(schedule, x0, t, rng):
     return x_t, eps
 
 
+def _posterior_coefs(schedule, t):
+    """(coef0, coeft, beta_tilde) of q(x_{t-1} | x_t, x_0): the posterior
+    mean is coef0 x_0 + coeft x_t and its variance beta_tilde."""
+    beta_t = float(schedule.betas[t - 1])
+    ab_t = schedule.alpha_bar(t)
+    ab_prev = schedule.alpha_bar(t - 1)
+    coef0 = math.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
+    coeft = math.sqrt(1.0 - beta_t) * (1.0 - ab_prev) / (1.0 - ab_t)
+    return coef0, coeft, (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
+
+
 def posterior_params(schedule, x_t, x0, t):
     """Mean and variance of q(x_{t-1} | x_t, x_0):
     mu = (sqrt(ab_{t-1}) b_t x_0 + sqrt(1-b_t)(1-ab_{t-1}) x_t)/(1-ab_t),
     var = (1-ab_{t-1}) b_t / (1-ab_t)."""
     if not (1 <= t <= schedule.T):
         raise ValueError(f"t must be in 1..{schedule.T}")
-    x_t = np.asarray(x_t, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    beta_t = float(schedule.betas[t - 1])
-    ab_t = schedule.alpha_bar(t)
-    ab_prev = schedule.alpha_bar(t - 1)
-    coef0 = math.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
-    coeft = math.sqrt(1.0 - beta_t) * (1.0 - ab_prev) / (1.0 - ab_t)
-    mu = coef0 * x0 + coeft * x_t
-    beta_tilde = (1.0 - ab_prev) / (1.0 - ab_t) * beta_t
+    coef0, coeft, beta_tilde = _posterior_coefs(schedule, t)
+    mu = coef0 * np.asarray(x0, dtype=float) + coeft * np.asarray(x_t, dtype=float)
     return mu, beta_tilde
 
 
@@ -155,11 +159,8 @@ def _predict_eps(model, x_t_tensor, t, n_rows):
 def _mu_from_eps(schedule, x_t, eps_hat, t):
     """Posterior mean with x_0 replaced by its epsilon-parameterized estimate
     x0_hat = (x_t - sqrt(1-ab_t) eps_hat) / sqrt(ab_t)."""
-    beta_t = float(schedule.betas[t - 1])
+    coef0, coeft, _ = _posterior_coefs(schedule, t)
     ab_t = schedule.alpha_bar(t)
-    ab_prev = schedule.alpha_bar(t - 1)
-    coef0 = math.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
-    coeft = math.sqrt(1.0 - beta_t) * (1.0 - ab_prev) / (1.0 - ab_t)
     x0_hat = (x_t - math.sqrt(1.0 - ab_t) * eps_hat) * (1.0 / math.sqrt(ab_t))
     return x0_hat * coef0 + x_t * coeft
 
@@ -202,11 +203,6 @@ def elbo_terms(model, x0, rng):
     return np.asarray(terms)
 
 
-def _beta_tilde(schedule, t):
-    return (1.0 - schedule.alpha_bar(t - 1)) / (1.0 - schedule.alpha_bar(t)) \
-        * float(schedule.betas[t - 1])
-
-
 def sample(model, n, rng):
     """Ancestral reverse chain from x_T ~ N(0, I); the final step adds no noise."""
     x = rng.standard_normal((n, model.dim))
@@ -214,7 +210,8 @@ def sample(model, n, rng):
         eps_hat = _predict_eps(model, Tensor(x), t, n).values
         mu = _mu_from_eps(model.schedule, x, eps_hat, t)
         if t > 1:
-            x = mu + math.sqrt(_beta_tilde(model.schedule, t)) * rng.standard_normal(x.shape)
+            beta_tilde = _posterior_coefs(model.schedule, t)[2]
+            x = mu + math.sqrt(beta_tilde) * rng.standard_normal(x.shape)
         else:
             x = mu
     return x

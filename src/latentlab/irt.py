@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .core import check_finite, log_sum_exp_rows
+from .core import check_finite, log_sum_exp_rows, normalize_log_rows
 from .em import EmConfig, run_em
 
 __all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik", "loglik_rows",
@@ -153,10 +153,7 @@ def posterior_theta(params, x, quad):
 def _node_posteriors(params, X, quad):
     """(N, Q) posterior node weights and the total marginal log-likelihood,
     the sum of their log-normalizers (the arithmetic of marginal_loglik)."""
-    ll = _log_lik_at_nodes(params, X, quad) + np.log(quad.weights)
-    lse = log_sum_exp_rows(ll)
-    gamma = np.exp(ll - lse[:, None])
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    gamma, lse = normalize_log_rows(_log_lik_at_nodes(params, X, quad) + np.log(quad.weights))
     return gamma, float(np.sum(lse))
 
 

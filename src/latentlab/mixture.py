@@ -1,6 +1,8 @@
 """Flat discrete-latent models sharing the responsibility machinery:
 Gaussian mixtures over continuous data and latent class analysis over
-categorical items. All likelihood work is done in the log domain.
+categorical items. All likelihood work is done in the log domain. The
+seeded starts, weighted M-steps, probability floor and empty-component
+rescue here are also the HMMs' (sequential.py).
 """
 from __future__ import annotations
 
@@ -10,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (RandomSource, chol_psd, check_finite, check_simplex_rows, float_list,
-                   gaussian_logpdf_rows, integer_codes, log_sum_exp_rows,
-                   sample_categorical_many)
+                   gaussian_logpdf_columns, integer_codes, log_sum_exp_rows,
+                   normalize_log_rows, sample_categorical_many)
 from .em import EmConfig, run_em
 
 __all__ = [
@@ -128,14 +130,11 @@ class Responsibilities:
 def _gmm_log_joint(params, X):
     """log pi_k + log N(x_i | mu_k, Sigma_k) as an (N, K) array."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    N, d = X.shape
+    d = X.shape[1]
     if d != params.dim:
         raise ValueError(f"data dim {d} does not match model dim {params.dim}")
-    K = params.n_components
-    out = np.empty((N, K))
-    log_w = np.log(np.where(params.weights > 0, params.weights, 1e-300))
-    for k in range(K):
-        out[:, k] = log_w[k] + gaussian_logpdf_rows(X, params.means[k], params.covs[k])
+    out = gaussian_logpdf_columns(X, params.means, params.covs)
+    out += np.log(np.where(params.weights > 0, params.weights, 1e-300))
     return out
 
 
@@ -152,9 +151,7 @@ def gmm_loglik(params, data):
 def _responsibilities(lj):
     """Normalize an (N, K) log-joint into responsibilities; the row
     normalizers sum to the log-likelihood, as in gmm_loglik/lca_loglik."""
-    lse = log_sum_exp_rows(lj)
-    gamma = np.exp(lj - lse[:, None])
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    gamma, lse = normalize_log_rows(lj)
     return Responsibilities(gamma, float(np.sum(lse)))
 
 
@@ -183,7 +180,43 @@ def _cov_floor(covs, floor):
     return out
 
 
-def gmm_m_step(data, resp, cov_floor=None):
+def _var_floor(X):
+    """Eigenvalue floor of a fitted covariance: 1e-6 of the mean per-column
+    variance of X."""
+    return 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12)
+
+
+def _reseed_empty(gamma, what):
+    """(gamma, counts, events) with every effectively empty column re-seeded
+    at the most ambiguous row (lowest maximum weight); gamma is copied only
+    when a column is re-seeded."""
+    counts = gamma.sum(axis=0)
+    empty = np.where(counts < EMPTY_COMPONENT_COUNT)[0]
+    events = []
+    if empty.size:
+        gamma = gamma.copy()
+        for k in empty:
+            i = int(np.argmin(gamma.max(axis=1)))
+            gamma[i] = 0.0
+            gamma[i, k] = 1.0
+            events.append(f"{what} {k} empty; re-seeded at data point {i}")
+        counts = gamma.sum(axis=0)
+    return gamma, counts, events
+
+
+def _weighted_gaussians(X, gamma, counts):
+    """Means (K, d) and floored covariances (K, d, d) of X under the column
+    weights of gamma, whose column sums are counts."""
+    K, d = gamma.shape[1], X.shape[1]
+    means = (gamma.T @ X) / counts[:, None]
+    covs = np.empty((K, d, d))
+    for k in range(K):
+        diff = X - means[k]
+        covs[k] = (gamma[:, k, None] * diff).T @ diff / counts[k]
+    return means, _cov_floor(covs, _var_floor(X))
+
+
+def gmm_m_step(data, resp):
     """Weighted-average parameter updates from responsibilities.
 
     An effectively empty component is re-seeded at the most ambiguous data
@@ -191,27 +224,8 @@ def gmm_m_step(data, resp, cov_floor=None):
     returned events list as (params, events).
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    gamma = resp.gamma.copy()
-    N, d = X.shape
-    K = gamma.shape[1]
-    events = []
-    counts = gamma.sum(axis=0)
-    for k in np.where(counts < EMPTY_COMPONENT_COUNT)[0]:
-        i = int(np.argmin(gamma.max(axis=1)))
-        gamma[i] = 0.0
-        gamma[i, k] = 1.0
-        events.append(f"component {k} empty; re-seeded at data point {i}")
-    counts = gamma.sum(axis=0)
-    weights = counts / counts.sum()
-    means = (gamma.T @ X) / counts[:, None]
-    global_var = float(np.mean(np.var(X, axis=0)))
-    floor = cov_floor if cov_floor is not None else 1e-6 * max(global_var, 1e-12)
-    covs = np.empty((K, d, d))
-    for k in range(K):
-        diff = X - means[k]
-        covs[k] = (gamma[:, k, None] * diff).T @ diff / counts[k]
-    covs = _cov_floor(covs, floor)
-    params = GmmParams(weights, means, covs)
+    gamma, counts, events = _reseed_empty(resp.gamma, "component")
+    params = GmmParams(counts / counts.sum(), *_weighted_gaussians(X, gamma, counts))
     return (params, events) if events else params
 
 
@@ -241,6 +255,31 @@ def _farthest_point_means(X, K, rng):
     return X[chosen].copy()
 
 
+def _gaussian_start(X, K, rng):
+    """Farthest-point means (K, d) and K copies of the floored pooled
+    covariance of X."""
+    d = X.shape[1]
+    gcov = _cov_floor(np.cov(X.T, bias=True).reshape(1, d, d), _var_floor(X))
+    return _farthest_point_means(X, K, rng), np.repeat(gcov, K, axis=0)
+
+
+def _perturbed_rows(freq, K, rng):
+    """K rows of the floored frequencies freq, each perturbed by seeded
+    +-10% noise (which breaks the symmetry of identical rows) and
+    normalized."""
+    noise = 1.0 + 0.1 * (2.0 * rng.uniform((K, freq.size)) - 1.0)
+    rows = np.maximum(freq, PROB_FLOOR)[None, :] * noise
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _floored_rows(p):
+    """Rows of p clamped at PROB_FLOOR and renormalized."""
+    p = np.maximum(p, PROB_FLOOR)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def _check_k(K, what):
     if K < 1:
         raise ValueError(f"number of {what} must be >= 1, got {K}")
@@ -251,15 +290,11 @@ def fit_gmm(data, K, cfg: EmConfig, init=None):
     _check_k(K, "components")
     X = np.atleast_2d(np.asarray(data, dtype=float))
     check_finite(X, "data")
-    N, d = X.shape
-    if N < K:
+    if X.shape[0] < K:
         raise ValueError("need at least K data points")
     if init is None:
-        rng = RandomSource(cfg.seed).split(101)
-        means = _farthest_point_means(X, K, rng)
-        gcov = np.cov(X.T, bias=True).reshape(d, d)
-        gcov = _cov_floor(gcov[None], 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12))[0]
-        init = GmmParams(np.full(K, 1.0 / K), means, np.repeat(gcov[None], K, axis=0))
+        init = GmmParams(np.full(K, 1.0 / K),
+                         *_gaussian_start(X, K, RandomSource(cfg.seed).split(101)))
     return run_em(gmm_e_step, gmm_m_step, _resp_loglik, X, init, cfg)
 
 
@@ -326,30 +361,15 @@ def lca_m_step(data, resp, n_categories=None):
     renormalized.
     """
     X = np.atleast_2d(np.asarray(data, dtype=int))
-    gamma = resp.gamma
     N, J = X.shape
-    K = gamma.shape[1]
-    events = []
-    counts = gamma.sum(axis=0)
-    if np.any(counts < EMPTY_COMPONENT_COUNT):
-        gamma = gamma.copy()
-        for k in np.where(counts < EMPTY_COMPONENT_COUNT)[0]:
-            i = int(np.argmin(gamma.max(axis=1)))
-            gamma[i] = 0.0
-            gamma[i, k] = 1.0
-            events.append(f"class {k} empty; re-seeded at data point {i}")
-        counts = gamma.sum(axis=0)
-    weights = counts / counts.sum()
+    gamma, counts, events = _reseed_empty(resp.gamma, "class")
     tables = []
     for j in range(J):
         C = int(X[:, j].max()) + 1 if n_categories is None else int(n_categories[j])
         onehot = np.zeros((N, C))
         onehot[np.arange(N), X[:, j]] = 1.0
-        table = (gamma.T @ onehot) / counts[:, None]
-        table = np.maximum(table, PROB_FLOOR)
-        table /= table.sum(axis=1, keepdims=True)
-        tables.append(table)
-    params = LcaParams(weights, tuple(tables))
+        tables.append(_floored_rows((gamma.T @ onehot) / counts[:, None]))
+    params = LcaParams(counts / counts.sum(), tuple(tables))
     return (params, events) if events else params
 
 
@@ -364,18 +384,12 @@ def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
         raise ValueError("need at least K data points")
     if n_categories is None:
         n_categories = [int(X[:, j].max()) + 1 for j in range(J)]
+    elif np.any(X.max(axis=0) >= np.asarray(n_categories)):
+        raise ValueError("LCA category code out of range")
     if init is None:
         rng = RandomSource(cfg.seed).split(202)
-        tables = []
-        for j in range(J):
-            C = n_categories[j]
-            freq = np.bincount(X[:, j], minlength=C).astype(float) / N
-            freq = np.maximum(freq, PROB_FLOOR)
-            # +-10% seeded perturbation per class breaks the K=1 symmetry trap
-            noise = 1.0 + 0.1 * (2.0 * rng.uniform((K, C)) - 1.0)
-            table = freq[None, :] * noise
-            table /= table.sum(axis=1, keepdims=True)
-            tables.append(table)
+        tables = [_perturbed_rows(np.bincount(X[:, j], minlength=C).astype(float) / N, K, rng)
+                  for j, C in enumerate(n_categories)]
         init = LcaParams(np.full(K, 1.0 / K), tuple(tables))
 
     def m_step(d, resp):

@@ -14,7 +14,9 @@ sequences together. hmm_forward_backward, kalman_filter and kalman_smooth
 run the same kernels on a set of one sequence.
 
 Baum-Welch and LDS EM read sufficient statistics off the packed rows; the
-initial-state distribution pools the t=1 posteriors of all sequences.
+initial-state distribution pools the t=1 posteriors of all sequences. An HMM
+is a mixture whose component follows a Markov chain, so Baum-Welch takes its
+seeded start, weighted Gaussian M-step and probability floor from mixture.py.
 """
 from __future__ import annotations
 
@@ -26,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Gaussian, NumericError, RandomSource, check_finite,
-                   check_simplex_rows, chol_psd, float_list, gaussian_logpdf_rows,
-                   log_sum_exp_rows)
+                   check_simplex_rows, chol_psd, float_list, gaussian_logpdf_columns,
+                   normalize_log_rows)
 from .em import EmConfig, run_em
-from .mixture import _check_k, _cov_floor, _farthest_point_means
+from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
+                      _perturbed_rows, _weighted_gaussians)
 
 __all__ = [
     "DiscreteEmission", "GaussianEmission", "HmmParams", "LdsParams",
@@ -40,8 +43,6 @@ __all__ = [
     "lds_sample", "canonical_state_order", "hmm_to_json", "hmm_from_json",
 ]
 
-EMPTY_STATE_COUNT = 1e-8
-PROB_FLOOR = 1e-10
 RIDGE = 1e-9
 
 
@@ -90,9 +91,7 @@ class GaussianEmission:
         return self.means.shape[1]
 
     def log_liks(self, obs):
-        X = np.atleast_2d(np.asarray(obs, dtype=float))
-        return np.column_stack([gaussian_logpdf_rows(X, m, c)
-                                for m, c in zip(self.means, self.covs)])
+        return gaussian_logpdf_columns(obs, self.means, self.covs)
 
 
 @dataclass(frozen=True)
@@ -377,10 +376,7 @@ def _hmm_backward(post):
             nxt = logB_c[q:q + n] + log_beta[q:q + n]
             m = nxt.max(1, keepdims=True)
             log_beta[s:s + n] = log(exp(nxt - m) @ AT) + m
-    gamma = log_alpha + log_beta
-    gamma -= log_sum_exp_rows(gamma)[:, None]
-    np.exp(gamma, out=gamma)
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    gamma, _ = normalize_log_rows(log_alpha + log_beta)
     return dataclasses.replace(post, log_beta=log_beta, gamma=gamma)
 
 
@@ -414,8 +410,7 @@ def _hmm_m_step(pack, post, kind, n_symbols=None):
     pi = pi / pi.sum()
     trans_num = post.pairwise_sum()
     row = trans_num.sum(axis=1, keepdims=True)
-    empty = np.where(row[:, 0] < EMPTY_STATE_COUNT)[0]
-    for k in empty:
+    for k in np.where(row[:, 0] < EMPTY_COMPONENT_COUNT)[0]:
         trans_num[k] = 1.0 / K
         row[k] = 1.0
         events.append(f"state {k} saw no transitions; row reset to uniform")
@@ -425,33 +420,21 @@ def _hmm_m_step(pack, post, kind, n_symbols=None):
         counts = np.stack([np.bincount(pack.data, weights=g, minlength=n_symbols)
                            for g in gamma.T])
         occ = counts.sum(axis=1, keepdims=True)
-        for k in np.where(occ[:, 0] < EMPTY_STATE_COUNT)[0]:
+        for k in np.where(occ[:, 0] < EMPTY_COMPONENT_COUNT)[0]:
             counts[k] = 1.0
             occ[k] = n_symbols
             events.append(f"state {k} empty; emissions reset to uniform")
-        probs = np.maximum(counts / occ, PROB_FLOOR)
-        probs /= probs.sum(axis=1, keepdims=True)
-        emit = DiscreteEmission(probs)
+        emit = DiscreteEmission(_floored_rows(counts / occ))
     else:
-        X = pack.data
         G = gamma
         occ = G.sum(axis=0)
-        for k in np.where(occ < EMPTY_STATE_COUNT)[0]:
+        for k in np.where(occ < EMPTY_COMPONENT_COUNT)[0]:
             i = int(np.argmin(G.max(axis=1)[pack.index]))    # input-order point
             G = G.copy()
             G[pack.index[i]] = 0.0
             G[pack.index[i], k] = 1.0
             events.append(f"state {k} empty; re-seeded at pooled point {i}")
-        occ = G.sum(axis=0)
-        d = X.shape[1]
-        means = (G.T @ X) / occ[:, None]
-        covs = np.empty((K, d, d))
-        for k in range(K):
-            diff = X - means[k]
-            covs[k] = (G[:, k, None] * diff).T @ diff / occ[k]
-        floor = 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12)
-        covs = _cov_floor(covs, floor)
-        emit = GaussianEmission(means, covs)
+        emit = GaussianEmission(*_weighted_gaussians(pack.data, G, G.sum(axis=0)))
     params = HmmParams(pi, trans, emit)
     return (params, events) if events else params
 
@@ -467,25 +450,17 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
         flat = pack.data
         if n_symbols is None:
             n_symbols = int(flat.max()) + 1
+        elif flat.max() >= n_symbols:
+            raise ValueError("observation symbol out of range")
         if init is None:
             freq = np.bincount(flat, minlength=n_symbols).astype(float) / flat.size
-            freq = np.maximum(freq, PROB_FLOOR)
-            noise = 1.0 + 0.1 * (2.0 * rng.uniform((K, n_symbols)) - 1.0)
-            probs = freq[None, :] * noise
-            probs /= probs.sum(axis=1, keepdims=True)
-            tnoise = 1.0 + 0.1 * (2.0 * rng.uniform((K, K)) - 1.0)
-            trans = tnoise / tnoise.sum(axis=1, keepdims=True)
-            init = HmmParams(np.full(K, 1.0 / K), trans, DiscreteEmission(probs))
+            emit = DiscreteEmission(_perturbed_rows(freq, K, rng))
     elif init is None:
-        X = pack.unpack(pack.data)           # input order for the seeded init
-        means = _farthest_point_means(X, K, rng)
-        d = X.shape[1]
-        gcov = np.cov(X.T, bias=True).reshape(d, d)
-        gcov = _cov_floor(gcov[None], 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12))[0]
-        tnoise = 1.0 + 0.1 * (2.0 * rng.uniform((K, K)) - 1.0)
-        trans = tnoise / tnoise.sum(axis=1, keepdims=True)
-        init = HmmParams(np.full(K, 1.0 / K), trans,
-                         GaussianEmission(means, np.repeat(gcov[None], K, axis=0)))
+        # input order for the seeded start
+        emit = GaussianEmission(*_gaussian_start(pack.unpack(pack.data), K, rng))
+    if init is None:
+        # the transitions draw from the stream after the emissions
+        init = HmmParams(np.full(K, 1.0 / K), _perturbed_rows(np.ones(K), K, rng), emit)
 
     # The E-step is the forward pass alone, which gives the log-likelihood;
     # the backward pass runs in the M-step, so the final E-step skips it.

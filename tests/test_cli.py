@@ -190,6 +190,28 @@ def test_lda_cli(tmp_path):
     assert np.asarray(params["topic_word"]).shape == (2, 5)
 
 
+def test_blank_corpus_is_usage_error(tmp_path, capsys):
+    from latentlab.lda import LdaHyper, generate_corpus
+    corpus, _ = generate_corpus(LdaHyper(np.ones(2), np.ones(4), 2, 4), [10] * 4,
+                                RandomSource(6))
+    data = tmp_path / "corpus.txt"
+    write_corpus(data, corpus)
+    model = tmp_path / "lda.json"
+    assert main(["fit", "lda", "--data", str(data), "--k", "2", "--vocab", "4",
+                 "--max-iters", "5", "--out", str(model)]) == 0
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n\t\n")
+    empty_model = tmp_path / "empty.json"
+    capsys.readouterr()
+    for argv in (["fit", "lda", "--data", str(blank), "--vocab", "4", "--out", str(empty_model)],
+                 ["eval", str(model), "--data", str(blank)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "empty file" in err and "Traceback" not in err
+    assert not empty_model.exists()
+    assert not (tmp_path / "empty.json.trace.csv").exists()
+
+
 def test_numeric_failure_exit_code_1(tmp_path):
     # an LDS with C = 0 and R = 0 has an exactly singular innovation
     # covariance: eval must fail numerically with exit code 1

@@ -141,6 +141,15 @@ def test_m_step_empty_component_rescue():
     assert params.n_components == 2
 
 
+def test_lca_m_step_empty_class_rescue():
+    X = np.array([[0, 1], [1, 0], [1, 1], [0, 0]])
+    gamma = np.zeros((4, 2))
+    gamma[:, 0] = 1.0
+    params, events = lca_m_step(X, Responsibilities(gamma))
+    assert events == ["class 1 empty; re-seeded at data point 0"]
+    assert np.allclose(params.weights, [0.75, 0.25])
+
+
 # -- fit_gmm ---------------------------------------------------------------------
 
 def test_fit_recovers_separated_clusters():

@@ -170,6 +170,25 @@ def test_hmm_fit_gaussian_emissions():
     assert np.all(np.diff(report.objective_trace) >= -1e-8)
 
 
+@pytest.mark.parametrize("kind, event", [
+    ("discrete", "state 1 empty; emissions reset to uniform"),
+    ("gaussian", "state 1 empty; re-seeded at pooled point 0"),
+])
+def test_hmm_fit_reports_empty_state_rescue(kind, event):
+    # pi = [1, 0] with trans = I never visits state 1
+    if kind == "discrete":
+        obs = [np.array([0, 1, 2, 1]), np.array([2, 2, 0])]
+        emit = DiscreteEmission(np.full((2, 3), 1.0 / 3.0))
+    else:
+        rng = RandomSource(3)
+        obs = [rng.standard_normal((T, 2)) + 3.0 * ((np.arange(T) // 4) % 2)[:, None]
+               for T in (5, 3)]
+        emit = GaussianEmission(np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
+    init = HmmParams([1.0, 0.0], np.eye(2), emit)
+    _params, report = hmm_fit(obs, 2, kind, EmConfig(max_iters=1), init=init)
+    assert report.events == ["state 1 saw no transitions; row reset to uniform", event]
+
+
 def test_hmm_multiple_sequences():
     true = _random_hmm(8, K=2, S=3)
     seqs = [hmm_sample(true, 300, RandomSource(80 + i))[1] for i in range(4)]
