@@ -188,15 +188,20 @@ def _var_floor(X):
 
 def _reseed_empty(gamma, what):
     """(gamma, counts, events) with every effectively empty column re-seeded
-    at the most ambiguous row (lowest maximum weight); gamma is copied only
-    when a column is re-seeded."""
+    at a row of its own: the most ambiguous rows (lowest maximum weight,
+    ties by index) go to the empty columns in order. gamma is copied only
+    when a column is re-seeded. Raises ValueError when there are more empty
+    columns than rows."""
     counts = gamma.sum(axis=0)
     empty = np.where(counts < EMPTY_COMPONENT_COUNT)[0]
     events = []
+    if empty.size > gamma.shape[0]:
+        raise ValueError(f"{empty.size} empty {what} columns but only "
+                         f"{gamma.shape[0]} data points to re-seed them at")
     if empty.size:
+        rows = np.argsort(gamma.max(axis=1), kind="stable")
         gamma = gamma.copy()
-        for k in empty:
-            i = int(np.argmin(gamma.max(axis=1)))
+        for k, i in zip(empty, rows.tolist()):
             gamma[i] = 0.0
             gamma[i, k] = 1.0
             events.append(f"{what} {k} empty; re-seeded at data point {i}")

@@ -5,19 +5,47 @@ The op surface is the smallest one the deep generative modules need: affine
 layers, elementwise nonlinearities, reductions, log-softmax, column
 gather/concat. A Tensor records its parents and a backward closure; calling
 backward() on a scalar loss accumulates gradients into every reachable leaf
-that has requires_grad set.
+that has requires_grad set. The first contribution to a gradient is copied,
+later ones are added in place, in reverse depth-first order from the loss.
+
+A dense layer act(h @ W + b) is one node (dense(), used by Mlp.forward). Its
+backward runs the expressions of the matmul, bias-add and activation ops it
+stands for, so a fused layer gives the same bits as the three-op chain.
+
+AdamState holds the first and second moments of all parameters as two flat
+vectors. adam_step updates them in one pass over the concatenated gradients
+and rebinds each parameter's values to a view of one new flat vector; it
+never writes an array a caller or a finished tape may still hold.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Tensor", "Mlp", "AdamState", "forward", "backward", "adam_step",
            "concat", "zero_grad", "fit_minibatch", "check_counts"]
 
-ACTIVATIONS = ("tanh", "relu", "identity", "sigmoid", "softplus")
+
+def _sigmoid(x):
+    """Logistic function; exp(-|x|) is evaluated once and never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# name -> (forward, backward); backward(g, x, y) is the gradient at the input
+# x given the output y = forward(x) and the output gradient g. The standalone
+# ops and the fused dense node share these expressions, so both give the same
+# bits. identity has no node of its own.
+_ACTIVATION_FNS = {
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0)),
+    "identity": (None, None),
+    "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
+    "softplus": (lambda x: np.logaddexp(0.0, x), lambda g, x, y: g * _sigmoid(x)),
+}
+ACTIVATIONS = tuple(_ACTIVATION_FNS)
 
 
 def _unbroadcast(grad, shape):
@@ -167,35 +195,25 @@ class Tensor:
         out._backward = (lambda g: _accum(self, g / self.values)) if self.requires_grad else None
         return out
 
-    def tanh(self):
-        vals = np.tanh(self.values)
-        out = Tensor(vals, (self,))
-        out._backward = (lambda g: _accum(self, g * (1.0 - vals * vals))) if self.requires_grad else None
-        return out
-
-    def relu(self):
-        vals = np.maximum(self.values, 0.0)
-        out = Tensor(vals, (self,))
-        out._backward = (lambda g: _accum(self, g * (self.values > 0))) if self.requires_grad else None
-        return out
-
-    def sigmoid(self):
-        vals = np.where(self.values >= 0,
-                        1.0 / (1.0 + np.exp(-np.abs(self.values))),
-                        np.exp(-np.abs(self.values)) / (1.0 + np.exp(-np.abs(self.values))))
-        out = Tensor(vals, (self,))
-        out._backward = (lambda g: _accum(self, g * vals * (1.0 - vals))) if self.requires_grad else None
-        return out
-
-    def softplus(self):
-        vals = np.logaddexp(0.0, self.values)
+    def _activate(self, name):
+        fn, grad_fn = _ACTIVATION_FNS[name]
+        vals = fn(self.values)
         out = Tensor(vals, (self,))
         if self.requires_grad:
-            sig = np.where(self.values >= 0,
-                           1.0 / (1.0 + np.exp(-np.abs(self.values))),
-                           np.exp(-np.abs(self.values)) / (1.0 + np.exp(-np.abs(self.values))))
-            out._backward = lambda g: _accum(self, g * sig)
+            out._backward = lambda g: _accum(self, grad_fn(g, self.values, vals))
         return out
+
+    def tanh(self):
+        return self._activate("tanh")
+
+    def relu(self):
+        return self._activate("relu")
+
+    def sigmoid(self):
+        return self._activate("sigmoid")
+
+    def softplus(self):
+        return self._activate("softplus")
 
     def abs(self):
         out = Tensor(np.abs(self.values), (self,))
@@ -219,7 +237,7 @@ class Tensor:
                 gg = np.asarray(g)
                 if axis is not None and not keepdims:
                     gg = np.expand_dims(gg, axis)
-                _accum(self, np.broadcast_to(gg, self.values.shape).copy())
+                _accum(self, gg)
             out._backward = bw
         return out
 
@@ -257,9 +275,38 @@ class Tensor:
 
 
 def _accum(t, g):
+    """Add g to t.grad. The first contribution is copied, broadcast to t's
+    shape: g may be an array another node still reads."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        g = np.array(g, dtype=float)
+        t.grad = g if g.shape == t.values.shape else np.array(np.broadcast_to(g, t.values.shape))
+    else:
+        t.grad += g
+
+
+def dense(h, W, b, activation):
+    """act(h @ W + b) for a (batch, in) h, (in, out) W and (out,) b, as one
+    tape node. Its backward applies the activation derivative, then forms
+    the bias sum, g @ W.T (only when h needs a grad) and h.T @ g."""
+    fn, grad_fn = _ACTIVATION_FNS[activation]
+    x, w = h.values, W.values
+    pre = x @ w + b.values
+    vals = pre if fn is None else fn(pre)
+    # backward() walks parents last to first; in this order it reaches b, W
+    # and h as it did through the bias-add and matmul nodes, so every
+    # gradient still sums its contributions in the same order.
+    out = Tensor(vals, (h, W, b))
+    def bw(g):
+        if grad_fn is not None:
+            g = grad_fn(g, pre, vals)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.values.shape))
+        if h.requires_grad:
+            _accum(h, g @ w.T)
+        if W.requires_grad:
+            _accum(W, x.T @ g)
+    out._backward = bw
+    return out
 
 
 def concat(tensors, axis=0):
@@ -372,15 +419,7 @@ class Mlp:
             raise ValueError(f"input shape {x.values.shape} does not match in_dim {self.in_dim}")
         h = x
         for W, b, act in zip(self.weights, self.biases, self.activations):
-            h = h @ W + b
-            if act == "tanh":
-                h = h.tanh()
-            elif act == "relu":
-                h = h.relu()
-            elif act == "sigmoid":
-                h = h.sigmoid()
-            elif act == "softplus":
-                h = h.softplus()
+            h = dense(h, W, b, act)
         return h
 
 
@@ -391,30 +430,59 @@ def forward(mlp, x):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators; t counts completed steps."""
+    """First/second moments of all parameters, flattened and concatenated in
+    params order (None before the first step); t counts completed steps."""
 
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
 def adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update, in place on params; returns state."""
-    if not state.m:
-        state.m = [np.zeros_like(p.values) for p in params]
-        state.v = [np.zeros_like(p.values) for p in params]
+    """One bias-corrected Adam update of params; returns state.
+
+    The update runs once over the concatenated gradients. Each p.values is
+    then rebound to a view of one new flat parameter vector: arrays held
+    before the step are never written. A parameter whose gradient is None
+    keeps its values and its moments.
+    """
+    present = [g is not None for g in grads]
+    if not any(present):
+        state.t += 1
+        return state
+    theta = np.concatenate([p.values.ravel() for p in params])
+    if state.m is None:
+        state.m = np.zeros_like(theta)
+        state.v = np.zeros_like(theta)
+    elif state.m.size != theta.size:
+        raise ValueError("parameter sizes changed since the first Adam step")
     state.t += 1
     t = state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            continue
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+    if all(present):
+        live = slice(None)
+    else:
+        live = np.repeat(present, [p.values.size for p in params])
+    g = np.concatenate([np.ravel(g) for g in grads if g is not None])
+    m = state.m[live]
+    v = state.v[live]
+    if g.size != m.size:
+        raise ValueError("gradient sizes do not match the parameters")
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    if not all(present):
+        state.m[live] = m
+        state.v[live] = v
+    m_hat = m / (1 - beta1 ** t)
+    v_hat = v / (1 - beta2 ** t)
+    theta[live] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    start = 0
+    for p, g in zip(params, grads):
+        size = p.values.size
+        if g is not None:
+            p.values = theta[start:start + size].reshape(p.values.shape)
+        start += size
     return state
 
 

@@ -150,6 +150,36 @@ def test_lca_m_step_empty_class_rescue():
     assert np.allclose(params.weights, [0.75, 0.25])
 
 
+def test_m_steps_reseed_two_empty_columns_at_distinct_rows():
+    # every row is one-hot, so every row ties for "most ambiguous"; each
+    # empty column still needs a row of its own
+    gamma = np.zeros((30, 3))
+    gamma[:, 0] = 1.0
+    X = RandomSource(31).standard_normal((30, 2))
+    params, events = gmm_m_step(X, Responsibilities(gamma))
+    assert np.all(np.isfinite(params.means))
+    assert events == ["component 1 empty; re-seeded at data point 0",
+                      "component 2 empty; re-seeded at data point 1"]
+    assert np.allclose(params.weights, [28 / 30, 1 / 30, 1 / 30])
+    codes = RandomSource(32).integers(0, 3, (30, 4))
+    params, events = lca_m_step(codes, Responsibilities(gamma))
+    assert events == ["class 1 empty; re-seeded at data point 0",
+                      "class 2 empty; re-seeded at data point 1"]
+    for table in params.item_probs:
+        assert np.allclose(table.sum(axis=1), 1.0)
+
+
+def test_m_steps_reject_more_empty_columns_than_rows():
+    gamma = np.zeros((2, 4))
+    gamma[:, 0] = 1.0
+    X = RandomSource(33).standard_normal((2, 2))
+    with pytest.raises(ValueError, match="3 empty component columns but only 2 data points"):
+        gmm_m_step(X, Responsibilities(gamma))
+    codes = RandomSource(34).integers(0, 3, (2, 4))
+    with pytest.raises(ValueError, match="3 empty class columns but only 2 data points"):
+        lca_m_step(codes, Responsibilities(gamma))
+
+
 # -- fit_gmm ---------------------------------------------------------------------
 
 def test_fit_recovers_separated_clusters():

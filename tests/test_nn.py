@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from latentlab.core import RandomSource
-from latentlab.nn import (AdamState, Mlp, Tensor, adam_step, backward, concat,
-                          forward, zero_grad)
+from latentlab.nn import (ACTIVATIONS, AdamState, Mlp, Tensor, adam_step, backward,
+                          concat, dense, forward, zero_grad)
 
 
 def finite_diff(f, params, eps=1e-4):
@@ -191,7 +191,101 @@ def test_gradcheck_matmul_broadcast_bias():
     assert_grads_match(loss_fn, [W, b])
 
 
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_gradcheck_dense_node(act, input_grad):
+    rng = RandomSource(40)
+    X = rng.standard_normal((5, 3)) * 0.7
+    h = Tensor.param(X) if input_grad else Tensor(X)
+    W = Tensor.param(rng.standard_normal((3, 4)))
+    b = Tensor.param(0.1 * rng.standard_normal(4))
+
+    def loss_fn():
+        out = dense(h, W, b, act)
+        return ((out * out).sum() + out.sum()) * 0.37
+
+    assert_grads_match(loss_fn, [W, b] + ([h] if input_grad else []))
+    if not input_grad:
+        assert h.grad is None
+
+
+def test_first_gradient_contribution_is_copied():
+    # the node of a + b hands one array to both operands; a then gets a
+    # second contribution, which must not reach b's gradient
+    a = Tensor.param(np.array([1.0, 2.0]))
+    b = Tensor.param(np.array([3.0, 4.0]))
+    backward((a + b).sum() + (a * 2.0).sum())
+    assert np.array_equal(a.grad, [3.0, 3.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+
+
+def test_mlp_forward_records_one_node_per_layer():
+    mlp = Mlp.create([3, 4, 2], ["tanh", "identity"], RandomSource(41))
+    x = Tensor(np.ones((2, 3)))
+    out = mlp.forward(x)
+    hidden = out.parents[0]
+    assert out.parents == (hidden, mlp.weights[1], mlp.biases[1])
+    assert hidden.parents == (x, mlp.weights[0], mlp.biases[0])
+
+
 # -- adam ----------------------------------------------------------------------
+
+def _adam_reference(values, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam on one array, step by step."""
+    m = np.zeros_like(values)
+    v = np.zeros_like(values)
+    for t, g in enumerate(grads, start=1):
+        m = m * beta1 + (1 - beta1) * g
+        v = v * beta2 + (1 - beta2) * g * g
+        values = values - lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
+    return values
+
+
+def test_adam_none_gradient_leaves_param_and_moments():
+    a = Tensor.param(np.array([[1.0, -2.0], [0.5, 3.0]]))
+    b = Tensor.param(np.array([4.0, -5.0, 6.0]))
+    b_before = b.values
+    state = AdamState()
+    g1, g2 = np.array([[0.3, -0.1], [0.2, 0.4]]), np.array([[-0.5, 0.2], [0.1, 0.0]])
+    state = adam_step([a, b], [g1, None], state)
+    state = adam_step([a, b], [g2, None], state)
+    assert b.values is b_before
+    assert np.array_equal(b.values, [4.0, -5.0, 6.0])
+    assert np.array_equal(state.m[4:], np.zeros(3)) and np.array_equal(state.v[4:], np.zeros(3))
+    assert state.t == 2
+    assert np.array_equal(a.values, _adam_reference(np.array([[1.0, -2.0], [0.5, 3.0]]), [g1, g2]))
+    # the moments of b start from zero once it gets a gradient
+    state = adam_step([a, b], [g1, np.ones(3)], state)
+    assert np.array_equal(state.m[4:], np.full(3, 1 - 0.9))
+
+
+def test_adam_reads_values_reassigned_between_steps():
+    p = Tensor.param(np.array([1.0, 2.0]))
+    q = Tensor.param(np.array([3.0]))
+    state = adam_step([p, q], [np.array([0.5, -0.5]), np.array([1.0])], AdamState(), lr=0.1)
+    p.values = np.array([10.0, 20.0])                # as from_json and the tests do
+    state = adam_step([p, q], [np.array([0.5, -0.5]), np.array([1.0])], state, lr=0.1)
+    # the second step moves the new values by the second Adam step
+    one = _adam_reference(np.zeros(2), [np.array([0.5, -0.5])], lr=0.1)
+    two = _adam_reference(np.zeros(2), [np.array([0.5, -0.5])] * 2, lr=0.1)
+    assert np.allclose(p.values, np.array([10.0, 20.0]) + (two - one), rtol=0, atol=1e-12)
+    assert np.array_equal(q.values, _adam_reference(np.array([3.0]), [np.array([1.0])] * 2,
+                                                    lr=0.1))
+
+
+def test_adam_never_writes_a_held_array():
+    W = Tensor.param(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = Tensor.param(np.array([0.5, -0.5]))
+    state = AdamState()
+    for _ in range(3):
+        held = [W.values, b.values]
+        saved = [a.copy() for a in held]
+        state = adam_step([W, b], [np.ones((2, 2)), np.ones(2)], state, lr=0.1)
+        for p, h, s in zip((W, b), held, saved):
+            assert p.values is not h and p.values.shape == h.shape
+            assert np.array_equal(h, s)
+            assert np.all(p.values < h)
+
 
 def test_adam_zero_gradient_no_move():
     p = Tensor.param(np.array([1.0, -2.0]))
