@@ -10,7 +10,6 @@ commands it supports is its record in families.FAMILIES.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -109,8 +108,7 @@ def _build_parser():
 
 def _apply_config(args, argv):
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            defaults = json.load(fh)
+        defaults = datasets.read_json_object(args.config)
         unknown = [k for k in defaults if not hasattr(args, k.replace("-", "_"))]
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -229,8 +227,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_synth(args):
-    with open(args.spec) as fh:
-        doc = json.load(fh)
+    doc = datasets.read_json_object(args.spec)
     spec = datasets.SyntheticSpec(doc["family"], doc.get("params", {}),
                                   n=doc.get("n", 0),
                                   lengths=tuple(doc.get("lengths", ())),
@@ -270,10 +267,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"latentlab: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"latentlab: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"latentlab: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -9,23 +9,23 @@ per line; versioned JSON model files carrying the RNG algorithm id.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
+import latentlab as pkg
 from .core import RNG_ALGORITHM, RandomSource, sample_categorical_many
 from . import families
-from . import mixture as mixture_mod
-from . import irt as irt_mod
-from . import lda as lda_mod
-from . import sequential as seq_mod
 
 __all__ = ["SyntheticSpec", "generate", "read_csv", "write_csv", "read_seq",
            "write_seq", "read_corpus", "write_corpus", "write_model",
-           "read_model", "MODEL_SCHEMA"]
+           "read_model", "read_json_object", "MODEL_SCHEMA"]
 
 MODEL_SCHEMA = "latentlab-model-v1"
 FMT = "%.17g"
+# ASCII separators that np.loadtxt strips around a number and float() rejects.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 SYNTHETIC_FAMILIES = ("ppca", "gmm", "lca", "irt", "lda", "hmm", "ghmm", "lds",
                       "mixture1d", "blobs2d")
@@ -44,6 +44,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.family not in SYNTHETIC_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError("spec params must be a JSON object")
         object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
 
 
@@ -55,10 +57,10 @@ def generate(spec):
     fam = spec.family
     p = spec.params
     if fam == "lda":
-        hyper = lda_mod.LdaHyper(np.asarray(p["alpha"], dtype=float),
+        hyper = pkg.lda.LdaHyper(np.asarray(p["alpha"], dtype=float),
                                  np.asarray(p["beta"], dtype=float),
                                  int(p["K"]), int(p["V"]))
-        corpus, latents = lda_mod.generate_corpus(hyper, spec.lengths, rng)
+        corpus, latents = pkg.lda.generate_corpus(hyper, spec.lengths, rng)
         return corpus, latents, hyper
     if fam == "blobs2d":
         sep = float(p.get("separation", 10.0))
@@ -72,16 +74,16 @@ def generate(spec):
             + np.sqrt(params.sigma2) * rng.standard_normal((spec.n, params.data_dim))
         return X, {"latents": Z}, params
     if fam == "gmm":
-        X, z = mixture_mod.gmm_sample(params, spec.n, rng)
+        X, z = pkg.mixture.gmm_sample(params, spec.n, rng)
         return X, {"assignments": z}, params
     if fam == "lca":
-        X, z = mixture_mod.lca_sample(params, spec.n, rng)
+        X, z = pkg.mixture.lca_sample(params, spec.n, rng)
         return X, {"assignments": z}, params
     if fam == "irt":
-        X, theta = irt_mod.sample(params, spec.n, rng)
+        X, theta = pkg.irt.sample(params, spec.n, rng)
         return X, {"abilities": theta}, params
     if fam in ("hmm", "ghmm", "lds"):
-        sample = seq_mod.lds_sample if fam == "lds" else seq_mod.hmm_sample
+        sample = pkg.sequential.lds_sample if fam == "lds" else pkg.sequential.hmm_sample
         paths, seqs = [], []
         for T in spec.lengths:
             states, obs = sample(params, T, rng)
@@ -102,13 +104,13 @@ def generate(spec):
 # CSV and sequence I/O
 
 def write_csv(path, data, header=None):
+    """A header row, then one row of 17-significant-digit values per row of data."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    cols = header or [f"x{j}" for j in range(X.shape[1])]
-    lines = [",".join(cols)]
-    for row in X:
-        lines.append(",".join(FMT % v for v in row))
+    n, d = X.shape
+    cols = header or [f"x{j}" for j in range(d)]
+    row = ",".join([FMT] * d) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(cols) + "\n" + (row * n) % tuple(X.ravel().tolist()))
 
 
 def _lines(path):
@@ -123,10 +125,24 @@ def _lines(path):
 
 
 def read_csv(path):
+    """The data rows of a CSV under a header row, as an (n, width) float array
+    ((0,) when there are none). numpy's C parser reads a well-formed file; any
+    other goes through the line parser, which names the line at fault."""
     lines = _lines(path)
-    rows = []
     width = len(lines[0].split(","))
-    for lineno, line in enumerate(lines[1:], start=2):
+    data = lines[1:]
+    text = "\n".join(data)
+    if data and not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                X = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+            if X.shape[1] == width:
+                return X
+        except (ValueError, Warning):
+            pass    # the line parser below names the line at fault
+    rows = []
+    for lineno, line in enumerate(data, start=2):
         parts = line.split(",")
         if len(parts) != width:
             raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(parts)}")
@@ -190,7 +206,7 @@ def read_corpus(path, V=None):
             raise ValueError(f"{path}: line {lineno}: malformed word index")
     if V is None:
         V = int(max(d.max() for d in docs)) + 1
-    return lda_mod.Corpus(tuple(docs), V)
+    return pkg.lda.Corpus(tuple(docs), V)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +229,25 @@ def write_model(path, family, params, config=None):
         fh.write("\n")
 
 
-def read_model(path):
+def read_json_object(path):
+    """The JSON object a file holds; anything else is a ValueError naming the file."""
     with open(path, "r") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def read_model(path):
+    doc = read_json_object(path)
     if doc.get("schema") != MODEL_SCHEMA:
         raise ValueError(f"{path}: unknown model schema {doc.get('schema')!r}")
-    family = doc["family"]
-    return family, _family(family, "load").from_json(doc["params"]), doc.get("config", {})
+    family, params, config = doc.get("family"), doc.get("params"), doc.get("config", {})
+    if not isinstance(family, str):
+        raise ValueError(f"{path}: no family name")
+    if not isinstance(params, dict) or not isinstance(config, dict):
+        raise ValueError(f"{path}: params and config must be JSON objects")
+    return family, _family(family, "load").from_json(params), config

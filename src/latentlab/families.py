@@ -3,8 +3,10 @@
 A record names the family's input kind, the fit flags its fit reads (a
 model's config keeps exactly these), the function behind each command it
 supports (None where a command is undefined) and its parameters' JSON form.
-Records call model functions through their module at call time, so a tool
-that rebinds module attributes (a tracer, a test fake) sees every call.
+Records name their model module through the package (`pkg.mixture.fit_gmm`)
+and look it up at call time. So a command imports only its own family's
+module, and a tool that rebinds module attributes (a tracer, a test fake)
+sees every call.
 """
 from __future__ import annotations
 
@@ -13,8 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import arm, diffusion, flow, gan, irt, lda, mixture, nn, ppca, vae
-from . import sequential as seq
+import latentlab as pkg
 from .core import RandomSource, fields_from_json, fields_to_json
 from .em import EmConfig
 
@@ -49,7 +50,7 @@ class Family:
 
 
 def _network(value):
-    return nn.Mlp.from_json(value) if isinstance(value, dict) else value
+    return pkg.nn.Mlp.from_json(value) if isinstance(value, dict) else value
 
 
 def _em_cfg(args, default_rel_tol=1e-7):
@@ -68,12 +69,12 @@ def _columns(prefix, rows):
 
 def _quadrature(config):
     """The quadrature an IRT model was fitted with (older files: the default)."""
-    return irt.default_quadrature(int(config.get("quad_nodes", irt.DEFAULT_NODES)))
+    return pkg.irt.default_quadrature(int(config.get("quad_nodes", pkg.irt.DEFAULT_NODES)))
 
 
 def _fit_lda(corpus, args, _rng):
-    hyper = lda.LdaHyper(args.alpha, args.beta, args.k, corpus.V)
-    var, report = lda.fit_lda(hyper, corpus, _em_cfg(args, default_rel_tol=1e-6))
+    hyper = pkg.lda.LdaHyper(args.alpha, args.beta, args.k, corpus.V)
+    var, report = pkg.lda.fit_lda(hyper, corpus, _em_cfg(args, default_rel_tol=1e-6))
     model = {"hyper": hyper, "doc_topic": var.doc_topic, "topic_word": var.topic_word}
     return model, report.objective_trace, report
 
@@ -82,140 +83,148 @@ def _lda_loglik(model, corpus, _config, _seed):
     """The bound of each document under the model's fitted topics, the topic
     terms split evenly across the documents."""
     hyper = model["hyper"]
-    corpus = lda.Corpus(corpus.docs, hyper.V)
-    var, _report = lda.fit_documents(hyper, corpus, model["topic_word"],
-                                     EmConfig(max_iters=200, rel_tol=1e-6))
-    return lda.document_elbo(hyper, corpus, var)
+    corpus = pkg.lda.Corpus(corpus.docs, hyper.V)
+    var, _report = pkg.lda.fit_documents(hyper, corpus, model["topic_word"],
+                                         EmConfig(max_iters=200, rel_tol=1e-6))
+    return pkg.lda.document_elbo(hyper, corpus, var)
 
 
 def _hmm_infer(params, seqs, _config):
-    post = seq.hmm_infer(params, seqs)
+    post = pkg.sequential.hmm_infer(params, seqs)
     return _columns("p", post.pack.unpack(post.gamma))
 
 
 def _lds_infer(params, seqs, _config):
-    post = seq.lds_infer(params, seqs)
+    post = pkg.sequential.lds_infer(params, seqs)
     return _columns("z", post.pack.unpack(post.means))
 
 
 def _fit_vae(X, args, rng):
-    model = vae.make_vae(X.shape[1], args.latent_dim, rng, hidden=args.hidden,
-                         likelihood=args.likelihood, sigma_dec=args.sigma_dec)
-    return model, vae.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
+    model = pkg.vae.make_vae(X.shape[1], args.latent_dim, rng, hidden=args.hidden,
+                             likelihood=args.likelihood, sigma_dec=args.sigma_dec)
+    return model, pkg.vae.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 
 def _fit_flow(X, args, rng):
-    model = flow.make_coupling_stack(X.shape[1], args.layers, rng, hidden=args.hidden)
-    return model, flow.fit(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
+    model = pkg.flow.make_coupling_stack(X.shape[1], args.layers, rng, hidden=args.hidden)
+    return model, pkg.flow.fit(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 
 def _fit_diffusion(X, args, rng):
-    model = diffusion.make_diffusion(X.shape[1], rng, T=args.T, hidden=args.hidden)
-    return model, diffusion.train(model, X, args.epochs, args.batch, rng.split(7),
-                                  lr=args.lr), None
+    model = pkg.diffusion.make_diffusion(X.shape[1], rng, T=args.T, hidden=args.hidden)
+    return model, pkg.diffusion.train(model, X, args.epochs, args.batch, rng.split(7),
+                                      lr=args.lr), None
 
 
 def _fit_arm(X, args, rng):
-    model = arm.make_ar_model(args.seq_len or X.shape[1], args.alphabet or int(X.max()) + 1,
-                              rng, hidden=args.hidden)
-    return model, arm.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
+    model = pkg.arm.make_ar_model(args.seq_len or X.shape[1], args.alphabet or int(X.max()) + 1,
+                                  rng, hidden=args.hidden)
+    return model, pkg.arm.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 
 def _fit_gan(X, args, rng):
-    model = gan.make_gan(X.shape[1], args.latent_dim, rng, hidden=args.hidden)
-    disc_trace, _gen_trace = gan.train(model, X, args.steps, args.batch, rng.split(7), lr=args.lr)
+    model = pkg.gan.make_gan(X.shape[1], args.latent_dim, rng, hidden=args.hidden)
+    disc_trace, _gen_trace = pkg.gan.train(model, X, args.steps, args.batch, rng.split(7),
+                                           lr=args.lr)
     return model, disc_trace, None
 
 
 _HMM = Family(
     "seq", ("k",) + EM_FLAGS,
-    to_json=lambda p: seq.hmm_to_json(p), from_json=lambda o: seq.hmm_from_json(o),
-    fit=lambda S, a, _r: _em_fit(seq.hmm_fit(S, a.k, "discrete", _em_cfg(a))),
-    sample=lambda p, n, rng: np.asarray(seq.hmm_sample(p, n, rng)[1], dtype=float)[:, None],
-    loglik=lambda p, S, _c, _s: seq.hmm_infer(p, S, smooth=False).logliks,
+    to_json=lambda p: pkg.sequential.hmm_to_json(p),
+    from_json=lambda o: pkg.sequential.hmm_from_json(o),
+    fit=lambda S, a, _r: _em_fit(pkg.sequential.hmm_fit(S, a.k, "discrete", _em_cfg(a))),
+    sample=lambda p, n, rng: np.asarray(pkg.sequential.hmm_sample(p, n, rng)[1],
+                                        dtype=float)[:, None],
+    loglik=lambda p, S, _c, _s: pkg.sequential.hmm_infer(p, S, smooth=False).logliks,
     infer=_hmm_infer)
 
 FAMILIES = {
     "ppca": Family(
         "matrix", ("latent_dim",) + EM_FLAGS,
-        to_json=lambda p: fields_to_json(ppca.canonicalize(p)),
-        from_json=lambda o: fields_from_json(ppca.PpcaParams, o),
-        fit=lambda X, a, _r: _em_fit(ppca.fit_em(X, a.latent_dim, _em_cfg(a))),
-        sample=lambda p, n, rng: ppca.sample(p, n, rng),
-        sample_posterior=lambda p, n, rng, given: ppca.sample(p, n, rng, mode="posterior",
-                                                              given=given),
-        loglik=lambda p, X, _c, _s: ppca.loglik_rows(p, X),
-        infer=lambda p, X, _c: _columns("z", ppca.posterior_means(p, X)),
-        reconstruct=lambda p, X: ppca.reconstruct(p, X)),
+        to_json=lambda p: fields_to_json(pkg.ppca.canonicalize(p)),
+        from_json=lambda o: fields_from_json(pkg.ppca.PpcaParams, o),
+        fit=lambda X, a, _r: _em_fit(pkg.ppca.fit_em(X, a.latent_dim, _em_cfg(a))),
+        sample=lambda p, n, rng: pkg.ppca.sample(p, n, rng),
+        sample_posterior=lambda p, n, rng, given: pkg.ppca.sample(p, n, rng, mode="posterior",
+                                                                  given=given),
+        loglik=lambda p, X, _c, _s: pkg.ppca.loglik_rows(p, X),
+        infer=lambda p, X, _c: _columns("z", pkg.ppca.posterior_means(p, X)),
+        reconstruct=lambda p, X: pkg.ppca.reconstruct(p, X)),
     "gmm": Family(
         "matrix", ("k",) + EM_FLAGS,
-        to_json=lambda p: mixture.gmm_to_json(p),
-        from_json=lambda o: fields_from_json(mixture.GmmParams, o),
-        fit=lambda X, a, _r: _em_fit(mixture.fit_gmm(X, a.k, _em_cfg(a))),
-        sample=lambda p, n, rng: mixture.gmm_sample(p, n, rng)[0],
-        loglik=lambda p, X, _c, _s: mixture.gmm_loglik_rows(p, X),
-        infer=lambda p, X, _c: _columns("gamma", mixture.gmm_e_step(p, X).gamma)),
+        to_json=lambda p: pkg.mixture.gmm_to_json(p),
+        from_json=lambda o: fields_from_json(pkg.mixture.GmmParams, o),
+        fit=lambda X, a, _r: _em_fit(pkg.mixture.fit_gmm(X, a.k, _em_cfg(a))),
+        sample=lambda p, n, rng: pkg.mixture.gmm_sample(p, n, rng)[0],
+        loglik=lambda p, X, _c, _s: pkg.mixture.gmm_loglik_rows(p, X),
+        infer=lambda p, X, _c: _columns("gamma", pkg.mixture.gmm_e_step(p, X).gamma)),
     "lca": Family(
         "matrix", ("k",) + EM_FLAGS,
-        to_json=lambda p: mixture.lca_to_json(p),
-        from_json=lambda o: fields_from_json(mixture.LcaParams, o),
-        fit=lambda X, a, _r: _em_fit(mixture.fit_lca(X, a.k, _em_cfg(a))),
-        sample=lambda p, n, rng: mixture.lca_sample(p, n, rng)[0],
-        loglik=lambda p, X, _c, _s: mixture.lca_loglik_rows(p, X),
-        infer=lambda p, X, _c: _columns("gamma", mixture.lca_e_step(p, X).gamma)),
+        to_json=lambda p: pkg.mixture.lca_to_json(p),
+        from_json=lambda o: fields_from_json(pkg.mixture.LcaParams, o),
+        fit=lambda X, a, _r: _em_fit(pkg.mixture.fit_lca(X, a.k, _em_cfg(a))),
+        sample=lambda p, n, rng: pkg.mixture.lca_sample(p, n, rng)[0],
+        loglik=lambda p, X, _c, _s: pkg.mixture.lca_loglik_rows(p, X),
+        infer=lambda p, X, _c: _columns("gamma", pkg.mixture.lca_e_step(p, X).gamma)),
     "irt": Family(
         "matrix", ("quad_nodes",) + EM_FLAGS,
-        to_json=fields_to_json, from_json=lambda o: fields_from_json(irt.IrtParams, o),
+        to_json=fields_to_json, from_json=lambda o: fields_from_json(pkg.irt.IrtParams, o),
         fit=lambda X, a, _r: _em_fit(
-            irt.fit_irt(X, irt.default_quadrature(a.quad_nodes), _em_cfg(a))),
-        sample=lambda p, n, rng: irt.sample(p, n, rng)[0],
-        loglik=lambda p, X, c, _s: irt.loglik_rows(p, X, _quadrature(c)),
-        infer=lambda p, X, c: (np.column_stack(irt.posterior_moments(p, X, _quadrature(c))),
+            pkg.irt.fit_irt(X, pkg.irt.default_quadrature(a.quad_nodes), _em_cfg(a))),
+        sample=lambda p, n, rng: pkg.irt.sample(p, n, rng)[0],
+        loglik=lambda p, X, c, _s: pkg.irt.loglik_rows(p, X, _quadrature(c)),
+        infer=lambda p, X, c: (np.column_stack(pkg.irt.posterior_moments(p, X, _quadrature(c))),
                                ["eap", "sd"])),
     "lda": Family(
         "corpus", ("k", "alpha", "beta", "vocab") + EM_FLAGS,
-        to_json=lambda m: lda.to_json(m), from_json=lambda o: lda.from_json(o),
+        to_json=lambda m: pkg.lda.to_json(m), from_json=lambda o: pkg.lda.from_json(o),
         fit=_fit_lda, loglik=_lda_loglik),
     "hmm": _HMM,
     "ghmm": replace(
         _HMM, input="real_seq",
-        fit=lambda S, a, _r: _em_fit(seq.hmm_fit(S, a.k, "gaussian", _em_cfg(a))),
-        sample=lambda p, n, rng: np.atleast_2d(seq.hmm_sample(p, n, rng)[1])),
+        fit=lambda S, a, _r: _em_fit(pkg.sequential.hmm_fit(S, a.k, "gaussian", _em_cfg(a))),
+        sample=lambda p, n, rng: np.atleast_2d(pkg.sequential.hmm_sample(p, n, rng)[1])),
     "lds": Family(
         "real_seq", ("latent_dim",) + EM_FLAGS,
-        to_json=fields_to_json, from_json=lambda o: fields_from_json(seq.LdsParams, o),
-        fit=lambda S, a, _r: _em_fit(seq.lds_fit(S, a.latent_dim, _em_cfg(a))),
-        sample=lambda p, n, rng: seq.lds_sample(p, n, rng)[1],
-        loglik=lambda p, S, _c, _s: seq.lds_infer(p, S, smooth=False).logliks,
+        to_json=fields_to_json,
+        from_json=lambda o: fields_from_json(pkg.sequential.LdsParams, o),
+        fit=lambda S, a, _r: _em_fit(pkg.sequential.lds_fit(S, a.latent_dim, _em_cfg(a))),
+        sample=lambda p, n, rng: pkg.sequential.lds_sample(p, n, rng)[1],
+        loglik=lambda p, S, _c, _s: pkg.sequential.lds_infer(p, S, smooth=False).logliks,
         infer=_lds_infer),
     "vae": Family(
         "matrix", ("latent_dim", "likelihood", "sigma_dec") + TRAIN_FLAGS,
-        to_json=fields_to_json, from_json=lambda o: fields_from_json(vae.VaeModel, o, _network),
+        to_json=fields_to_json,
+        from_json=lambda o: fields_from_json(pkg.vae.VaeModel, o, _network),
         fit=_fit_vae,
-        sample=lambda m, n, rng: vae.sample(m, n, rng),
-        loglik=lambda m, X, _c, seed: vae.elbo_rows(m, X, RandomSource(seed), n_samples=16),
-        infer=lambda m, X, _c: _columns("z", vae.encode(m, X)[0].values),
-        reconstruct=lambda m, X: vae.reconstruct(m, X)),
+        sample=lambda m, n, rng: pkg.vae.sample(m, n, rng),
+        loglik=lambda m, X, _c, seed: pkg.vae.elbo_rows(m, X, RandomSource(seed), n_samples=16),
+        infer=lambda m, X, _c: _columns("z", pkg.vae.encode(m, X)[0].values),
+        reconstruct=lambda m, X: pkg.vae.reconstruct(m, X)),
     "flow": Family(
         "matrix", ("layers",) + TRAIN_FLAGS,
-        to_json=lambda m: flow.to_json(m), from_json=lambda o: flow.from_json(o),
+        to_json=lambda m: pkg.flow.to_json(m), from_json=lambda o: pkg.flow.from_json(o),
         fit=_fit_flow,
-        sample=lambda m, n, rng: flow.sample(m, n, rng),
-        loglik=lambda m, X, _c, _s: flow.log_likelihood(m, X)),
+        sample=lambda m, n, rng: pkg.flow.sample(m, n, rng),
+        loglik=lambda m, X, _c, _s: pkg.flow.log_likelihood(m, X)),
     "diffusion": Family(
         "matrix", ("T",) + TRAIN_FLAGS,
-        to_json=lambda m: diffusion.to_json(m), from_json=lambda o: diffusion.from_json(o),
+        to_json=lambda m: pkg.diffusion.to_json(m),
+        from_json=lambda o: pkg.diffusion.from_json(o),
         fit=_fit_diffusion,
-        sample=lambda m, n, rng: diffusion.sample(m, n, rng)),
+        sample=lambda m, n, rng: pkg.diffusion.sample(m, n, rng)),
     "arm": Family(
         "matrix", ("seq_len", "alphabet") + TRAIN_FLAGS,
-        to_json=fields_to_json, from_json=lambda o: fields_from_json(arm.ArModel, o, _network),
+        to_json=fields_to_json,
+        from_json=lambda o: fields_from_json(pkg.arm.ArModel, o, _network),
         fit=_fit_arm,
-        sample=lambda m, n, rng: arm.sample(m, n, rng).astype(float),
-        loglik=lambda m, X, _c, _s: arm.log_likelihood_batch(m, X)),
+        sample=lambda m, n, rng: pkg.arm.sample(m, n, rng).astype(float),
+        loglik=lambda m, X, _c, _s: pkg.arm.log_likelihood_batch(m, X)),
     "gan": Family(
         "matrix", ("latent_dim", "hidden", "steps", "batch", "lr"),
-        to_json=fields_to_json, from_json=lambda o: fields_from_json(gan.GanModel, o, _network),
+        to_json=fields_to_json,
+        from_json=lambda o: fields_from_json(pkg.gan.GanModel, o, _network),
         fit=_fit_gan,
-        sample=lambda m, n, rng: gan.sample(m, n, rng)),
+        sample=lambda m, n, rng: pkg.gan.sample(m, n, rng)),
 }

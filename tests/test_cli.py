@@ -500,8 +500,11 @@ assert main(["eval", tmp + "/gmm.json", "--data", data]) == 0
 assert main(["sample", tmp + "/gmm.json", "--n", "5", "--out", tmp + "/s.csv"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
+loaded = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("latentlab."))
+assert loaded == ["cli", "core", "datasets", "em", "families", "mixture"], loaded
 assert main(["fit", "lda", "--data", tmp + "/corpus.txt", "--k", "2", "--vocab", "5",
              "--max-iters", "5", "--out", tmp + "/lda.json"]) == 0
+assert "latentlab.lda" in sys.modules
 """
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(latentlab.__file__)))
@@ -634,3 +637,51 @@ def test_fit_reports_max_iters_and_rescues_on_stderr(tmp_path, blobs_csv, capsys
     err = capsys.readouterr().err
     for k in range(2):
         assert f"latentlab: fit hmm: state {k} saw no transitions; row reset to uniform" in err
+
+
+@pytest.mark.parametrize("which", ["data", "config", "model", "out"])
+def test_directory_paths_are_usage_errors(which, tmp_path, real_csv, capsys):
+    model = tmp_path / "gmm.json"
+    assert main(["fit", "gmm", "--data", str(real_csv), "--out", str(model)]) == 0
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out.json"
+    argv = {"data": ["fit", "gmm", "--data", str(folder), "--out", str(out)],
+            "config": ["fit", "gmm", "--data", str(real_csv), "--config", str(folder),
+                       "--out", str(out)],
+            "model": ["infer", str(folder), "--data", str(real_csv), "--out", str(out)],
+            "out": ["fit", "gmm", "--data", str(real_csv), "--out", str(folder)]}[which]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("latentlab: ") and err.count("\n") == 1 and str(folder) in err
+    assert not out.exists() and not list(folder.iterdir())
+    assert not (tmp_path / "out.json.trace.csv").exists()
+    assert not (tmp_path / "folder.trace.csv").exists()
+
+
+def test_json_files_must_hold_an_object(tmp_path, real_csv, capsys):
+    model = tmp_path / "params_list.json"
+    model.write_text(json.dumps({"schema": "latentlab-model-v1", "family": "gmm",
+                                 "params": [1], "config": {}}))
+    files = {"model_list.json": "[]", "config_list.json": "[1, 2]",
+             "spec_str.json": '"x"', "spec_list.json": "[]"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = str(tmp_path / "out.csv")
+    cases = [
+        ["eval", str(tmp_path / "model_list.json"), "--data", str(real_csv)],
+        ["fit", "gmm", "--data", str(real_csv), "--out", out,
+         "--config", str(tmp_path / "config_list.json")],
+        ["synth", str(tmp_path / "spec_str.json"), "--out", out],
+        ["synth", str(tmp_path / "spec_list.json"), "--out", out],
+        ["infer", str(model), "--data", str(real_csv), "--out", out],
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        path = argv[-1] if "--config" in argv else argv[1]
+        assert "Traceback" not in err and err.startswith(f"latentlab: {path}: "), err
+    assert not os.path.exists(out)
