@@ -103,21 +103,42 @@ def _build_parser():
     syn.add_argument("spec")
     syn.add_argument("--out", required=True)
     add_common(syn)
-    return top
+    return top, sub.choices
 
 
-def _apply_config(args, argv):
+def _config_value(action, key, value):
+    """A --config value converted and checked as the flag's argument would
+    be: through its type, then against its choices. null stands for a flag
+    whose default is unset."""
+    if value is None and action.default is None:
+        return None
+    try:
+        if not isinstance(value, (str, int, float)):
+            raise ValueError
+        converted = (action.type or str)(str(value))
+        if action.choices is not None and converted not in action.choices:
+            raise ValueError
+    except ValueError:
+        raise UsageError(f"config key {key!r}: invalid value {value!r} for "
+                         f"{action.option_strings[0]}") from None
+    return converted
+
+
+def _apply_config(command_parser, args, argv):
+    """args with the --config file's values for every flag not given in argv."""
     if getattr(args, "config", None):
         defaults = datasets.read_json_object(args.config)
-        unknown = [k for k in defaults if not hasattr(args, k.replace("-", "_"))]
+        flags = {a.dest: a for a in command_parser._actions
+                 if a.option_strings and a.dest != "help"}
+        unknown = [k for k in defaults if k.replace("-", "_") not in flags]
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                    for a in argv if a.startswith("--")}
+        given = {a.split("=")[0] for a in argv if a.startswith("--") and a != "--"}
         for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if attr not in explicit:
-                setattr(args, attr, value)
+            action = flags[key.replace("-", "_")]
+            # argparse also takes a flag's unique prefix (--max for --max-iters)
+            if not any(opt.startswith(g) for g in given for opt in action.option_strings):
+                setattr(args, action.dest, _config_value(action, key, value))
     return args
 
 
@@ -230,7 +251,7 @@ def _cmd_synth(args):
     doc = datasets.read_json_object(args.spec)
     spec = datasets.SyntheticSpec(doc["family"], doc.get("params", {}),
                                   n=doc.get("n", 0),
-                                  lengths=tuple(doc.get("lengths", ())),
+                                  lengths=doc.get("lengths", ()),
                                   seed=doc.get("seed", args.seed))
     data, _latents, _true = datasets.generate(spec)
     kind = FAMILIES[spec.family].input if spec.family in FAMILIES else "matrix"
@@ -252,13 +273,13 @@ def main(argv=None):
     """Entry point returning an exit code (0 ok, 2 usage, 1 numeric failure)."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
+    parser, command_parsers = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(command_parsers[args.command], args, argv)
         return COMMANDS[args.command](args)
     except (NumericError, MonotonicityError, FloatingPointError,
             np.linalg.LinAlgError) as exc:

@@ -227,20 +227,52 @@ def log_sum_exp_rows(mat):
     Rows of all -inf yield -inf; +inf and NaN are the caller's bug.
     """
     mat = np.asarray(mat, dtype=float)
-    m = mat.max(axis=-1, keepdims=True)
+    # Row maxima by one elementwise pass per column: a max over a short last
+    # axis runs a separate inner loop for every row. A maximum is exact, and
+    # the sign of a zero maximum changes no result.
+    m = mat[..., :1].copy()
+    for k in range(1, mat.shape[-1]):
+        np.maximum(m, mat[..., k:k + 1], out=m)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = m[..., 0] + np.log(np.sum(np.exp(mat - m), axis=-1))
     return out
 
 
+# Bytes of one work buffer of the row-blocked kernels below; the buffers of
+# a block stay in a core's share of the 4 MiB L2. Every operation inside a
+# block is row-local, so no result depends on this value.
+ROW_BLOCK_BYTES = 1 << 19
+# OpenBLAS multiplies matrices of a few rows with other kernels (gemv for one
+# row, a small-matrix kernel for some dozens of rows at d >= 32) that round
+# differently from the ones a long matrix gets; no block is shorter.
+MIN_BLOCK_ROWS = 64
+
+
+def row_blocks(n_rows, row_bytes):
+    """Slices that cover range(n_rows) in blocks of ROW_BLOCK_BYTES //
+    row_bytes rows (at least MIN_BLOCK_ROWS); a shorter tail joins the block
+    before it."""
+    size = max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // max(row_bytes, 1))
+    starts = list(range(0, n_rows, size)) or [0]
+    if len(starts) > 1 and n_rows - starts[-1] < MIN_BLOCK_ROWS:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
 def normalize_log_rows(log_rows):
     """Row-normalized probabilities of an (N, K) array of log-weights, and
-    each row's log-normalizer: the posterior over K discrete values."""
-    lse = log_sum_exp_rows(log_rows)
-    probs = log_rows - lse[:, None]
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    each row's log-normalizer: the posterior over K discrete values. Runs
+    block by block of rows, so each block's passes stay in cache."""
+    N, K = log_rows.shape
+    probs = np.empty((N, K))
+    lse = np.empty(N)
+    for rows in row_blocks(N, K * 8):
+        lse[rows] = log_sum_exp_rows(log_rows[rows])
+        p = probs[rows]
+        np.subtract(log_rows[rows], lse[rows, None], out=p)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
     return probs, lse
 
 
@@ -258,29 +290,43 @@ def gaussian_logpdf(x, g):
 
 
 def gaussian_logpdf_rows(X, mean, cov):
-    """Vectorized gaussian_logpdf over the rows of X (shared mean/cov).
-
-    The Mahalanobis term multiplies the rows by the inverse of the d x d
-    Cholesky factor, one (N, d) x (d, d) matmul; np.linalg.solve would
-    LU-factorize the triangular factor again for every call.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    mean = np.asarray(mean, dtype=float)
-    L = chol_psd(np.atleast_2d(cov))
-    sol = (X - mean) @ np.linalg.inv(L).T
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    d = mean.shape[0]
-    quad = np.sum(sol * sol, axis=1)
-    return -0.5 * (d * math.log(2 * math.pi) + logdet + quad)
+    """Vectorized gaussian_logpdf over the rows of X (shared mean/cov)."""
+    return gaussian_logpdf_columns(X, np.asarray(mean, dtype=float)[None],
+                                   np.atleast_2d(cov)[None])[:, 0]
 
 
 def gaussian_logpdf_columns(X, means, covs):
-    """(N, K) log-densities of the rows of X under K Gaussians, column k
-    from gaussian_logpdf_rows(X, means[k], covs[k])."""
+    """(N, K) log-densities of the rows of X under K Gaussians.
+
+    Block by block of rows, the K centred blocks X_b - mu_k go through one
+    batched matmul with the transposed inverses of the d x d Cholesky
+    factors (np.linalg.solve would LU-factorize each triangular factor
+    again), then are squared and summed in place; two (K, B, d) buffers
+    serve every block.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.empty((X.shape[0], len(means)))
-    for k in range(len(means)):
-        out[:, k] = gaussian_logpdf_rows(X, means[k], covs[k])
+    means = np.asarray(means, dtype=float)
+    (N, d), K = X.shape, len(means)
+    inv_t = np.empty((K, d, d))
+    const = np.empty(K)
+    for k in range(K):
+        L = chol_psd(np.atleast_2d(covs[k]))
+        inv_t[k] = np.linalg.inv(L)
+        const[k] = d * math.log(2 * math.pi) + 2.0 * np.sum(np.log(np.diag(L)))
+    inv_t = inv_t.transpose(0, 2, 1)
+    out = np.empty((N, K))
+    blocks = row_blocks(N, K * d * 8)
+    rows = max(b.stop - b.start for b in blocks)
+    diff, sol = np.empty((K, rows, d)), np.empty((K, rows, d))
+    for b in blocks:
+        n = b.stop - b.start
+        np.subtract(X[b], means[:, None, :], out=diff[:, :n])
+        np.matmul(diff[:, :n], inv_t, out=sol[:, :n])
+        np.multiply(sol[:, :n], sol[:, :n], out=sol[:, :n])
+        quad = out[b].T
+        np.sum(sol[:, :n], axis=2, out=quad)
+        quad += const[:, None]
+        quad *= -0.5
     return out
 
 

@@ -46,7 +46,18 @@ class SyntheticSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if not isinstance(self.params, dict):
             raise ValueError("spec params must be a JSON object")
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"spec n must be an integer >= 0, got {self.n!r}")
+        if not isinstance(self.lengths, (list, tuple)) \
+                or not all(_is_int(v) and v >= 1 for v in self.lengths):
+            raise ValueError(f"spec lengths must be a list of integers >= 1, "
+                             f"got {self.lengths!r}")
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def generate(spec):

@@ -209,28 +209,35 @@ def _reseed_empty(gamma, what):
     return gamma, counts, events
 
 
-def _weighted_gaussians(X, gamma, counts):
-    """Means (K, d) and floored covariances (K, d, d) of X under the column
-    weights of gamma, whose column sums are counts."""
+def _weighted_gaussians(X, gamma, counts, var_floor):
+    """Means (K, d) and covariances (K, d, d) of X under the column weights
+    of gamma, whose column sums are counts, floored at var_floor. Two (N, d)
+    buffers serve all K components."""
     K, d = gamma.shape[1], X.shape[1]
     means = (gamma.T @ X) / counts[:, None]
     covs = np.empty((K, d, d))
+    diff, weighted = np.empty_like(X), np.empty_like(X)
     for k in range(K):
-        diff = X - means[k]
-        covs[k] = (gamma[:, k, None] * diff).T @ diff / counts[k]
-    return means, _cov_floor(covs, _var_floor(X))
+        np.subtract(X, means[k], out=diff)
+        np.multiply(gamma[:, k, None], diff, out=weighted)
+        covs[k] = weighted.T @ diff / counts[k]
+    return means, _cov_floor(covs, var_floor)
 
 
-def gmm_m_step(data, resp):
+def gmm_m_step(data, resp, var_floor=None):
     """Weighted-average parameter updates from responsibilities.
 
     An effectively empty component is re-seeded at the most ambiguous data
     point (lowest maximum responsibility); the rescue is reported in the
-    returned events list as (params, events).
+    returned events list as (params, events). var_floor is _var_floor(data),
+    which a fit computes once.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     gamma, counts, events = _reseed_empty(resp.gamma, "component")
-    params = GmmParams(counts / counts.sum(), *_weighted_gaussians(X, gamma, counts))
+    if var_floor is None:
+        var_floor = _var_floor(X)
+    params = GmmParams(counts / counts.sum(),
+                       *_weighted_gaussians(X, gamma, counts, var_floor))
     return (params, events) if events else params
 
 
@@ -260,11 +267,11 @@ def _farthest_point_means(X, K, rng):
     return X[chosen].copy()
 
 
-def _gaussian_start(X, K, rng):
-    """Farthest-point means (K, d) and K copies of the floored pooled
-    covariance of X."""
+def _gaussian_start(X, K, rng, var_floor):
+    """Farthest-point means (K, d) and K copies of the pooled covariance of
+    X floored at var_floor."""
     d = X.shape[1]
-    gcov = _cov_floor(np.cov(X.T, bias=True).reshape(1, d, d), _var_floor(X))
+    gcov = _cov_floor(np.cov(X.T, bias=True).reshape(1, d, d), var_floor)
     return _farthest_point_means(X, K, rng), np.repeat(gcov, K, axis=0)
 
 
@@ -297,10 +304,15 @@ def fit_gmm(data, K, cfg: EmConfig, init=None):
     check_finite(X, "data")
     if X.shape[0] < K:
         raise ValueError("need at least K data points")
+    floor = _var_floor(X)
     if init is None:
         init = GmmParams(np.full(K, 1.0 / K),
-                         *_gaussian_start(X, K, RandomSource(cfg.seed).split(101)))
-    return run_em(gmm_e_step, gmm_m_step, _resp_loglik, X, init, cfg)
+                         *_gaussian_start(X, K, RandomSource(cfg.seed).split(101), floor))
+
+    def m_step(d, resp):
+        return gmm_m_step(d, resp, var_floor=floor)
+
+    return run_em(gmm_e_step, m_step, _resp_loglik, X, init, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +344,17 @@ def _check_lca_data(params, data):
 
 
 def _lca_log_joint(params, X):
-    N = X.shape[0]
-    K = params.n_classes
-    out = np.tile(np.log(np.where(params.weights > 0, params.weights, 1e-300)), (N, 1))
+    """log pi_k + sum_j log p(x_ij | k) as a C-ordered (N, K) array, summed
+    class-major with one reused gather buffer. The codes of X are in range
+    (_check_lca_data)."""
+    N, K = X.shape[0], params.n_classes
+    out = np.empty((K, N))
+    out[:] = np.log(np.where(params.weights > 0, params.weights, 1e-300))[:, None]
+    gathered = np.empty((K, N))
     for j, table in enumerate(params.item_probs):
         logt = np.log(np.where(table > 0, table, 1e-300))
-        out += logt[:, X[:, j]].T
-    return out
+        out += np.take(logt, X[:, j], axis=1, out=gathered, mode="wrap")
+    return np.ascontiguousarray(out.T)
 
 
 def lca_loglik_rows(params, data):
@@ -361,18 +377,23 @@ lca_posterior = lca_e_step
 def lca_m_step(data, resp, n_categories=None):
     """Update class weights and per-item category tables from expected counts.
 
-    n_categories fixes each item's table width; by default it is inferred
+    n_categories fixes each item's table width, which must exceed every
+    code of the item (fit_lca checks this once); by default it is inferred
     as max(code)+1 per item. Probabilities are floored at 1e-10 and
     renormalized.
     """
     X = np.atleast_2d(np.asarray(data, dtype=int))
     N, J = X.shape
+    if n_categories is None:
+        n_categories = X.max(axis=0) + 1
     gamma, counts, events = _reseed_empty(resp.gamma, "class")
+    # one buffer holds each item's one-hot rows in turn, as a contiguous (N, C_j) view
+    buf = np.empty(N * int(max(n_categories, default=0)))
     tables = []
     for j in range(J):
-        C = int(X[:, j].max()) + 1 if n_categories is None else int(n_categories[j])
-        onehot = np.zeros((N, C))
-        onehot[np.arange(N), X[:, j]] = 1.0
+        C = int(n_categories[j])
+        onehot = buf[:N * C].reshape(N, C)
+        np.take(np.eye(C), X[:, j], axis=0, out=onehot, mode="wrap")
         tables.append(_floored_rows((gamma.T @ onehot) / counts[:, None]))
     params = LcaParams(counts / counts.sum(), tuple(tables))
     return (params, events) if events else params

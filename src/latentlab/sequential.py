@@ -32,7 +32,7 @@ from .core import (Gaussian, NumericError, RandomSource, check_finite,
                    normalize_log_rows)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
-                      _perturbed_rows, _weighted_gaussians)
+                      _perturbed_rows, _var_floor, _weighted_gaussians)
 
 __all__ = [
     "DiscreteEmission", "GaussianEmission", "HmmParams", "LdsParams",
@@ -434,7 +434,8 @@ def _hmm_m_step(pack, post, kind, n_symbols=None):
             G[pack.index[i]] = 0.0
             G[pack.index[i], k] = 1.0
             events.append(f"state {k} empty; re-seeded at pooled point {i}")
-        emit = GaussianEmission(*_weighted_gaussians(pack.data, G, G.sum(axis=0)))
+        emit = GaussianEmission(*_weighted_gaussians(pack.data, G, G.sum(axis=0),
+                                                     _var_floor(pack.data)))
     params = HmmParams(pi, trans, emit)
     return (params, events) if events else params
 
@@ -457,7 +458,8 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
             emit = DiscreteEmission(_perturbed_rows(freq, K, rng))
     elif init is None:
         # input order for the seeded start
-        emit = GaussianEmission(*_gaussian_start(pack.unpack(pack.data), K, rng))
+        X = pack.unpack(pack.data)
+        emit = GaussianEmission(*_gaussian_start(X, K, rng, _var_floor(X)))
     if init is None:
         # the transitions draw from the stream after the emissions
         init = HmmParams(np.full(K, 1.0 / K), _perturbed_rows(np.ones(K), K, rng), emit)

@@ -158,6 +158,51 @@ def test_config_rejects_unknown_keys(tmp_path, blobs_csv):
                  "--config", str(cfg)]) == 2
 
 
+def test_abbreviated_flag_overrides_config(tmp_path, blobs_csv):
+    data, _X = blobs_csv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iters": 3, "seed": 3}))
+    out = tmp_path / "m.json"
+    assert main(["fit", "gmm", "--data", str(data), "--out", str(out),
+                 "--config", str(cfg), "--max", "7"]) == 0
+    _fam, _params, config = read_model(out)
+    assert config["max_iters"] == 7 and config["seed"] == 3
+
+
+@pytest.mark.parametrize("config", [{"k": "x"}, {"k": 2.5}, {"max_iters": None},
+                                    {"rel_tol": "a"}])
+def test_config_values_take_their_flag_type(config, tmp_path, blobs_csv, capsys):
+    data, _X = blobs_csv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["fit", "gmm", "--data", str(data), "--out", str(out),
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    key = next(iter(config))
+    assert "Traceback" not in err and err.startswith(f"latentlab: config key {key!r}")
+    assert not out.exists()
+
+
+def test_synth_rejects_bad_sizes_naming_the_field(tmp_path, capsys):
+    hmm = {"pi": [0.5, 0.5], "trans": [[0.9, 0.1], [0.1, 0.9]],
+           "emit": [[0.5, 0.5], [0.1, 0.9]]}
+    cases = [({"family": "blobs2d", "n": "x"}, "n"), ({"family": "blobs2d", "n": 2.5}, "n"),
+             ({"family": "blobs2d", "n": -3}, "n"),
+             ({"family": "hmm", "params": hmm, "lengths": 5}, "lengths"),
+             ({"family": "hmm", "params": hmm, "lengths": [4, 0]}, "lengths")]
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "out.csv"
+    for doc, field in cases:
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["synth", str(spec), "--out", str(out)]) == 2, doc
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith(f"latentlab: spec {field} must be")
+    assert not out.exists()
+
+
 def test_hmm_cli_round_trip(tmp_path):
     spec = SyntheticSpec("hmm", {"pi": [0.5, 0.5],
                                  "trans": [[0.9, 0.1], [0.2, 0.8]],

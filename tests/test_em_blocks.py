@@ -4,14 +4,20 @@ M-steps, the probability floor and the empty-component rescue. This file
 holds the per-model code those blocks replaced, copied as it was written
 before they were shared, and checks that every fit still matches it bit for
 bit: params, objective traces, iteration counts and rescue events.
+
+The flat-EM kernels now run in row blocks with reused buffers. The whole-
+array kernels they replaced are copied here too, and compared byte for byte
+at the block boundaries.
 """
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latentlab import irt, mixture, sequential
-from latentlab.core import RandomSource, gaussian_logpdf_rows, log_sum_exp_rows
+from latentlab import core, irt, mixture, sequential
+from latentlab.core import RandomSource, chol_psd, log_sum_exp_rows
 from latentlab.em import EmConfig, run_em
 from latentlab.mixture import (GmmParams, LcaParams, Responsibilities, _cov_floor,
                                _farthest_point_means)
@@ -23,8 +29,73 @@ SEEDS = (0, 1, 2)
 # ---------------------------------------------------------------------------
 # Reference copies
 
+def ref_gaussian_logpdf_rows(X, mean, cov):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    mean = np.asarray(mean, dtype=float)
+    L = chol_psd(np.atleast_2d(cov))
+    sol = (X - mean) @ np.linalg.inv(L).T
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    d = mean.shape[0]
+    quad = np.sum(sol * sol, axis=1)
+    return -0.5 * (d * math.log(2 * math.pi) + logdet + quad)
+
+
+def ref_gaussian_logpdf_columns(X, means, covs):
+    out = np.empty((X.shape[0], len(means)))
+    for k in range(len(means)):
+        out[:, k] = ref_gaussian_logpdf_rows(X, means[k], covs[k])
+    return out
+
+
+def ref_log_sum_exp_rows(mat):
+    mat = np.asarray(mat, dtype=float)
+    m = mat.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = m[..., 0] + np.log(np.sum(np.exp(mat - m), axis=-1))
+    return out
+
+
+def ref_normalize_log_rows(log_rows):
+    lse = ref_log_sum_exp_rows(log_rows)
+    probs = log_rows - lse[:, None]
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs, lse
+
+
+def ref_lca_log_joint(params, X):
+    N = X.shape[0]
+    out = np.tile(np.log(np.where(params.weights > 0, params.weights, 1e-300)), (N, 1))
+    for j, table in enumerate(params.item_probs):
+        logt = np.log(np.where(table > 0, table, 1e-300))
+        out += logt[:, X[:, j]].T
+    return out
+
+
+def ref_weighted_gaussians(X, gamma, counts):
+    K, d = gamma.shape[1], X.shape[1]
+    means = (gamma.T @ X) / counts[:, None]
+    covs = np.empty((K, d, d))
+    for k in range(K):
+        diff = X - means[k]
+        covs[k] = (gamma[:, k, None] * diff).T @ diff / counts[k]
+    return means, _cov_floor(covs, 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12))
+
+
+def ref_item_tables(X, gamma, counts, n_categories):
+    N = X.shape[0]
+    tables = []
+    for j, C in enumerate(n_categories):
+        onehot = np.zeros((N, C))
+        onehot[np.arange(N), X[:, j]] = 1.0
+        table = np.maximum((gamma.T @ onehot) / counts[:, None], 1e-10)
+        tables.append(table / table.sum(axis=1, keepdims=True))
+    return tables
+
+
 def ref_responsibilities(lj):
-    lse = log_sum_exp_rows(lj)
+    lse = ref_log_sum_exp_rows(lj)
     gamma = np.exp(lj - lse[:, None])
     gamma /= gamma.sum(axis=1, keepdims=True)
     return Responsibilities(gamma, float(np.sum(lse)))
@@ -32,7 +103,7 @@ def ref_responsibilities(lj):
 
 def ref_node_posteriors(params, X, quad):
     ll = irt._log_lik_at_nodes(params, X, quad) + np.log(quad.weights)
-    lse = log_sum_exp_rows(ll)
+    lse = ref_log_sum_exp_rows(ll)
     gamma = np.exp(ll - lse[:, None])
     gamma /= gamma.sum(axis=1, keepdims=True)
     return gamma, float(np.sum(lse))
@@ -42,7 +113,7 @@ def ref_gmm_e_step(params, X):
     out = np.empty((X.shape[0], params.n_components))
     log_w = np.log(np.where(params.weights > 0, params.weights, 1e-300))
     for k in range(params.n_components):
-        out[:, k] = log_w[k] + gaussian_logpdf_rows(X, params.means[k], params.covs[k])
+        out[:, k] = log_w[k] + ref_gaussian_logpdf_rows(X, params.means[k], params.covs[k])
     return ref_responsibilities(out)
 
 
@@ -124,7 +195,7 @@ def ref_fit_lca(X, K, cfg, init=None):
         init = LcaParams(np.full(K, 1.0 / K), tuple(tables))
 
     def e_step(params, data):
-        return ref_responsibilities(mixture._lca_log_joint(params, data))
+        return ref_responsibilities(ref_lca_log_joint(params, data))
 
     return run_em(e_step, lambda d, r: ref_lca_m_step(d, r, n_categories),
                   lambda r: r.loglik, X, init, cfg)
@@ -144,7 +215,7 @@ def ref_hmm_backward(post):
             m = nxt.max(1, keepdims=True)
             log_beta[s:s + n] = np.log(np.exp(nxt - m) @ AT) + m
     gamma = log_alpha + log_beta
-    gamma -= log_sum_exp_rows(gamma)[:, None]
+    gamma -= ref_log_sum_exp_rows(gamma)[:, None]
     np.exp(gamma, out=gamma)
     gamma /= gamma.sum(axis=1, keepdims=True)
     return dataclasses.replace(post, log_beta=log_beta, gamma=gamma)
@@ -385,7 +456,7 @@ def test_gaussian_emission_columns_match_per_state_rows():
     means = g.normal(size=(3, 2))
     covs = np.stack([np.eye(2) * s for s in (0.5, 1.0, 2.0)])
     X = g.normal(size=(30, 2))
-    want = np.column_stack([gaussian_logpdf_rows(X, m, c) for m, c in zip(means, covs)])
+    want = np.column_stack([ref_gaussian_logpdf_rows(X, m, c) for m, c in zip(means, covs)])
     assert GaussianEmission(means, covs).log_liks(X).tobytes() == want.tobytes()
 
 
@@ -397,3 +468,161 @@ def test_explicit_sizes_below_the_data_codes_are_errors():
         sequential.hmm_fit([np.array([0, 1, 2, 3])], 2, "discrete", cfg, n_symbols=3)
     with pytest.raises(ValueError, match="out of range"):
         mixture.fit_lca(_codes(0), 2, cfg, n_categories=[2, 2, 3, 2])
+
+
+# ---------------------------------------------------------------------------
+# Row blocks
+
+def _block_rows(row_bytes):
+    """Rows of one full block for rows of row_bytes bytes."""
+    return max(core.MIN_BLOCK_ROWS, core.ROW_BLOCK_BYTES // row_bytes)
+
+
+def _boundary_sizes(B):
+    """Row counts around the block boundaries: a single row, one block short
+    of, at and past its size, the shortest separate tail and one row less
+    (which joins the block before it), and two blocks plus a short tail."""
+    m = core.MIN_BLOCK_ROWS
+    return sorted({1, B - 1, B, B + 1, B + m - 1, B + m, 2 * B + 3})
+
+
+def _gaussians(g, K, d):
+    means = 3.0 * g.normal(size=(K, d))
+    A = g.normal(size=(K, d, d))
+    return means, A @ A.transpose(0, 2, 1) + 0.5 * np.eye(d)
+
+
+def test_row_blocks_cover_the_rows_with_no_short_tail():
+    m = core.MIN_BLOCK_ROWS
+    for row_bytes in (8, 40, 320, 10 ** 9):
+        B = _block_rows(row_bytes)
+        for n in [0, 1, m - 1] + _boundary_sizes(B):
+            blocks = core.row_blocks(n, row_bytes)
+            assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            sizes = [b.stop - b.start for b in blocks]
+            assert max(sizes) < B + m and (len(sizes) == 1 or min(sizes) >= m)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 33])
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_gaussian_columns_match_per_column_loop_at_block_boundaries(K, d):
+    g = np.random.default_rng(100 * K + d)
+    means, covs = _gaussians(g, K, d)
+    for N in _boundary_sizes(_block_rows(K * d * 8)):
+        X = 4.0 * g.normal(size=(N, d))
+        got = core.gaussian_logpdf_columns(X, means, covs)
+        assert got.tobytes() == ref_gaussian_logpdf_columns(X, means, covs).tobytes(), N
+        rows = core.gaussian_logpdf_rows(X, means[-1], covs[-1])
+        assert rows.tobytes() == ref_gaussian_logpdf_rows(X, means[-1], covs[-1]).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 9, 41])
+def test_log_sum_exp_rows_matches_row_max_reference(K):
+    g = np.random.default_rng(K)
+    mat = g.normal(scale=20.0, size=(300, K))
+    # zero maxima of either sign, ties, and rows wholly or partly -inf
+    mat[:40] = g.choice([0.0, -0.0, -np.inf, -1.0], size=(40, K))
+    mat[40] = -np.inf
+    mat[41, :] = 3.0
+    got, want = log_sum_exp_rows(mat), ref_log_sum_exp_rows(mat)
+    assert got.tobytes() == want.tobytes()
+    cube = mat.reshape(3, 100, K)
+    assert log_sum_exp_rows(cube).tobytes() == ref_log_sum_exp_rows(cube).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_posterior_rows_match_reference_at_block_boundaries(K):
+    g = np.random.default_rng(K)
+    B = _block_rows(K * 8)
+    for N in _boundary_sizes(B):
+        lj = g.normal(scale=30.0, size=(N, K))
+        # rows wholly -inf (no support) and partly -inf, at block edges
+        for i in {0, B - 1, B, N - 1} & set(range(N)):
+            lj[i] = -np.inf
+            lj[i, i % K] = -700.0 if i % 2 else 5.0
+        lj[N // 2] = -np.inf
+        with np.errstate(invalid="ignore"):
+            got, want = core.normalize_log_rows(lj), ref_normalize_log_rows(lj)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        # the log-likelihood sums the whole (N,) lse array at once
+        lj[N // 2, 0] = 0.0
+        got, want = mixture._responsibilities(lj), ref_responsibilities(lj)
+        assert got.gamma.tobytes() == want.gamma.tobytes()
+        assert np.float64(got.loglik).tobytes() == np.float64(want.loglik).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_weighted_gaussians_match_reference(K, d):
+    g = np.random.default_rng(10 * K + d)
+    for N in _boundary_sizes(_block_rows(K * d * 8)):
+        X = g.normal(size=(N, d)) + 2.0
+        gamma = g.dirichlet(np.ones(K), size=N)
+        counts = gamma.sum(axis=0)
+        got = mixture._weighted_gaussians(X, gamma, counts, mixture._var_floor(X))
+        want = ref_weighted_gaussians(X, gamma, counts)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def _lca_case(g, N, K, n_categories):
+    tables = tuple(g.dirichlet(np.ones(C), size=K) for C in n_categories)
+    tables[0][:, -1] = 0.0        # a zero probability: a -inf log term
+    tables = tuple(t / t.sum(axis=1, keepdims=True) for t in tables)
+    params = LcaParams(g.dirichlet(np.ones(K)), tables)
+    X = np.column_stack([g.integers(0, C, N) for C in n_categories])
+    return params, X
+
+
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_lca_log_joint_and_tables_match_reference(K):
+    g = np.random.default_rng(K)
+    n_categories = [2, 5, 3, 7, 1]          # unequal C_j
+    for N in _boundary_sizes(_block_rows(K * 8)):
+        params, X = _lca_case(g, N, K, n_categories)
+        got, want = mixture._lca_log_joint(params, X), ref_lca_log_joint(params, X)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        resp = mixture.lca_e_step(params, X)
+        assert resp.gamma.tobytes() == ref_responsibilities(want).gamma.tobytes()
+        counts = resp.gamma.sum(axis=0)
+        m = mixture.lca_m_step(X, resp, n_categories=n_categories)
+        tables = m[0].item_probs if isinstance(m, tuple) else m.item_probs
+        for t, w in zip(tables, ref_item_tables(X, resp.gamma, counts, n_categories)):
+            assert t.tobytes() == w.tobytes()
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(mixture, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mixture, name, counting)
+    return calls
+
+
+def test_fits_call_each_traced_step_once_per_phase(monkeypatch):
+    calls = _count_calls(monkeypatch, ["gmm_e_step", "gmm_m_step", "lca_e_step",
+                                       "lca_m_step"])
+    cfg = EmConfig(max_iters=6, seed=0)
+    _params, report = mixture.fit_gmm(_blobs(0), 3, cfg)
+    _params, lca_report = mixture.fit_lca(_codes(0), 2, cfg)
+    assert calls == {"gmm_e_step": report.iters + 1, "gmm_m_step": report.iters,
+                     "lca_e_step": lca_report.iters + 1, "lca_m_step": lca_report.iters}
+
+
+def test_lca_m_step_holds_one_item_one_hot_at_a_time():
+    g = np.random.default_rng(0)
+    N, J, C = 5000, 40, 5
+    X = g.integers(0, C, size=(N, J))
+    resp = Responsibilities(g.dirichlet(np.ones(3), size=N))
+    all_one_hots = N * J * C * 8          # 8 MB
+    tracemalloc.start()
+    try:
+        mixture.lca_m_step(X, resp, n_categories=[C] * J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < all_one_hots / 8
