@@ -16,6 +16,7 @@ import numpy as np
 
 from . import datasets
 from .core import NumericError, RandomSource
+from .datasets import UsageError
 from .em import MonotonicityError
 from .families import FAMILIES
 
@@ -33,10 +34,6 @@ UNDEFINED = {
                    + " and ".join(f for f, rec in FAMILIES.items() if rec.reconstruct)
                    + ", not {!r}",
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 def _build_parser():
@@ -150,33 +147,10 @@ def _write_trace(out_path, trace):
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_matrix(path):
-    """A CSV of finite reals with at least one data row."""
-    X = datasets.read_csv(path)
-    if X.size == 0:
-        raise UsageError(f"{path}: no data rows")
-    bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
-    if bad.size:
-        raise UsageError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
-    return X
-
-
 def _read_data(family, args):
     """The --data file of a command, read as the family's input kind."""
-    kind, path = FAMILIES[family].input, args.data
-    if kind == "matrix":
-        return _read_matrix(path)
-    if kind == "corpus":
-        return datasets.read_corpus(path, V=getattr(args, "vocab", None))
-    seqs, dx = datasets.read_seq(path)
-    if kind == "seq" and dx is not None:
-        raise UsageError(f"{family} requires a discrete sequence file")
-    if kind == "real_seq":
-        if dx is None:
-            raise UsageError(f"{family} requires a continuous sequence file (dx= header)")
-        if not all(np.all(np.isfinite(s)) for s in seqs):
-            raise UsageError(f"{path}: sequences must be finite")
-    return seqs
+    return datasets.KINDS[FAMILIES[family].input].read(args.data, family,
+                                                        getattr(args, "vocab", None))
 
 
 def _model_command(args, field):
@@ -220,7 +194,7 @@ def _cmd_sample(args):
     if posterior:
         if not args.given:
             raise UsageError("posterior sampling requires --given")
-        given = (_read_matrix(args.given)[0],)
+        given = (datasets.read_matrix(args.given)[0],)
     datasets.write_csv(args.out, sample(params, args.n, RandomSource(args.seed), *given))
     return 0
 
@@ -254,13 +228,7 @@ def _cmd_synth(args):
                                   lengths=doc.get("lengths", ()),
                                   seed=doc.get("seed", args.seed))
     data, _latents, _true = datasets.generate(spec)
-    kind = FAMILIES[spec.family].input if spec.family in FAMILIES else "matrix"
-    if kind == "corpus":
-        datasets.write_corpus(args.out, data)
-    elif kind == "matrix":
-        datasets.write_csv(args.out, np.asarray(data, dtype=float))
-    else:
-        datasets.write_seq(args.out, data, dx=data[0].shape[1] if kind == "real_seq" else None)
+    datasets.KINDS[datasets.SYNTHETIC_FAMILIES[spec.family]].write(args.out, data)
     return 0
 
 

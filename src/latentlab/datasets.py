@@ -1,15 +1,20 @@
-"""Synthetic data generators with known ground truth (the oracles behind
-recovery tests) and dataset/model file I/O.
+"""Synthetic data with known ground truth (the oracles behind recovery
+tests), the input kinds families read and write, and model file I/O.
 
-Formats: CSV with a header row and 17-significant-digit values; sequence
-files with one sequence per line (continuous files start with a "dx=<d>"
-header); corpus files with one document of whitespace-separated word indices
-per line; versioned JSON model files carrying the RNG algorithm id.
+KINDS gives each input kind's reader (with the checks every command applies
+to its --data file), writer, and the spec field that sizes a draw (n for a
+matrix, lengths for the rest). matrix: a CSV with a header row and
+17-significant-digit values, at least one data row. seq: one sequence of
+integers per line. real_seq: a "dx=<d>" header line, then one sequence of
+flattened rows per line. Real entries must be finite and at most MAX_ABS in
+magnitude. corpus: one document of word indices per line. Model files are
+versioned JSON carrying the RNG algorithm id.
 """
 from __future__ import annotations
 
 import json
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +23,8 @@ import latentlab as pkg
 from .core import RNG_ALGORITHM, RandomSource, sample_categorical_many
 from . import families
 
-__all__ = ["SyntheticSpec", "generate", "read_csv", "write_csv", "read_seq",
+__all__ = ["SyntheticSpec", "generate", "KINDS", "SYNTHETIC_FAMILIES", "MAX_ABS",
+           "UsageError", "read_matrix", "read_csv", "write_csv", "read_seq",
            "write_seq", "read_corpus", "write_corpus", "write_model",
            "read_model", "read_json_object", "MODEL_SCHEMA"]
 
@@ -26,14 +32,82 @@ MODEL_SCHEMA = "latentlab-model-v1"
 FMT = "%.17g"
 # ASCII separators that np.loadtxt strips around a number and float() rejects.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# The largest magnitude of a real input entry: every real-valued family fits
+# and scores data up to it at its default flags without overflow.
+MAX_ABS = 1e50
 
-SYNTHETIC_FAMILIES = ("ppca", "gmm", "lca", "irt", "lda", "hmm", "ghmm", "lds",
-                      "mixture1d", "blobs2d")
+
+class UsageError(Exception):
+    """Input that breaks the command-line contract: exit code 2."""
+
+
+# An input kind: read(path, family, vocab) -> checked data (vocab: a corpus's
+# vocabulary size or None), write(path, data), and the spec field sizing a draw.
+Kind = namedtuple("Kind", "read write size")
+
+
+def read_matrix(path):
+    """A CSV of finite reals of magnitude at most MAX_ABS, with at least one
+    data row."""
+    X = read_csv(path)
+    if X.size == 0:
+        raise UsageError(f"{path}: no data rows")
+    bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
+    if bad.size:
+        raise UsageError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
+    _check_magnitude(path, X, "data row")
+    return X
+
+
+def _check_magnitude(path, X, row):
+    big = np.argwhere(np.abs(X) > MAX_ABS)
+    if big.size:
+        i, j = big[0]
+        raise UsageError(f"{path}: {row} {i + 1}, column {j + 1}: magnitude above "
+                         f"MAX_ABS = {MAX_ABS:g}")
+
+
+def _read_discrete_seqs(path, family, _vocab):
+    seqs, dx = read_seq(path)
+    if dx is not None:
+        raise UsageError(f"{family} requires a discrete sequence file")
+    return seqs
+
+
+def _read_real_seqs(path, family, _vocab):
+    seqs, dx = read_seq(path)
+    if dx is None:
+        raise UsageError(f"{family} requires a continuous sequence file (dx= header)")
+    if not all(np.all(np.isfinite(s)) for s in seqs):
+        raise UsageError(f"{path}: sequences must be finite")
+    for i, s in enumerate(seqs):
+        _check_magnitude(path, s, f"sequence {i + 1}, row")
+    return seqs
+
+
+# Entries call the module's functions by name, so a rebound read_csv or
+# write_csv (a tracer, a test fake) sees every call.
+KINDS = {
+    "matrix": Kind(lambda path, _family, _vocab: read_matrix(path),
+                   lambda path, X: write_csv(path, X), "n"),
+    "seq": Kind(_read_discrete_seqs, lambda path, seqs: write_seq(path, seqs), "lengths"),
+    "real_seq": Kind(_read_real_seqs,
+                     lambda path, seqs: write_seq(path, seqs, dx=seqs[0].shape[1]), "lengths"),
+    "corpus": Kind(lambda path, _family, vocab: read_corpus(path, V=vocab),
+                   lambda path, corpus: write_corpus(path, corpus), "lengths"),
+}
+
+# The input kind of each family generate draws: the families with an
+# ancestral draw, LDA from its hyperparameters, and two synth-only ones.
+SYNTHETIC_FAMILIES = {**{name: rec.input for name, rec in families.FAMILIES.items()
+                         if rec.sample_latents or name == "lda"},
+                      "mixture1d": "matrix", "blobs2d": "matrix"}
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Family name, family-specific true parameters, sizes, and a seed."""
+    """Family name, family-specific true parameters, sizes, and a seed. The
+    size field of the family's kind must be nonzero."""
 
     family: str
     params: dict
@@ -54,6 +128,10 @@ class SyntheticSpec:
                              f"got {self.lengths!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "lengths", tuple(int(v) for v in self.lengths))
+        size = KINDS[SYNTHETIC_FAMILIES[self.family]].size
+        if not getattr(self, size):
+            raise ValueError(f"spec {size} must be set for family {self.family!r} to draw "
+                             f"at least one row or sequence, got {getattr(self, size)!r}")
 
 
 def _is_int(value):
@@ -63,52 +141,31 @@ def _is_int(value):
 def generate(spec):
     """Exact ancestral sampling for the named family; returns
     (data, true_latents, true_params). Deterministic given spec.seed. The
-    params of a model family other than lda take its model-file JSON form."""
+    params of a model family other than lda take its model-file JSON form,
+    and its record's sample_latents draws the data."""
     rng = RandomSource(spec.seed)
-    fam = spec.family
-    p = spec.params
-    if fam == "lda":
+    family, p = spec.family, spec.params
+    if family == "lda":
         hyper = pkg.lda.LdaHyper(np.asarray(p["alpha"], dtype=float),
                                  np.asarray(p["beta"], dtype=float),
                                  int(p["K"]), int(p["V"]))
         corpus, latents = pkg.lda.generate_corpus(hyper, spec.lengths, rng)
         return corpus, latents, hyper
-    if fam == "blobs2d":
-        sep = float(p.get("separation", 10.0))
-        fam, p = "gmm", {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [sep, 0.0]],
-                         "covs": [np.eye(2), np.eye(2)]}
-    if fam in families.FAMILIES:
-        params = families.FAMILIES[fam].from_json(p)
-    if fam == "ppca":
-        Z = rng.standard_normal((spec.n, params.latent_dim))
-        X = Z @ params.W.T + params.mu \
-            + np.sqrt(params.sigma2) * rng.standard_normal((spec.n, params.data_dim))
-        return X, {"latents": Z}, params
-    if fam == "gmm":
-        X, z = pkg.mixture.gmm_sample(params, spec.n, rng)
-        return X, {"assignments": z}, params
-    if fam == "lca":
-        X, z = pkg.mixture.lca_sample(params, spec.n, rng)
-        return X, {"assignments": z}, params
-    if fam == "irt":
-        X, theta = pkg.irt.sample(params, spec.n, rng)
-        return X, {"abilities": theta}, params
-    if fam in ("hmm", "ghmm", "lds"):
-        sample = pkg.sequential.lds_sample if fam == "lds" else pkg.sequential.hmm_sample
-        paths, seqs = [], []
-        for T in spec.lengths:
-            states, obs = sample(params, T, rng)
-            paths.append(states)
-            seqs.append(obs)
-        return seqs, {"states": paths}, params
-    if fam == "mixture1d":
+    if family == "mixture1d":
         weights = np.asarray(p.get("weights", [0.5, 0.5]), dtype=float)
         means = np.asarray(p.get("means", [-2.0, 2.0]), dtype=float)
         sds = np.asarray(p.get("sds", [0.5, 0.5]), dtype=float)
         z = sample_categorical_many(weights, rng, spec.n)
         X = (means[z] + sds[z] * rng.standard_normal(spec.n))[:, None]
         return X, {"assignments": z}, {"weights": weights, "means": means, "sds": sds}
-    raise ValueError(f"unknown family {fam!r}")
+    if family == "blobs2d":
+        sep = float(p.get("separation", 10.0))
+        family, p = "gmm", {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [sep, 0.0]],
+                            "covs": [np.eye(2), np.eye(2)]}
+    record = families.FAMILIES[family]
+    params = record.from_json(p)
+    data, latents = record.sample_latents(params, getattr(spec, KINDS[record.input].size), rng)
+    return data, latents, params
 
 
 # ---------------------------------------------------------------------------

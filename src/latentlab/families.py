@@ -34,7 +34,10 @@ class Family:
     FitReport or None for a trained family; sample(params, n, rng) -> prior
     rows; sample_posterior(params, n, rng, given) -> rows drawn given the
     conditioning row given; loglik(params, data, config, seed) -> per-point values;
-    infer(params, data, config) -> (rows, header); reconstruct(params, X) -> rows.
+    infer(params, data, config) -> (rows, header); reconstruct(params, X) -> rows;
+    sample_latents(params, size, rng) -> (data, {name: true latents}) is the
+    ancestral draw of the joint, of size n rows or a list of sequence lengths
+    (the input kind's size field in datasets.KINDS).
     """
 
     input: str
@@ -47,6 +50,7 @@ class Family:
     loglik: Optional[Callable] = None
     infer: Optional[Callable] = None
     reconstruct: Optional[Callable] = None
+    sample_latents: Optional[Callable] = None
 
 
 def _network(value):
@@ -61,6 +65,19 @@ def _em_cfg(args, default_rel_tol=1e-7):
 def _em_fit(fitted):
     params, report = fitted
     return params, report.objective_trace, report
+
+
+def _named(name, drawn):
+    """A sampler's (data, latents) as (data, {name: latents})."""
+    data, latents = drawn
+    return data, {name: latents}
+
+
+def _sequences(sample, params, lengths, rng):
+    """One draw per length from sample(params, T, rng) -> (states, obs), as
+    (sequences, {"states": paths})."""
+    drawn = [sample(params, T, rng) for T in lengths]
+    return [obs for _path, obs in drawn], {"states": [path for path, _obs in drawn]}
 
 
 def _columns(prefix, rows):
@@ -137,7 +154,8 @@ _HMM = Family(
     sample=lambda p, n, rng: np.asarray(pkg.sequential.hmm_sample(p, n, rng)[1],
                                         dtype=float)[:, None],
     loglik=lambda p, S, _c, _s: pkg.sequential.hmm_infer(p, S, smooth=False).logliks,
-    infer=_hmm_infer)
+    infer=_hmm_infer,
+    sample_latents=lambda p, L, rng: _sequences(pkg.sequential.hmm_sample, p, L, rng))
 
 FAMILIES = {
     "ppca": Family(
@@ -150,7 +168,8 @@ FAMILIES = {
                                                                   given=given),
         loglik=lambda p, X, _c, _s: pkg.ppca.loglik_rows(p, X),
         infer=lambda p, X, _c: _columns("z", pkg.ppca.posterior_means(p, X)),
-        reconstruct=lambda p, X: pkg.ppca.reconstruct(p, X)),
+        reconstruct=lambda p, X: pkg.ppca.reconstruct(p, X),
+        sample_latents=lambda p, n, rng: _named("latents", pkg.ppca.sample_joint(p, n, rng))),
     "gmm": Family(
         "matrix", ("k",) + EM_FLAGS,
         to_json=lambda p: pkg.mixture.gmm_to_json(p),
@@ -158,7 +177,8 @@ FAMILIES = {
         fit=lambda X, a, _r: _em_fit(pkg.mixture.fit_gmm(X, a.k, _em_cfg(a))),
         sample=lambda p, n, rng: pkg.mixture.gmm_sample(p, n, rng)[0],
         loglik=lambda p, X, _c, _s: pkg.mixture.gmm_loglik_rows(p, X),
-        infer=lambda p, X, _c: _columns("gamma", pkg.mixture.gmm_e_step(p, X).gamma)),
+        infer=lambda p, X, _c: _columns("gamma", pkg.mixture.gmm_e_step(p, X).gamma),
+        sample_latents=lambda p, n, rng: _named("assignments", pkg.mixture.gmm_sample(p, n, rng))),
     "lca": Family(
         "matrix", ("k",) + EM_FLAGS,
         to_json=lambda p: pkg.mixture.lca_to_json(p),
@@ -166,7 +186,8 @@ FAMILIES = {
         fit=lambda X, a, _r: _em_fit(pkg.mixture.fit_lca(X, a.k, _em_cfg(a))),
         sample=lambda p, n, rng: pkg.mixture.lca_sample(p, n, rng)[0],
         loglik=lambda p, X, _c, _s: pkg.mixture.lca_loglik_rows(p, X),
-        infer=lambda p, X, _c: _columns("gamma", pkg.mixture.lca_e_step(p, X).gamma)),
+        infer=lambda p, X, _c: _columns("gamma", pkg.mixture.lca_e_step(p, X).gamma),
+        sample_latents=lambda p, n, rng: _named("assignments", pkg.mixture.lca_sample(p, n, rng))),
     "irt": Family(
         "matrix", ("quad_nodes",) + EM_FLAGS,
         to_json=fields_to_json, from_json=lambda o: fields_from_json(pkg.irt.IrtParams, o),
@@ -175,7 +196,8 @@ FAMILIES = {
         sample=lambda p, n, rng: pkg.irt.sample(p, n, rng)[0],
         loglik=lambda p, X, c, _s: pkg.irt.loglik_rows(p, X, _quadrature(c)),
         infer=lambda p, X, c: (np.column_stack(pkg.irt.posterior_moments(p, X, _quadrature(c))),
-                               ["eap", "sd"])),
+                               ["eap", "sd"]),
+        sample_latents=lambda p, n, rng: _named("abilities", pkg.irt.sample(p, n, rng))),
     "lda": Family(
         "corpus", ("k", "alpha", "beta", "vocab") + EM_FLAGS,
         to_json=lambda m: pkg.lda.to_json(m), from_json=lambda o: pkg.lda.from_json(o),
@@ -192,7 +214,8 @@ FAMILIES = {
         fit=lambda S, a, _r: _em_fit(pkg.sequential.lds_fit(S, a.latent_dim, _em_cfg(a))),
         sample=lambda p, n, rng: pkg.sequential.lds_sample(p, n, rng)[1],
         loglik=lambda p, S, _c, _s: pkg.sequential.lds_infer(p, S, smooth=False).logliks,
-        infer=_lds_infer),
+        infer=_lds_infer,
+        sample_latents=lambda p, L, rng: _sequences(pkg.sequential.lds_sample, p, L, rng)),
     "vae": Family(
         "matrix", ("latent_dim", "likelihood", "sigma_dec") + TRAIN_FLAGS,
         to_json=fields_to_json,

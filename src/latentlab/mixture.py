@@ -418,7 +418,11 @@ def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
                   for j, C in enumerate(n_categories)]
         init = LcaParams(np.full(K, 1.0 / K), tuple(tables))
 
+    # checked once: every M-step table is n_categories wide, covering every code
+    _check_lca_data(init, X)
+
     def m_step(d, resp):
         return lca_m_step(d, resp, n_categories=n_categories)
 
-    return run_em(lca_e_step, m_step, _resp_loglik, X, init, cfg)
+    return run_em(lambda params, codes: _responsibilities(_lca_log_joint(params, codes)),
+                  m_step, _resp_loglik, X, init, cfg)

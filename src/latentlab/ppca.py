@@ -19,8 +19,8 @@ from .core import (Gaussian, RandomSource, check_finite, chol_psd,
 from .em import EmConfig, run_em
 
 __all__ = ["PpcaParams", "PpcaPosterior", "fit_closed_form", "posterior",
-           "posterior_means", "reconstruct", "sample", "fit_em", "marginal_loglik",
-           "loglik_rows", "canonicalize"]
+           "posterior_means", "reconstruct", "sample", "sample_joint", "fit_em",
+           "marginal_loglik", "loglik_rows", "canonicalize"]
 
 SIGMA2_FLOOR = 1e-12
 
@@ -149,6 +149,11 @@ def marginal_loglik(params, data):
 def sample(params, n, rng, mode="prior", given=None):
     """Draw n observations, either from the prior or from the posterior of
     a given observation (variations of a known data point)."""
+    return sample_joint(params, n, rng, mode, given)[0]
+
+
+def sample_joint(params, n, rng, mode="prior", given=None):
+    """sample's draw with the latent rows it was drawn from: (X, Z)."""
     D, M = params.data_dim, params.latent_dim
     if mode == "prior":
         Z = rng.standard_normal((n, M))
@@ -161,7 +166,7 @@ def sample(params, n, rng, mode="prior", given=None):
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     noise = np.sqrt(params.sigma2) * rng.standard_normal((n, D))
-    return Z @ params.W.T + params.mu + noise
+    return Z @ params.W.T + params.mu + noise, Z
 
 
 def canonicalize(params):

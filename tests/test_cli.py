@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import latentlab
-from latentlab import irt
+from latentlab import datasets, irt
 from latentlab.cli import main
 from latentlab.core import RandomSource
 from latentlab.datasets import (SyntheticSpec, generate, read_csv, write_csv,
@@ -201,6 +201,51 @@ def test_synth_rejects_bad_sizes_naming_the_field(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith(f"latentlab: spec {field} must be")
     assert not out.exists()
+
+
+def test_synth_rejects_specs_that_draw_nothing(tmp_path, capsys):
+    hmm = {"pi": [0.5, 0.5], "trans": [[0.9, 0.1], [0.1, 0.9]],
+           "emit": [[0.5, 0.5], [0.1, 0.9]]}
+    lds = {"A": [[0.9]], "C": [[1.0]], "Q": [[0.19]], "R": [[0.1]], "mu0": [0.0],
+           "Sigma0": [[1.0]]}
+    gmm = {"weights": [1.0], "means": [[0.0]], "covs": [[[1.0]]]}
+    lda = {"alpha": [1.0, 1.0], "beta": [1.0] * 4, "K": 2, "V": 4}
+    cases = [({"family": "lds", "params": lds}, "lengths"),
+             ({"family": "hmm", "params": hmm}, "lengths"),
+             ({"family": "gmm", "params": gmm, "n": 0}, "n"),
+             ({"family": "lda", "params": lda}, "lengths")]
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "out.txt"
+    for doc, field in cases:
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["synth", str(spec), "--out", str(out)]) == 2, doc
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith(f"latentlab: spec {field} must be")
+    assert not out.exists()
+
+
+def test_entries_above_the_magnitude_bound_are_usage_errors(tmp_path):
+    X = RandomSource(3).standard_normal((50, 2))
+    X[6, 1] = 1e200
+    matrix = tmp_path / "big.csv"
+    write_csv(matrix, X)
+    seqs = tmp_path / "big.seq"
+    write_seq(seqs, [X[20:], X[:20]], dx=2)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(latentlab.__file__)))
+    for family, data, where in (("gmm", matrix, f"{matrix}: data row 7, column 2"),
+                                ("lds", seqs, f"{seqs}: sequence 2, row 7, column 2")):
+        proc = subprocess.run([sys.executable, "-m", "latentlab", "fit", family, "--data",
+                               str(data), "--out", str(tmp_path / "m.json")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, family
+        assert proc.stderr.startswith(f"latentlab: {where}: magnitude above"), proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not (tmp_path / "m.json").exists()
+    X[6, 1] = -datasets.MAX_ABS
+    write_csv(matrix, X)
+    assert datasets.read_matrix(str(matrix)).tobytes() == X.tobytes()
 
 
 def test_hmm_cli_round_trip(tmp_path):

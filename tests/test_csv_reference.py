@@ -158,7 +158,7 @@ def test_non_finite_files_remain_usage_errors(tmp_path, name):
     path = tmp_path / "in.csv"
     path.write_text(VALID[name], encoding="utf-8", newline="")
     with pytest.raises(cli.UsageError, match="holds a non-finite value"):
-        cli._read_matrix(str(path))
+        datasets.read_matrix(str(path))
 
 
 FIELDS = st.one_of(

@@ -1,13 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+from latentlab.cli import main
 from latentlab.core import RandomSource
-from latentlab.datasets import (SyntheticSpec, generate, read_corpus, read_csv,
-                                read_model, read_seq, write_corpus, write_csv,
-                                write_model, write_seq)
+from latentlab.datasets import (KINDS, SYNTHETIC_FAMILIES, SyntheticSpec, generate,
+                                read_corpus, read_csv, read_model, read_seq, write_corpus,
+                                write_csv, write_model, write_seq)
+from latentlab.families import FAMILIES
 from latentlab.mixture import GmmParams
 from latentlab.ppca import PpcaParams
 from latentlab.sequential import DiscreteEmission, HmmParams, LdsParams
+from test_generate_reference import SPECS
 
 
 def test_gmm_single_component_mean(tmp_path):
@@ -41,6 +46,31 @@ def test_generate_deterministic():
     X1, _, _ = generate(spec)
     X2, _, _ = generate(spec)
     assert np.array_equal(X1, X2)
+
+
+def test_every_family_reads_a_kind_in_the_table():
+    assert {rec.input for rec in FAMILIES.values()} <= set(KINDS)
+    assert set(SYNTHETIC_FAMILIES.values()) <= set(KINDS)
+    for name, kind in SYNTHETIC_FAMILIES.items():
+        assert name not in FAMILIES or FAMILIES[name].input == kind
+
+
+@pytest.mark.parametrize("family", sorted(SYNTHETIC_FAMILIES))
+def test_synth_output_reads_back_as_generated(tmp_path, family):
+    params, sizes = SPECS[family]
+    doc = dict(family=family, params=params, seed=5, **sizes)
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    out = str(tmp_path / "synth.out")
+    assert main(["synth", str(tmp_path / "spec.json"), "--out", out]) == 0
+    drawn, _latents, _true = generate(SyntheticSpec(**doc))
+    back = KINDS[SYNTHETIC_FAMILIES[family]].read(out, family, None)
+    if family == "lda":
+        drawn, back = drawn.docs, back.docs
+    if isinstance(drawn, np.ndarray):
+        drawn, back = [drawn], [back]
+    assert len(back) == len(drawn)
+    for got, want in zip(back, drawn):
+        assert np.array_equal(got, want) and got.shape == want.shape
 
 
 def test_generate_rejects_unknown_family():

@@ -604,13 +604,33 @@ def _count_calls(monkeypatch, names):
 
 
 def test_fits_call_each_traced_step_once_per_phase(monkeypatch):
-    calls = _count_calls(monkeypatch, ["gmm_e_step", "gmm_m_step", "lca_e_step",
+    # fit_lca's E-step is the log joint and normaliser on codes checked once
+    calls = _count_calls(monkeypatch, ["gmm_e_step", "gmm_m_step", "_lca_log_joint",
                                        "lca_m_step"])
     cfg = EmConfig(max_iters=6, seed=0)
     _params, report = mixture.fit_gmm(_blobs(0), 3, cfg)
     _params, lca_report = mixture.fit_lca(_codes(0), 2, cfg)
     assert calls == {"gmm_e_step": report.iters + 1, "gmm_m_step": report.iters,
-                     "lca_e_step": lca_report.iters + 1, "lca_m_step": lca_report.iters}
+                     "_lca_log_joint": lca_report.iters + 1, "lca_m_step": lca_report.iters}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fit_lca_checks_the_codes_once(monkeypatch, seed):
+    X = _codes(seed)
+    cfg = EmConfig(max_iters=40, seed=seed)
+    calls = _count_calls(monkeypatch, ["_check_lca_data", "lca_e_step"])
+    got = mixture.fit_lca(X, 2, cfg)
+    assert got[1].iters > 1
+    assert calls == {"_check_lca_data": 1, "lca_e_step": 0}
+    assert_same_fit(got, ref_fit_lca(X, 2, cfg))
+    # the public steps still check every call
+    mixture.lca_e_step(got[0], X)
+    mixture.lca_loglik_rows(got[0], X)
+    assert calls == {"_check_lca_data": 3, "lca_e_step": 1}
+    bad = X.copy()
+    bad[0, 0] = got[0].item_probs[0].shape[1]
+    with pytest.raises(ValueError, match="out of range"):
+        mixture.lca_e_step(got[0], bad)
 
 
 def test_lca_m_step_holds_one_item_one_hot_at_a_time():

@@ -40,6 +40,28 @@ assert loaded == ["latentlab.core", "latentlab.em", "latentlab.mixture"], loaded
     assert proc.returncode == 0, proc.stderr
 
 
+def test_synth_loads_only_the_modules_its_family_needs(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"family": "gmm", "n": 5, "params": {"weights": [1.0], '
+                    '"means": [[0.0]], "covs": [[[1.0]]]}}')
+    script = """
+import runpy, sys
+sys.argv = ["latentlab", "synth", sys.argv[1], "--out", sys.argv[2]]
+try:
+    runpy.run_module("latentlab", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+loaded = sorted(m for m in sys.modules if m.startswith("latentlab."))
+assert loaded == ["latentlab.cli", "latentlab.core", "latentlab.datasets",
+                  "latentlab.em", "latentlab.families", "latentlab.mixture"], loaded
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(latentlab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, str(spec), str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_text().count("\n") == 6
+
+
 def test_record_calls_reach_functions_rebound_after_import(monkeypatch):
     calls = []
 
