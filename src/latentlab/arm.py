@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import integer_codes
+from .core import category_codes
 from .nn import Mlp, Tensor, fit_minibatch
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
@@ -47,12 +47,7 @@ def make_ar_model(seq_len, alphabet, rng, hidden=64):
 
 
 def _check_sequences(model, x):
-    X = integer_codes(x, "ARM sequences")
-    if X.shape[1] != model.seq_len:
-        raise ValueError("sequences have wrong length")
-    if np.any((X < 0) | (X >= model.alphabet)):
-        raise ValueError("symbol out of range")
-    return X
+    return category_codes(x, "ARM sequences", [model.alphabet] * model.seq_len)[0]
 
 
 def _onehot(X, V):
@@ -81,10 +76,10 @@ def _masked_inputs(model, X):
 def position_logits(model, prefix, d):
     """Logits for position d given a batch of (possibly partial) sequences;
     entries at positions >= d are ignored by construction."""
-    X = np.atleast_2d(np.asarray(prefix, dtype=int))
+    X = category_codes(prefix, "ARM sequences", model.alphabet)[0]
     N, D = X.shape
     V = model.alphabet
-    oh = _onehot(np.clip(X, 0, V - 1), V)
+    oh = _onehot(X, V)
     oh[:, d:, :] = 0.0
     inp = np.zeros((N, D * V + D))
     inp[:, :D * V] = oh.reshape(N, D * V)

@@ -148,9 +148,11 @@ def _write_trace(out_path, trace):
 
 
 def _read_data(family, args):
-    """The --data file of a command, read as the family's input kind."""
-    return datasets.KINDS[FAMILIES[family].input].read(args.data, family,
-                                                        getattr(args, "vocab", None))
+    """The --data file of a command, read as the family's input kind; a fit's
+    --vocab or --alphabet, where the family reads it, sets the table width."""
+    record = FAMILIES[family]
+    width = next((getattr(args, f, None) for f in ("vocab", "alphabet") if f in record.flags), None)
+    return datasets.KINDS[record.input].read(args.data, family, width)
 
 
 def _model_command(args, field):
@@ -249,7 +251,7 @@ def main(argv=None):
     try:
         args = _apply_config(command_parsers[args.command], args, argv)
         return COMMANDS[args.command](args)
-    except (NumericError, MonotonicityError, FloatingPointError,
+    except (NumericError, MonotonicityError, FloatingPointError, MemoryError,
             np.linalg.LinAlgError) as exc:
         print(f"latentlab: numeric failure: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ __all__ = [
     "kl_divergence_categorical",
     "chol_psd",
     "check_finite",
-    "integer_codes",
+    "category_codes",
     "float_list",
     "fields_to_json",
     "fields_from_json",
@@ -47,16 +47,48 @@ def check_finite(a, name="array"):
     return a
 
 
-def integer_codes(data, name):
-    """Integer category codes as an int array; a non-integer or non-finite
-    code is rejected before the cast, which would truncate it."""
+# Every integer below 2**53 is exact in a float64, so a code read as a float
+# is the one the file holds and its cast to int neither warns nor wraps.
+CODE_LIMIT = 2 ** 53
+
+
+def category_codes(data, name, widths=None):
+    """(codes, widths): a table of category codes, one row per observation
+    and one item per column, as an int array, and each item's table width.
+
+    A code is an integer in [0, width), and below CODE_LIMIT. widths is one
+    width for every item or a list of one per item; by default each item's
+    largest code + 1. Floats are checked before the cast to int, and an int
+    array comes back without a copy. A bad code is a ValueError naming the
+    first bad entry's row and item (0-based).
+    """
     X = np.atleast_2d(np.asarray(data))
-    if not np.issubdtype(X.dtype, np.integer):
-        Xf = np.asarray(X, dtype=float)
-        if not np.all(np.isfinite(Xf)) or np.any(Xf != np.round(Xf)):
-            raise ValueError(f"{name} must be integer category codes")
-        X = Xf.astype(int)
-    return X
+    if np.ndim(widths) and len(widths) != X.shape[1]:
+        raise ValueError(f"{name}: {X.shape[1]} items, expected {len(widths)}")
+    if X.dtype.kind not in "iu":
+        X = np.asarray(X, dtype=float)
+    floats = X.dtype.kind == "f"
+    # In the unsigned view of an int array a negative code wraps to
+    # 2**(bits-1) or more, above every nonnegative value of its type.
+    values = X if floats else X.view(f"u{X.dtype.itemsize}")
+    limit = CODE_LIMIT if floats else min(CODE_LIMIT, int(np.iinfo(X.dtype).max) + 1)
+    bound = np.clip(limit if widths is None else widths, 0, limit).astype(values.dtype)
+    top = values.max(axis=0, initial=0)
+    codes = X
+    ok = np.all(top < bound) and (not floats or X.min(initial=0.0) >= 0)   # False at NaN
+    if ok and floats:
+        codes = X.astype(np.intp)           # exact: every entry is in [0, 2**53)
+        ok = np.array_equal(codes, X)       # False at a fraction
+    if not ok:
+        with np.errstate(invalid="ignore"):
+            bad = (values >= bound) | (np.floor(X) != X) | (X < 0) if floats else values >= bound
+        i, j = np.argwhere(bad)[0]
+        v, w = X[i, j].item(), int(np.broadcast_to(bound, top.shape)[j])
+        rule = ("integer category codes" if not (math.isfinite(v) and v == int(v))
+                else "nonnegative" if v < 0 else "binary" if w == 2 else "category codes")
+        where = f"row {i}, item {j} holds {v!r}" + (f", out of range [0, {w})" if v >= w else "")
+        raise ValueError(f"{name} must be {rule}: {where}")
+    return codes, np.broadcast_to(top + 1 if widths is None else widths, top.shape).astype(np.intp)
 
 
 def float_list(a):
@@ -85,11 +117,11 @@ def fields_from_json(cls, obj, convert=lambda value: value):
     return cls(*(convert(obj[f.name]) for f in fields(cls)))
 
 
-def chol_psd(cov, jitter_scale=1e-9):
+def chol_psd(cov):
     """Cholesky factor of a symmetric PSD matrix.
 
-    Tries a plain factorization first; on failure adds jitter_scale*trace/d
-    to the diagonal once and retries. Raises NumericError if still not PSD.
+    Tries a plain factorization first; on failure adds 1e-9*trace/d to the
+    diagonal once and retries. Raises NumericError if still not PSD.
     """
     cov = np.asarray(cov, dtype=float)
     try:
@@ -97,7 +129,7 @@ def chol_psd(cov, jitter_scale=1e-9):
     except np.linalg.LinAlgError:
         pass
     d = cov.shape[0]
-    jitter = jitter_scale * np.trace(cov) / d
+    jitter = 1e-9 * np.trace(cov) / d
     try:
         return np.linalg.cholesky(cov + jitter * np.eye(d))
     except np.linalg.LinAlgError:

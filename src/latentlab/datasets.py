@@ -3,12 +3,14 @@ tests), the input kinds families read and write, and model file I/O.
 
 KINDS gives each input kind's reader (with the checks every command applies
 to its --data file), writer, and the spec field that sizes a draw (n for a
-matrix, lengths for the rest). matrix: a CSV with a header row and
-17-significant-digit values, at least one data row. seq: one sequence of
-integers per line. real_seq: a "dx=<d>" header line, then one sequence of
-flattened rows per line. Real entries must be finite and at most MAX_ABS in
-magnitude. corpus: one document of word indices per line. Model files are
-versioned JSON carrying the RNG algorithm id.
+matrix or codes, lengths for the rest). matrix: a CSV with a header row and
+17-significant-digit values, at least one data row. codes: a matrix of
+category codes. seq: one sequence of symbols per line. real_seq: a "dx=<d>"
+header line, then one sequence of flattened rows per line. Real entries must
+be finite and at most MAX_ABS in magnitude. corpus: one document of word
+indices per line. Codes, symbols and word indices follow
+core.category_codes. Model files are versioned JSON carrying the RNG
+algorithm id.
 """
 from __future__ import annotations
 
@@ -20,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 import latentlab as pkg
-from .core import RNG_ALGORITHM, RandomSource, sample_categorical_many
+from .core import RNG_ALGORITHM, RandomSource, category_codes, sample_categorical_many
 from . import families
 
 __all__ = ["SyntheticSpec", "generate", "KINDS", "SYNTHETIC_FAMILIES", "MAX_ABS",
-           "UsageError", "read_matrix", "read_csv", "write_csv", "read_seq",
+           "UsageError", "read_matrix", "read_codes", "read_csv", "write_csv", "read_seq",
            "write_seq", "read_corpus", "write_corpus", "write_model",
            "read_model", "read_json_object", "MODEL_SCHEMA"]
 
@@ -41,8 +43,9 @@ class UsageError(Exception):
     """Input that breaks the command-line contract: exit code 2."""
 
 
-# An input kind: read(path, family, vocab) -> checked data (vocab: a corpus's
-# vocabulary size or None), write(path, data), and the spec field sizing a draw.
+# An input kind: read(path, family, width) -> checked data (width: the table
+# width of codes or word indices, or None for the largest + 1), write(path,
+# data), and the spec field sizing a draw.
 Kind = namedtuple("Kind", "read write size")
 
 
@@ -59,6 +62,16 @@ def read_matrix(path):
     return X
 
 
+def read_codes(path, family, width=None):
+    """A matrix (read_matrix) of category codes, as an int array; a usage
+    error calls the rows by the family's noun."""
+    X = read_matrix(path)
+    try:
+        return category_codes(X, f"{path}: {families.FAMILIES[family].noun}", width)[0]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _check_magnitude(path, X, row):
     big = np.argwhere(np.abs(X) > MAX_ABS)
     if big.size:
@@ -67,14 +80,14 @@ def _check_magnitude(path, X, row):
                          f"MAX_ABS = {MAX_ABS:g}")
 
 
-def _read_discrete_seqs(path, family, _vocab):
+def _read_discrete_seqs(path, family, _width):
     seqs, dx = read_seq(path)
     if dx is not None:
         raise UsageError(f"{family} requires a discrete sequence file")
     return seqs
 
 
-def _read_real_seqs(path, family, _vocab):
+def _read_real_seqs(path, family, _width):
     seqs, dx = read_seq(path)
     if dx is None:
         raise UsageError(f"{family} requires a continuous sequence file (dx= header)")
@@ -88,12 +101,13 @@ def _read_real_seqs(path, family, _vocab):
 # Entries call the module's functions by name, so a rebound read_csv or
 # write_csv (a tracer, a test fake) sees every call.
 KINDS = {
-    "matrix": Kind(lambda path, _family, _vocab: read_matrix(path),
+    "matrix": Kind(lambda path, _family, _width: read_matrix(path),
                    lambda path, X: write_csv(path, X), "n"),
+    "codes": Kind(read_codes, lambda path, X: write_csv(path, X), "n"),
     "seq": Kind(_read_discrete_seqs, lambda path, seqs: write_seq(path, seqs), "lengths"),
     "real_seq": Kind(_read_real_seqs,
                      lambda path, seqs: write_seq(path, seqs, dx=seqs[0].shape[1]), "lengths"),
-    "corpus": Kind(lambda path, _family, vocab: read_corpus(path, V=vocab),
+    "corpus": Kind(lambda path, _family, width: read_corpus(path, V=width),
                    lambda path, corpus: write_corpus(path, corpus), "lengths"),
 }
 
@@ -237,7 +251,9 @@ def write_seq(path, sequences, dx=None):
 
 
 def read_seq(path):
-    """Returns (sequences, dx) where dx is None for discrete files."""
+    """Returns (sequences, dx) where dx is None for discrete files, whose
+    symbols are category codes; the row of a bad symbol is its place on the
+    line."""
     lines = _lines(path)
     dx = None
     start = 0
@@ -248,7 +264,8 @@ def read_seq(path):
     for lineno, line in enumerate(lines[start:], start=start + 1):
         try:
             if dx is None:
-                seqs.append(np.array([int(v) for v in line.split()], dtype=int))
+                symbols = np.array(line.split(), dtype=float)[:, None]
+                seqs.append(category_codes(symbols, "symbols")[0][:, 0])
             else:
                 flat = np.array([float(v) for v in line.split()], dtype=float)
                 if flat.size % dx:
@@ -266,14 +283,15 @@ def write_corpus(path, corpus):
 
 
 def read_corpus(path, V=None):
+    """A corpus of word indices below V (by default the largest + 1)."""
     docs = []
     for lineno, line in enumerate(_lines(path), start=1):
         try:
-            docs.append(np.array([int(v) for v in line.split()], dtype=int))
+            words = np.array(line.split(), dtype=float)[:, None]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed word index")
-    if V is None:
-        V = int(max(d.max() for d in docs)) + 1
+        # the row of a bad index is its place on the line
+        docs.append(category_codes(words, f"{path}: line {lineno}: word indices", V)[0][:, 0])
     return pkg.lda.Corpus(tuple(docs), V)
 
 

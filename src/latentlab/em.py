@@ -9,19 +9,21 @@ import numpy as np
 
 __all__ = ["EmConfig", "FitReport", "MonotonicityError", "run_em"]
 
+# An objective change below this ends a fit whatever its relative size.
+ABS_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class EmConfig:
     max_iters: int = 500
     rel_tol: float = 1e-7
-    abs_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.rel_tol > 0:
+            raise ValueError("rel_tol must be positive")
 
 
 @dataclass
@@ -69,7 +71,7 @@ def run_em(e_step, m_step, objective, data, init_params, cfg,
     E-step, so each iteration makes a single likelihood pass; trace entry t
     is the objective the E-step reports for the params of M-step t. Stops
     when the relative objective change drops below cfg.rel_tol (or the
-    absolute change below cfg.abs_tol), or after cfg.max_iters iterations.
+    absolute change below ABS_TOL), or after cfg.max_iters iterations.
     Raises MonotonicityError if the objective falls by more than
     monotonic_slack, which signals a broken update rather than bad data.
     """
@@ -96,7 +98,7 @@ def run_em(e_step, m_step, objective, data, init_params, cfg,
             raise MonotonicityError(it, prev, obj)
         delta = abs(obj - prev)
         rel_change = delta / max(1.0, abs(obj))
-        if rel_change < cfg.rel_tol or delta < cfg.abs_tol:
+        if rel_change < cfg.rel_tol or delta < ABS_TOL:
             converged = True
             prev = obj
             break

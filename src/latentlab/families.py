@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 import latentlab as pkg
-from .core import RandomSource, fields_from_json, fields_to_json
+from .core import RandomSource, category_codes, fields_from_json, fields_to_json
 from .em import EmConfig
 
 __all__ = ["Family", "FAMILIES"]
@@ -27,8 +27,9 @@ TRAIN_FLAGS = ("hidden", "epochs", "batch", "lr")
 
 @dataclass(frozen=True)
 class Family:
-    """input: "matrix" (a CSV of finite reals), "seq" (discrete sequences),
-    "real_seq" (continuous sequences) or "corpus".
+    """input: "matrix" (a CSV of finite reals), "codes" (a CSV of category
+    codes), "seq" (discrete sequences), "real_seq" (continuous sequences) or
+    "corpus"; noun: what a usage error calls the rows of a codes file.
 
     fit(data, args, rng) -> (params, trace, report), where report is the EM
     FitReport or None for a trained family; sample(params, n, rng) -> prior
@@ -51,6 +52,7 @@ class Family:
     infer: Optional[Callable] = None
     reconstruct: Optional[Callable] = None
     sample_latents: Optional[Callable] = None
+    noun: str = "data"
 
 
 def _network(value):
@@ -134,8 +136,9 @@ def _fit_diffusion(X, args, rng):
 
 
 def _fit_arm(X, args, rng):
-    model = pkg.arm.make_ar_model(args.seq_len or X.shape[1], args.alphabet or int(X.max()) + 1,
-                                  rng, hidden=args.hidden)
+    X, widths = category_codes(X, "ARM sequences", args.alphabet)
+    model = pkg.arm.make_ar_model(args.seq_len or X.shape[1], int(widths.max()), rng,
+                                  hidden=args.hidden)
     return model, pkg.arm.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 
@@ -180,16 +183,17 @@ FAMILIES = {
         infer=lambda p, X, _c: _columns("gamma", pkg.mixture.gmm_e_step(p, X).gamma),
         sample_latents=lambda p, n, rng: _named("assignments", pkg.mixture.gmm_sample(p, n, rng))),
     "lca": Family(
-        "matrix", ("k",) + EM_FLAGS,
+        "codes", ("k",) + EM_FLAGS,
         to_json=lambda p: pkg.mixture.lca_to_json(p),
         from_json=lambda o: fields_from_json(pkg.mixture.LcaParams, o),
         fit=lambda X, a, _r: _em_fit(pkg.mixture.fit_lca(X, a.k, _em_cfg(a))),
         sample=lambda p, n, rng: pkg.mixture.lca_sample(p, n, rng)[0],
         loglik=lambda p, X, _c, _s: pkg.mixture.lca_loglik_rows(p, X),
         infer=lambda p, X, _c: _columns("gamma", pkg.mixture.lca_e_step(p, X).gamma),
-        sample_latents=lambda p, n, rng: _named("assignments", pkg.mixture.lca_sample(p, n, rng))),
+        sample_latents=lambda p, n, rng: _named("assignments", pkg.mixture.lca_sample(p, n, rng)),
+        noun="LCA data"),
     "irt": Family(
-        "matrix", ("quad_nodes",) + EM_FLAGS,
+        "codes", ("quad_nodes",) + EM_FLAGS,
         to_json=fields_to_json, from_json=lambda o: fields_from_json(pkg.irt.IrtParams, o),
         fit=lambda X, a, _r: _em_fit(
             pkg.irt.fit_irt(X, pkg.irt.default_quadrature(a.quad_nodes), _em_cfg(a))),
@@ -197,7 +201,8 @@ FAMILIES = {
         loglik=lambda p, X, c, _s: pkg.irt.loglik_rows(p, X, _quadrature(c)),
         infer=lambda p, X, c: (np.column_stack(pkg.irt.posterior_moments(p, X, _quadrature(c))),
                                ["eap", "sd"]),
-        sample_latents=lambda p, n, rng: _named("abilities", pkg.irt.sample(p, n, rng))),
+        sample_latents=lambda p, n, rng: _named("abilities", pkg.irt.sample(p, n, rng)),
+        noun="responses"),
     "lda": Family(
         "corpus", ("k", "alpha", "beta", "vocab") + EM_FLAGS,
         to_json=lambda m: pkg.lda.to_json(m), from_json=lambda o: pkg.lda.from_json(o),
@@ -238,12 +243,13 @@ FAMILIES = {
         fit=_fit_diffusion,
         sample=lambda m, n, rng: pkg.diffusion.sample(m, n, rng)),
     "arm": Family(
-        "matrix", ("seq_len", "alphabet") + TRAIN_FLAGS,
+        "codes", ("seq_len", "alphabet") + TRAIN_FLAGS,
         to_json=fields_to_json,
         from_json=lambda o: fields_from_json(pkg.arm.ArModel, o, _network),
         fit=_fit_arm,
         sample=lambda m, n, rng: pkg.arm.sample(m, n, rng).astype(float),
-        loglik=lambda m, X, _c, _s: pkg.arm.log_likelihood_batch(m, X)),
+        loglik=lambda m, X, _c, _s: pkg.arm.log_likelihood_batch(m, X),
+        noun="ARM sequences"),
     "gan": Family(
         "matrix", ("latent_dim", "hidden", "steps", "batch", "lr"),
         to_json=fields_to_json,

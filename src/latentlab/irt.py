@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .core import check_finite, log_sum_exp_rows, normalize_log_rows
+from .core import category_codes, check_finite, log_sum_exp_rows, normalize_log_rows
 from .em import EmConfig, run_em
 
 __all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik", "loglik_rows",
@@ -94,14 +94,7 @@ def item_prob(theta, a_j, b_j):
 
 
 def _check_responses(responses, n_items=None):
-    X = np.atleast_2d(np.asarray(responses))
-    Xf = np.asarray(X, dtype=float)
-    if np.any((Xf != 0) & (Xf != 1)):
-        raise ValueError("responses must be binary")
-    X = Xf.astype(int)
-    if n_items is not None and X.shape[1] != n_items:
-        raise ValueError("responses have wrong number of items")
-    return X
+    return category_codes(responses, "responses", 2 if n_items is None else [2] * n_items)[0]
 
 
 def _log_lik_at_nodes(params, X, quad):
@@ -130,7 +123,7 @@ def sample(params, n, rng):
     """Ancestral draws: an ability per row, then each item's response.
     Returns (binary responses, abilities)."""
     theta = rng.standard_normal(n)
-    probs = 1.0 / (1.0 + np.exp(-(np.outer(theta, params.a) - params.b)))
+    probs = item_prob(theta[:, None], params.a, params.b)
     return (rng.uniform(probs.shape) < probs).astype(int), theta
 
 

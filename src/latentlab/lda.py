@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RandomSource, check_finite, fields_from_json, fields_to_json, float_list,
-                   sample_categorical_many, sample_dirichlet)
+from .core import (RandomSource, category_codes, check_finite, fields_from_json,
+                   fields_to_json, float_list, sample_categorical_many, sample_dirichlet)
 from .em import EmConfig, run_em
 
 __all__ = ["LdaHyper", "Corpus", "LdaVariational", "generate_corpus", "elbo",
@@ -57,7 +57,8 @@ class LdaHyper:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Documents as integer word-index sequences over a vocabulary of size V.
+    """Documents as integer word-index sequences over a vocabulary of size V
+    (None: the largest index + 1).
 
     The tokens are stored flat: words (N_tokens,) in document order, offsets
     (D+1,) with document d at words[offsets[d]:offsets[d+1]], and doc_of
@@ -71,18 +72,19 @@ class Corpus:
     doc_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        docs = [np.asarray(doc, dtype=int) for doc in self.docs]
+        docs = [np.asarray(doc) for doc in self.docs]
         lengths = np.array([w.size for w in docs], dtype=int)
-        words = np.concatenate(docs) if docs else np.zeros(0, dtype=int)
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        doc_of = np.repeat(np.arange(len(docs)), lengths)
         empty = np.flatnonzero(lengths == 0)
         if empty.size:
             raise ValueError(f"document {empty[0]} is empty")
-        out_of_range = doc_of[(words < 0) | (words >= self.V)]
-        if out_of_range.size:
-            raise ValueError(f"document {out_of_range[0]} has word index out of range")
+        # the row of a bad word is its token's place in the corpus
+        words, (V,) = category_codes(np.concatenate(docs or [np.zeros(0, dtype=int)])[:, None],
+                                     "corpus word indices", self.V)
+        words = words[:, 0]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        doc_of = np.repeat(np.arange(len(docs)), lengths)
         words.flags.writeable = False      # docs are views into it
+        object.__setattr__(self, "V", int(V))
         object.__setattr__(self, "docs", _blocks(words, offsets))
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "offsets", offsets)

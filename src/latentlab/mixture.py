@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RandomSource, chol_psd, check_finite, check_simplex_rows, float_list,
-                   gaussian_logpdf_columns, integer_codes, log_sum_exp_rows,
+from .core import (RandomSource, category_codes, chol_psd, check_finite, check_simplex_rows,
+                   float_list, gaussian_logpdf_columns, log_sum_exp_rows,
                    normalize_log_rows, sample_categorical_many)
 from .em import EmConfig, run_em
 
@@ -332,15 +332,7 @@ def lca_sample(params, n, rng):
 
 
 def _check_lca_data(params, data):
-    X = integer_codes(data, "LCA data")
-    if X.shape[1] != params.n_items:
-        raise ValueError(f"data has {X.shape[1]} items, model has {params.n_items}")
-    for j, table in enumerate(params.item_probs):
-        C = table.shape[1]
-        bad = np.where((X[:, j] < 0) | (X[:, j] >= C))[0]
-        if bad.size:
-            raise ValueError(f"item {j} category out of range at row {bad[0]}")
-    return X
+    return category_codes(data, "LCA data", [t.shape[1] for t in params.item_probs])[0]
 
 
 def _lca_log_joint(params, X):
@@ -378,23 +370,21 @@ def lca_m_step(data, resp, n_categories=None):
     """Update class weights and per-item category tables from expected counts.
 
     n_categories fixes each item's table width, which must exceed every
-    code of the item (fit_lca checks this once); by default it is inferred
-    as max(code)+1 per item. Probabilities are floored at 1e-10 and
-    renormalized.
+    code of the item; by default it is inferred as max(code)+1 per item.
+    Probabilities are floored at 1e-10 and renormalized.
     """
-    X = np.atleast_2d(np.asarray(data, dtype=int))
+    X, n_categories = category_codes(data, "LCA data", n_categories)
     N, J = X.shape
-    if n_categories is None:
-        n_categories = X.max(axis=0) + 1
     gamma, counts, events = _reseed_empty(resp.gamma, "class")
     # one buffer holds each item's one-hot rows in turn, as a contiguous (N, C_j) view
     buf = np.empty(N * int(max(n_categories, default=0)))
     tables = []
     for j in range(J):
         C = int(n_categories[j])
-        onehot = buf[:N * C].reshape(N, C)
-        np.take(np.eye(C), X[:, j], axis=0, out=onehot, mode="wrap")
-        tables.append(_floored_rows((gamma.T @ onehot) / counts[:, None]))
+        onehot = buf[:N * C]
+        onehot.fill(0.0)
+        onehot[np.arange(0, N * C, C) + X[:, j]] = 1.0
+        tables.append(_floored_rows((gamma.T @ onehot.reshape(N, C)) / counts[:, None]))
     params = LcaParams(counts / counts.sum(), tuple(tables))
     return (params, events) if events else params
 
@@ -402,16 +392,10 @@ def lca_m_step(data, resp, n_categories=None):
 def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
     """EM fit of a K-class latent class model over categorical items."""
     _check_k(K, "classes")
-    X = integer_codes(data, "LCA data")
-    if np.any(X < 0):
-        raise ValueError("LCA category codes must be nonnegative")
+    X, n_categories = category_codes(data, "LCA data", n_categories)
     N, J = X.shape
     if N < K:
         raise ValueError("need at least K data points")
-    if n_categories is None:
-        n_categories = [int(X[:, j].max()) + 1 for j in range(J)]
-    elif np.any(X.max(axis=0) >= np.asarray(n_categories)):
-        raise ValueError("LCA category code out of range")
     if init is None:
         rng = RandomSource(cfg.seed).split(202)
         tables = [_perturbed_rows(np.bincount(X[:, j], minlength=C).astype(float) / N, K, rng)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Gaussian, NumericError, RandomSource, check_finite,
+from .core import (Gaussian, NumericError, RandomSource, category_codes, check_finite,
                    check_simplex_rows, chol_psd, float_list, gaussian_logpdf_columns,
                    normalize_log_rows)
 from .em import EmConfig, run_em
@@ -62,9 +62,8 @@ class DiscreteEmission:
         return self.probs.shape[1]
 
     def log_liks(self, obs):
-        obs = np.asarray(obs, dtype=int)
-        if np.any((obs < 0) | (obs >= self.n_symbols)):
-            raise ValueError("observation symbol out of range")
+        obs = category_codes(np.reshape(obs, (-1, 1)), "observation symbols",
+                             self.n_symbols)[0][:, 0]
         with np.errstate(divide="ignore"):
             logp = np.log(self.probs)
         return logp[:, obs].T                                  # (T, K)
@@ -328,7 +327,7 @@ class HmmSetPosterior:
 
 def _hmm_pack(discrete, obs_set):
     if discrete:
-        return SequencePack.build([np.asarray(o, dtype=int) for o in obs_set])
+        return SequencePack.build([np.asarray(o) for o in obs_set])
     return SequencePack.build([np.atleast_2d(np.asarray(o, dtype=float)) for o in obs_set])
 
 
@@ -448,13 +447,10 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
     pack = _hmm_pack(kind == "discrete", obs_set)
     rng = RandomSource(cfg.seed).split(303)
     if kind == "discrete":
-        flat = pack.data
-        if n_symbols is None:
-            n_symbols = int(flat.max()) + 1
-        elif flat.max() >= n_symbols:
-            raise ValueError("observation symbol out of range")
+        codes, (n_symbols,) = category_codes(pack.data[:, None], "observation symbols", n_symbols)
+        pack = dataclasses.replace(pack, data=codes[:, 0])
         if init is None:
-            freq = np.bincount(flat, minlength=n_symbols).astype(float) / flat.size
+            freq = np.bincount(pack.data, minlength=n_symbols).astype(float) / pack.data.size
             emit = DiscreteEmission(_perturbed_rows(freq, K, rng))
     elif init is None:
         # input order for the seeded start
@@ -675,13 +671,13 @@ def lds_loglik(params, obs_set):
     return _total_loglik(lds_infer(params, obs_set, smooth=False))
 
 
-def lds_fit(obs_set, state_dim, cfg: EmConfig, init=None, update_sigma0=None):
+def lds_fit(obs_set, state_dim, cfg: EmConfig, init=None):
     """EM for the linear dynamical system with closed-form least-squares
     M-step (ridge-stabilized normal equations).
 
     Sigma0 is updated only when at least two sequences are available; with a
     single sequence it is held at its initial value (one observation of z_1
-    cannot identify it). Override with update_sigma0.
+    cannot identify it).
     """
     pack = _lds_pack(obs_set)
     if np.any(pack.lengths < 2):
@@ -689,8 +685,6 @@ def lds_fit(obs_set, state_dim, cfg: EmConfig, init=None, update_sigma0=None):
     X = pack.data
     N, dx = X.shape
     n_seq = pack.lengths.size
-    if update_sigma0 is None:
-        update_sigma0 = n_seq >= 2
     if init is None:
         xvar = float(np.mean(np.var(X, axis=0)))
         C0 = np.eye(dx, state_dim)
@@ -727,7 +721,7 @@ def lds_fit(obs_set, state_dim, cfg: EmConfig, init=None, update_sigma0=None):
                  + C_new @ S_zz_all @ C_new.T) / N
         R_new = 0.5 * (R_new + R_new.T) + RIDGE * np.eye(dx)
         mu0_new = M[first].sum(axis=0) / n_seq
-        if update_sigma0:
+        if n_seq >= 2:
             S0_new = S0_acc / n_seq - np.outer(mu0_new, mu0_new)
             S0_new = 0.5 * (S0_new + S0_new.T) + RIDGE * np.eye(dz)
         else:

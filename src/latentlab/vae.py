@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Mlp, Tensor, fit_minibatch
+from .nn import Mlp, Tensor, _sigmoid, fit_minibatch
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
            "elbo", "elbo_rows", "train", "sample", "reconstruct"]
@@ -162,7 +162,7 @@ def sample(model, n, rng, binarize=False):
     out = model.decoder.forward(Z).values
     if model.likelihood == "gaussian":
         return out + model.sigma_dec * rng.standard_normal(out.shape)
-    probs = 1.0 / (1.0 + np.exp(-out))
+    probs = _sigmoid(out)
     if binarize:
         return (rng.uniform(probs.shape) < probs).astype(float)
     return probs
@@ -173,5 +173,5 @@ def reconstruct(model, x):
     mu, _sigma = encode(model, x)
     out = model.decoder.forward(mu).values
     if model.likelihood == "bernoulli":
-        return 1.0 / (1.0 + np.exp(-out))
+        return _sigmoid(out)
     return out

@@ -775,3 +775,77 @@ def test_json_files_must_hold_an_object(tmp_path, real_csv, capsys):
         path = argv[-1] if "--config" in argv else argv[1]
         assert "Traceback" not in err and err.startswith(f"latentlab: {path}: "), err
     assert not os.path.exists(out)
+
+
+def _run_cli(argv, cwd):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(latentlab.__file__)))
+    return subprocess.run([sys.executable, "-m", "latentlab"] + argv, capture_output=True,
+                          text=True, env=env, timeout=120, cwd=cwd)
+
+
+def _write_probe_files(tmp_path, value):
+    """Small lca/arm, hmm and lda inputs, each with one entry set to value
+    (the text it is written as)."""
+    X = RandomSource(40).integers(0, 2, (20, 4)).astype(float)
+    X[7, 2] = float(value)
+    write_csv(tmp_path / "codes.csv", X)
+    (tmp_path / "symbols.seq").write_text(f"0 1 2 1\n2 {value} 0\n")
+    (tmp_path / "corpus.txt").write_text(f"0 1 2\n3 {value} 1\n")
+
+
+# (--data file, the value written into it, extra flags, exit code, what stderr holds)
+BOUNDARY_PROBES = {
+    "lca code 1e19": ("codes.csv", "1e19", ["lca"], 2,
+                      "codes.csv: LCA data must be category codes: row 7, item 2 holds 1e+19"),
+    "arm code 1e19": ("codes.csv", "1e19", ["arm", "--epochs", "1"], 2,
+                      "codes.csv: ARM sequences must be category codes: row 7, item 2"),
+    "hmm negative symbol": ("symbols.seq", "-1", ["hmm"], 2,
+                            "symbols.seq: line 2: symbols must be nonnegative"),
+    "hmm symbol 10^30": ("symbols.seq", "1" + "0" * 30, ["hmm"], 2,
+                         "symbols.seq: line 2: symbols must be category codes"),
+    "lda word 10^30": ("corpus.txt", "1" + "0" * 30, ["lda"], 2,
+                       "corpus.txt: line 2: word indices must be category codes"),
+    # each first allocation exceeds 1 PiB, so it fails at once on any host
+    "lca code 1e15": ("codes.csv", "1000000000000000", ["lca"], 1, "Unable to allocate"),
+    "arm code 1e15": ("codes.csv", "1000000000000000", ["arm", "--epochs", "1"], 1,
+                      "Unable to allocate"),
+    "hmm symbol 1e15": ("symbols.seq", "1000000000000000", ["hmm"], 1,
+                        "Unable to allocate"),
+    "lda word 1e15": ("corpus.txt", "1000000000000000", ["lda"], 1, "Unable to allocate"),
+    "lda --vocab 1e15": ("corpus.txt", "4", ["lda", "--vocab", "1000000000000000"], 1,
+                         "Unable to allocate"),
+    "hmm --k 1e15": ("symbols.seq", "1", ["hmm", "--k", "1000000000000000"], 1,
+                     "Unable to allocate"),
+    "vae --hidden 1e15": ("codes.csv", "1", ["vae", "--hidden", "1000000000000000"], 1,
+                          "Unable to allocate"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BOUNDARY_PROBES))
+def test_code_and_size_probes_end_in_one_line(probe, tmp_path):
+    data, value, flags, code, message = BOUNDARY_PROBES[probe]
+    _write_probe_files(tmp_path, value)
+    proc = _run_cli(["fit"] + flags[:1] + ["--data", data, "--out", "m.json"] + flags[1:],
+                    tmp_path)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("latentlab: "), proc.stderr
+    assert message in lines[0]
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_sampling_extreme_logits_prints_nothing_on_stderr(tmp_path):
+    from latentlab import vae
+    from latentlab.datasets import write_model
+    write_model(tmp_path / "irt.json", "irt", irt.IrtParams([1000.0, 1.0], [0.0, 0.0]))
+    model = vae.make_vae(2, 1, RandomSource(3), hidden=4, likelihood="bernoulli")
+    for p in model.decoder.params():
+        p.values *= 1e4
+    write_model(tmp_path / "vae.json", "vae", model)
+    write_csv(tmp_path / "x.csv", RandomSource(4).standard_normal((20, 2)))
+    for argv in (["sample", "irt.json", "--n", "200", "--out", "s.csv"],
+                 ["sample", "vae.json", "--n", "200", "--out", "s.csv"],
+                 ["reconstruct", "vae.json", "--data", "x.csv", "--out", "r.csv"]):
+        proc = _run_cli(argv, tmp_path)
+        assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentlab.core import (Gaussian, NumericError, RandomSource, Simplex,
-                            gaussian_condition, gaussian_logpdf,
+                            category_codes, gaussian_condition, gaussian_logpdf,
                             kl_divergence_categorical, log_sum_exp,
                             sample_categorical, sample_dirichlet,
                             sample_gaussian)
@@ -221,3 +222,32 @@ def test_random_source_cross_run_determinism():
     assert RandomSource(123).algorithm == "philox4x64"
     with pytest.raises(ValueError):
         RandomSource(1, algorithm="mystery")
+
+
+# Python ints keep an all-int table an int64 array (2**53 + 1 included); one
+# float entry makes the table float64, where 2**53 + 1 rounds to 2**53.
+CODE_ENTRIES = st.sampled_from([0, 1, 2, 5, -1, -3, 2**53 - 1, 2**53, 2**53 + 1,
+                                3.0, -0.0, 0.5, 2.25, -1.5, math.inf, -math.inf, math.nan,
+                                2.0**53 - 1, 2.0**53, 1e19, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(CODE_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=5)))
+def test_category_codes_returns_the_codes_or_names_the_first_bad_entry(rows):
+    X = np.array(rows)
+    with np.errstate(invalid="ignore"):
+        valid = (X >= 0) & (X < 2**53) & (np.floor(X) == X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if valid.all():
+            codes, widths = category_codes(X, "codes")
+            assert codes.dtype.kind == "i" and codes.shape == X.shape
+            assert np.array_equal(codes, X)
+            assert widths.tolist() == [int(v) + 1 for v in X.max(axis=0)]
+        else:
+            with pytest.raises(ValueError) as err:
+                category_codes(X, "codes")
+            i, j = np.argwhere(~valid)[0]
+            assert str(err.value).startswith("codes must be ")
+            assert f"row {i}, item {j} holds" in str(err.value)

@@ -646,3 +646,21 @@ def test_lca_m_step_holds_one_item_one_hot_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < all_one_hots / 8
+
+
+def test_lca_m_step_sets_one_hots_without_an_identity():
+    # one code of 20000 among 6 rows: an identity of the item's width would
+    # take 3.2 GB, the item's one-hot rows take 0.96 MB
+    N, C = 6, 20001
+    X = np.zeros((N, 2), dtype=int)
+    X[:, 1] = [0, 1, 0, 1, 1, 0]
+    X[3, 0] = C - 1
+    resp = Responsibilities(np.random.default_rng(1).dirichlet(np.ones(2), size=N))
+    tracemalloc.start()
+    try:
+        got = mixture.lca_m_step(X, resp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * N * C * 8
+    assert _leaves(got) == _leaves(ref_lca_m_step(X, resp, [C, 2]))
