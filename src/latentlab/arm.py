@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import category_codes
-from .nn import Mlp, Tensor, fit_minibatch
+from .nn import Mlp, check_counts, fit_minibatch
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
            "train", "sample", "position_logits"]
@@ -41,6 +41,7 @@ class ArModel:
 
 
 def make_ar_model(seq_len, alphabet, rng, hidden=64):
+    check_counts(hidden=hidden)
     net = Mlp.create([seq_len * alphabet + seq_len, hidden, alphabet],
                      ["tanh", "identity"], rng)
     return ArModel(seq_len, alphabet, net)
@@ -57,43 +58,39 @@ def _onehot(X, V):
     return out
 
 
-def _masked_inputs(model, X):
-    """All (sequence, position) network inputs for teacher forcing, stacked
-    into one (N*D, D*V + D) batch: row (i, d) sees x_i with positions >= d
-    zeroed, plus the one-hot marker for d."""
+def _masked_inputs(model, X, positions=None):
+    """Network inputs of the given positions (all D by default) for every
+    sequence, stacked sequence-major into one (N*P, D*V + D) batch: row
+    (i, d) sees x_i with positions >= d zeroed, plus the one-hot marker
+    for d."""
     N, D = X.shape
     V = model.alphabet
-    oh = _onehot(X, V)
-    rows = np.zeros((N, D, D * V + D))
-    for d in range(D):
-        masked = oh.copy()
-        masked[:, d:, :] = 0.0
-        rows[:, d, :D * V] = masked.reshape(N, D * V)
-        rows[:, d, D * V + d] = 1.0
-    return rows.reshape(N * D, D * V + D)
+    positions = range(D) if positions is None else positions
+    oh = _onehot(X, V).reshape(N, D * V)
+    rows = np.zeros((N, len(positions), D * V + D))
+    for j, d in enumerate(positions):
+        rows[:, j, :d * V] = oh[:, :d * V]
+        rows[:, j, D * V + d] = 1.0
+    return rows.reshape(N * len(positions), D * V + D)
 
 
 def position_logits(model, prefix, d):
     """Logits for position d given a batch of (possibly partial) sequences;
     entries at positions >= d are ignored by construction."""
     X = category_codes(prefix, "ARM sequences", model.alphabet)[0]
-    N, D = X.shape
-    V = model.alphabet
-    oh = _onehot(X, V)
-    oh[:, d:, :] = 0.0
-    inp = np.zeros((N, D * V + D))
-    inp[:, :D * V] = oh.reshape(N, D * V)
-    inp[:, D * V + d] = 1.0
-    return model.cond_net.forward(Tensor(inp))
+    return model.cond_net.forward(_masked_inputs(model, X, [d]))
+
+
+def _log_conditionals(model, X):
+    """(N*D, V) conditional log-probabilities of every position, on the tape."""
+    return model.cond_net.forward(_masked_inputs(model, X)).log_softmax(axis=1)
 
 
 def _loglik_tensor(model, X):
     """(scalar) total log-likelihood of a batch, on the tape."""
     N, D = X.shape
     V = model.alphabet
-    inp = Tensor(_masked_inputs(model, X))
-    logits = model.cond_net.forward(inp)          # (N*D, V)
-    logp = logits.log_softmax(axis=1)
+    logp = _log_conditionals(model, X)
     targets = np.zeros((N * D, V))
     targets[np.arange(N * D), X.reshape(-1)] = 1.0
     return (logp * targets).sum()
@@ -112,11 +109,7 @@ def log_likelihood(model, x):
 def log_likelihood_batch(model, x):
     X = _check_sequences(model, x)
     N, D = X.shape
-    V = model.alphabet
-    inp = Tensor(_masked_inputs(model, X))
-    logp = model.cond_net.forward(inp).values
-    m = logp.max(axis=1, keepdims=True)
-    logp = logp - (m + np.log(np.sum(np.exp(logp - m), axis=1, keepdims=True)))
+    logp = _log_conditionals(model, X).values
     picked = logp[np.arange(N * D), X.reshape(-1)].reshape(N, D)
     return np.maximum(picked.sum(axis=1), NEG_INF_SENTINEL)
 

@@ -6,11 +6,11 @@ to its --data file), writer, and the spec field that sizes a draw (n for a
 matrix or codes, lengths for the rest). matrix: a CSV with a header row and
 17-significant-digit values, at least one data row. codes: a matrix of
 category codes. seq: one sequence of symbols per line. real_seq: a "dx=<d>"
-header line, then one sequence of flattened rows per line. Real entries must
-be finite and at most MAX_ABS in magnitude. corpus: one document of word
-indices per line. Codes, symbols and word indices follow
-core.category_codes. Model files are versioned JSON carrying the RNG
-algorithm id.
+header line (d a positive integer), then one sequence of flattened rows per
+line. Real entries must be finite and at most MAX_ABS in magnitude. corpus:
+one document of word indices per line. Codes, symbols and word indices
+follow core.category_codes. Model files are versioned JSON carrying the RNG
+algorithm id; every number in them is finite.
 """
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 import latentlab as pkg
-from .core import RNG_ALGORITHM, RandomSource, category_codes, sample_categorical_many
+from .core import (RNG_ALGORITHM, NumericError, RandomSource, category_codes,
+                   sample_categorical_many)
 from . import families
 
 __all__ = ["SyntheticSpec", "generate", "KINDS", "SYNTHETIC_FAMILIES", "MAX_ABS",
@@ -258,7 +259,11 @@ def read_seq(path):
     dx = None
     start = 0
     if lines[0].startswith("dx="):
-        dx = int(lines[0][3:])
+        head = lines[0][3:].strip()
+        dx = int(head) if head.isdecimal() and len(head) <= 18 else 0
+        if dx < 1:
+            raise ValueError(f"{path}: line 1: dx= must be a positive integer of at most "
+                             f"18 digits, got {head!r}")
         start = 1
     seqs = []
     for lineno, line in enumerate(lines[start:], start=start + 1):
@@ -306,13 +311,19 @@ def _family(family, verb):
 
 
 def write_model(path, family, params, config=None):
+    """The model file of params; one holding a NaN or an infinity raises
+    NumericError and writes nothing."""
     doc = {"schema": MODEL_SCHEMA, "family": family,
            "rng_algorithm": RNG_ALGORITHM,
            "params": _family(family, "serialize").to_json(params),
            "config": config or {}}
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericError(f"{path}: the {family} model holds a non-finite number; "
+                           "no model file written") from None
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json_object(path):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import float_list
-from .nn import Mlp, Tensor, concat, fit_minibatch
+from .nn import Mlp, Tensor, check_counts, concat, fit_minibatch
 
 __all__ = ["NoiseSchedule", "DiffusionModel", "linear_schedule", "make_diffusion",
            "time_features", "q_sample", "posterior_params", "loss_simple",
@@ -101,6 +101,7 @@ def make_diffusion(dim, rng, T=50, hidden=64, hidden_layers=2,
     desk-scale convention; for generation quality pick beta_end so that
     alpha_bar_T is near zero (otherwise q(x_T | x_0) sits far from the
     standard-normal prior the sampler starts from)."""
+    check_counts(T=T, hidden=hidden)
     net = Mlp.create([dim + TIME_FEATURES] + [hidden] * hidden_layers + [dim],
                      ["tanh"] * hidden_layers + ["identity"], rng)
     return DiffusionModel(linear_schedule(T, beta_start, beta_end), net, dim)
@@ -151,9 +152,11 @@ def posterior_params(schedule, x_t, x0, t):
     return mu, beta_tilde
 
 
-def _predict_eps(model, x_t_tensor, t, n_rows):
-    inp = concat([x_t_tensor, Tensor(time_features(t, model.schedule.T, n_rows))], axis=1)
-    return model.eps_net.forward(inp)
+def _predict_eps(model, x_t, t):
+    """eps_net's output Tensor at an (n, dim) array x_t and a step t (scalar
+    or per row)."""
+    feats = time_features(t, model.schedule.T, x_t.shape[0])
+    return model.eps_net.forward(concat([Tensor(x_t), Tensor(feats)], axis=1))
 
 
 def _mu_from_eps(schedule, x_t, eps_hat, t):
@@ -176,8 +179,7 @@ def loss_simple(model, x0_batch, rng):
     eps = rng.standard_normal((n, model.dim))
     ab = model.schedule.alpha_bars[ts - 1][:, None]
     x_t = np.sqrt(ab) * X0 + np.sqrt(1.0 - ab) * eps
-    inp = concat([Tensor(x_t), Tensor(time_features(ts, model.schedule.T))], axis=1)
-    eps_hat = model.eps_net.forward(inp)
+    eps_hat = _predict_eps(model, x_t, ts)
     return ((eps_hat - Tensor(eps)) ** 2).sum() * (1.0 / n)
 
 
@@ -192,7 +194,7 @@ def elbo_terms(model, x0, rng):
     terms = []
     for t in range(1, model.schedule.T + 1):
         x_t, _eps = q_sample(model.schedule, X0, t, rng)
-        eps_hat = _predict_eps(model, Tensor(x_t), t, X0.shape[0]).values
+        eps_hat = _predict_eps(model, x_t, t).values
         mu_theta = _mu_from_eps(model.schedule, x_t, eps_hat, t)
         mu_tilde, beta_tilde = posterior_params(model.schedule, x_t, X0, t)
         sq = float(np.sum((mu_tilde - mu_theta) ** 2))
@@ -207,7 +209,7 @@ def sample(model, n, rng):
     """Ancestral reverse chain from x_T ~ N(0, I); the final step adds no noise."""
     x = rng.standard_normal((n, model.dim))
     for t in range(model.schedule.T, 0, -1):
-        eps_hat = _predict_eps(model, Tensor(x), t, n).values
+        eps_hat = _predict_eps(model, x, t).values
         mu = _mu_from_eps(model.schedule, x, eps_hat, t)
         if t > 1:
             beta_tilde = _posterior_coefs(model.schedule, t)[2]

@@ -1,11 +1,13 @@
 """Normalizing flows: exact densities via the change of variables, with
 planar layers, affine coupling layers, and fixed permutations.
 
-The generator direction z -> x is "forward"; log-density bookkeeping is
-available in both directions and must agree up to sign. Coupling and
-permutation layers invert analytically (and differentiably); planar layers
-invert by scalar root-finding, so flows containing planar layers support
-evaluation and inversion but not gradient-based likelihood training.
+The generator direction z -> x is "forward". Every layer has one
+forward(z) and one inverse(x) over Tensors, each returning the result and
+the log-determinant of that direction's Jacobian per row; the two agree up
+to sign. Coupling and permutation layers invert analytically and
+differentiably; planar layers invert by scalar root-finding into constants,
+so flows containing planar layers support evaluation and inversion but not
+gradient-based likelihood training.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import float_list
-from .nn import Mlp, Tensor, concat, fit_minibatch
+from .nn import Mlp, Tensor, as_batch, check_counts, concat, fit_minibatch
 
 __all__ = ["PlanarLayer", "CouplingLayer", "PermutationLayer", "FlowModel",
            "forward_with_logdet", "inverse", "log_likelihood", "fit",
@@ -59,12 +61,6 @@ class PlanarLayer:
         wnorm2 = (self.w * self.w).sum()
         return self.u + (m - wu) / wnorm2 * self.w
 
-    def _u_hat_np(self):
-        w, u = self.w.values, self.u.values
-        wu = float(w @ u)
-        m = -1.0 + math.log1p(math.exp(-abs(wu))) + max(wu, 0.0)
-        return u + (m - wu) * w / float(w @ w)
-
     def forward(self, z):
         u_hat = self._u_hat()
         w_col = self.w.reshape(-1, 1)
@@ -76,18 +72,20 @@ class PlanarLayer:
         return out, logdet
 
     def inverse(self, x):
-        """Solve the scalar pre-activation per row, then subtract the bump."""
-        u_hat = self._u_hat_np()
+        """Solve the scalar pre-activation per row, then subtract the bump.
+        z and its log-det (minus the forward one at z) are constants: no
+        gradient flows through this inverse."""
+        u_hat = self._u_hat().values
         w = self.w.values
         b = float(self.b.values[0])
         wu = float(w @ u_hat)
-        X = np.atleast_2d(x)
-        targets = X @ w
+        X = x.values
         z = np.empty_like(X)
-        for i, target in enumerate(targets):
+        for i, target in enumerate(X @ w):
             alpha = _solve_planar_pre(target, wu, b)
             z[i] = X[i] - u_hat * math.tanh(alpha + b)
-        return z
+        z = Tensor(z)
+        return z, Tensor(-self.forward(z)[1].values)
 
 
 def _solve_planar_pre(target, wu, b):
@@ -135,9 +133,11 @@ class CouplingLayer:
         return cls(idx_a, idx_b, s_net, t_net)
 
     def __post_init__(self):
-        union = np.sort(np.concatenate([self.idx_a, self.idx_b]))
-        if not np.array_equal(union, np.arange(union.size)):
+        order = np.concatenate([self.idx_a, self.idx_b])
+        if not np.array_equal(np.sort(order), np.arange(order.size)):
             raise ValueError("coupling mask must partition all dimensions exactly once")
+        # columns of [a-half, b-half] in the model's dimension order
+        self.scatter = np.argsort(order)
 
     @property
     def dim(self):
@@ -145,12 +145,6 @@ class CouplingLayer:
 
     def params(self):
         return self.s_net.params() + self.t_net.params()
-
-    def _scatter_perm(self):
-        perm = np.empty(self.dim, dtype=int)
-        perm[self.idx_a] = np.arange(self.idx_a.size)
-        perm[self.idx_b] = self.idx_a.size + np.arange(self.idx_b.size)
-        return perm
 
     def _s_t(self, za):
         s_raw = self.s_net.forward(za)
@@ -163,29 +157,17 @@ class CouplingLayer:
         zb = z.take_columns(self.idx_b)
         s, t = self._s_t(za)
         zb_new = zb * s.exp() + t
-        out = concat([za, zb_new], axis=1).take_columns(self._scatter_perm())
+        out = concat([za, zb_new], axis=1).take_columns(self.scatter)
         logdet = s.sum(axis=1)
         return out, logdet
 
     def inverse(self, x):
-        X = np.atleast_2d(x)
-        za = Tensor(X[:, self.idx_a])
-        s, t = self._s_t(za)
-        zb = (X[:, self.idx_b] - t.values) * np.exp(-s.values)
-        z = np.empty_like(X)
-        z[:, self.idx_a] = X[:, self.idx_a]
-        z[:, self.idx_b] = zb
-        return z
-
-    def inverse_tensor(self, x):
-        """Differentiable inverse with its log-det (the MLE training path)."""
         za = x.take_columns(self.idx_a)
         xb = x.take_columns(self.idx_b)
         s, t = self._s_t(za)
         zb = (xb - t) * (-s).exp()
-        z = concat([za, zb], axis=1).take_columns(self._scatter_perm())
-        inv_logdet = -(s.sum(axis=1))
-        return z, inv_logdet
+        z = concat([za, zb], axis=1).take_columns(self.scatter)
+        return z, -(s.sum(axis=1))
 
 
 @dataclass
@@ -206,24 +188,23 @@ class PermutationLayer:
         return []
 
     def forward(self, z):
-        out = z.take_columns(self.perm)
-        return out, Tensor(np.zeros(z.values.shape[0]))
+        return z.take_columns(self.perm), Tensor(np.zeros(z.values.shape[0]))
 
     def inverse(self, x):
-        return np.atleast_2d(x)[:, self.inv_perm]
-
-    def inverse_tensor(self, x):
         return x.take_columns(self.inv_perm), Tensor(np.zeros(x.values.shape[0]))
 
 
 @dataclass
 class FlowModel:
-    """Ordered layer stack over a standard-Gaussian base of dimension dim."""
+    """Ordered layer stack, at least one layer, over a standard-Gaussian base
+    of dimension dim."""
 
     layers: list
     dim: int
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValueError("a flow needs at least one layer")
         for layer in self.layers:
             if layer.dim != self.dim:
                 raise ValueError("all layers must share the model dimension")
@@ -272,6 +253,7 @@ def make_coupling_stack(dim, n_layers, rng, hidden=32):
     transformed; alternating the mask on top of the roll would undo the
     rotation for dim = 2 and leave one lane untouched.
     """
+    check_counts(layers=n_layers, hidden=hidden)
     layers = []
     for i in range(n_layers):
         layers.append(CouplingLayer.create(dim, rng.split(10 + i), hidden=hidden))
@@ -280,63 +262,52 @@ def make_coupling_stack(dim, n_layers, rng, hidden=32):
     return FlowModel(layers, dim)
 
 
+def _walk(layers, x, direction):
+    """Apply each layer's forward or inverse in turn to x (an array or a
+    Tensor); returns the result and the sum of the layers' log-dets."""
+    x = as_batch(x)
+    total = None
+    for layer in layers:
+        x, ld = getattr(layer, direction)(x)
+        total = ld if total is None else total + ld
+    return x, total
+
+
 def forward_with_logdet(model, z0):
     """Push base samples through the stack; returns (x, sum of log-dets)."""
-    z = z0 if isinstance(z0, Tensor) else Tensor(np.atleast_2d(np.asarray(z0, dtype=float)))
-    total = Tensor(np.zeros(z.values.shape[0]))
-    for layer in model.layers:
-        z, ld = layer.forward(z)
-        total = total + ld
-    return z, total
+    return _walk(model.layers, z0, "forward")
 
 
 def inverse(model, x):
     """Recover z0 by applying layer inverses in reverse order."""
-    z = np.atleast_2d(np.asarray(x, dtype=float))
-    for layer in reversed(model.layers):
-        z = layer.inverse(z)
-    return z
-
-
-def _base_logpdf(z):
-    d = z.shape[1]
-    return -0.5 * (d * math.log(2 * math.pi) + np.sum(z * z, axis=1))
-
-
-def log_likelihood(model, x):
-    """log p(x) = log N(z0; 0, I) - sum of forward log-dets evaluated along
-    the recovered trajectory."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    z0 = inverse(model, X)
-    _, logdet = forward_with_logdet(model, Tensor(z0))
-    return _base_logpdf(z0) - logdet.values
+    return _walk(model.layers[::-1], x, "inverse")[0].values
 
 
 def _loglik_tensor(model, x):
-    """Differentiable log-likelihood via analytic layer inverses."""
-    z = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=float)))
-    total = Tensor(np.zeros(z.values.shape[0]))
-    for layer in reversed(model.layers):
-        if not hasattr(layer, "inverse_tensor"):
-            raise ValueError(
-                "likelihood training requires analytically invertible layers "
-                "(coupling/permutation); planar layers support evaluation only")
-        z, ld = layer.inverse_tensor(z)
-        total = total + ld
+    """log p(x) = log N(z0; 0, I) + sum of inverse log-dets along the
+    recovered trajectory, on the tape (differentiable without planar layers)."""
+    z, total = _walk(model.layers[::-1], x, "inverse")
     d = z.values.shape[1]
     base = (z * z).sum(axis=1) * (-0.5) + (-0.5 * d * math.log(2 * math.pi))
     return base + total
 
 
+def log_likelihood(model, x):
+    """Exact log-density of each row of x, from one inverse pass."""
+    return _loglik_tensor(model, x).values
+
+
 def fit(model, data, epochs, batch, rng, lr=1e-3):
     """Minibatch maximum likelihood; returns per-epoch mean log-likelihood."""
+    if any(isinstance(layer, PlanarLayer) for layer in model.layers):
+        raise ValueError(
+            "likelihood training requires analytically invertible layers "
+            "(coupling/permutation); planar layers support evaluation only")
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    return -fit_minibatch(lambda xb, _r: -_loglik_tensor(model, Tensor(xb)).mean(),
+    return -fit_minibatch(lambda xb, _r: -_loglik_tensor(model, xb).mean(),
                           model.params(), X, epochs, batch, rng, lr)
 
 
 def sample(model, n, rng):
     """Base draws pushed through the generator direction."""
-    z0 = rng.standard_normal((n, model.dim))
-    x, _ = forward_with_logdet(model, Tensor(z0))
-    return x.values
+    return forward_with_logdet(model, rng.standard_normal((n, model.dim)))[0].values

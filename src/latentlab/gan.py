@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, Mlp, Tensor, adam_step, backward, check_counts, zero_grad
+from .nn import AdamState, Mlp, check_counts, check_lr, descend
 
 __all__ = ["GanModel", "make_gan", "disc_loss", "gen_loss", "train", "sample"]
 
@@ -45,14 +45,14 @@ class GanModel:
 
 
 def make_gan(data_dim, prior_dim, rng, hidden=32):
+    check_counts(latent_dim=prior_dim, hidden=hidden)
     gen = Mlp.create([prior_dim, hidden, data_dim], ["tanh", "identity"], rng.split(1))
     disc = Mlp.create([data_dim, hidden, 1], ["tanh", "sigmoid"], rng.split(2))
     return GanModel(gen, disc, prior_dim)
 
 
 def _disc_prob(model, batch):
-    x = batch if isinstance(batch, Tensor) else Tensor(np.atleast_2d(np.asarray(batch, dtype=float)))
-    return model.disc.forward(x).clip(CLAMP, 1.0 - CLAMP)
+    return model.disc.forward(batch).clip(CLAMP, 1.0 - CLAMP)
 
 
 def disc_loss(model, real_batch, fake_batch):
@@ -73,14 +73,14 @@ def gen_loss(model, fake_batch, saturating=False):
 
 
 def _gen_forward(model, n, rng):
-    z = Tensor(rng.standard_normal((n, model.prior_dim)))
-    return model.gen.forward(z)
+    return model.gen.forward(rng.standard_normal((n, model.prior_dim)))
 
 
 def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
     """Alternating minimax training: k_disc discriminator updates per
     generator update. Returns (disc_trace, gen_trace)."""
-    check_counts(steps=steps, batch=batch)
+    check_counts(steps=steps, batch=batch, k_disc=k_disc)
+    check_lr(lr)
     X = np.atleast_2d(np.asarray(data, dtype=float))
     N = X.shape[0]
     gen_params = model.gen.params()
@@ -94,22 +94,12 @@ def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
             idx = rng.integers(0, N, batch)
             fake = _gen_forward(model, batch, rng).values   # detached for the disc update
             dl = disc_loss(model, X[idx], fake)
-            if not np.isfinite(dl.values):
-                raise FloatingPointError(f"discriminator loss diverged at step {step}")
-            zero_grad(disc_params)
-            backward(dl)
-            disc_state = adam_step(disc_params, [p.grad for p in disc_params],
-                                disc_state, lr=lr)
-        fake = _gen_forward(model, batch, rng)
-        gl = gen_loss(model, fake, saturating=saturating)
-        if not np.isfinite(gl.values):
-            raise FloatingPointError(f"generator loss diverged at step {step}")
-        zero_grad(gen_params)
-        zero_grad(disc_params)
-        backward(gl)
-        gen_state = adam_step(gen_params, [p.grad for p in gen_params],
-                           gen_state, lr=lr)
-        zero_grad(disc_params)
+            descend(dl, disc_params, disc_state, lr,
+                    f"discriminator loss diverged at step {step}")
+        # the discriminator's gradients from this loss are never read: its
+        # next step zeroes them first
+        gl = gen_loss(model, _gen_forward(model, batch, rng), saturating=saturating)
+        descend(gl, gen_params, gen_state, lr, f"generator loss diverged at step {step}")
         disc_trace[step] = float(dl.values)
         gen_trace[step] = float(gl.values)
     return disc_trace, gen_trace

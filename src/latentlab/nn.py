@@ -15,7 +15,9 @@ stands for, so a fused layer gives the same bits as the three-op chain.
 AdamState holds the first and second moments of all parameters as two flat
 vectors. adam_step updates them in one pass over the concatenated gradients
 and rebinds each parameter's values to a view of one new flat vector; it
-never writes an array a caller or a finished tape may still hold.
+never writes an array a caller or a finished tape may still hold. descend()
+is the one training step of every deep trainer: a finite-loss check, then
+zero_grad, backward and adam_step.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Tensor", "Mlp", "AdamState", "forward", "backward", "adam_step",
-           "concat", "zero_grad", "fit_minibatch", "check_counts"]
+__all__ = ["Tensor", "Mlp", "AdamState", "as_batch", "forward", "backward", "adam_step",
+           "concat", "zero_grad", "descend", "fit_minibatch", "check_counts", "check_lr"]
 
 
 def _sigmoid(x):
@@ -78,10 +80,6 @@ class Tensor:
     @staticmethod
     def param(values):
         return Tensor(values, requires_grad=True)
-
-    @staticmethod
-    def const(values):
-        return Tensor(values)
 
     @property
     def shape(self):
@@ -252,8 +250,9 @@ class Tensor:
         vals = self.values - lse
         out = Tensor(vals, (self,))
         if self.requires_grad:
-            soft = np.exp(vals)
-            out._backward = lambda g: _accum(self, g - soft * g.sum(axis=axis, keepdims=True))
+            def bw(g):
+                _accum(self, g - np.exp(vals) * g.sum(axis=axis, keepdims=True))
+            out._backward = bw
         return out
 
     def reshape(self, *shape):
@@ -272,6 +271,13 @@ class Tensor:
                 _accum(self, full)
             out._backward = bw
         return out
+
+
+def as_batch(x):
+    """x as a 2-D float Tensor (one row for a vector); a Tensor passes through."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 def _accum(t, g):
@@ -412,9 +418,8 @@ class Mlp:
                    list(obj["activations"]))
 
     def forward(self, x):
-        """Apply the layer stack to a (batch, in_dim) tensor."""
-        if not isinstance(x, Tensor):
-            x = Tensor(np.atleast_2d(np.asarray(x, dtype=float)))
+        """Apply the layer stack to a (batch, in_dim) tensor or array."""
+        x = as_batch(x)
         if x.values.ndim != 2 or x.values.shape[1] != self.in_dim:
             raise ValueError(f"input shape {x.values.shape} does not match in_dim {self.in_dim}")
         h = x
@@ -487,10 +492,28 @@ def adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def check_counts(**counts):
-    """Raise ValueError naming the first count (epochs, steps, batch) below 1."""
+    """Raise ValueError naming the first count (epochs, batch, hidden, ...)
+    below 1."""
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_lr(lr):
+    """Raise ValueError unless the learning rate is positive and finite."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be positive and finite, got {lr}")
+
+
+def descend(loss, params, state, lr, what):
+    """One Adam descent step on a scalar loss Tensor: zero the params'
+    gradients, backpropagate, update. A non-finite loss raises
+    FloatingPointError(what) before any gradient or parameter changes."""
+    if not np.isfinite(loss.values):
+        raise FloatingPointError(what)
+    zero_grad(params)
+    backward(loss)
+    adam_step(params, [p.grad for p in params], state, lr=lr)
 
 
 def fit_minibatch(loss_fn, params, X, epochs, batch, rng, lr):
@@ -501,6 +524,7 @@ def fit_minibatch(loss_fn, params, X, epochs, batch, rng, lr):
     time; a non-finite loss raises FloatingPointError.
     """
     check_counts(epochs=epochs, batch=batch)
+    check_lr(lr)
     N = X.shape[0]
     state = AdamState()
     trace = []
@@ -509,11 +533,7 @@ def fit_minibatch(loss_fn, params, X, epochs, batch, rng, lr):
         losses = []
         for start in range(0, N, batch):
             loss = loss_fn(X[order[start:start + batch]], rng)
-            if not np.isfinite(loss.values):
-                raise FloatingPointError(f"loss diverged at epoch {epoch}")
-            zero_grad(params)
-            backward(loss)
-            state = adam_step(params, [p.grad for p in params], state, lr=lr)
+            descend(loss, params, state, lr, f"loss diverged at epoch {epoch}")
             losses.append(float(loss.values))
         trace.append(float(np.mean(losses)))
     return np.asarray(trace)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Mlp, Tensor, _sigmoid, fit_minibatch
+from .nn import Mlp, Tensor, _sigmoid, as_batch, check_counts, fit_minibatch
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
            "elbo", "elbo_rows", "train", "sample", "reconstruct"]
@@ -66,6 +66,7 @@ class ElboParts:
 def make_vae(data_dim, latent_dim, rng, hidden=64, likelihood="gaussian",
              sigma_dec=0.1, hidden_layers=1):
     """Default architecture: one hidden tanh layer of 64 units on both sides."""
+    check_counts(latent_dim=latent_dim, hidden=hidden)
     enc_dims = [data_dim] + [hidden] * hidden_layers + [2 * latent_dim]
     dec_dims = [latent_dim] + [hidden] * hidden_layers + [data_dim]
     acts = ["tanh"] * hidden_layers + ["identity"]
@@ -77,7 +78,7 @@ def make_vae(data_dim, latent_dim, rng, hidden=64, likelihood="gaussian",
 def encode(model, x):
     """Posterior parameters (mu, sigma) for a batch; sigma = exp(logvar/2)
     clamped to [1e-4, 1e4] so the KL term stays finite."""
-    h = model.encoder.forward(_as_batch(x))
+    h = model.encoder.forward(x)
     d = model.latent_dim
     mu = h[:, :d]
     logvar = h[:, d:].clip(4 * LOGVAR_MIN, 4 * LOGVAR_MAX)   # overflow guard only
@@ -92,15 +93,9 @@ def reparameterize(mu, sigma, rng):
     return mu + sigma * eps
 
 
-def _as_batch(x):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.atleast_2d(np.asarray(x, dtype=float)))
-
-
-def _recon_loglik(model, x_batch, z):
+def _recon_loglik(model, x, z):
+    """Per-point log p(x|z) for a batch Tensor x."""
     out = model.decoder.forward(z)
-    x = _as_batch(x_batch)
     if model.likelihood == "gaussian":
         var = model.sigma_dec ** 2
         sq = (x - out) ** 2
@@ -117,7 +112,7 @@ def _recon_loglik(model, x_batch, z):
 
 def _elbo_terms(model, x, rng, n_samples):
     """Per-point (sum over n_samples draws of log p(x|z), KL) tensors."""
-    xb = _as_batch(x)
+    xb = as_batch(x)
     mu, sigma = encode(model, xb)
     sigma2 = sigma * sigma
     kl_per_point = (sigma2 + mu * mu - 1.0 - sigma2.log()).sum(axis=1) * 0.5
@@ -158,8 +153,7 @@ def train(model, data, epochs, batch, rng, lr=1e-3):
 def sample(model, n, rng, binarize=False):
     """Prior draws pushed through the decoder. Gaussian models add decoder
     noise; Bernoulli models emit probabilities (or binary draws)."""
-    Z = Tensor(rng.standard_normal((n, model.latent_dim)))
-    out = model.decoder.forward(Z).values
+    out = model.decoder.forward(rng.standard_normal((n, model.latent_dim))).values
     if model.likelihood == "gaussian":
         return out + model.sigma_dec * rng.standard_normal(out.shape)
     probs = _sigmoid(out)

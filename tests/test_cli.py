@@ -473,22 +473,57 @@ def real_csv(tmp_path):
 
 
 @pytest.mark.parametrize("family", ["vae", "flow", "diffusion", "arm", "gan"])
-@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("value", ["0", "-3", "nan", "inf", "-inf"])
 def test_deep_fit_rejects_bad_sizes(family, value, tmp_path, real_csv, capsys):
     data = real_csv
     if family == "arm":
         data = tmp_path / "codes.csv"
         write_csv(data, RandomSource(16).integers(0, 3, (30, 4)).astype(float))
     count_flag = "--steps" if family == "gan" else "--epochs"
-    for flag in ("--batch", count_flag):
+    size_flags = {"vae": ["--latent-dim"], "flow": ["--layers"], "diffusion": ["--T"],
+                  "arm": [], "gan": ["--latent-dim"]}[family]
+    count_flags = ["--batch", count_flag, "--hidden"] + size_flags
+    for flag in (count_flags if value in ("0", "-3") else []) + ["--lr"]:
         out = tmp_path / f"{family}{flag}.json"
         assert main(["fit", family, "--data", str(data), "--out", str(out), "--epochs", "1",
-                     "--steps", "2", "--hidden", "4", flag, str(value)]) == 2
+                     "--steps", "2", "--hidden", "4", f"{flag}={value}"]) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert f"{flag.lstrip('-')} must be >= 1, got {value}" in err
+        if flag == "--lr":
+            assert err == f"latentlab: lr must be positive and finite, got {float(value)}\n"
+        else:
+            name = flag.lstrip("-").replace("-", "_")
+            assert err == f"latentlab: {name} must be >= 1, got {value}\n"
         assert not out.exists()
         assert not (tmp_path / f"{family}{flag}.json.trace.csv").exists()
+
+
+@pytest.mark.parametrize("family", ["vae", "flow", "diffusion", "arm", "gan"])
+def test_fit_writes_no_model_holding_nan(family, tmp_path, real_csv, capsys, monkeypatch):
+    # a trainer that leaves a NaN parameter behind: the fit is refused at
+    # the model writer, with exit 1 and no file
+    import latentlab
+    data = real_csv
+    if family == "arm":
+        data = tmp_path / "codes.csv"
+        write_csv(data, RandomSource(16).integers(0, 3, (30, 4)).astype(float))
+    module = getattr(latentlab, family)
+    trainer = "fit" if family == "flow" else "train"
+    real_train = getattr(module, trainer)
+
+    def poisoned(model, *args, **kwargs):
+        trace = real_train(model, *args, **kwargs)
+        params = model.gen.params() if family == "gan" else model.params()
+        params[0].values = np.full_like(params[0].values, np.nan)
+        return trace
+    monkeypatch.setattr(module, trainer, poisoned)
+    out = tmp_path / "m.json"
+    assert main(["fit", family, "--data", str(data), "--out", str(out), "--epochs", "1",
+                 "--steps", "2", "--hidden", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"latentlab: numeric failure: {out}: the {family} model holds a "
+                   "non-finite number; no model file written\n")
+    assert not out.exists()
+    assert not (tmp_path / "m.json.trace.csv").exists()
 
 
 def test_arm_non_integer_codes_are_usage_errors(tmp_path, capsys):
@@ -784,14 +819,17 @@ def _run_cli(argv, cwd):
                           text=True, env=env, timeout=120, cwd=cwd)
 
 
-def _write_probe_files(tmp_path, value):
-    """Small lca/arm, hmm and lda inputs, each with one entry set to value
-    (the text it is written as)."""
-    X = RandomSource(40).integers(0, 2, (20, 4)).astype(float)
-    X[7, 2] = float(value)
-    write_csv(tmp_path / "codes.csv", X)
-    (tmp_path / "symbols.seq").write_text(f"0 1 2 1\n2 {value} 0\n")
-    (tmp_path / "corpus.txt").write_text(f"0 1 2\n3 {value} 1\n")
+def _write_probe_file(path, value):
+    """A small lca/arm, hmm, lda or lds input, by file name, with one entry
+    (or the dx= header) set to value (the text it is written as)."""
+    if path.name == "codes.csv":
+        X = RandomSource(40).integers(0, 2, (20, 4)).astype(float)
+        X[7, 2] = float(value)
+        write_csv(path, X)
+    else:
+        path.write_text({"symbols.seq": f"0 1 2 1\n2 {value} 0\n",
+                         "corpus.txt": f"0 1 2\n3 {value} 1\n",
+                         "real.seq": f"dx={value}\n0.5 1.5 2.5 3.5\n"}[path.name])
 
 
 # (--data file, the value written into it, extra flags, exit code, what stderr holds)
@@ -819,13 +857,24 @@ BOUNDARY_PROBES = {
                      "Unable to allocate"),
     "vae --hidden 1e15": ("codes.csv", "1", ["vae", "--hidden", "1000000000000000"], 1,
                           "Unable to allocate"),
+    "lds dx=0": ("real.seq", "0", ["lds"], 2,
+                 "real.seq: line 1: dx= must be a positive integer of at most 18 digits, "
+                 "got '0'"),
+    "lds dx=abc": ("real.seq", "abc", ["lds"], 2,
+                   "real.seq: line 1: dx= must be a positive integer of at most 18 digits, "
+                   "got 'abc'"),
+    "lds dx=-1": ("real.seq", "-1", ["lds"], 2,
+                  "real.seq: line 1: dx= must be a positive integer of at most 18 digits, "
+                  "got '-1'"),
+    "lds dx=10^19": ("real.seq", "1" + "0" * 19, ["lds"], 2,
+                     "real.seq: line 1: dx= must be a positive integer of at most 18 digits"),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(BOUNDARY_PROBES))
 def test_code_and_size_probes_end_in_one_line(probe, tmp_path):
     data, value, flags, code, message = BOUNDARY_PROBES[probe]
-    _write_probe_files(tmp_path, value)
+    _write_probe_file(tmp_path / data, value)
     proc = _run_cli(["fit"] + flags[:1] + ["--data", data, "--out", "m.json"] + flags[1:],
                     tmp_path)
     assert proc.returncode == code, proc.stderr

@@ -234,8 +234,8 @@ def test_invertibility_condition_enforced():
         w = rng.standard_normal(3)
         u = -5.0 * w / (w @ w)      # raw w.u = -5 < -1
         layer = PlanarLayer(Tensor.param(u), Tensor.param(w), Tensor.param(np.zeros(1)))
-        u_hat = layer._u_hat_np()
+        u_hat = layer._u_hat().values
         assert w @ u_hat > -1.0
         z = rng.standard_normal((4, 3))
         x, _ = layer.forward(Tensor(z))
-        assert np.max(np.abs(layer.inverse(x.values) - z)) < 1e-8
+        assert np.max(np.abs(layer.inverse(x)[0].values - z)) < 1e-8

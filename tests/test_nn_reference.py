@@ -510,5 +510,5 @@ def test_reference_tape_is_installed():
         model = make_model("flow", 0, "tanh")
         assert isinstance(_params(model)[0], RefTensor)
         assert flow.Tensor is RefTensor and nn.AdamState is RefAdamState
-        assert gan.backward is ref_backward and gan.adam_step is ref_adam_step
+        assert nn.backward is ref_backward and nn.adam_step is ref_adam_step
     assert flow.Tensor is Tensor
