@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import category_codes
-from .nn import Mlp, check_counts, fit_minibatch
+from .nn import Mlp, Recorder, check_counts, eager, fit_minibatch
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
            "train", "sample", "position_logits"]
@@ -41,7 +41,7 @@ class ArModel:
 
 
 def make_ar_model(seq_len, alphabet, rng, hidden=64):
-    check_counts(hidden=hidden)
+    check_counts(seq_len=seq_len, hidden=hidden)
     net = Mlp.create([seq_len * alphabet + seq_len, hidden, alphabet],
                      ["tanh", "identity"], rng)
     return ArModel(seq_len, alphabet, net)
@@ -81,19 +81,28 @@ def position_logits(model, prefix, d):
     return model.cond_net.forward(_masked_inputs(model, X, [d]))
 
 
-def _log_conditionals(model, X):
-    """(N*D, V) conditional log-probabilities of every position, on the tape."""
-    return model.cond_net.forward(_masked_inputs(model, X)).log_softmax(axis=1)
+def _log_conditionals(model, inputs):
+    """(N*D, V) conditional log-probabilities of every position, on the tape,
+    from the masked inputs (an array or a Tensor)."""
+    return model.cond_net.forward(inputs).log_softmax(axis=1)
+
+
+def _loglik_inputs(model, X):
+    """(masked inputs, one-hot targets), both (N*D, .), of a batch of codes."""
+    N, D = X.shape
+    targets = np.zeros((N * D, model.alphabet))
+    targets[np.arange(N * D), X.reshape(-1)] = 1.0
+    return _masked_inputs(model, X), targets
+
+
+def _loglik_graph(model, inputs, targets):
+    """(scalar) total log-likelihood from the masked inputs and targets."""
+    return (_log_conditionals(model, inputs) * targets).sum()
 
 
 def _loglik_tensor(model, X):
     """(scalar) total log-likelihood of a batch, on the tape."""
-    N, D = X.shape
-    V = model.alphabet
-    logp = _log_conditionals(model, X)
-    targets = np.zeros((N * D, V))
-    targets[np.arange(N * D), X.reshape(-1)] = 1.0
-    return (logp * targets).sum()
+    return eager(lambda *t: _loglik_graph(model, *t), _loglik_inputs(model, X))
 
 
 def log_likelihood(model, x):
@@ -109,7 +118,7 @@ def log_likelihood(model, x):
 def log_likelihood_batch(model, x):
     X = _check_sequences(model, x)
     N, D = X.shape
-    logp = _log_conditionals(model, X).values
+    logp = _log_conditionals(model, _masked_inputs(model, X)).values
     picked = logp[np.arange(N * D), X.reshape(-1)].reshape(N, D)
     return np.maximum(picked.sum(axis=1), NEG_INF_SENTINEL)
 
@@ -117,7 +126,11 @@ def log_likelihood_batch(model, x):
 def train(model, data, epochs, batch, rng, lr=1e-3):
     """Teacher-forced ascent on mean log-likelihood; per-epoch means returned."""
     X = _check_sequences(model, data)
-    return -fit_minibatch(lambda xb, _r: -(_loglik_tensor(model, xb) * (1.0 / len(xb))),
+
+    def loss(inputs, targets):
+        n = targets.values.shape[0] // model.seq_len        # sequences in the batch
+        return -(_loglik_graph(model, inputs, targets) * (1.0 / n))
+    return -fit_minibatch(lambda rows, _r: _loglik_inputs(model, rows), loss,
                           model.params(), X, epochs, batch, rng, lr)
 
 
@@ -125,8 +138,9 @@ def sample(model, n, rng):
     """Ancestral sampling, one position at a time across the whole batch."""
     D, V = model.seq_len, model.alphabet
     X = np.zeros((n, D), dtype=int)
+    logits_of = Recorder(model.cond_net.forward)
     for d in range(D):
-        logits = position_logits(model, X, d).values
+        logits = logits_of(_masked_inputs(model, X, [d])).values
         m = logits.max(axis=1, keepdims=True)
         p = np.exp(logits - m)
         p /= p.sum(axis=1, keepdims=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import float_list
-from .nn import Mlp, Tensor, check_counts, concat, fit_minibatch
+from .nn import Mlp, Recorder, Tensor, check_counts, concat, eager, fit_minibatch
 
 __all__ = ["NoiseSchedule", "DiffusionModel", "linear_schedule", "make_diffusion",
            "time_features", "q_sample", "posterior_params", "loss_simple",
@@ -152,11 +152,16 @@ def posterior_params(schedule, x_t, x0, t):
     return mu, beta_tilde
 
 
+def _eps_graph(model, x_t, feats):
+    """eps_net's output Tensor at (n, dim) and (n, TIME_FEATURES) Tensors."""
+    return model.eps_net.forward(concat([x_t, feats], axis=1))
+
+
 def _predict_eps(model, x_t, t):
     """eps_net's output Tensor at an (n, dim) array x_t and a step t (scalar
     or per row)."""
     feats = time_features(t, model.schedule.T, x_t.shape[0])
-    return model.eps_net.forward(concat([Tensor(x_t), Tensor(feats)], axis=1))
+    return _eps_graph(model, Tensor(x_t), Tensor(feats))
 
 
 def _mu_from_eps(schedule, x_t, eps_hat, t):
@@ -168,9 +173,9 @@ def _mu_from_eps(schedule, x_t, eps_hat, t):
     return x0_hat * coef0 + x_t * coeft
 
 
-def loss_simple(model, x0_batch, rng):
-    """Noise-prediction objective: per-item uniform t, single epsilon,
-    squared error summed over coordinates and averaged over the batch."""
+def _loss_inputs(model, x0_batch, rng):
+    """(x_t, time features, eps) of a batch: per-item uniform t and a
+    single epsilon each."""
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     n = X0.shape[0]
     if n == 0:
@@ -179,8 +184,20 @@ def loss_simple(model, x0_batch, rng):
     eps = rng.standard_normal((n, model.dim))
     ab = model.schedule.alpha_bars[ts - 1][:, None]
     x_t = np.sqrt(ab) * X0 + np.sqrt(1.0 - ab) * eps
-    eps_hat = _predict_eps(model, x_t, ts)
-    return ((eps_hat - Tensor(eps)) ** 2).sum() * (1.0 / n)
+    return x_t, time_features(ts, model.schedule.T), eps
+
+
+def _loss_graph(model, x_t, feats, eps):
+    """Squared error of the predicted noise, summed over coordinates and
+    averaged over the batch."""
+    eps_hat = _eps_graph(model, x_t, feats)
+    return ((eps_hat - eps) ** 2).sum() * (1.0 / x_t.values.shape[0])
+
+
+def loss_simple(model, x0_batch, rng):
+    """Noise-prediction objective: per-item uniform t, single epsilon,
+    squared error summed over coordinates and averaged over the batch."""
+    return eager(lambda *t: _loss_graph(model, *t), _loss_inputs(model, x0_batch, rng))
 
 
 def elbo_terms(model, x0, rng):
@@ -208,8 +225,9 @@ def elbo_terms(model, x0, rng):
 def sample(model, n, rng):
     """Ancestral reverse chain from x_T ~ N(0, I); the final step adds no noise."""
     x = rng.standard_normal((n, model.dim))
+    predict = Recorder(lambda x_t, feats: _eps_graph(model, x_t, feats))
     for t in range(model.schedule.T, 0, -1):
-        eps_hat = _predict_eps(model, x, t).values
+        eps_hat = predict(x, time_features(t, model.schedule.T, n)).values
         mu = _mu_from_eps(model.schedule, x, eps_hat, t)
         if t > 1:
             beta_tilde = _posterior_coefs(model.schedule, t)[2]
@@ -222,5 +240,6 @@ def sample(model, n, rng):
 def train(model, data, epochs, batch, rng, lr=1e-3):
     """Minibatch descent on loss_simple; returns per-epoch mean loss."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    return fit_minibatch(lambda xb, r: loss_simple(model, xb, r), model.params(), X,
+    return fit_minibatch(lambda rows, r: _loss_inputs(model, rows, r),
+                         lambda *t: _loss_graph(model, *t), model.params(), X,
                          epochs, batch, rng, lr)

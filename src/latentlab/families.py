@@ -137,8 +137,8 @@ def _fit_diffusion(X, args, rng):
 
 def _fit_arm(X, args, rng):
     X, widths = category_codes(X, "ARM sequences", args.alphabet)
-    model = pkg.arm.make_ar_model(args.seq_len or X.shape[1], int(widths.max()), rng,
-                                  hidden=args.hidden)
+    seq_len = X.shape[1] if args.seq_len is None else args.seq_len
+    model = pkg.arm.make_ar_model(seq_len, int(widths.max()), rng, hidden=args.hidden)
     return model, pkg.arm.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 

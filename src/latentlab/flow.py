@@ -304,7 +304,7 @@ def fit(model, data, epochs, batch, rng, lr=1e-3):
             "likelihood training requires analytically invertible layers "
             "(coupling/permutation); planar layers support evaluation only")
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    return -fit_minibatch(lambda xb, _r: -_loglik_tensor(model, xb).mean(),
+    return -fit_minibatch(lambda rows, _r: (rows,), lambda x: -_loglik_tensor(model, x).mean(),
                           model.params(), X, epochs, batch, rng, lr)
 
 

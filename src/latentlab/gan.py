@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, Mlp, check_counts, check_lr, descend
+from .nn import AdamState, Mlp, Recorder, check_counts, check_lr, descend
 
 __all__ = ["GanModel", "make_gan", "disc_loss", "gen_loss", "train", "sample"]
 
@@ -72,8 +72,12 @@ def gen_loss(model, fake_batch, saturating=False):
     return -(d_fake.log().mean())
 
 
+def _prior(model, n, rng):
+    return rng.standard_normal((n, model.prior_dim))
+
+
 def _gen_forward(model, n, rng):
-    return model.gen.forward(rng.standard_normal((n, model.prior_dim)))
+    return model.gen.forward(_prior(model, n, rng))
 
 
 def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
@@ -87,18 +91,21 @@ def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
     disc_params = model.disc.params()
     gen_state = AdamState()
     disc_state = AdamState()
+    generate = Recorder(model.gen.forward)        # forward only: a detached fake batch
+    disc_step = Recorder(lambda real, fake: disc_loss(model, real, fake))
+    gen_step = Recorder(lambda z: gen_loss(model, model.gen.forward(z), saturating=saturating))
     disc_trace = np.empty(steps)
     gen_trace = np.empty(steps)
     for step in range(steps):
         for _ in range(k_disc):
             idx = rng.integers(0, N, batch)
-            fake = _gen_forward(model, batch, rng).values   # detached for the disc update
-            dl = disc_loss(model, X[idx], fake)
+            fake = generate(_prior(model, batch, rng)).values
+            dl = disc_step(X[idx], fake)
             descend(dl, disc_params, disc_state, lr,
                     f"discriminator loss diverged at step {step}")
         # the discriminator's gradients from this loss are never read: its
         # next step zeroes them first
-        gl = gen_loss(model, _gen_forward(model, batch, rng), saturating=saturating)
+        gl = gen_step(_prior(model, batch, rng))
         descend(gl, gen_params, gen_state, lr, f"generator loss diverged at step {step}")
         disc_trace[step] = float(dl.values)
         gen_trace[step] = float(gl.values)

@@ -3,14 +3,20 @@ feed-forward networks, and an Adam optimizer.
 
 The op surface is the smallest one the deep generative modules need: affine
 layers, elementwise nonlinearities, reductions, log-softmax, column
-gather/concat. A Tensor records its parents and a backward closure; calling
-backward() on a scalar loss accumulates gradients into every reachable leaf
-that has requires_grad set. The first contribution to a gradient is copied,
-later ones are added in place, in reverse depth-first order from the loss.
+gather/concat. Each op is written once, as a forward over its parents'
+current values and a backward; a Tensor records its parents and both.
+Calling backward() on a scalar loss accumulates gradients into every
+reachable leaf that has requires_grad set. The first contribution to a
+gradient is copied, later ones are added in place, in reverse depth-first
+order from the loss.
 
 A dense layer act(h @ W + b) is one node (dense(), used by Mlp.forward). Its
 backward runs the expressions of the matmul, bias-add and activation ops it
 stands for, so a fused layer gives the same bits as the three-op chain.
+
+A Recorder runs a graph once per tuple of input shapes and keeps its nodes;
+later calls rebind the input leaves and rerun the same forwards, so a
+training step builds no new tape and gives the bits an eager step gives.
 
 AdamState holds the first and second moments of all parameters as two flat
 vectors. adam_step updates them in one pass over the concatenated gradients
@@ -26,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Tensor", "Mlp", "AdamState", "as_batch", "forward", "backward", "adam_step",
-           "concat", "zero_grad", "descend", "fit_minibatch", "check_counts", "check_lr"]
+__all__ = ["Tensor", "Mlp", "AdamState", "Recorder", "as_batch", "eager", "forward",
+           "backward", "adam_step", "concat", "zero_grad", "descend", "fit_minibatch",
+           "check_counts", "check_lr"]
 
 
 def _sigmoid(x):
@@ -48,6 +55,14 @@ _ACTIVATION_FNS = {
     "softplus": (lambda x: np.logaddexp(0.0, x), lambda g, x, y: g * _sigmoid(x)),
 }
 ACTIVATIONS = tuple(_ACTIVATION_FNS)
+# the other elementwise ops without a parameter, in the same form
+_UNARY_FNS = {
+    **_ACTIVATION_FNS,
+    "neg": (np.negative, lambda g, x, y: -g),
+    "exp": (np.exp, lambda g, x, y: g * y),
+    "log": (np.log, lambda g, x, y: g / x),
+    "abs": (np.abs, lambda g, x, y: g * np.sign(x)),
+}
 
 
 def _unbroadcast(grad, shape):
@@ -63,18 +78,36 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    """Dense array node on an implicit tape."""
+    """Dense array node on an implicit tape.
 
-    __slots__ = ("values", "grad", "parents", "_backward", "requires_grad",
-                 "_backward_done")
+    A leaf holds an array. An op node also holds forward(node), which
+    computes its values from its parents' current values and its static
+    args alone, and backward(node, g), which passes the output gradient g
+    on to the parents. An eager call runs forward once; a Recorder replay
+    runs the same forward again, so both give the same bits. Neither
+    function is a closure over the node, so a tape holds no reference cycle.
+    """
 
-    def __init__(self, values, parents=(), backward=None, requires_grad=False):
-        self.values = np.asarray(values, dtype=float)
+    __slots__ = ("values", "grad", "parents", "requires_grad", "_forward", "_backward",
+                 "_args", "_aux", "_order", "_backward_done")
+
+    def __init__(self, values, parents=(), forward=None, backward=None, args=None,
+                 requires_grad=False):
         self.grad = None
-        self.parents = tuple(parents)
+        self.parents = parents
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self._forward = forward
         self._backward = backward
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in self.parents)
+        self._args = args
+        self._aux = None             # what forward keeps for backward (dense: h @ W + b)
+        self._order = None           # a recorded loss's backward order
         self._backward_done = False
+        if forward is None:
+            self.values = np.asarray(values, dtype=float)
+        else:
+            self.values = np.asarray(forward(self))     # a 0-d result stays an array
+            if _recording is not None:
+                _recording.append(self)
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
@@ -96,22 +129,12 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=float))
 
     def __add__(self, other):
-        other = self._lift(other)
-        out = Tensor(self.values + other.values, (self, other))
-        def bw(g):
-            if self.requires_grad:
-                _accum(self, _unbroadcast(g, self.values.shape))
-            if other.requires_grad:
-                _accum(other, _unbroadcast(g, other.values.shape))
-        out._backward = bw
-        return out
+        return _op(_add, _add_grad, (self, self._lift(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.values, (self,))
-        out._backward = lambda g: _accum(self, -g) if self.requires_grad else None
-        return out
+        return self._unary("neg")
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -120,157 +143,81 @@ class Tensor:
         return self._lift(other) + (-self)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        out = Tensor(self.values * other.values, (self, other))
-        def bw(g):
-            if self.requires_grad:
-                _accum(self, _unbroadcast(g * other.values, self.values.shape))
-            if other.requires_grad:
-                _accum(other, _unbroadcast(g * self.values, other.values.shape))
-        out._backward = bw
-        return out
+        return _op(_mul, _mul_grad, (self, self._lift(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        out = Tensor(self.values / other.values, (self, other))
-        def bw(g):
-            if self.requires_grad:
-                _accum(self, _unbroadcast(g / other.values, self.values.shape))
-            if other.requires_grad:
-                _accum(other, _unbroadcast(-g * self.values / other.values**2,
-                                           other.values.shape))
-        out._backward = bw
-        return out
+        return _op(_div, _div_grad, (self, self._lift(other)))
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __matmul__(self, other):
         other = self._lift(other)
-        a, b = self.values, other.values
-        if a.ndim != 2 or b.ndim != 2:
+        if self.values.ndim != 2 or other.values.ndim != 2:
             raise ValueError("matmul supports 2-D operands only")
-        out = Tensor(a @ b, (self, other))
-        def bw(g):
-            if self.requires_grad:
-                _accum(self, g @ b.T)
-            if other.requires_grad:
-                _accum(other, a.T @ g)
-        out._backward = bw
-        return out
+        return _op(_matmul, _matmul_grad, (self, other))
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only constant powers are supported")
-        out = Tensor(self.values ** p, (self,))
-        def bw(g):
-            if self.requires_grad:
-                _accum(self, g * p * self.values ** (p - 1))
-        out._backward = bw
-        return out
+        return _op(_pow, _pow_grad, (self,), p)
 
     def __getitem__(self, key):
-        out = Tensor(self.values[key], (self,))
-        def bw(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.values)
-                np.add.at(full, key, g)
-                _accum(self, full)
-        out._backward = bw
-        return out
+        return _op(_getitem, _getitem_grad, (self,), key)
 
     # -- elementwise functions -------------------------------------------------
+    def _unary(self, name):
+        return _op(_unary, _unary_grad, (self,), _UNARY_FNS[name])
+
     def exp(self):
-        vals = np.exp(self.values)
-        out = Tensor(vals, (self,))
-        out._backward = (lambda g: _accum(self, g * vals)) if self.requires_grad else None
-        return out
+        return self._unary("exp")
 
     def log(self):
-        out = Tensor(np.log(self.values), (self,))
-        out._backward = (lambda g: _accum(self, g / self.values)) if self.requires_grad else None
-        return out
-
-    def _activate(self, name):
-        fn, grad_fn = _ACTIVATION_FNS[name]
-        vals = fn(self.values)
-        out = Tensor(vals, (self,))
-        if self.requires_grad:
-            out._backward = lambda g: _accum(self, grad_fn(g, self.values, vals))
-        return out
+        return self._unary("log")
 
     def tanh(self):
-        return self._activate("tanh")
+        return self._unary("tanh")
 
     def relu(self):
-        return self._activate("relu")
+        return self._unary("relu")
 
     def sigmoid(self):
-        return self._activate("sigmoid")
+        return self._unary("sigmoid")
 
     def softplus(self):
-        return self._activate("softplus")
+        return self._unary("softplus")
 
     def abs(self):
-        out = Tensor(np.abs(self.values), (self,))
-        out._backward = (lambda g: _accum(self, g * np.sign(self.values))) if self.requires_grad else None
-        return out
+        return self._unary("abs")
 
     def clip(self, lo, hi):
         """Clamp values; gradient passes only where unclamped."""
-        vals = np.clip(self.values, lo, hi)
-        out = Tensor(vals, (self,))
-        if self.requires_grad:
-            mask = (self.values > lo) & (self.values < hi)
-            out._backward = lambda g: _accum(self, g * mask)
-        return out
+        return _op(_clip, _clip_grad, (self,), (lo, hi))
 
     # -- reductions -------------------------------------------------------------
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.values.sum(axis=axis, keepdims=keepdims), (self,))
-        if self.requires_grad:
-            def bw(g):
-                gg = np.asarray(g)
-                if axis is not None and not keepdims:
-                    gg = np.expand_dims(gg, axis)
-                _accum(self, gg)
-            out._backward = bw
-        return out
+        return _op(_sum, _sum_grad, (self,), (axis, keepdims))
 
     def mean(self, axis=None, keepdims=False):
         n = self.values.size if axis is None else self.values.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def log_softmax(self, axis=-1):
-        m = self.values.max(axis=axis, keepdims=True)
-        shifted = self.values - m
-        lse = m + np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-        vals = self.values - lse
-        out = Tensor(vals, (self,))
-        if self.requires_grad:
-            def bw(g):
-                _accum(self, g - np.exp(vals) * g.sum(axis=axis, keepdims=True))
-            out._backward = bw
-        return out
+        return _op(_log_softmax, _log_softmax_grad, (self,), axis)
 
     def reshape(self, *shape):
-        out = Tensor(self.values.reshape(*shape), (self,))
-        out._backward = (lambda g: _accum(self, g.reshape(self.values.shape))) if self.requires_grad else None
-        return out
+        return _op(_reshape, _reshape_grad, (self,), shape)
 
     def take_columns(self, idx):
         """Gather columns of a 2-D tensor by integer index array."""
-        idx = np.asarray(idx, dtype=int)
-        out = Tensor(self.values[:, idx], (self,))
-        if self.requires_grad:
-            def bw(g):
-                full = np.zeros_like(self.values)
-                np.add.at(full.T, idx, g.T)
-                _accum(self, full)
-            out._backward = bw
-        return out
+        return _op(_take_columns, _take_columns_grad, (self,), np.asarray(idx, dtype=int))
+
+
+def _op(forward, backward, parents, args=None):
+    """The op node forward(node) computes from parents and args."""
+    return Tensor(None, parents, forward, backward, args)
 
 
 def as_batch(x):
@@ -290,53 +237,193 @@ def _accum(t, g):
         t.grad += g
 
 
+# -- ops: forward(node) -> values and backward(node, g) -------------------------
+# A backward reads the values it needs from the node and its parents when it
+# runs; a unary node is on the backward walk only if its parent needs a grad.
+
+def _add(n):
+    a, b = n.parents
+    return a.values + b.values
+
+
+def _add_grad(n, g):
+    a, b = n.parents
+    if a.requires_grad:
+        _accum(a, _unbroadcast(g, a.values.shape))
+    if b.requires_grad:
+        _accum(b, _unbroadcast(g, b.values.shape))
+
+
+def _mul(n):
+    a, b = n.parents
+    return a.values * b.values
+
+
+def _mul_grad(n, g):
+    a, b = n.parents
+    if a.requires_grad:
+        _accum(a, _unbroadcast(g * b.values, a.values.shape))
+    if b.requires_grad:
+        _accum(b, _unbroadcast(g * a.values, b.values.shape))
+
+
+def _div(n):
+    a, b = n.parents
+    return a.values / b.values
+
+
+def _div_grad(n, g):
+    a, b = n.parents
+    if a.requires_grad:
+        _accum(a, _unbroadcast(g / b.values, a.values.shape))
+    if b.requires_grad:
+        _accum(b, _unbroadcast(-g * a.values / b.values**2, b.values.shape))
+
+
+def _matmul(n):
+    a, b = n.parents
+    return a.values @ b.values
+
+
+def _matmul_grad(n, g):
+    a, b = n.parents
+    if a.requires_grad:
+        _accum(a, g @ b.values.T)
+    if b.requires_grad:
+        _accum(b, a.values.T @ g)
+
+
+def _pow(n):
+    return n.parents[0].values ** n._args
+
+
+def _pow_grad(n, g):
+    p = n._args
+    _accum(n.parents[0], g * p * n.parents[0].values ** (p - 1))
+
+
+def _getitem(n):
+    return n.parents[0].values[n._args]
+
+
+def _getitem_grad(n, g):
+    full = np.zeros_like(n.parents[0].values)
+    np.add.at(full, n._args, g)
+    _accum(n.parents[0], full)
+
+
+def _unary(n):
+    return n._args[0](n.parents[0].values)
+
+
+def _unary_grad(n, g):
+    _accum(n.parents[0], n._args[1](g, n.parents[0].values, n.values))
+
+
+def _clip(n):
+    lo, hi = n._args
+    return np.clip(n.parents[0].values, lo, hi)
+
+
+def _clip_grad(n, g):
+    lo, hi = n._args
+    x = n.parents[0].values
+    _accum(n.parents[0], g * ((x > lo) & (x < hi)))
+
+
+def _sum(n):
+    axis, keepdims = n._args
+    return n.parents[0].values.sum(axis=axis, keepdims=keepdims)
+
+
+def _sum_grad(n, g):
+    axis, keepdims = n._args
+    gg = np.asarray(g)
+    if axis is not None and not keepdims:
+        gg = np.expand_dims(gg, axis)
+    _accum(n.parents[0], gg)
+
+
+def _log_softmax(n):
+    x, axis = n.parents[0].values, n._args
+    m = x.max(axis=axis, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    return x - lse
+
+
+def _log_softmax_grad(n, g):
+    _accum(n.parents[0], g - np.exp(n.values) * g.sum(axis=n._args, keepdims=True))
+
+
+def _reshape(n):
+    return n.parents[0].values.reshape(*n._args)
+
+
+def _reshape_grad(n, g):
+    _accum(n.parents[0], g.reshape(n.parents[0].values.shape))
+
+
+def _take_columns(n):
+    return n.parents[0].values[:, n._args]
+
+
+def _take_columns_grad(n, g):
+    full = np.zeros_like(n.parents[0].values)
+    np.add.at(full.T, n._args, g.T)
+    _accum(n.parents[0], full)
+
+
 def dense(h, W, b, activation):
     """act(h @ W + b) for a (batch, in) h, (in, out) W and (out,) b, as one
     tape node. Its backward applies the activation derivative, then forms
     the bias sum, g @ W.T (only when h needs a grad) and h.T @ g."""
-    fn, grad_fn = _ACTIVATION_FNS[activation]
-    x, w = h.values, W.values
-    pre = x @ w + b.values
-    vals = pre if fn is None else fn(pre)
     # backward() walks parents last to first; in this order it reaches b, W
     # and h as it did through the bias-add and matmul nodes, so every
     # gradient still sums its contributions in the same order.
-    out = Tensor(vals, (h, W, b))
-    def bw(g):
-        if grad_fn is not None:
-            g = grad_fn(g, pre, vals)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.values.shape))
-        if h.requires_grad:
-            _accum(h, g @ w.T)
-        if W.requires_grad:
-            _accum(W, x.T @ g)
-    out._backward = bw
-    return out
+    return _op(_dense, _dense_grad, (h, W, b), _ACTIVATION_FNS[activation])
+
+
+def _dense(n):
+    h, W, b = n.parents
+    fn = n._args[0]
+    n._aux = pre = h.values @ W.values + b.values
+    return pre if fn is None else fn(pre)
+
+
+def _dense_grad(n, g):
+    h, W, b = n.parents
+    grad_fn = n._args[1]
+    if grad_fn is not None:
+        g = grad_fn(g, n._aux, n.values)
+    if b.requires_grad:
+        _accum(b, _unbroadcast(g, b.values.shape))
+    if h.requires_grad:
+        _accum(h, g @ W.values.T)
+    if W.requires_grad:
+        _accum(W, h.values.T @ g)
 
 
 def concat(tensors, axis=0):
-    vals = np.concatenate([t.values for t in tensors], axis=axis)
-    out = Tensor(vals, tuple(tensors))
-    sizes = [t.values.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(t, g[tuple(sl)])
-    out._backward = bw
-    return out
+    offsets = np.cumsum([0] + [t.values.shape[axis] for t in tensors])
+    return _op(_concat, _concat_grad, tuple(tensors), (axis, offsets))
 
 
-def backward(loss):
-    """Populate grads of every tape leaf reachable from the scalar loss."""
-    if loss.values.size != 1:
-        raise ValueError("backward requires a scalar loss")
-    if loss._backward_done:
-        raise RuntimeError("backward already called on this loss; rebuild the graph")
-    loss._backward_done = True
+def _concat(n):
+    return np.concatenate([t.values for t in n.parents], axis=n._args[0])
+
+
+def _concat_grad(n, g):
+    axis, offsets = n._args
+    for t, lo, hi in zip(n.parents, offsets[:-1], offsets[1:]):
+        if t.requires_grad:
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            _accum(t, g[tuple(sl)])
+
+
+def _backward_order(loss):
+    """The nodes below loss that need a gradient, in the order backward()
+    visits them: reverse depth-first post-order from loss."""
     topo = []
     visited = set()
     stack = [(loss, False)]
@@ -351,10 +438,88 @@ def backward(loss):
         stack.append((node, True))
         for p in node.parents:
             stack.append((p, False))
+    return topo[-2::-1]
+
+
+def backward(loss):
+    """Populate grads of every tape leaf reachable from the scalar loss. A
+    recorded loss walks its recorded order."""
+    if loss.values.size != 1:
+        raise ValueError("backward requires a scalar loss")
+    if loss._backward_done:
+        raise RuntimeError("backward already called on this loss; rebuild the graph")
+    loss._backward_done = True
+    order = _backward_order(loss) if loss._order is None else loss._order
     loss.grad = np.ones_like(loss.values)
-    for node in reversed(topo):
+    if loss.requires_grad and loss._backward is not None:
+        loss._backward(loss, loss.grad)
+    for node in order:
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            node._backward(node, node.grad)
+
+
+_recording = None       # the node list of the recording in progress
+
+
+class Recorder:
+    """graph(*tensors), recorded once per tuple of input shapes, then replayed.
+
+    Calling the recorder on arrays returns graph's output Tensor for them.
+    The first call for a tuple of shapes runs graph on leaf Tensors holding
+    the arrays, keeps the nodes it creates in creation order and computes
+    the output's backward order. A later call with the same shapes rebinds
+    the leaves to the new arrays, clears the nodes' gradients and reruns
+    each node's forward in order; backward() on the output then walks the
+    recorded order. So each call returns the same output Tensor, holding
+    the latest values.
+
+    graph may read parameter Tensors (a replay reads their current values)
+    and build constants from the input shapes; anything that depends on the
+    data must be one of its inputs, or a replay reuses the recorded value.
+    graph must not call a Recorder itself.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.programs = {}          # input shapes -> (leaves, nodes, output)
+
+    def __call__(self, *arrays):
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        key = tuple(a.shape for a in arrays)
+        program = self.programs.get(key)
+        if program is None:
+            program = self.programs[key] = self._record(arrays)
+            return program[2]
+        leaves, nodes, out = program
+        # The previous step's arrays are released after the forward, as an
+        # eager step releases the previous tape. Released node by node, the
+        # allocator gave the large arrays fresh pages on most steps (ARM's
+        # 640 x 64 layers: 20 times the page faults of an eager fit).
+        previous = [(t.values, t.grad, t._aux) for t in leaves + nodes]
+        for leaf, a in zip(leaves, arrays):
+            leaf.values = a
+        for node in nodes:
+            node.grad = None
+            node.values = np.asarray(node._forward(node))
+        del previous
+        out._backward_done = False
+        return out
+
+    def _record(self, arrays):
+        global _recording
+        leaves = [Tensor(a) for a in arrays]
+        _recording = nodes = []
+        try:
+            out = self.graph(*leaves)
+        finally:
+            _recording = None
+        out._order = _backward_order(out)
+        return leaves, nodes, out
+
+
+def eager(graph, arrays):
+    """graph on fresh leaf Tensors holding arrays: one unrecorded tape."""
+    return graph(*[Tensor(a) for a in arrays])
 
 
 def zero_grad(params):
@@ -516,23 +681,26 @@ def descend(loss, params, state, lr, what):
     adam_step(params, [p.grad for p in params], state, lr=lr)
 
 
-def fit_minibatch(loss_fn, params, X, epochs, batch, rng, lr):
-    """Minibatch Adam descent on loss_fn(rows, rng), a scalar Tensor over a
-    batch of rows of X; returns the mean loss of each epoch.
+def fit_minibatch(inputs, graph, params, X, epochs, batch, rng, lr):
+    """Minibatch Adam descent on graph(*tensors), a scalar loss over the
+    arrays inputs(rows, rng) returns for a batch of rows of X; returns the
+    mean loss of each epoch.
 
     Each epoch visits the rows in a fresh rng permutation, batch rows at a
-    time; a non-finite loss raises FloatingPointError.
+    time. The step is recorded once per batch shape (a tail batch gets its
+    own recording) and replayed; a non-finite loss raises FloatingPointError.
     """
     check_counts(epochs=epochs, batch=batch)
     check_lr(lr)
     N = X.shape[0]
     state = AdamState()
+    step = Recorder(graph)
     trace = []
     for epoch in range(epochs):
         order = rng.permutation(N)
         losses = []
         for start in range(0, N, batch):
-            loss = loss_fn(X[order[start:start + batch]], rng)
+            loss = step(*inputs(X[order[start:start + batch]], rng))
             descend(loss, params, state, lr, f"loss diverged at epoch {epoch}")
             losses.append(float(loss.values))
         trace.append(float(np.mean(losses)))

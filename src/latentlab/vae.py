@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Mlp, Tensor, _sigmoid, as_batch, check_counts, fit_minibatch
+from .nn import Mlp, Tensor, _sigmoid, check_counts, eager, fit_minibatch
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
            "elbo", "elbo_rows", "train", "sample", "reconstruct"]
@@ -38,8 +38,10 @@ class VaeModel:
             raise ValueError("encoder output dim must be 2 * latent_dim")
         if self.decoder.in_dim != self.latent_dim:
             raise ValueError("decoder input dim must equal latent_dim")
-        if self.likelihood == "gaussian" and self.sigma_dec <= 0:
-            raise ValueError("sigma_dec must be positive")
+        s = self.sigma_dec
+        if not (math.isfinite(s) and s > 0 and 0 < s * s < math.inf):
+            raise ValueError(f"sigma_dec must be positive and finite, and so must its "
+                             f"square, got {s}")
 
     @property
     def data_dim(self):
@@ -110,18 +112,31 @@ def _recon_loglik(model, x, z):
     return per_point
 
 
-def _elbo_terms(model, x, rng, n_samples):
-    """Per-point (sum over n_samples draws of log p(x|z), KL) tensors."""
-    xb = as_batch(x)
-    mu, sigma = encode(model, xb)
+def _elbo_inputs(model, x, rng, n_samples):
+    """The batch as a 2-D array, then n_samples draws of eps ~ N(0, I), one
+    (N, latent_dim) array each."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    return [X] + [rng.standard_normal((X.shape[0], model.latent_dim)) for _ in range(n_samples)]
+
+
+def _elbo_terms(model, x, *eps):
+    """Per-point (sum over the eps draws of log p(x|z), KL) Tensors for a
+    batch Tensor x; z = mu + sigma * eps as in reparameterize()."""
+    mu, sigma = encode(model, x)
     sigma2 = sigma * sigma
     kl_per_point = (sigma2 + mu * mu - 1.0 - sigma2.log()).sum(axis=1) * 0.5
     recon_acc = None
-    for _ in range(n_samples):
-        z = reparameterize(mu, sigma, rng)
-        r = _recon_loglik(model, xb, z)
+    for e in eps:
+        r = _recon_loglik(model, x, mu + sigma * e)
         recon_acc = r if recon_acc is None else recon_acc + r
     return recon_acc, kl_per_point
+
+
+def _elbo_parts(model, x, *eps):
+    recon_acc, kl_per_point = _elbo_terms(model, x, *eps)
+    recon = recon_acc.mean() * (1.0 / len(eps))
+    kl = kl_per_point.mean()
+    return ElboParts(recon, kl, recon - kl)
 
 
 def elbo(model, x, rng, n_samples=1):
@@ -130,24 +145,23 @@ def elbo(model, x, rng, n_samples=1):
     KL is the closed form 0.5 * sum(sigma^2 + mu^2 - 1 - log sigma^2); the
     reconstruction term uses n_samples epsilon draws (1 by default).
     """
-    recon_acc, kl_per_point = _elbo_terms(model, x, rng, n_samples)
-    recon = recon_acc.mean() * (1.0 / n_samples)
-    kl = kl_per_point.mean()
-    return ElboParts(recon, kl, recon - kl)
+    return eager(lambda *t: _elbo_parts(model, *t), _elbo_inputs(model, x, rng, n_samples))
 
 
 def elbo_rows(model, x, rng, n_samples=1):
     """The ELBO of each point (N,) from the draws elbo() makes with the same
     rng; their mean is elbo(...).elbo."""
-    recon_acc, kl_per_point = _elbo_terms(model, x, rng, n_samples)
+    recon_acc, kl_per_point = eager(lambda *t: _elbo_terms(model, *t),
+                                    _elbo_inputs(model, x, rng, n_samples))
     return recon_acc.values * (1.0 / n_samples) - kl_per_point.values
 
 
 def train(model, data, epochs, batch, rng, lr=1e-3):
     """Minibatch ascent on the single-sample ELBO; returns per-epoch means."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
-    return -fit_minibatch(lambda xb, r: -elbo(model, xb, r).elbo, model.params(), X,
-                          epochs, batch, rng, lr)
+    return -fit_minibatch(lambda rows, r: _elbo_inputs(model, rows, r, 1),
+                          lambda x, eps: -_elbo_parts(model, x, eps).elbo,
+                          model.params(), X, epochs, batch, rng, lr)
 
 
 def sample(model, n, rng, binarize=False):

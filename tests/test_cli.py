@@ -472,8 +472,14 @@ def real_csv(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("family", ["vae", "flow", "diffusion", "arm", "gan"])
-@pytest.mark.parametrize("value", ["0", "-3", "nan", "inf", "-inf"])
+DEEP_FAMILIES = ["vae", "flow", "diffusion", "arm", "gan"]
+BAD_VALUES = ["0", "-3", "nan", "inf", "-inf"]
+# a decoder scale whose square underflows to 0 or overflows
+BAD_SIGMA_DEC = ["1e-300", "1e200"]
+
+
+@pytest.mark.parametrize("value, family", [(v, f) for v in BAD_VALUES for f in DEEP_FAMILIES]
+                         + [(v, "vae") for v in BAD_SIGMA_DEC])
 def test_deep_fit_rejects_bad_sizes(family, value, tmp_path, real_csv, capsys):
     data = real_csv
     if family == "arm":
@@ -481,15 +487,20 @@ def test_deep_fit_rejects_bad_sizes(family, value, tmp_path, real_csv, capsys):
         write_csv(data, RandomSource(16).integers(0, 3, (30, 4)).astype(float))
     count_flag = "--steps" if family == "gan" else "--epochs"
     size_flags = {"vae": ["--latent-dim"], "flow": ["--layers"], "diffusion": ["--T"],
-                  "arm": [], "gan": ["--latent-dim"]}[family]
+                  "arm": ["--seq-len"], "gan": ["--latent-dim"]}[family]
     count_flags = ["--batch", count_flag, "--hidden"] + size_flags
-    for flag in (count_flags if value in ("0", "-3") else []) + ["--lr"]:
+    flags = (count_flags if value in ("0", "-3") else []) \
+        + (["--lr"] if value in BAD_VALUES else []) + (["--sigma-dec"] if family == "vae" else [])
+    for flag in flags:
         out = tmp_path / f"{family}{flag}.json"
         assert main(["fit", family, "--data", str(data), "--out", str(out), "--epochs", "1",
                      "--steps", "2", "--hidden", "4", f"{flag}={value}"]) == 2
         err = capsys.readouterr().err
         if flag == "--lr":
             assert err == f"latentlab: lr must be positive and finite, got {float(value)}\n"
+        elif flag == "--sigma-dec":
+            assert err == (f"latentlab: sigma_dec must be positive and finite, and so must "
+                           f"its square, got {float(value)}\n")
         else:
             name = flag.lstrip("-").replace("-", "_")
             assert err == f"latentlab: {name} must be >= 1, got {value}\n"

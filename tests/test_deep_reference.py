@@ -13,6 +13,7 @@ flow log-likelihood agrees with the two-pass one.
 """
 import math
 
+import eager_trainers
 import numpy as np
 import pytest
 
@@ -343,8 +344,8 @@ def ref_vae_sample(model, n, rng, binarize=False):
 def reference_code(mp):
     """Install the reference copies in place of the code they stand for."""
     mp.setattr(Mlp, "forward", ref_mlp_forward)
-    for mod in (vae, flow, diffusion, arm):
-        mp.setattr(mod, "fit_minibatch", ref_fit_minibatch)
+    eager_trainers.install(mp, [(vae, "train"), (diffusion, "train"), (arm, "train"),
+                                (arm, "sample")])
     mp.setattr(flow.PlanarLayer, "inverse", ref_planar_inverse)
     mp.setattr(flow.CouplingLayer, "forward", ref_coupling_forward)
     mp.setattr(flow.CouplingLayer, "inverse", ref_coupling_inverse)
@@ -521,8 +522,12 @@ def test_reference_code_is_installed():
     with pytest.MonkeyPatch.context() as mp:
         reference_code(mp)
         assert flow.log_likelihood is ref_flow_log_likelihood and gan.train is ref_gan_train
-        assert arm._masked_inputs is ref_masked_inputs and vae.fit_minibatch is ref_fit_minibatch
+        assert arm._masked_inputs is ref_masked_inputs and vae.train is eager_trainers.vae_train
         assert Mlp.forward is ref_mlp_forward
+        for family in FAMILIES:
+            assert eager_trainers.recordings(train_and_score, family, 0)[1] == 0
+    for family in FAMILIES:
+        assert eager_trainers.recordings(train_and_score, family, 0)[1] > 0
     assert flow.log_likelihood is not ref_flow_log_likelihood
     assert not hasattr(flow.CouplingLayer, "inverse_tensor")
     assert nn.fit_minibatch is not ref_fit_minibatch

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from eager_trainers import recordings
 
+from latentlab import nn
 from latentlab.core import RandomSource
 from latentlab.nn import (ACTIVATIONS, AdamState, Mlp, Tensor, adam_step, backward,
                           concat, dense, forward, zero_grad)
@@ -402,3 +404,115 @@ def test_trainers_match_reference_loop(family):
     assert np.array_equal(trace, ref_trace)
     for p, q in zip(model.params(), ref.params()):
         assert np.array_equal(p.values, q.values)
+
+
+# -- recording and replay --------------------------------------------------------
+
+def _affine_net(seed):
+    return Mlp.create([3, 4, 2], ["tanh", "identity"], RandomSource(seed))
+
+
+def _squared_error(mlp):
+    # the target is an input, so nothing of the data is recorded as a constant
+    return lambda x, y: ((mlp.forward(x) - y) ** 2).mean()
+
+
+def test_fit_minibatch_replays_to_the_eager_bits():
+    # 10 rows in batches of 4 leave a tail of 2, which records a second program
+    X = RandomSource(50).standard_normal((10, 5))
+    mlp, ref = _affine_net(51), _affine_net(51)
+    trace, count = recordings(nn.fit_minibatch, lambda rows, _r: (rows[:, :3], rows[:, 3:]),
+                              _squared_error(mlp), mlp.params(), X, 3, 4, RandomSource(52), 0.05)
+    assert count == 2
+    objective = lambda rows, _r: _squared_error(ref)(Tensor(rows[:, :3]), Tensor(rows[:, 3:]))
+    ref_trace = _reference_loop(objective, 1, ref.params(), X, 3, 4, RandomSource(52), 0.05)
+    assert np.array_equal(trace, ref_trace)
+    for p, q in zip(mlp.params(), ref.params()):
+        assert np.array_equal(p.values, q.values)
+
+
+def test_recorder_records_each_input_shape_once():
+    mlp = _affine_net(53)
+    step = nn.Recorder(_squared_error(mlp))
+    rng = RandomSource(54)
+
+    def run():
+        for n in (4, 4, 3, 4, 3, 6):
+            x, y = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
+            loss = step(x, y)
+            zero_grad(mlp.params())
+            backward(loss)
+            got = [loss.values] + [p.grad for p in mlp.params()]
+            eager_loss = _squared_error(mlp)(Tensor(x), Tensor(y))
+            zero_grad(mlp.params())
+            backward(eager_loss)
+            want = [eager_loss.values] + [p.grad for p in mlp.params()]
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            # a parameter update between steps reaches the next replay
+            mlp.weights[0].values = mlp.weights[0].values * 0.9
+
+    assert recordings(run)[1] == 3 and len(step.programs) == 3
+
+
+def test_replayed_output_is_the_recorded_tensor_and_can_step_again():
+    mlp = _affine_net(55)
+    step = nn.Recorder(_squared_error(mlp))
+    x, y = np.ones((2, 3)), np.zeros((2, 2))
+    first = step(x, y)
+    backward(first)
+    with pytest.raises(RuntimeError):
+        backward(first)
+    assert step(x, y) is first
+    backward(first)
+
+
+def test_finite_loss_check_fires_on_a_replay_before_any_parameter_moves():
+    X = RandomSource(56).standard_normal((8, 5))
+    mlp = _affine_net(57)
+    calls, before = [0], []
+
+    def inputs(rows, _r):
+        calls[0] += 1
+        if calls[0] == 3:                           # a replayed step
+            before.extend(p.values.copy() for p in mlp.params())
+            return rows[:, :3], np.full((len(rows), 2), np.inf)
+        return rows[:, :3], rows[:, 3:]
+
+    with pytest.raises(FloatingPointError, match="loss diverged at epoch 1"):
+        nn.fit_minibatch(inputs, _squared_error(mlp), mlp.params(), X, 3, 4,
+                         RandomSource(58), 0.05)
+    for p, b in zip(mlp.params(), before):
+        assert np.array_equal(p.values, b)
+
+
+def _eager_losses(family):
+    from latentlab import arm, diffusion, flow, gan, vae
+    rng = RandomSource(60)
+    X = rng.standard_normal((6, 3))
+    if family == "vae":
+        return [-vae.elbo(vae.make_vae(3, 2, rng, hidden=4), X, rng, n_samples=2).elbo]
+    if family == "flow":
+        return [-flow._loglik_tensor(flow.make_coupling_stack(3, 2, rng, hidden=4), X).mean()]
+    if family == "diffusion":
+        return [diffusion.loss_simple(diffusion.make_diffusion(3, rng, T=5, hidden=4), X, rng)]
+    if family == "arm":
+        model = arm.make_ar_model(4, 3, rng, hidden=4)
+        return [-arm._loglik_tensor(model, rng.integers(0, 3, (6, 4)))]
+    model = gan.make_gan(3, 2, rng, hidden=4)
+    fake = gan._gen_forward(model, 6, rng)
+    return [gan.disc_loss(model, X, fake.values), gan.gen_loss(model, fake)]
+
+
+@pytest.mark.parametrize("family", ["vae", "flow", "diffusion", "arm", "gan"])
+def test_eager_tapes_hold_no_reference_cycle(family):
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        losses = _eager_losses(family)
+        backward(losses[0])
+        del losses
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

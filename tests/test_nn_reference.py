@@ -8,6 +8,7 @@ on both.
 """
 import sys
 
+import eager_trainers
 import numpy as np
 import pytest
 
@@ -361,7 +362,8 @@ REFERENCE = {"Tensor": RefTensor, "concat": ref_concat, "backward": ref_backward
 
 def reference_tape(mp):
     """Rebind every latentlab name bound to a replaced nn object to its
-    reference copy and Mlp.forward to the three-op layer."""
+    reference copy and Mlp.forward to the three-op layer; the trainers and
+    samplers build a fresh tape per step (reference tapes cannot replay)."""
     swap = [(getattr(nn, name), replacement) for name, replacement in REFERENCE.items()]
     for modname, mod in list(sys.modules.items()):
         if modname == "latentlab" or modname.startswith("latentlab."):
@@ -370,6 +372,7 @@ def reference_tape(mp):
                     if value is orig:
                         mp.setattr(mod, key, replacement)
     mp.setattr(Mlp, "forward", ref_mlp_forward)
+    eager_trainers.install(mp)
 
 
 # ---------------------------------------------------------------------------
@@ -511,4 +514,6 @@ def test_reference_tape_is_installed():
         assert isinstance(_params(model)[0], RefTensor)
         assert flow.Tensor is RefTensor and nn.AdamState is RefAdamState
         assert nn.backward is ref_backward and nn.adam_step is ref_adam_step
+        for family in FAMILIES:
+            assert eager_trainers.recordings(train_and_score, family, 0, "tanh")[1] == 0
     assert flow.Tensor is Tensor
