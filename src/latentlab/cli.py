@@ -3,14 +3,17 @@ across every model family, emitting plot-ready trace files.
 
 Every command is a pure function of (config, input files, seed): repeated
 runs with the same seed produce byte-identical outputs. Exit codes: 0 on
-success, 2 on usage errors, 1 on numeric failures. Flags override values
-from an optional JSON --config file. What each family reads and which
-commands it supports is its record in families.FAMILIES.
+success, 2 on usage errors, 1 on numeric failures. A command whose output
+would hold a NaN or an infinity, or inside which numpy warns of an overflow
+or an invalid value, is a numeric failure and writes nothing. Flags
+override values from an optional JSON --config file. What each family
+reads and which commands it supports is its record in families.FAMILIES.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -139,6 +142,15 @@ def _apply_config(command_parser, args, argv):
     return args
 
 
+def _finite(output, values):
+    """values as a float array, or a NumericError naming the output if any
+    of them is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"{output}: the output holds a non-finite number; nothing written")
+    return values
+
+
 def _write_trace(out_path, trace):
     lines = ["iter,objective"]
     for i, v in enumerate(np.asarray(trace, dtype=float), start=1):
@@ -181,6 +193,7 @@ def _cmd_fit(args):
                                        RandomSource(args.seed))
     config = {"family": args.family, "seed": args.seed}
     config.update((flag, getattr(args, flag)) for flag in record.flags)
+    _finite(args.out + ".trace.csv", trace)
     datasets.write_model(args.out, args.family, params, config)
     _write_trace(args.out, trace)
     if report is not None:
@@ -197,29 +210,31 @@ def _cmd_sample(args):
         if not args.given:
             raise UsageError("posterior sampling requires --given")
         given = (datasets.read_matrix(args.given)[0],)
-    datasets.write_csv(args.out, sample(params, args.n, RandomSource(args.seed), *given))
+    drawn = sample(params, args.n, RandomSource(args.seed), *given)
+    datasets.write_csv(args.out, _finite(args.out, drawn))
     return 0
 
 
 def _cmd_eval(args):
     family, loglik, params, config = _model_command(args, "loglik")
-    lls = loglik(params, _read_data(family, args), config, args.seed)
+    lls = _finite(_output(args), loglik(params, _read_data(family, args), config, args.seed))
+    total = _finite(_output(args), np.sum(lls))
     for v in lls:
         print(FMT % v)
-    print("total " + FMT % float(np.sum(lls)))
+    print("total " + FMT % total)
     return 0
 
 
 def _cmd_infer(args):
     family, infer, params, config = _model_command(args, "infer")
     rows, header = infer(params, _read_data(family, args), config)
-    datasets.write_csv(args.out, rows, header=header)
+    datasets.write_csv(args.out, _finite(args.out, rows), header=header)
     return 0
 
 
 def _cmd_reconstruct(args):
     family, reconstruct, params, _config = _model_command(args, "reconstruct")
-    datasets.write_csv(args.out, reconstruct(params, _read_data(family, args)))
+    datasets.write_csv(args.out, _finite(args.out, reconstruct(params, _read_data(family, args))))
     return 0
 
 
@@ -230,8 +245,15 @@ def _cmd_synth(args):
                                   lengths=doc.get("lengths", ()),
                                   seed=doc.get("seed", args.seed))
     data, _latents, _true = datasets.generate(spec)
+    if datasets.SYNTHETIC_FAMILIES[spec.family] in ("matrix", "real_seq"):
+        _finite(args.out, np.concatenate([np.ravel(part) for part in data]))
     datasets.KINDS[datasets.SYNTHETIC_FAMILIES[spec.family]].write(args.out, data)
     return 0
+
+
+def _output(args):
+    """What a command writes: its --out file, or eval's standard output."""
+    return getattr(args, "out", None) or f"eval of {args.model}"
 
 
 COMMANDS = {"fit": _cmd_fit, "sample": _cmd_sample, "eval": _cmd_eval,
@@ -250,7 +272,13 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         args = _apply_config(command_parsers[args.command], args, argv)
-        return COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return COMMANDS[args.command](args)
+    except RuntimeWarning as exc:
+        print(f"latentlab: numeric failure: {_output(args)}: {exc}; nothing written",
+              file=sys.stderr)
+        return 1
     except (NumericError, MonotonicityError, FloatingPointError, MemoryError,
             np.linalg.LinAlgError) as exc:
         print(f"latentlab: numeric failure: {exc}", file=sys.stderr)

@@ -6,12 +6,28 @@ Inference runs over a whole set of sequences at once. The set is packed once
 into a time-major layout sorted by descending length (SequencePack): step t
 is one contiguous block of rows, and the sequences still running at t are a
 prefix of that block, so one recursion over t = 0..Tmax-1 advances every
-sequence with one array operation per step. Forward-backward runs in the log
-domain with per-step log-normalizers. The Kalman filter and RTS smoother form
-the covariances, gains and log-determinants once per step, since they depend
-on the parameters and t alone, and advance the means of all running
-sequences together. hmm_forward_backward, kalman_filter and kalman_smooth
-run the same kernels on a set of one sequence.
+sequence with one array operation per step. The Kalman filter and RTS
+smoother form the covariances, gains and log-determinants once per step,
+since they depend on the parameters and t alone, and advance the means of
+all running sequences together. hmm_forward_backward, kalman_filter and
+kalman_smooth run the same kernels on a set of one sequence.
+
+HMM forward-backward runs in the log domain on one exact log-semiring
+product, _log_matmul: it forms exp(X) @ exp(Y) in the linear domain and
+recomputes every entry below TINY as a logaddexp over the shared index, so
+no state is dropped however improbable. Two kernels use it. The packed loop
+advances all running sequences one step at a time; it takes the plain
+product and redoes a pass with the exact one only when a transition below
+K TINY let an entry fall below TINY. The parallel-in-time scan (Hassan,
+Sarkka & Garcia-Fernandez, "Temporal Parallelization of Inference in Hidden
+Markov Models", IEEE TSP 2021) writes the forward and backward messages as
+prefix and suffix products of the per-step matrices logA + logB_t, in
+2 log2(N) vectorised levels of an odd-even scan that restarts at each
+sequence and shifts every product by its log-scale. The scan multiplies
+K x K matrices where the loop multiplies vectors by one, but pays no fixed
+cost per step, so _scan_pays picks the scan for few long sequences and small
+K, and the loop for many sequences per step or large K, by costs measured on
+both kernels.
 
 Baum-Welch and LDS EM read sufficient statistics off the packed rows; the
 initial-state distribution pools the t=1 posteriors of all sequences. An HMM
@@ -29,7 +45,7 @@ import numpy as np
 
 from .core import (Gaussian, NumericError, RandomSource, category_codes, check_finite,
                    check_simplex_rows, chol_psd, float_list, gaussian_logpdf_columns,
-                   normalize_log_rows)
+                   log_sum_exp_rows, normalize_log_rows)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
                       _perturbed_rows, _var_floor, _weighted_gaussians)
@@ -284,9 +300,9 @@ class HmmSetPosterior:
     """Forward-backward over a packed set of sequences.
 
     Per packed row: emission log-likelihoods logB, normalized forward
-    messages log_alpha, step log-normalizers log_c (N, 1), scaled backward
-    messages log_beta and state marginals gamma (both None after a
-    forward-only pass). Per sequence, in input order: logliks.
+    messages log_alpha, step log-normalizers log_c (N, 1), backward messages
+    log_beta, each row up to a constant, and state marginals gamma (both
+    None after a forward-only pass). Per sequence, in input order: logliks.
     """
 
     params: HmmParams
@@ -331,26 +347,83 @@ def _hmm_pack(discrete, obs_set):
     return SequencePack.build([np.atleast_2d(np.asarray(o, dtype=float)) for o in obs_set])
 
 
-def _hmm_forward(params, pack):
-    """Forward recursion over every sequence of a pack."""
-    logB = params.emit.log_liks(pack.data)               # (N, K)
-    counts, starts = pack.counts.tolist(), pack.starts.tolist()
-    A = params.trans
-    log_alpha = np.empty_like(logB)
-    log_c = np.empty((logB.shape[0], 1))
-    # normalized log-alpha entries are <= 0, so exp never overflows and the
-    # matmul is the stable lse over previous states. A row with no possible
-    # state gets a normalizer of -inf, which is reported after the loop.
-    exp, log, lse = np.exp, np.log, np.logaddexp.reduce
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = log(params.pi) + logB[:counts[0]]
-        for t in range(len(counts)):
-            s, e = starts[t], starts[t + 1]
-            if t:
-                p = starts[t - 1]
-                a = logB[s:e] + log(exp(log_alpha[p:p + e - s]) @ A)
-            c = log_c[s:e] = lse(a, axis=1, keepdims=True)
-            log_alpha[s:e] = a - c
+# An entry of a scaled product below TINY may have lost terms to underflow,
+# so it is recomputed over the log terms; a term that still flushes to zero
+# is then under 1e-40 of the entry.
+TINY = 1e-280
+LOG_TINY = math.log(TINY)
+
+
+def _log_matmul(X, Y):
+    """log(exp(X) @ exp(Y)) over the last two axes, exact at every entry,
+    and the linear product as formed.
+
+    The product is formed in the linear domain, so the caller keeps X and Y
+    at or below about 0 and ignores numpy's divide warnings. Each entry
+    below TINY is recomputed as a logaddexp over the shared index, so no
+    term is dropped however far below the others it lies.
+    """
+    P = np.exp(X) @ np.exp(Y)
+    out = np.log(P)
+    if P.size and P.min() < TINY:
+        at = np.nonzero(P < TINY)
+        Yt = np.swapaxes(Y, -1, -2)
+        out[at] = np.logaddexp.reduce(X[at[:-1]] + Yt[at[:-2] + at[-1:]], axis=-1)
+    return out, P
+
+
+def _log_rows(L):
+    """The rows of L shifted to a log-sum of 0; a row of -inf stays -inf."""
+    lse = log_sum_exp_rows(L)
+    return L - np.where(np.isfinite(lse), lse, 0.0)[:, None]
+
+
+def _combine(X, Y, restart):
+    """X @ Y in the log semiring for stacks of matrices whose entries are at
+    most about 0, or Y's leading rows where a segment restarts at Y.
+
+    Each product is shifted by the log of its sum, so its entries stay at
+    most 0 and its largest within log K^2 of 0 at any length. Where the sum
+    itself falls below TINY, the shift is the largest exact entry instead.
+    """
+    Z, P = _log_matmul(X, Y)
+    size = P.shape[1] * P.shape[2]
+    shift = np.log(P.reshape(-1, size) @ np.ones(size))
+    low = shift < LOG_TINY
+    if low.any():
+        shift[low] = Z[low].reshape(-1, size).max(axis=1, initial=-1e300)
+    Z -= shift[:, None, None]
+    if restart.any():
+        Z[restart] = Y[restart, :Z.shape[1]]
+    return Z
+
+
+def _prefix_scan(E, start):
+    """Row 0 of each inclusive log-semiring prefix product over a stack of
+    (K, K) matrices, restarting at every element where start is set.
+
+    Each segment starts with a matrix of identical rows, so every prefix
+    has identical rows and row 0 stands for it. Odd-even (work-efficient)
+    scan: combine neighbouring pairs, scan the pairs, then extend each odd
+    prefix by the next even element: about n matrix and n row products in
+    2 log2(n) vectorised levels.
+    """
+    n = len(E)
+    if n == 1:
+        return E[:, 0]
+    h = n // 2
+    rows = _prefix_scan(_combine(E[0:2 * h:2], E[1:2 * h:2], start[1:2 * h:2]),
+                        start[0:2 * h:2] | start[1:2 * h:2])
+    out = np.empty(E.shape[:2])
+    out[0] = E[0, 0]
+    out[1::2] = rows
+    out[2::2] = _combine(rows[:(n - 1) // 2, None], E[2::2], start[2::2])[:, 0]
+    return out
+
+
+def _forward_result(params, pack, logB, log_alpha, log_c):
+    """The forward posterior, or an error naming the first sequence and step
+    that no path explains (a step normalizer of -inf)."""
     bad = np.flatnonzero(~np.isfinite(log_c[:, 0]))
     if bad.size:
         r = int(bad[0])
@@ -360,8 +433,54 @@ def _hmm_forward(params, pack):
     return HmmSetPosterior(params, pack, logB, log_alpha, log_c, pack.sums(log_c[:, 0]))
 
 
-def _hmm_backward(post):
-    """Backward recursion and state marginals over a forward pass."""
+def _lost(logP, X, V):
+    """Whether a loop's products exp(X) @ V, whose logs are logP, fell below
+    TINY at an entry with a nonzero term, which may then have underflowed."""
+    low = logP < LOG_TINY
+    return bool(low.any()) and bool(((X > -np.inf) @ (V > 0))[low].any())
+
+
+def _forward_loop(params, pack):
+    """Forward recursion over the packed rows, one step at a time.
+
+    The first pass takes each step's product as exp(log_alpha) @ A. A
+    normalized message holds a state of probability at least 1/K, so each
+    product is at least min(A) / K: only a transition below K TINY can make
+    an entry fall below TINY. If one did where a term could be nonzero, a
+    second pass takes the exact product.
+    """
+    logB = params.emit.log_liks(pack.data)               # (N, K)
+    counts, starts = pack.counts.tolist(), pack.starts.tolist()
+    A = params.trans
+    log_alpha = np.empty_like(logB)
+    log_c = np.empty((logB.shape[0], 1))
+    n0 = counts[0]
+    # normalized log-alpha entries are <= 0, so exp never overflows. A row
+    # with no possible state gets a normalizer of -inf, which is reported
+    # after the loop.
+    exp, log, lse = np.exp, np.log, np.logaddexp.reduce
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pi, logA = log(params.pi), log(A)
+        for exact in (False, True):
+            a = log_pi + logB[:n0]
+            for t in range(len(counts)):
+                s, e = starts[t], starts[t + 1]
+                if t:
+                    p = starts[t - 1]
+                    X = log_alpha[p:p + e - s]
+                    a = logB[s:e] + (_log_matmul(X, logA)[0] if exact else log(exp(X) @ A))
+                c = log_c[s:e] = lse(a, axis=1, keepdims=True)
+                log_alpha[s:e] = a - c
+            if exact or A.min() >= A.shape[0] * TINY or (np.isfinite(log_c).all() and not _lost(
+                    log_alpha[n0:] + log_c[n0:] - logB[n0:], log_alpha[pack.prev], A)):
+                break
+    return _forward_result(params, pack, logB, log_alpha, log_c)
+
+
+def _backward_loop(post):
+    """Backward recursion and state marginals over a forward pass, one step
+    at a time. Each step's product is at least min(A), since the shifted
+    message peaks at 0; it is checked and redone as in _forward_loop."""
     counts, starts = post.pack.counts.tolist(), post.pack.starts.tolist()
     log_alpha, log_c = post.log_alpha, post.log_c
     log_beta = np.zeros_like(post.logB)
@@ -369,14 +488,109 @@ def _hmm_backward(post):
     AT = post.params.trans.T
     exp, log = np.exp, np.log
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(len(counts) - 2, -1, -1):
-            s, q = starts[t], starts[t + 1]
-            n = counts[t + 1]
-            nxt = logB_c[q:q + n] + log_beta[q:q + n]
-            m = nxt.max(1, keepdims=True)
-            log_beta[s:s + n] = log(exp(nxt - m) @ AT) + m
+        logAT = log(AT)
+        for exact in (False, True):
+            for t in range(len(counts) - 2, -1, -1):
+                s, q = starts[t], starts[t + 1]
+                n = counts[t + 1]
+                nxt = logB_c[q:q + n] + log_beta[q:q + n]
+                m = nxt.max(1, keepdims=True)
+                X = nxt - m
+                log_beta[s:s + n] = (_log_matmul(X, logAT)[0] if exact
+                                     else log(exp(X) @ AT)) + m
+            if exact or AT.min() >= TINY:
+                break
+            W = logB_c[counts[0]:] + log_beta[counts[0]:]
+            m = W.max(1, keepdims=True)
+            if np.isfinite(m).all() and not _lost(log_beta[post.pack.prev] - m, W, AT):
+                break
     gamma, _ = normalize_log_rows(log_alpha + log_beta)
     return dataclasses.replace(post, log_beta=log_beta, gamma=gamma)
+
+
+def _forward_scan(params, pack):
+    """Forward messages of every sequence as prefix products over time.
+
+    Row r of sequence s contributes logA + logB_r, and s's first row the
+    matrix whose rows are all log pi + logB; row 0 of each prefix product
+    is then alpha up to a constant. One exact forward step from those
+    messages, vectorised over all rows, gives the normalized messages and
+    the step normalizers.
+    """
+    logB = params.emit.log_liks(pack.data)
+    L = _log_rows(logB[pack.index])                        # input order
+    first = np.zeros(len(L), dtype=bool)
+    first[np.cumsum(pack.lengths) - pack.lengths] = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pi, logA = np.log(params.pi), np.log(params.trans)
+        E = logA + L[:, None, :]
+        E[first] = (log_pi + L[first])[:, None, :]
+        F = np.empty_like(logB)
+        F[pack.index] = _prefix_scan(E, first)
+        F = _log_rows(F)
+        n0 = pack.counts[0]
+        a = np.empty_like(logB)
+        a[:n0] = log_pi + logB[:n0]
+        a[n0:] = logB[n0:] + _log_matmul(F[pack.prev], logA)[0]
+        log_c = log_sum_exp_rows(a)[:, None]
+        log_alpha = a - log_c
+    return _forward_result(params, pack, logB, log_alpha, log_c)
+
+
+def _backward_scan(post):
+    """Backward messages and state marginals as suffix products over time.
+
+    beta_r is the product of the matrices logA + logB of the rows after r
+    in its sequence, applied to ones. The suffix products are the prefix
+    products of the transposed matrices in reverse order, each restarting
+    at a sequence's last row, whose matrix is all zeros (ones in the linear
+    domain); row 0 of each is beta up to a constant.
+    """
+    pack = post.pack
+    L = _log_rows(post.logB[pack.index])
+    last = np.zeros(len(L), dtype=bool)
+    last[np.cumsum(pack.lengths) - 1] = True
+    with np.errstate(divide="ignore"):
+        logAT = np.log(post.params.trans.T)
+        E = np.empty((L.shape[0],) + logAT.shape)
+        E[:-1] = logAT + L[1:, :, None]
+        E[last] = 0.0
+        log_beta = np.empty_like(L)
+        log_beta[pack.index] = _prefix_scan(E[::-1], last[::-1])[::-1]
+    gamma, _ = normalize_log_rows(post.log_alpha + log_beta)
+    return dataclasses.replace(post, log_beta=log_beta, gamma=gamma)
+
+
+# Forward-backward costs in microseconds, fitted to both kernels over K in
+# {2, 4, 8, 16, 32}, Tmax in {50, 200, 1000, 5000} and 1 to 100 sequences on
+# one core with one BLAS thread: the loop pays per step and per row and
+# state, the scan a fixed cost and per row and state pair.
+LOOP_STEP_US, LOOP_ROW_US, LOOP_ROW_STATE_US = 14.7, 0.29, 0.095
+SCAN_FIXED_US, SCAN_ROW_US, SCAN_ROW_PAIR_US = 640.0, 0.90, 0.034
+# The scan holds a few stacks of N K x K matrices; past this many entries
+# in one stack the loop runs whatever the cost.
+SCAN_MAX_ENTRIES = 1 << 22
+
+
+def _scan_pays(K, pack):
+    """Whether the scan is the cheaper kernel for K states and a pack of
+    N rows over Tmax steps."""
+    N, T = pack.index.size, pack.counts.size
+    loop = LOOP_STEP_US * T + N * (LOOP_ROW_US + LOOP_ROW_STATE_US * K)
+    scan = SCAN_FIXED_US + N * (SCAN_ROW_US + SCAN_ROW_PAIR_US * K * K)
+    return scan < loop and N * K * K <= SCAN_MAX_ENTRIES
+
+
+def _hmm_forward(params, pack):
+    """Forward pass over every sequence of a pack, by the cheaper kernel."""
+    kernel = _forward_scan if _scan_pays(params.n_states, pack) else _forward_loop
+    return kernel(params, pack)
+
+
+def _hmm_backward(post):
+    """Backward pass and state marginals, by the cheaper kernel."""
+    kernel = _backward_scan if _scan_pays(post.params.n_states, post.pack) else _backward_loop
+    return kernel(post)
 
 
 def hmm_infer(params, obs_set, smooth=True):

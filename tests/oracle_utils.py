@@ -30,6 +30,31 @@ def enumerate_hmm_posteriors(params, obs):
     return marg / total, pair / total, math.log(total)
 
 
+def enumerate_hmm_log_posteriors(params, obs):
+    """Path enumeration for discrete-emission chains in the log domain, so
+    it stays exact where the linear-domain products underflow: state
+    marginals, pairwise marginals and the log-likelihood (-inf when no
+    path is possible)."""
+    K, T = params.n_states, len(obs)
+    with np.errstate(divide="ignore"):
+        log_pi, log_A = np.log(params.pi), np.log(params.trans)
+        log_B = np.log(params.emit.probs)[:, obs]
+    paths = np.array(list(itertools.product(range(K), repeat=T)))
+    lp = log_pi[paths[:, 0]] + log_B[paths[:, 0], 0]
+    for t in range(1, T):
+        lp = lp + log_A[paths[:, t - 1], paths[:, t]] + log_B[paths[:, t], t]
+    top = lp.max()
+    if top == -np.inf:
+        return None, None, -math.inf
+    w = np.exp(lp - top)
+    total = w.sum()
+    marg = np.stack([np.bincount(paths[:, t], weights=w, minlength=K) for t in range(T)])
+    pair = np.stack([np.bincount(paths[:, t - 1] * K + paths[:, t], weights=w,
+                                 minlength=K * K).reshape(K, K) for t in range(1, T)]) \
+        if T > 1 else np.zeros((0, K, K))
+    return marg / total, pair / total, top + math.log(total)
+
+
 def stacked_joint(params, T):
     """Joint Gaussian over (z_1..z_T, x_1..x_T) of a linear dynamical system."""
     dz, dx = params.state_dim, params.obs_dim

@@ -2,11 +2,15 @@
 name and relies on run_em's positional (e_step, m_step, objective, ...)
 signature. This test loads it by path, without installing it, and checks
 that every name it traces still exists, so a refactor that would break the
-traced benchmark run fails here first, and that every deep training step,
-recorded or replayed, still makes one traced backward and one Adam call."""
+traced benchmark run fails here first, that every deep training step,
+recorded or replayed, still makes one traced backward and one Adam call,
+and that the HMM counts mean the same whichever forward-backward kernel
+runs."""
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
 
 import latentlab
 from latentlab import em
@@ -70,3 +74,36 @@ def test_each_trainer_calls_backward_and_adam_once_per_step():
         assert metrics[f"{name}.calls"] == 1
         assert metrics["nn.backward.calls"] == steps, name
         assert metrics["nn.adam_step.calls"] == metrics["nn.steps"] == steps, name
+
+
+def _traced(run):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        result = run()
+    finally:
+        tracer.uninstall()
+    return result, tracer.reduce()
+
+
+def test_hmm_counts_are_the_same_on_the_scan_and_the_loop():
+    from latentlab import sequential
+    from latentlab.core import RandomSource
+    from latentlab.em import EmConfig
+    params = sequential.HmmParams(
+        [0.4, 0.3, 0.2, 0.1], np.full((4, 4), 0.1) + 0.6 * np.eye(4),
+        sequential.DiscreteEmission(np.full((4, 6), 0.1) + 0.4 * np.eye(4, 6)))
+    rng = RandomSource(0)
+    long_one = [sequential.hmm_sample(params, 3000, rng)[1]]
+    ragged = [sequential.hmm_sample(params, int(T), rng)[1] for T in rng.integers(20, 60, 40)]
+    for seqs, scan in ((long_one, True), (ragged, False)):
+        assert sequential._scan_pays(4, sequential._hmm_pack(True, seqs)) == scan
+        (_fitted, report), metrics = _traced(
+            lambda: sequential.hmm_fit(seqs, 4, "discrete", EmConfig(max_iters=3, seed=0)))
+        assert metrics["sequential.hmm_fit.calls"] == 1
+        assert metrics["em.iters"] == report.iters == 3
+        assert metrics["em.e_step.calls"] == report.iters + 1
+    held_out = [sequential.hmm_sample(params, T, rng)[1] for T in (150, 260, 90, 1)]
+    _scores, metrics = _traced(
+        lambda: [sequential.hmm_forward_backward(params, obs).loglik for obs in held_out])
+    assert metrics["sequential.hmm_forward_backward.calls"] == len(held_out)

@@ -909,3 +909,83 @@ def test_sampling_extreme_logits_prints_nothing_on_stderr(tmp_path):
                  ["reconstruct", "vae.json", "--data", "x.csv", "--out", "r.csv"]):
         proc = _run_cli(argv, tmp_path)
         assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)
+
+
+def test_hmm_state_far_below_the_others_is_kept_by_infer_and_eval(tmp_path, capsys):
+    # a path through a state of prior 1e-300 that the data favour by about
+    # 1082 nats: the whole posterior sits on that state
+    from latentlab import sequential as seq
+    from latentlab.datasets import write_model
+    eps = 1e-10
+    params = seq.HmmParams([1 - 1e-300, 1e-300], np.eye(2),
+                           seq.DiscreteEmission([[1 - eps, eps], [eps, 1 - eps]]))
+    obs = np.array([0] * 3 + [1] * 80)
+    write_model(tmp_path / "m.json", "hmm", params)
+    write_seq(tmp_path / "s.seq", [obs])
+    model, data, out = str(tmp_path / "m.json"), str(tmp_path / "s.seq"), tmp_path / "g.csv"
+    assert main(["infer", model, "--data", data, "--out", str(out)]) == 0
+    gamma = read_csv(out)
+    assert gamma.shape == (83, 2) and np.all(np.isfinite(gamma)) and np.all(gamma >= 0.0)
+    assert np.max(np.abs(gamma.sum(axis=1) - 1.0)) < 1e-12
+    capsys.readouterr()
+    assert main(["eval", model, "--data", data]) == 0
+    total = float(capsys.readouterr().out.strip().split("\n")[-1].split()[1])
+    assert total == seq.hmm_loglik(params, [obs])
+    assert abs(total - -759.8530806960) < 1e-9
+
+
+def _numeric_failure_or_finite(proc, out, output):
+    """An exit-0 run wrote only finite numbers; any other run is one numeric
+    failure line naming the output, with nothing written. Neither shows a
+    numpy warning."""
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        values = read_csv(out) if out is not None else \
+            np.array([float(line.split()[-1]) for line in proc.stdout.splitlines()])
+        assert values.size and np.all(np.isfinite(values))
+        return 0
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1 and len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"latentlab: numeric failure: {output}: ")
+    assert out is None or not out.exists()
+    return 1
+
+
+@pytest.mark.parametrize("family, sample_code, eval_code", [
+    ("flow", 1, 1), ("vae", 0, 1), ("diffusion", 1, None)])
+def test_outputs_of_a_wrecked_model_are_finite_or_a_numeric_failure(family, sample_code,
+                                                                      eval_code, tmp_path):
+    # one Adam step of size 1e300 leaves weights near 1e300
+    write_csv(tmp_path / "d.csv", RandomSource(15).standard_normal((30, 2)))
+    fit = _run_cli(["fit", family, "--data", "d.csv", "--out", "m.json", "--lr", "1e300",
+                    "--epochs", "1", "--hidden", "4"], tmp_path)
+    assert fit.returncode == 0, fit.stderr
+    proc = _run_cli(["sample", "m.json", "--n", "20", "--out", "s.csv"], tmp_path)
+    assert _numeric_failure_or_finite(proc, tmp_path / "s.csv", "s.csv") == sample_code
+    if eval_code is not None:
+        proc = _run_cli(["eval", "m.json", "--data", "d.csv"], tmp_path)
+        assert _numeric_failure_or_finite(proc, None, "eval of m.json") == eval_code
+        assert proc.returncode != 0 or "inf" not in proc.stdout
+
+
+def test_non_finite_results_are_a_numeric_failure_and_write_nothing(tmp_path, blobs_csv,
+                                                                    monkeypatch, capsys):
+    from dataclasses import replace
+    from latentlab.families import FAMILIES
+    data, _X = blobs_csv
+    model = str(tmp_path / "m.json")
+    assert main(["fit", "gmm", "--data", str(data), "--k", "2", "--out", model]) == 0
+    record = FAMILIES["gmm"]
+    monkeypatch.setitem(FAMILIES, "gmm", replace(
+        record, loglik=lambda p, X, c, s: np.where(np.arange(len(X)) == 3, -np.inf, 0.0),
+        infer=lambda p, X, c: (np.full((len(X), 2), np.nan), ["a", "b"])))
+    capsys.readouterr()
+    assert main(["eval", model, "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"latentlab: numeric failure: eval of {model}: the output holds "
+                            "a non-finite number; nothing written\n")
+    out = tmp_path / "i.csv"
+    assert main(["infer", model, "--data", str(data), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"latentlab: numeric failure: {out}: " in capsys.readouterr().err

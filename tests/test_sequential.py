@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import enumerate_hmm_posteriors, stacked_joint
+from oracle_utils import enumerate_hmm_log_posteriors, enumerate_hmm_posteriors, stacked_joint
+from latentlab import sequential
 from latentlab.core import (Gaussian, NumericError, RandomSource,
                             gaussian_condition, gaussian_logpdf)
 from latentlab.em import EmConfig
@@ -505,6 +506,90 @@ def test_zero_probability_sequence_in_batch_names_index_and_step():
         hmm_infer(params, seqs)
     with pytest.raises(NumericError, match=r"sequence 2\b.*step 3\b"):
         hmm_fit(seqs, 2, "discrete", EmConfig(seed=0), init=params)
+
+
+KERNELS = {"loop": (sequential._forward_loop, sequential._backward_loop),
+           "scan": (sequential._forward_scan, sequential._backward_scan)}
+
+
+def underflow_case():
+    """A chain whose likely path runs through a state of prior 1e-300. With
+    trans = I there are two paths; the one through state 1 explains the 80
+    ones and lies about 1082 nats above the one through state 0."""
+    eps = 1e-10
+    params = HmmParams([1 - 1e-300, 1e-300], np.eye(2),
+                       DiscreteEmission([[1 - eps, eps], [eps, 1 - eps]]))
+    obs = np.array([0] * 3 + [1] * 80)
+    through_0 = math.log(1 - 1e-300) + 3 * math.log(1 - eps) + 80 * math.log(eps)
+    through_1 = math.log(1e-300) + 3 * math.log(eps) + 80 * math.log(1 - eps)
+    return params, obs, float(np.logaddexp(through_0, through_1))
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_a_state_far_below_the_others_is_kept(kernel):
+    params, obs, exact = underflow_case()
+    forward, backward = KERNELS[kernel]
+    post = backward(forward(params, SequencePack.build([obs])))
+    assert abs(exact - (-759.853)) < 1e-3
+    assert abs(post.logliks[0] - exact) < 1e-12 * abs(exact)
+    assert np.all(np.isfinite(post.gamma)) and np.all(post.gamma >= 0.0)
+    assert np.max(np.abs(post.gamma.sum(axis=1) - 1.0)) < 1e-12
+    assert np.min(post.gamma[:, 1]) > 1.0 - 1e-12
+    assert abs(hmm_forward_backward(params, obs).loglik - exact) < 1e-12 * abs(exact)
+
+
+PROBS = st.sampled_from([0.0, 1e-300, 1e-200, 1e-100, 0.5, 1.0])
+
+
+@st.composite
+def extreme_hmms(draw):
+    """K <= 4 states, T <= 8 steps, and probabilities down to 1e-300 and 0."""
+    K, S, T = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
+
+    def rows(n, m):
+        table = np.array([[draw(PROBS) for _ in range(m)] for _ in range(n)])
+        table[np.arange(n), [draw(st.integers(0, m - 1)) for _ in range(n)]] = 1.0
+        return table / table.sum(axis=1, keepdims=True)
+
+    params = HmmParams(rows(1, K)[0], rows(K, K), DiscreteEmission(rows(K, S)))
+    return params, np.array([draw(st.integers(0, S - 1)) for _ in range(T)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(extreme_hmms())
+# the path through state 1 starts 1e-400 below the other, past what a
+# float holds, and ends 1e200 above it
+@example((HmmParams([1.0, 1e-300], np.eye(2), DiscreteEmission([[1.0, 1e-300], [1e-100, 1.0]])),
+          np.array([0, 1, 1])))
+# at step 0 the forward message favours state 0 and the backward one state 1,
+# each by about 920 nats; state 0 keeps about 0.9 of the posterior
+@example((HmmParams([1.0, 1e-300], np.eye(2),
+                    DiscreteEmission([[1.0, 1e-300, 1e-100], [5e-101, 0.5, 0.5]])),
+          np.array([0, 1, 2])))
+def test_extreme_probabilities_give_exact_posteriors_on_both_kernels(case):
+    params, obs = case
+    log_marg, log_pair, log_ll = enumerate_hmm_log_posteriors(params, obs)
+    with np.errstate(all="ignore"):
+        try:
+            marg, pair, ll = enumerate_hmm_posteriors(params, obs)
+        except ValueError:                  # every path's product is 0
+            ll = -math.inf
+    for forward, backward in KERNELS.values():
+        if log_ll == -math.inf:
+            with pytest.raises(NumericError, match="zero-probability sequence 0"):
+                forward(params, SequencePack.build([obs]))
+            continue
+        post = backward(forward(params, SequencePack.build([obs])))
+        assert np.all(np.isfinite(post.gamma)) and np.all(post.gamma >= 0.0)
+        assert np.max(np.abs(post.gamma.sum(axis=1) - 1.0)) < 1e-12
+        assert abs(post.logliks[0] - log_ll) < 1e-10 * max(1.0, abs(log_ll))
+        assert np.max(np.abs(post.gamma - log_marg)) < 1e-10
+        assert np.max(np.abs(post.pairwise() - log_pair), initial=0.0) < 1e-10
+        # the linear-domain enumeration is exact where its total is a normal float
+        if ll > math.log(1e-300):
+            assert abs(post.logliks[0] - ll) < 1e-10
+            assert np.max(np.abs(post.gamma - marg)) < 1e-10
+            assert np.max(np.abs(post.pairwise() - pair), initial=0.0) < 1e-10
 
 
 @settings(deadline=None, max_examples=30)
