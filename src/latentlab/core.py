@@ -253,18 +253,24 @@ def log_sum_exp(v):
     return float(m + np.log(np.sum(np.exp(v - m))))
 
 
+def row_max(mat):
+    """Maxima over the last axis of an (..., K) array, kept as an (..., 1)
+    axis, by one elementwise pass per column: a max over a short last axis
+    runs a separate inner loop for every row. A maximum is exact, so this is
+    mat.max(axis=-1, keepdims=True) up to the sign of a zero maximum."""
+    m = mat[..., :1].copy()
+    for k in range(1, mat.shape[-1]):
+        np.maximum(m, mat[..., k:k + 1], out=m)
+    return m
+
+
 def log_sum_exp_rows(mat):
     """Row-wise log_sum_exp for (N, K) arrays (log-domain workhorse).
 
     Rows of all -inf yield -inf; +inf and NaN are the caller's bug.
     """
     mat = np.asarray(mat, dtype=float)
-    # Row maxima by one elementwise pass per column: a max over a short last
-    # axis runs a separate inner loop for every row. A maximum is exact, and
-    # the sign of a zero maximum changes no result.
-    m = mat[..., :1].copy()
-    for k in range(1, mat.shape[-1]):
-        np.maximum(m, mat[..., k:k + 1], out=m)
+    m = row_max(mat)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = m[..., 0] + np.log(np.sum(np.exp(mat - m), axis=-1))

@@ -98,12 +98,14 @@ def _check_responses(responses, n_items=None):
 
 
 def _log_lik_at_nodes(params, X, quad):
-    """(N, Q) log p(x_i | theta_q) from the Bernoulli item products."""
-    # log sigmoid(z) = -softplus(-z), log(1 - sigmoid(z)) = -softplus(z)
+    """(N, Q) log p(x_i | theta_q) from the Bernoulli item products, as one
+    product: log sigmoid(z) - log(1 - sigmoid(z)) = z, so
+    sum_j x_j log p1 + (1 - x_j) log p0 = x . z + sum_j log p0. Its error is
+    a few ulps of sum_j |z_j|, absolute: an entry near zero (every response
+    near-certain at that node) is not accurate to its own digits."""
     Z = np.outer(quad.nodes, params.a) - params.b          # (Q, J)
-    log_p1 = -np.logaddexp(0.0, -Z)
-    log_p0 = -np.logaddexp(0.0, Z)
-    return X @ log_p1.T + (1 - X) @ log_p0.T               # (N, Q)
+    log_p0 = -np.logaddexp(0.0, Z)                         # log(1 - sigmoid(z)) = -softplus(z)
+    return X @ Z.T + log_p0.sum(axis=1)                    # (N, Q)
 
 
 def loglik_rows(params, responses, quad):
@@ -218,7 +220,8 @@ def fit_irt(responses, quad, cfg: EmConfig, init=None):
     """EM fit of the 2PL model. The E-step discretizes each person's ability
     posterior on the quadrature grid; the M-step refits every item to the
     expected response counts at the nodes."""
-    X = _check_responses(responses)
+    # as floats once, so neither step's product casts the codes again
+    X = _check_responses(responses).astype(float)
     N, J = X.shape
     if N < 2 or J < 1:
         raise ValueError("need at least 2 persons and 1 item")

@@ -396,6 +396,8 @@ def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
     N, J = X.shape
     if N < K:
         raise ValueError("need at least K data points")
+    # item-major: every per-item gather and scatter below reads a contiguous column
+    X = np.asfortranarray(X)
     if init is None:
         rng = RandomSource(cfg.seed).split(202)
         tables = [_perturbed_rows(np.bincount(X[:, j], minlength=C).astype(float) / N, K, rng)

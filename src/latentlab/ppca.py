@@ -5,7 +5,9 @@ alternative converging to the same optimum.
 The model is x = W z + mu + eps with z ~ N(0, I_M) and eps ~ N(0, sigma2 I_D),
 so marginally x ~ N(mu, W W^T + sigma2 I). The closed-form fit uses the
 standard eigendecomposition solution: sigma2 is the mean of the D-M smallest
-covariance eigenvalues and W = U_M (L_M - sigma2 I)^(1/2).
+covariance eigenvalues and W = U_M (L_M - sigma2 I)^(1/2). EM iterates on the
+sample covariance S as well: the data enter it only through S, so after the
+one pass that forms S no iteration reads them again.
 """
 from __future__ import annotations
 
@@ -44,11 +46,12 @@ class PpcaParams:
             raise ValueError("W rows must match mu length")
         if W.shape[1] > W.shape[0]:
             raise ValueError("latent dimension M must not exceed data dimension D")
-        if self.sigma2 < 0:
+        sigma2 = float(check_finite(self.sigma2, "sigma2"))
+        if sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def data_dim(self):
@@ -183,16 +186,24 @@ def canonicalize(params):
     return PpcaParams(W, params.mu, params.sigma2)
 
 
-def _em_init(X, M, rng):
-    N, D = X.shape
+def _em_init(mu, S, M, rng):
+    D = S.shape[0]
     W0 = rng.standard_normal((D, M)) * np.sqrt(0.1)
-    total_var = float(np.trace(np.cov(X.T, bias=True).reshape(D, D))) / D
-    return PpcaParams(W0, X.mean(axis=0), 0.5 * max(total_var, SIGMA2_FLOOR))
+    total_var = float(np.trace(S)) / D
+    return PpcaParams(W0, mu, 0.5 * max(total_var, SIGMA2_FLOOR))
 
 
 def fit_em(data, M, cfg: EmConfig, init=None):
     """EM fit; the log-likelihood trace is monotone and the optimum matches
-    fit_closed_form up to rotation of W."""
+    fit_closed_form up to rotation of W.
+
+    mu is the sample mean at every step, so one pass over the data forms the
+    sample covariance S and EM iterates on S alone (Tipping & Bishop 1999,
+    section 3.2): each iteration costs O(D^3) whatever N is. With the
+    posterior map B = Minv W^T, the E-step's sufficient statistics are
+    sum_i x_i E[z_i]^T / N = S B^T and sum_i E[z_i z_i^T] / N =
+    sigma2 Minv + B S B^T.
+    """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     check_finite(X, "data")
     N, D = X.shape
@@ -202,35 +213,32 @@ def fit_em(data, M, cfg: EmConfig, init=None):
         raise ValueError("need more data points than latent dimensions")
     mu = X.mean(axis=0)
     Xc = X - mu
-    S = (Xc.T @ Xc) / N                             # mu is fixed, so S is too
+    S = (Xc.T @ Xc) / N
 
-    def e_step(params, _data):
-        Mmat = _m_matrix(params)
-        Minv = np.linalg.inv(Mmat)
-        Ez = Xc @ (Minv @ params.W.T).T            # (N, M)
-        Ezz_shared = params.sigma2 * Minv           # shared posterior covariance
-        # exact marginal log-likelihood -N/2 (D log 2pi + logdet C + tr(C^-1 S))
+    def e_step(params, S):
+        """Posterior map B, shared posterior covariance and the exact
+        log-likelihood -N/2 (D log 2pi + logdet C + tr(C^-1 S))."""
+        Minv = np.linalg.inv(_m_matrix(params))
         L = chol_psd(params.W @ params.W.T + params.sigma2 * np.eye(D))
         Linv = np.linalg.inv(L)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         loglik = -0.5 * N * (D * math.log(2 * math.pi) + logdet
                              + np.sum((Linv @ S) * Linv))
-        return Ez, Ezz_shared, float(loglik)
+        return Minv @ params.W.T, params.sigma2 * Minv, float(loglik)
 
-    def m_step(_data, post):
-        Ez, Ezz_shared, _loglik = post
-        sum_xz = Xc.T @ Ez                          # (D, M)
-        sum_zz = N * Ezz_shared + Ez.T @ Ez         # (M, M)
-        W_new = np.linalg.solve(sum_zz.T, sum_xz.T).T
-        resid = np.sum(Xc * Xc) - 2.0 * np.sum(sum_xz * W_new) \
-            + np.trace(W_new.T @ W_new @ sum_zz)
-        sigma2_new = max(resid / (N * D), SIGMA2_FLOOR)
-        return PpcaParams(W_new, mu, sigma2_new)
+    def m_step(S, post):
+        B, cov, _loglik = post
+        s_xz = S @ B.T                              # (D, M)
+        s_zz = cov + B @ s_xz                       # (M, M)
+        W_new = np.linalg.solve(s_zz.T, s_xz.T).T
+        resid = np.trace(S) - 2.0 * np.sum(s_xz * W_new) \
+            + np.trace(W_new.T @ W_new @ s_zz)
+        return PpcaParams(W_new, mu, max(resid / D, SIGMA2_FLOOR))
 
     def objective(post):
         return post[2]
 
     if init is None:
-        init = _em_init(X, M, RandomSource(cfg.seed))
-    params, report = run_em(e_step, m_step, objective, X, init, cfg)
+        init = _em_init(mu, S, M, RandomSource(cfg.seed))
+    params, report = run_em(e_step, m_step, objective, S, init, cfg)
     return canonicalize(params), report

@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import (Gaussian, NumericError, RandomSource, category_codes, check_finite,
                    check_simplex_rows, chol_psd, float_list, gaussian_logpdf_columns,
-                   log_sum_exp_rows, normalize_log_rows)
+                   log_sum_exp_rows, normalize_log_rows, row_max)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
                       _perturbed_rows, _var_floor, _weighted_gaussians)
@@ -335,7 +335,7 @@ class HmmSetPosterior:
         A = self.params.trans
         nxt = slice(self.pack.counts[0], None)
         w = self.logB[nxt] + self.log_beta[nxt]
-        V = np.exp(w - w.max(axis=1, keepdims=True))
+        V = np.exp(w - row_max(w))
         U = np.exp(self.log_alpha[self.pack.prev])
         U /= np.sum((U @ A) * V, axis=1, keepdims=True)
         return A * (U.T @ V)

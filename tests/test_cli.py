@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -989,3 +990,25 @@ def test_non_finite_results_are_a_numeric_failure_and_write_nothing(tmp_path, bl
     assert main(["infer", model, "--data", str(data), "--out", str(out)]) == 1
     assert not out.exists()
     assert f"latentlab: numeric failure: {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+def test_ppca_model_with_a_non_finite_sigma2_is_a_usage_error(tmp_path, capsys, value):
+    data = tmp_path / "x.csv"
+    write_csv(data, RandomSource(12).standard_normal((40, 3)))
+    model = tmp_path / "m.json"
+    assert main(["fit", "ppca", "--data", str(data), "--latent-dim", "1",
+                 "--out", str(model)]) == 0
+    text, n = re.subn(r'"sigma2": [^,}\s]+', f'"sigma2": {value}', model.read_text())
+    assert n == 1
+    model.write_text(text)
+    out = tmp_path / "out.csv"
+    for argv in (["eval", str(model), "--data", str(data)],
+                 ["reconstruct", str(model), "--data", str(data), "--out", str(out)],
+                 ["sample", str(model), "--n", "5", "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "latentlab: sigma2 contains non-finite entries\n"
+        assert not out.exists()

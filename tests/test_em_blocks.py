@@ -7,7 +7,9 @@ bit: params, objective traces, iteration counts and rescue events.
 
 The flat-EM kernels now run in row blocks with reused buffers. The whole-
 array kernels they replaced are copied here too, and compared byte for byte
-at the block boundaries.
+at the block boundaries. fit_lca holds its codes item-major, so the LCA
+cases run on the same codes in C order, in Fortran order and as a strided
+slice.
 """
 import dataclasses
 import math
@@ -338,6 +340,22 @@ def _codes(seed, N=240):
                             (g.uniform(size=N) < 0.7 - 0.4 * z).astype(int)])
 
 
+LAYOUTS = ("C", "F", "slice")
+
+
+def _in_layout(X, layout):
+    """X as a C-ordered array, a Fortran-ordered one or a strided slice."""
+    if layout == "C":
+        out = np.ascontiguousarray(X)
+    elif layout == "F":
+        out = np.asfortranarray(X)
+    else:
+        out = np.repeat(X, 2, axis=1)[:, ::2]
+    assert np.array_equal(out, X)
+    assert layout != "slice" or not (out.flags.c_contiguous or out.flags.f_contiguous)
+    return out
+
+
 def _ragged(seed, discrete):
     g = np.random.default_rng(seed)
     lengths = g.integers(1, 30, size=9)
@@ -379,7 +397,9 @@ def test_gmm_rescue_matches_reference(seed):
 def test_lca_fit_matches_reference(seed, K):
     X = _codes(seed)
     cfg = EmConfig(max_iters=40, seed=seed)
-    assert_same_fit(mixture.fit_lca(X, K, cfg), ref_fit_lca(X, K, cfg))
+    want = ref_fit_lca(X, K, cfg)
+    for layout in LAYOUTS:
+        assert_same_fit(mixture.fit_lca(_in_layout(X, layout), K, cfg), want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -388,9 +408,11 @@ def test_lca_rescue_matches_reference(seed):
     tables = tuple(np.full((2, int(c) + 1), 1.0 / (int(c) + 1)) for c in X.max(axis=0))
     init = LcaParams([1.0, 0.0], tables)
     cfg = EmConfig(max_iters=10, seed=seed)
-    got = mixture.fit_lca(X, 2, cfg, init=init)
-    assert got[1].events[0] == "class 1 empty; re-seeded at data point 0"
-    assert_same_fit(got, ref_fit_lca(X, 2, cfg, init=init))
+    want = ref_fit_lca(X, 2, cfg, init=init)
+    for layout in LAYOUTS:
+        got = mixture.fit_lca(_in_layout(X, layout), 2, cfg, init=init)
+        assert got[1].events[0] == "class 1 empty; re-seeded at data point 0"
+        assert_same_fit(got, want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -423,7 +445,9 @@ def test_m_steps_match_reference_on_an_empty_column(seed):
     assert _leaves(mixture.gmm_m_step(X, resp)) == _leaves(ref_gmm_m_step(X, resp))
     C = _codes(seed)
     n_cat = [int(c) + 1 for c in C.max(axis=0)]
-    assert _leaves(mixture.lca_m_step(C, resp)) == _leaves(ref_lca_m_step(C, resp, n_cat))
+    want = ref_lca_m_step(C, resp, n_cat)
+    for layout in LAYOUTS:
+        assert _leaves(mixture.lca_m_step(_in_layout(C, layout), resp)) == _leaves(want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -580,15 +604,17 @@ def test_lca_log_joint_and_tables_match_reference(K):
     n_categories = [2, 5, 3, 7, 1]          # unequal C_j
     for N in _boundary_sizes(_block_rows(K * 8)):
         params, X = _lca_case(g, N, K, n_categories)
-        got, want = mixture._lca_log_joint(params, X), ref_lca_log_joint(params, X)
-        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
-        resp = mixture.lca_e_step(params, X)
-        assert resp.gamma.tobytes() == ref_responsibilities(want).gamma.tobytes()
-        counts = resp.gamma.sum(axis=0)
-        m = mixture.lca_m_step(X, resp, n_categories=n_categories)
-        tables = m[0].item_probs if isinstance(m, tuple) else m.item_probs
-        for t, w in zip(tables, ref_item_tables(X, resp.gamma, counts, n_categories)):
-            assert t.tobytes() == w.tobytes()
+        want = ref_lca_log_joint(params, X)
+        for codes in (_in_layout(X, layout) for layout in LAYOUTS):
+            got = mixture._lca_log_joint(params, codes)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+            resp = mixture.lca_e_step(params, codes)
+            assert resp.gamma.tobytes() == ref_responsibilities(want).gamma.tobytes()
+            counts = resp.gamma.sum(axis=0)
+            m = mixture.lca_m_step(codes, resp, n_categories=n_categories)
+            tables = m[0].item_probs if isinstance(m, tuple) else m.item_probs
+            for t, w in zip(tables, ref_item_tables(X, resp.gamma, counts, n_categories)):
+                assert t.tobytes() == w.tobytes()
 
 
 def _count_calls(monkeypatch, names):
@@ -663,4 +689,8 @@ def test_lca_m_step_sets_one_hots_without_an_identity():
     finally:
         tracemalloc.stop()
     assert peak < 4 * N * C * 8
-    assert _leaves(got) == _leaves(ref_lca_m_step(X, resp, [C, 2]))
+    want = ref_lca_m_step(X, resp, [C, 2])
+    assert _leaves(got) == _leaves(want)
+    for layout in LAYOUTS:
+        assert _leaves(mixture.lca_m_step(_in_layout(X, layout), resp)) == _leaves(want)
+

@@ -1,0 +1,171 @@
+"""PPCA-EM iterates on the sample covariance S, and the 2PL E-step forms its
+node log-likelihoods with one product. This file holds the row-based code
+both replaced, copied as it was written before, and checks that the new
+code agrees with it: equal iteration counts and W, sigma2 and objective
+trace within 1e-9 relative for PPCA; the node log-likelihoods within 1e-12
+relative for IRT.
+
+The flat-em sizes are the benchmark's own (perfbench/inputs.py, loaded by
+path), at its seeds 0 and 1.
+"""
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from latentlab import irt, ppca
+from latentlab.core import RandomSource, check_finite, chol_psd
+from latentlab.em import EmConfig, run_em
+from latentlab.ppca import SIGMA2_FLOOR, PpcaParams
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def _load_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# ---------------------------------------------------------------------------
+# Reference copies
+
+def ref_em_init(X, M, rng):
+    N, D = X.shape
+    W0 = rng.standard_normal((D, M)) * np.sqrt(0.1)
+    total_var = float(np.trace(np.cov(X.T, bias=True).reshape(D, D))) / D
+    return PpcaParams(W0, X.mean(axis=0), 0.5 * max(total_var, SIGMA2_FLOOR))
+
+
+def ref_fit_em(data, M, cfg, init=None):
+    X = np.atleast_2d(np.asarray(data, dtype=float))
+    check_finite(X, "data")
+    N, D = X.shape
+    mu = X.mean(axis=0)
+    Xc = X - mu
+    S = (Xc.T @ Xc) / N
+
+    def e_step(params, _data):
+        Minv = np.linalg.inv(params.W.T @ params.W + params.sigma2 * np.eye(M))
+        Ez = Xc @ (Minv @ params.W.T).T
+        Ezz_shared = params.sigma2 * Minv
+        L = chol_psd(params.W @ params.W.T + params.sigma2 * np.eye(D))
+        Linv = np.linalg.inv(L)
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        loglik = -0.5 * N * (D * math.log(2 * math.pi) + logdet
+                             + np.sum((Linv @ S) * Linv))
+        return Ez, Ezz_shared, float(loglik)
+
+    def m_step(_data, post):
+        Ez, Ezz_shared, _loglik = post
+        sum_xz = Xc.T @ Ez
+        sum_zz = N * Ezz_shared + Ez.T @ Ez
+        W_new = np.linalg.solve(sum_zz.T, sum_xz.T).T
+        resid = np.sum(Xc * Xc) - 2.0 * np.sum(sum_xz * W_new) \
+            + np.trace(W_new.T @ W_new @ sum_zz)
+        sigma2_new = max(resid / (N * D), SIGMA2_FLOOR)
+        return PpcaParams(W_new, mu, sigma2_new)
+
+    if init is None:
+        init = ref_em_init(X, M, RandomSource(cfg.seed))
+    params, report = run_em(e_step, m_step, lambda post: post[2], X, init, cfg)
+    return ppca.canonicalize(params), report
+
+
+def ref_log_lik_at_nodes(params, X, quad):
+    Z = np.outer(quad.nodes, params.a) - params.b
+    log_p1 = -np.logaddexp(0.0, -Z)
+    log_p0 = -np.logaddexp(0.0, Z)
+    return X @ log_p1.T + (1 - X) @ log_p0.T
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+def _c02_data(seed):
+    """c02's data (tests/test_acceptance.py) at one of its 10 seeds."""
+    rng = RandomSource(2000 + seed)
+    D, M = 4, 2
+    W = rng.standard_normal((D, M))
+    mu = rng.standard_normal(D)
+    sigma2 = 0.1 + 0.4 * rng.uniform()
+    Z = rng.standard_normal((400, M))
+    return Z @ W.T + mu + math.sqrt(sigma2) * rng.standard_normal((400, D)), M
+
+
+def _flat_em_data(seed):
+    """flat-em's PPCA training set at one of its seeds."""
+    inputs = _load_inputs()
+    (X,) = inputs.ppca_data(inputs.rng_for(seed, 2), (20_000,), 16, 3)
+    return X, 3
+
+
+def _assert_close_fit(got, want):
+    (p, rep), (q, ref) = got, want
+    assert rep.iters == ref.iters and rep.converged == ref.converged
+    np.testing.assert_allclose(p.W, q.W, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(p.sigma2, q.sigma2, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(rep.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
+    assert p.mu.tobytes() == q.mu.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ppca_em_on_s_matches_row_based_reference_on_c02(seed):
+    X, M = _c02_data(seed)
+    cfg = EmConfig(seed=seed, rel_tol=1e-12, max_iters=5000)
+    _assert_close_fit(ppca.fit_em(X, M, cfg), ref_fit_em(X, M, cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ppca_em_on_s_matches_row_based_reference_at_flat_em_size(seed):
+    X, M = _flat_em_data(seed)
+    cfg = EmConfig(seed=seed, rel_tol=1e-12)
+    _assert_close_fit(ppca.fit_em(X, M, cfg), ref_fit_em(X, M, cfg))
+
+
+def test_ppca_em_on_s_matches_row_based_reference_from_a_given_start():
+    X, M = _c02_data(3)
+    init = PpcaParams(np.arange(8.0).reshape(4, 2) / 7.0, X.mean(axis=0), 2.0)
+    cfg = EmConfig(seed=0, rel_tol=1e-12, max_iters=5000)
+    _assert_close_fit(ppca.fit_em(X, M, cfg, init=init), ref_fit_em(X, M, cfg, init=init))
+
+
+def _irt_case(seed, N=300, J=12):
+    """Responses and an item set whose a * theta - b spans [-30, 30] on the
+    nodes: steep items with difficulties out at +-25 among ordinary ones."""
+    g = np.random.default_rng(seed)
+    a = np.concatenate([g.uniform(0.3, 2.0, J - 4), [5.0, 5.0, 0.5, 1.0]])
+    b = np.concatenate([g.normal(size=J - 4), [-5.0, 5.0, 25.0, -25.0]])
+    X = (g.random((N, J)) < 0.5).astype(int)
+    return irt.IrtParams(a, b), X
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_irt_one_product_matches_two_products(seed):
+    params, X = _irt_case(seed)
+    quad = irt.default_quadrature()
+    Z = np.outer(quad.nodes, params.a) - params.b
+    assert np.abs(Z).max() >= 30.0
+    want = ref_log_lik_at_nodes(params, X, quad)
+    for data in (X, X.astype(float)):
+        np.testing.assert_allclose(irt._log_lik_at_nodes(params, data, quad), want,
+                                   rtol=1e-12, atol=0)
+
+
+def test_irt_one_product_is_exact_up_to_the_rounding_of_its_terms():
+    # A row whose every response is near-certain at a node has a node
+    # log-likelihood near zero: the sum x . z + sum log p0 of terms as large
+    # as |z| cancels there, so the agreement is absolute, within the rounding
+    # of those terms (sum_j |z_j| times a few ulps).
+    a, b = np.full(4, 6.0), np.full(4, -6.0)
+    params = irt.IrtParams(a, b)
+    quad = irt.default_quadrature()
+    X = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0]])
+    got = irt._log_lik_at_nodes(params, X, quad)
+    want = ref_log_lik_at_nodes(params, X, quad)
+    Z = np.outer(quad.nodes, a) - b
+    scale = np.abs(Z).sum(axis=1) + np.abs(np.logaddexp(0.0, Z)).sum(axis=1)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
