@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import category_codes
+from .core import category_codes, int_fields
 from .nn import Mlp, Recorder, check_counts, eager, fit_minibatch
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
@@ -31,6 +31,7 @@ class ArModel:
     cond_net: Mlp
 
     def __post_init__(self):
+        int_fields(self, seq_len=0, alphabet=0)
         if self.cond_net.in_dim != self.seq_len * self.alphabet + self.seq_len:
             raise ValueError("cond_net input dim must be D*V + D")
         if self.cond_net.out_dim != self.alphabet:

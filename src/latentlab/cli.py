@@ -106,10 +106,10 @@ def _build_parser():
     return top, sub.choices
 
 
-def _config_value(action, key, value):
+def _config_value(action, key, value, where=""):
     """A --config value converted and checked as the flag's argument would
     be: through its type, then against its choices. null stands for a flag
-    whose default is unset."""
+    whose default is unset. A usage error names the key, after where."""
     if value is None and action.default is None:
         return None
     try:
@@ -119,17 +119,21 @@ def _config_value(action, key, value):
         if action.choices is not None and converted not in action.choices:
             raise ValueError
     except ValueError:
-        raise UsageError(f"config key {key!r}: invalid value {value!r} for "
+        raise UsageError(f"{where}config key {key!r}: invalid value {value!r} for "
                          f"{action.option_strings[0]}") from None
     return converted
+
+
+def _flags(command_parser):
+    """The command's flag actions by destination."""
+    return {a.dest: a for a in command_parser._actions if a.option_strings and a.dest != "help"}
 
 
 def _apply_config(command_parser, args, argv):
     """args with the --config file's values for every flag not given in argv."""
     if getattr(args, "config", None):
         defaults = datasets.read_json_object(args.config)
-        flags = {a.dest: a for a in command_parser._actions
-                 if a.option_strings and a.dest != "help"}
+        flags = _flags(command_parser)
         unknown = [k for k in defaults if k.replace("-", "_") not in flags]
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -169,11 +173,16 @@ def _read_data(family, args):
 
 def _model_command(args, field):
     """The family, params and config of the --model file, and the family's
-    function for a command (a usage error if the family does not define it)."""
+    function for a command (a usage error if the family does not define it).
+    The config's fit-flag values are converted and checked as --config
+    values of fit are."""
     family, params, config = datasets.read_model(args.model)
     fn = getattr(FAMILIES[family], field)
     if fn is None:
         raise UsageError(UNDEFINED[field].format(family))
+    flags = _flags(_build_parser()[1]["fit"])
+    config = {key: _config_value(flags[key], key, value, f"{args.model}: ") if key in flags
+              else value for key, value in config.items()}
     return family, fn, params, config
 
 
@@ -240,7 +249,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_synth(args):
     doc = datasets.read_json_object(args.spec)
-    spec = datasets.SyntheticSpec(doc["family"], doc.get("params", {}),
+    spec = datasets.SyntheticSpec(doc.get("family"), doc.get("params", {}),
                                   n=doc.get("n", 0),
                                   lengths=doc.get("lengths", ()),
                                   seed=doc.get("seed", args.seed))

@@ -8,6 +8,7 @@ only inside test oracles.
 from __future__ import annotations
 
 import math
+import typing
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -30,7 +31,6 @@ __all__ = [
     "chol_psd",
     "check_finite",
     "category_codes",
-    "float_list",
     "fields_to_json",
     "fields_from_json",
 ]
@@ -45,6 +45,67 @@ def check_finite(a, name="array"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def is_int(value):
+    """True for an integer: an int or a numpy integer, never a bool (nor 2.7)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _array(value, name, rank, kinds, what):
+    """value as an array of at most rank axes and a dtype kind in kinds (an
+    empty list passes), with leading axes added up to rank as np.atleast_1d
+    and np.atleast_2d add them; else a ValueError naming the field."""
+    try:
+        a = np.asarray(value)
+        ok = a.ndim <= rank and (a.dtype.kind in kinds or 0 == a.size < a.ndim)
+    except ValueError:      # a ragged list
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r:.40}")
+    return a.reshape((1,) * (rank - a.ndim) + a.shape)
+
+
+def real_array(value, name, rank):
+    """The field rule for reals: value as a finite float64 array of at most
+    rank axes (leading axes added up to rank); a float64 array is not
+    copied. A JSON object, string, null or bool, a ragged list, more axes and
+    a NaN or an infinity are each a ValueError naming the field."""
+    what = "a number" if rank == 0 else f"an array of numbers of rank at most {rank}"
+    return check_finite(_array(value, name, rank, "iuf", what), name)
+
+
+def real_fields(obj, **ranks):
+    """Store each named field of the dataclass obj as real_array(value, name,
+    rank), a rank-0 field as a float."""
+    for name, rank in ranks.items():
+        a = real_array(getattr(obj, name), name, rank)
+        object.__setattr__(obj, name, a if rank else float(a))
+
+
+def int_fields(obj, **ranks):
+    """The field rule for integers: store each named field of the dataclass
+    obj as an int (rank 0) or an int vector (rank 1) by the rule for reals,
+    with integer entries: a bool or a 2.7 is a ValueError naming the field."""
+    for name, rank in ranks.items():
+        what = "a list of integers" if rank else "an integer"
+        a = _array(getattr(obj, name), name, rank, "iu", what)
+        object.__setattr__(obj, name, a.astype(int) if rank else int(a))
+
+
+def json_list(value, name):
+    """value, if it is a list (or a tuple); else a ValueError naming the field."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r:.40}")
+    return value
+
+
+def json_field(obj, name, what):
+    """The value of key name of the JSON object obj (what names obj); obj not
+    an object, or without the key, is a ValueError naming both."""
+    if not isinstance(obj, dict) or name not in obj:
+        raise ValueError(f"{what} must be a JSON object with a field {name!r}, got {obj!r:.40}")
+    return obj[name]
 
 
 # Every integer below 2**53 is exact in a float64, so a code read as a float
@@ -91,30 +152,28 @@ def category_codes(data, name, widths=None):
     return codes, np.broadcast_to(top + 1 if widths is None else widths, top.shape).astype(np.intp)
 
 
-def float_list(a):
-    """Nested list of floats, the JSON form of an array."""
-    return np.asarray(a, dtype=float).tolist()
-
-
 def fields_to_json(obj):
-    """JSON form of a dataclass, field by field: arrays as nested lists, a
-    field with a to_json() method (a network) through it, other values as
-    they are."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif hasattr(value, "to_json"):
-            value = value.to_json()
-        out[f.name] = value
-    return out
+    """JSON form of a dataclass, field by field: a value with a to_json()
+    method (a network) through it, arrays (and Tensors) as nested lists, the
+    items of a list or tuple each so, other values as they are."""
+    return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
 
 
-def fields_from_json(cls, obj, convert=lambda value: value):
-    """The dataclass cls from its fields_to_json form; convert maps each
-    field's JSON value back (e.g. to a network)."""
-    return cls(*(convert(obj[f.name]) for f in fields(cls)))
+def _to_json(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    return [_to_json(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
+def fields_from_json(cls, obj):
+    """The dataclass cls from its fields_to_json form. Each field's JSON value
+    goes to cls as it is, and cls converts and checks it by the field rules;
+    a field typed as a class with a from_json (a network) decodes through it."""
+    hints = typing.get_type_hints(cls)
+    values = {f.name: json_field(obj, f.name, cls.__name__) for f in fields(cls) if f.init}
+    return cls(**{k: getattr(hints[k], "from_json", lambda v: v)(v) for k, v in values.items()})
 
 
 def chol_psd(cov):
@@ -144,11 +203,8 @@ class Gaussian:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        check_finite(mean, "mean")
-        check_finite(cov, "cov")
-        d = mean.shape[0]
+        real_fields(self, mean=1, cov=2)
+        mean, cov, d = self.mean, self.cov, self.mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {d}")
         if not np.allclose(cov, cov.T, atol=1e-10):
@@ -158,7 +214,6 @@ class Gaussian:
         scale = max(1.0, float(np.trace(cov)) / d if d else 1.0)
         if w.min() < -1e-8 * scale:
             raise ValueError("cov is not positive semi-definite")
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
 
     @property
@@ -173,28 +228,27 @@ class Simplex:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        check_finite(p, "probs")
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a non-empty vector")
-        if np.any(p < 0):
+        real_fields(self, probs=1)        # an empty vector sums to 0
+        if np.any(self.probs < 0):
             raise ValueError("probs has negative entries")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probs sum to {p.sum()!r}, not 1 within 1e-12")
-        object.__setattr__(self, "probs", p)
+        if abs(self.probs.sum() - 1.0) > 1e-12:
+            raise ValueError(f"probs sum to {self.probs.sum()!r}, not 1 within 1e-12")
 
     def __len__(self):
         return self.probs.shape[0]
 
 
 def check_simplex_rows(mat, atol=1e-9, name="rows"):
-    """Assert each row of mat is a valid simplex (used by invariants/tests)."""
-    mat = np.asarray(mat, dtype=float)
-    if np.any(mat < -atol):
+    """Raise ValueError unless each row of mat, a finite float array, is a
+    simplex: no entry below -atol, and a sum within atol + 1e-5 of 1 (the
+    tolerance of np.allclose). The sums are one product with a vector of
+    ones (a sum over a short last axis loops once per row), and their range
+    is checked by reductions that allocate nothing."""
+    if mat.min(initial=0.0) < -atol:
         raise ValueError(f"{name} contain negative entries")
-    if not np.allclose(mat.sum(axis=-1), 1.0, atol=atol):
+    tol, sums = atol + 1e-5, mat @ np.ones(mat.shape[-1])
+    if np.min(sums, initial=1.0) < 1.0 - tol or np.max(sums, initial=1.0) > 1.0 + tol:
         raise ValueError(f"{name} do not sum to 1")
-    return mat
 
 
 @dataclass

@@ -10,7 +10,11 @@ header line (d a positive integer), then one sequence of flattened rows per
 line. Real entries must be finite and at most MAX_ABS in magnitude. corpus:
 one document of word indices per line. Codes, symbols and word indices
 follow core.category_codes. Model files are versioned JSON carrying the RNG
-algorithm id; every number in them is finite.
+algorithm id; every number in them is finite. A model file's params, and a
+synth spec's params and seed, go as they are to the constructors of the
+parameters that hold them, which apply one field rule (core.real_fields,
+core.int_fields): a missing or malformed field is a ValueError, exit 2 at
+the command line, with one line naming it.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import numpy as np
 
 import latentlab as pkg
 from .core import (RNG_ALGORITHM, NumericError, RandomSource, category_codes,
-                   sample_categorical_many)
+                   fields_from_json, int_fields, is_int, real_array, sample_categorical_many)
 from . import families
 
 __all__ = ["SyntheticSpec", "generate", "KINDS", "SYNTHETIC_FAMILIES", "MAX_ABS",
@@ -131,14 +135,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in SYNTHETIC_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        if not isinstance(self.family, str) or self.family not in SYNTHETIC_FAMILIES:
+            raise ValueError(f"unknown family {self.family!r:.40}")
         if not isinstance(self.params, dict):
             raise ValueError("spec params must be a JSON object")
-        if not _is_int(self.n) or self.n < 0:
+        if not is_int(self.n) or self.n < 0:
             raise ValueError(f"spec n must be an integer >= 0, got {self.n!r}")
+        int_fields(self, seed=0)
         if not isinstance(self.lengths, (list, tuple)) \
-                or not all(_is_int(v) and v >= 1 for v in self.lengths):
+                or not all(is_int(v) and v >= 1 for v in self.lengths):
             raise ValueError(f"spec lengths must be a list of integers >= 1, "
                              f"got {self.lengths!r}")
         object.__setattr__(self, "n", int(self.n))
@@ -149,32 +154,28 @@ class SyntheticSpec:
                              f"at least one row or sequence, got {getattr(self, size)!r}")
 
 
-def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def generate(spec):
     """Exact ancestral sampling for the named family; returns
     (data, true_latents, true_params). Deterministic given spec.seed. The
     params of a model family other than lda take its model-file JSON form,
-    and its record's sample_latents draws the data."""
+    and its record's sample_latents draws the data. Every field follows the
+    field rule of the parameters it sets (core.real_fields, core.int_fields)."""
     rng = RandomSource(spec.seed)
     family, p = spec.family, spec.params
     if family == "lda":
-        hyper = pkg.lda.LdaHyper(np.asarray(p["alpha"], dtype=float),
-                                 np.asarray(p["beta"], dtype=float),
-                                 int(p["K"]), int(p["V"]))
+        hyper = fields_from_json(pkg.lda.LdaHyper, p)
         corpus, latents = pkg.lda.generate_corpus(hyper, spec.lengths, rng)
         return corpus, latents, hyper
     if family == "mixture1d":
-        weights = np.asarray(p.get("weights", [0.5, 0.5]), dtype=float)
-        means = np.asarray(p.get("means", [-2.0, 2.0]), dtype=float)
-        sds = np.asarray(p.get("sds", [0.5, 0.5]), dtype=float)
+        weights, means, sds = (real_array(p.get(k, d), k, 1) for k, d in (
+            ("weights", [0.5, 0.5]), ("means", [-2.0, 2.0]), ("sds", [0.5, 0.5])))
+        if not weights.shape == means.shape == sds.shape:
+            raise ValueError("mixture1d weights, means and sds must have one length")
         z = sample_categorical_many(weights, rng, spec.n)
         X = (means[z] + sds[z] * rng.standard_normal(spec.n))[:, None]
         return X, {"assignments": z}, {"weights": weights, "means": means, "sds": sds}
     if family == "blobs2d":
-        sep = float(p.get("separation", 10.0))
+        sep = float(real_array(p.get("separation", 10.0), "separation", 0))
         family, p = "gmm", {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [sep, 0.0]],
                             "covs": [np.eye(2), np.eye(2)]}
     record = families.FAMILIES[family]

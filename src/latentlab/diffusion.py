@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import float_list
+from .core import int_fields, json_field, real_fields
 from .nn import Mlp, Recorder, Tensor, check_counts, concat, eager, fit_minibatch
 
 __all__ = ["NoiseSchedule", "DiffusionModel", "linear_schedule", "make_diffusion",
@@ -28,25 +28,27 @@ TIME_FEATURES = 5
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step noise variances beta_t in (0,1) and their cumulative products
-    alpha_bar_t = prod_s (1 - beta_s), strictly decreasing."""
+    alpha_bar_t = prod_s (1 - beta_s), strictly decreasing (by default
+    computed from betas)."""
 
     betas: np.ndarray
-    alpha_bars: np.ndarray
+    alpha_bars: np.ndarray = None
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=float)
-        if np.any(betas <= 0) or np.any(betas >= 1):
+        real_fields(self, betas=1)
+        if np.any(self.betas <= 0) or np.any(self.betas >= 1):
             raise ValueError("betas must lie strictly inside (0, 1)")
-        ab = np.asarray(self.alpha_bars, dtype=float)
-        if ab.shape != betas.shape:
+        expected = np.cumprod(1.0 - self.betas)
+        if self.alpha_bars is None:
+            object.__setattr__(self, "alpha_bars", expected)
+        real_fields(self, alpha_bars=1)
+        ab = self.alpha_bars
+        if ab.shape != self.betas.shape:
             raise ValueError("alpha_bars must match betas in length")
-        expected = np.cumprod(1.0 - betas)
         if not np.allclose(ab, expected, rtol=0, atol=1e-14 * np.maximum(1.0, np.abs(expected)).max()):
             raise ValueError("alpha_bars do not satisfy the cumulative-product recurrence")
         if np.any(np.diff(ab) >= 0):
             raise ValueError("alpha_bars must be strictly decreasing")
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alpha_bars", ab)
 
     @property
     def T(self):
@@ -60,8 +62,7 @@ class NoiseSchedule:
 
 
 def linear_schedule(T=50, beta_start=1e-4, beta_end=0.02):
-    betas = np.linspace(beta_start, beta_end, T)
-    return NoiseSchedule(betas, np.cumprod(1.0 - betas))
+    return NoiseSchedule(np.linspace(beta_start, beta_end, T))
 
 
 @dataclass
@@ -74,6 +75,7 @@ class DiffusionModel:
     dim: int
 
     def __post_init__(self):
+        int_fields(self, dim=0)
         if hasattr(self.eps_net, "in_dim"):
             if self.eps_net.in_dim != self.dim + TIME_FEATURES:
                 raise ValueError("eps_net input dim must be dim + TIME_FEATURES")
@@ -85,14 +87,14 @@ class DiffusionModel:
 
 
 def to_json(model):
-    return {"dim": model.dim, "betas": float_list(model.schedule.betas),
+    return {"dim": model.dim, "betas": model.schedule.betas.tolist(),
             "eps_net": model.eps_net.to_json()}
 
 
 def from_json(obj):
-    betas = np.asarray(obj["betas"], dtype=float)
-    return DiffusionModel(NoiseSchedule(betas, np.cumprod(1.0 - betas)),
-                          Mlp.from_json(obj["eps_net"]), int(obj["dim"]))
+    return DiffusionModel(NoiseSchedule(json_field(obj, "betas", "diffusion")),
+                          Mlp.from_json(json_field(obj, "eps_net", "diffusion")),
+                          json_field(obj, "dim", "diffusion"))
 
 
 def make_diffusion(dim, rng, T=50, hidden=64, hidden_layers=2,

@@ -55,10 +55,6 @@ class Family:
     noun: str = "data"
 
 
-def _network(value):
-    return pkg.nn.Mlp.from_json(value) if isinstance(value, dict) else value
-
-
 def _em_cfg(args, default_rel_tol=1e-7):
     return EmConfig(max_iters=args.max_iters, rel_tol=args.rel_tol or default_rel_tol,
                     seed=args.seed)
@@ -88,24 +84,23 @@ def _columns(prefix, rows):
 
 def _quadrature(config):
     """The quadrature an IRT model was fitted with (older files: the default)."""
-    return pkg.irt.default_quadrature(int(config.get("quad_nodes", pkg.irt.DEFAULT_NODES)))
+    return pkg.irt.default_quadrature(config.get("quad_nodes", pkg.irt.DEFAULT_NODES))
 
 
 def _fit_lda(corpus, args, _rng):
     hyper = pkg.lda.LdaHyper(args.alpha, args.beta, args.k, corpus.V)
     var, report = pkg.lda.fit_lda(hyper, corpus, _em_cfg(args, default_rel_tol=1e-6))
-    model = {"hyper": hyper, "doc_topic": var.doc_topic, "topic_word": var.topic_word}
+    model = pkg.lda.LdaModel(**vars(hyper), doc_topic=var.doc_topic, topic_word=var.topic_word)
     return model, report.objective_trace, report
 
 
 def _lda_loglik(model, corpus, _config, _seed):
     """The bound of each document under the model's fitted topics, the topic
     terms split evenly across the documents."""
-    hyper = model["hyper"]
-    corpus = pkg.lda.Corpus(corpus.docs, hyper.V)
-    var, _report = pkg.lda.fit_documents(hyper, corpus, model["topic_word"],
+    corpus = pkg.lda.Corpus(corpus.docs, model.V)
+    var, _report = pkg.lda.fit_documents(model, corpus, model.topic_word,
                                          EmConfig(max_iters=200, rel_tol=1e-6))
-    return pkg.lda.document_elbo(hyper, corpus, var)
+    return pkg.lda.document_elbo(model, corpus, var)
 
 
 def _hmm_infer(params, seqs, _config):
@@ -205,7 +200,7 @@ FAMILIES = {
         noun="responses"),
     "lda": Family(
         "corpus", ("k", "alpha", "beta", "vocab") + EM_FLAGS,
-        to_json=lambda m: pkg.lda.to_json(m), from_json=lambda o: pkg.lda.from_json(o),
+        to_json=fields_to_json, from_json=lambda o: fields_from_json(pkg.lda.LdaModel, o),
         fit=_fit_lda, loglik=_lda_loglik),
     "hmm": _HMM,
     "ghmm": replace(
@@ -224,7 +219,7 @@ FAMILIES = {
     "vae": Family(
         "matrix", ("latent_dim", "likelihood", "sigma_dec") + TRAIN_FLAGS,
         to_json=fields_to_json,
-        from_json=lambda o: fields_from_json(pkg.vae.VaeModel, o, _network),
+        from_json=lambda o: fields_from_json(pkg.vae.VaeModel, o),
         fit=_fit_vae,
         sample=lambda m, n, rng: pkg.vae.sample(m, n, rng),
         loglik=lambda m, X, _c, seed: pkg.vae.elbo_rows(m, X, RandomSource(seed), n_samples=16),
@@ -245,7 +240,7 @@ FAMILIES = {
     "arm": Family(
         "codes", ("seq_len", "alphabet") + TRAIN_FLAGS,
         to_json=fields_to_json,
-        from_json=lambda o: fields_from_json(pkg.arm.ArModel, o, _network),
+        from_json=lambda o: fields_from_json(pkg.arm.ArModel, o),
         fit=_fit_arm,
         sample=lambda m, n, rng: pkg.arm.sample(m, n, rng).astype(float),
         loglik=lambda m, X, _c, _s: pkg.arm.log_likelihood_batch(m, X),
@@ -253,7 +248,7 @@ FAMILIES = {
     "gan": Family(
         "matrix", ("latent_dim", "hidden", "steps", "batch", "lr"),
         to_json=fields_to_json,
-        from_json=lambda o: fields_from_json(pkg.gan.GanModel, o, _network),
+        from_json=lambda o: fields_from_json(pkg.gan.GanModel, o),
         fit=_fit_gan,
         sample=lambda m, n, rng: pkg.gan.sample(m, n, rng)),
 }

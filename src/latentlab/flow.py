@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import float_list
-from .nn import Mlp, Tensor, as_batch, check_counts, concat, fit_minibatch
+from .core import fields_from_json, fields_to_json, int_fields, json_field, json_list
+from .nn import Mlp, Tensor, as_batch, check_counts, concat, fit_minibatch, param
 
 __all__ = ["PlanarLayer", "CouplingLayer", "PermutationLayer", "FlowModel",
            "forward_with_logdet", "inverse", "log_likelihood", "fit",
@@ -40,6 +40,11 @@ class PlanarLayer:
     u: Tensor
     w: Tensor
     b: Tensor
+
+    def __post_init__(self):
+        self.u, self.w, self.b = (param(getattr(self, k), k, 1) for k in ("u", "w", "b"))
+        if self.u.shape != self.w.shape or self.b.shape != (1,):
+            raise ValueError("a planar layer's u and w must have one length, and b one entry")
 
     @classmethod
     def create(cls, dim, rng):
@@ -133,9 +138,13 @@ class CouplingLayer:
         return cls(idx_a, idx_b, s_net, t_net)
 
     def __post_init__(self):
+        int_fields(self, idx_a=1, idx_b=1)
         order = np.concatenate([self.idx_a, self.idx_b])
         if not np.array_equal(np.sort(order), np.arange(order.size)):
             raise ValueError("coupling mask must partition all dimensions exactly once")
+        if any((net.in_dim, net.out_dim) != (self.idx_a.size, self.idx_b.size)
+               for net in (self.s_net, self.t_net)):
+            raise ValueError("coupling networks must map the a-half to the b-half")
         # columns of [a-half, b-half] in the model's dimension order
         self.scatter = np.argsort(order)
 
@@ -177,8 +186,10 @@ class PermutationLayer:
     perm: np.ndarray
 
     def __post_init__(self):
-        self.perm = np.asarray(self.perm, dtype=int)
+        int_fields(self, perm=1)
         self.inv_perm = np.argsort(self.perm)
+        if not np.array_equal(self.perm[self.inv_perm], np.arange(self.perm.size)):
+            raise ValueError(f"perm must be a permutation of 0..{self.perm.size - 1}")
 
     @property
     def dim(self):
@@ -203,6 +214,7 @@ class FlowModel:
     dim: int
 
     def __post_init__(self):
+        int_fields(self, dim=0)
         if not self.layers:
             raise ValueError("a flow needs at least one layer")
         for layer in self.layers:
@@ -216,33 +228,26 @@ class FlowModel:
         return out
 
 
-def _layer_to_json(layer):
-    if isinstance(layer, PlanarLayer):
-        return {"kind": "planar", "u": float_list(layer.u.values),
-                "w": float_list(layer.w.values), "b": float_list(layer.b.values)}
-    if isinstance(layer, CouplingLayer):
-        return {"kind": "coupling", "idx_a": [int(i) for i in layer.idx_a],
-                "idx_b": [int(i) for i in layer.idx_b],
-                "s_net": layer.s_net.to_json(), "t_net": layer.t_net.to_json()}
-    return {"kind": "permutation", "perm": [int(i) for i in layer.perm]}
+LAYER_KINDS = {"planar": PlanarLayer, "coupling": CouplingLayer,
+               "permutation": PermutationLayer}
 
 
 def _layer_from_json(obj):
-    if obj["kind"] == "planar":
-        return PlanarLayer(*(Tensor.param(np.asarray(obj[k])) for k in ("u", "w", "b")))
-    if obj["kind"] == "coupling":
-        return CouplingLayer(np.asarray(obj["idx_a"], dtype=int),
-                             np.asarray(obj["idx_b"], dtype=int),
-                             Mlp.from_json(obj["s_net"]), Mlp.from_json(obj["t_net"]))
-    return PermutationLayer(np.asarray(obj["perm"], dtype=int))
+    kind = json_field(obj, "kind", "flow layer")
+    if not isinstance(kind, str) or kind not in LAYER_KINDS:
+        raise ValueError(f"unknown flow layer kind {kind!r:.40}")
+    return fields_from_json(LAYER_KINDS[kind], obj)
 
 
 def to_json(model):
-    return {"dim": model.dim, "layers": [_layer_to_json(layer) for layer in model.layers]}
+    kinds = {cls: kind for kind, cls in LAYER_KINDS.items()}
+    return {"dim": model.dim, "layers": [{"kind": kinds[type(layer)], **fields_to_json(layer)}
+                                         for layer in model.layers]}
 
 
 def from_json(obj):
-    return FlowModel([_layer_from_json(lo) for lo in obj["layers"]], int(obj["dim"]))
+    layers = json_list(json_field(obj, "layers", "flow"), "layers")
+    return FlowModel([_layer_from_json(lo) for lo in layers], json_field(obj, "dim", "flow"))
 
 
 def make_coupling_stack(dim, n_layers, rng, hidden=32):

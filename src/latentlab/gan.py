@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import int_fields
 from .nn import AdamState, Mlp, Recorder, check_counts, check_lr, descend
 
 __all__ = ["GanModel", "make_gan", "disc_loss", "gen_loss", "train", "sample"]
@@ -30,6 +31,7 @@ class GanModel:
     prior_dim: int
 
     def __post_init__(self):
+        int_fields(self, prior_dim=0)
         if self.gen.in_dim != self.prior_dim:
             raise ValueError("generator input dim must equal prior_dim")
         if self.gen.out_dim != self.disc.in_dim:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .core import category_codes, check_finite, log_sum_exp_rows, normalize_log_rows
+from .core import category_codes, log_sum_exp_rows, normalize_log_rows, real_fields
 from .em import EmConfig, run_em
 
 __all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik", "loglik_rows",
@@ -37,14 +37,11 @@ class IrtParams:
     b: np.ndarray
 
     def __post_init__(self):
-        a = check_finite(np.atleast_1d(np.asarray(self.a, dtype=float)), "a")
-        b = check_finite(np.atleast_1d(np.asarray(self.b, dtype=float)), "b")
-        if a.shape != b.shape:
+        real_fields(self, a=1, b=1)
+        if self.a.shape != self.b.shape:
             raise ValueError("a and b must have the same length")
-        if np.any(a < 0):
+        if np.any(self.a < 0):
             raise ValueError("discriminations must be nonnegative")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     @property
     def n_items(self):
@@ -60,16 +57,13 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = check_finite(np.asarray(self.nodes, dtype=float), "nodes")
-        weights = check_finite(np.asarray(self.weights, dtype=float), "weights")
-        if nodes.shape != weights.shape or nodes.ndim != 1:
+        real_fields(self, nodes=1, weights=1)
+        if self.nodes.shape != self.weights.shape:
             raise ValueError("nodes and weights must be equal-length vectors")
-        if np.any(weights <= 0):
+        if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-10:
+        if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must integrate the constant 1 to 1")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
 
 def default_quadrature(n_nodes=DEFAULT_NODES):

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RandomSource, category_codes, check_finite, fields_from_json,
-                   fields_to_json, float_list, sample_categorical_many, sample_dirichlet)
+from .core import (RandomSource, category_codes, int_fields, real_fields,
+                   sample_categorical_many, sample_dirichlet)
 from .em import EmConfig, run_em
 
-__all__ = ["LdaHyper", "Corpus", "LdaVariational", "generate_corpus", "elbo",
-           "document_elbo", "fit_lda", "fit_documents", "to_json", "from_json"]
+__all__ = ["LdaHyper", "LdaModel", "Corpus", "LdaVariational", "generate_corpus", "elbo",
+           "document_elbo", "fit_lda", "fit_documents"]
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,31 @@ class LdaHyper:
     V: int
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.ndim == 0:
-            alpha = np.full(self.K, float(alpha))
-        beta = np.asarray(self.beta, dtype=float)
-        if beta.ndim == 0:
-            beta = np.full(self.V, float(beta))
-        check_finite(alpha, "alpha")
-        check_finite(beta, "beta")
-        if alpha.shape != (self.K,) or beta.shape != (self.V,):
+        int_fields(self, K=0, V=0)
+        for name, size in (("alpha", self.K), ("beta", self.V)):
+            if np.isscalar(getattr(self, name)):
+                object.__setattr__(self, name, np.full(size, getattr(self, name)))
+        real_fields(self, alpha=1, beta=1)
+        if self.alpha.shape != (self.K,) or self.beta.shape != (self.V,):
             raise ValueError("alpha must be (K,), beta must be (V,)")
-        if np.any(alpha <= 0) or np.any(beta <= 0):
+        if np.any(self.alpha <= 0) or np.any(self.beta <= 0):
             raise ValueError("concentrations must be positive")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+
+
+@dataclass(frozen=True)
+class LdaModel(LdaHyper):
+    """A fitted model: the hyperparameters, and the Dirichlet parameters of
+    the fitted document factors doc_topic (D, K) and topics topic_word (K, V)."""
+
+    doc_topic: np.ndarray
+    topic_word: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        real_fields(self, doc_topic=2, topic_word=2)
+        if self.doc_topic.shape[1] != self.K or self.topic_word.shape != (self.K, self.V) \
+                or np.any(self.doc_topic <= 0) or np.any(self.topic_word <= 0):
+            raise ValueError("doc_topic (D, K) and topic_word (K, V) must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,22 +131,19 @@ class LdaVariational:
     offsets: np.ndarray = None
 
     def __post_init__(self):
-        dt = np.asarray(self.doc_topic, dtype=float)
-        tw = np.asarray(self.topic_word, dtype=float)
-        if np.any(dt <= 0) or np.any(tw <= 0):
+        real_fields(self, doc_topic=2, topic_word=2)
+        if np.any(self.doc_topic <= 0) or np.any(self.topic_word <= 0):
             raise ValueError("Dirichlet parameters must be positive")
         wt, offsets = self.weights, self.offsets
         if offsets is None:
             blocks = [np.asarray(b, dtype=float) for b in wt]
             offsets = np.concatenate(([0], np.cumsum([len(b) for b in blocks], dtype=int)))
-            wt = np.concatenate(blocks) if blocks else np.zeros((0, dt.shape[1]))
+            wt = np.concatenate(blocks) if blocks else np.zeros((0, self.doc_topic.shape[1]))
         wt = np.asarray(wt, dtype=float)
         simplex = np.all(wt >= 0, axis=1) & np.isclose(wt.sum(axis=1), 1.0, atol=1e-9)
         if not np.all(simplex):
             d = np.searchsorted(offsets, np.argmin(simplex), side="right") - 1
             raise ValueError(f"token weights of document {d} are not simplex rows")
-        object.__setattr__(self, "doc_topic", dt)
-        object.__setattr__(self, "topic_word", tw)
         object.__setattr__(self, "weights", wt)
         object.__setattr__(self, "offsets", offsets)
 
@@ -143,17 +151,6 @@ class LdaVariational:
     def word_topic(self):
         """The per-document (N_d, K) token weights, as views into weights."""
         return _blocks(self.weights, self.offsets)
-
-
-def to_json(model):
-    """JSON form of a fitted model, a dict of "hyper", "doc_topic", "topic_word"."""
-    return {**fields_to_json(model["hyper"]), "doc_topic": float_list(model["doc_topic"]),
-            "topic_word": float_list(model["topic_word"])}
-
-
-def from_json(obj):
-    return {"hyper": fields_from_json(LdaHyper, obj), "doc_topic": np.asarray(obj["doc_topic"]),
-            "topic_word": np.asarray(obj["topic_word"])}
 
 
 def generate_corpus(hyper, doc_lengths, rng):

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RandomSource, category_codes, chol_psd, check_finite, check_simplex_rows,
-                   float_list, gaussian_logpdf_columns, log_sum_exp_rows,
-                   normalize_log_rows, sample_categorical_many)
+from .core import (RandomSource, category_codes, chol_psd, check_finite,
+                   check_simplex_rows, gaussian_logpdf_columns, json_list,
+                   log_sum_exp_rows, normalize_log_rows, real_array, real_fields,
+                   sample_categorical_many)
 from .em import EmConfig, run_em
 
 __all__ = [
@@ -36,17 +37,13 @@ class GmmParams:
     covs: np.ndarray
 
     def __post_init__(self):
-        w = check_simplex_rows(np.asarray(self.weights, dtype=float), name="weights")
-        means = check_finite(np.atleast_2d(np.asarray(self.means, dtype=float)), "means")
-        covs = check_finite(np.asarray(self.covs, dtype=float), "covs")
-        K, d = means.shape
-        if w.shape != (K,) or covs.shape != (K, d, d):
+        real_fields(self, weights=1, means=2, covs=3)
+        check_simplex_rows(self.weights, name="weights")
+        K, d = self.means.shape
+        if self.weights.shape != (K,) or self.covs.shape != (K, d, d):
             raise ValueError("inconsistent GMM parameter shapes")
         for k in range(K):
-            chol_psd(covs[k])
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
+            chol_psd(self.covs[k])
 
     @property
     def n_components(self):
@@ -60,9 +57,7 @@ class GmmParams:
 def gmm_to_json(params):
     """JSON form with components ordered by the norm of their means."""
     order = np.argsort(np.linalg.norm(params.means, axis=1), kind="stable")
-    return {"weights": float_list(params.weights[order]),
-            "means": float_list(params.means[order]),
-            "covs": float_list(params.covs[order])}
+    return {name: getattr(params, name)[order].tolist() for name in ("weights", "means", "covs")}
 
 
 
@@ -78,17 +73,15 @@ class LcaParams:
     item_probs: tuple
 
     def __post_init__(self):
-        w = check_simplex_rows(np.asarray(self.weights, dtype=float), name="weights")
-        K = w.shape[0]
-        tables = []
-        for j, table in enumerate(self.item_probs):
-            t = np.asarray(table, dtype=float)
-            if t.ndim != 2 or t.shape[0] != K:
+        real_fields(self, weights=1)
+        check_simplex_rows(self.weights, name="weights")
+        tables = tuple(real_array(t, f"item_probs[{j}]", 2)
+                       for j, t in enumerate(json_list(self.item_probs, "item_probs")))
+        for j, t in enumerate(tables):
+            if t.shape[0] != self.weights.shape[0]:
                 raise ValueError(f"item {j} table must be (K, C_j)")
             check_simplex_rows(t, name=f"item {j} rows")
-            tables.append(t)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "item_probs", tuple(tables))
+        object.__setattr__(self, "item_probs", tables)
 
     @property
     def n_classes(self):
@@ -104,8 +97,8 @@ def lca_to_json(params):
     stacked = np.concatenate(list(params.item_probs), axis=1)   # (K, sum C_j)
     ent = -np.sum(np.where(stacked > 0, stacked * np.log(stacked), 0.0), axis=1)
     order = np.argsort(ent, kind="stable")
-    return {"weights": float_list(params.weights[order]),
-            "item_probs": [float_list(t[order]) for t in params.item_probs]}
+    return {"weights": params.weights[order].tolist(),
+            "item_probs": [t[order].tolist() for t in params.item_probs]}
 
 
 
@@ -119,9 +112,8 @@ class Responsibilities:
     loglik: float = math.nan
 
     def __post_init__(self):
-        g = check_simplex_rows(np.atleast_2d(np.asarray(self.gamma, dtype=float)),
-                               name="responsibility rows")
-        object.__setattr__(self, "gamma", g)
+        real_fields(self, gamma=2)
+        check_simplex_rows(self.gamma, name="responsibility rows")
 
 
 # ---------------------------------------------------------------------------

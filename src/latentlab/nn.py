@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import fields_from_json, fields_to_json, json_field, json_list, real_array
+
 __all__ = ["Tensor", "Mlp", "AdamState", "Recorder", "as_batch", "eager", "forward",
            "backward", "adam_step", "concat", "zero_grad", "descend", "fit_minibatch",
            "check_counts", "check_lr"]
@@ -120,6 +122,9 @@ class Tensor:
 
     def item(self):
         return float(self.values)
+
+    def tolist(self):
+        return self.values.tolist()
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -537,13 +542,19 @@ class Mlp:
     activations: list
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or len(self.weights) != len(self.activations):
-            raise ValueError("weights, biases, activations must align")
+        self.weights, self.biases = (
+            [param(v, f"{name}[{i}]", rank) for i, v in enumerate(json_list(values, name))]
+            for name, values, rank in (("weights", self.weights, 2), ("biases", self.biases, 1)))
+        if not self.weights or len(self.weights) != len(self.biases) \
+                or len(self.weights) != len(json_list(self.activations, "activations")):
+            raise ValueError("weights, biases, activations must align, one per layer")
         for act in self.activations:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
-        for i in range(len(self.weights) - 1):
-            if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if b.shape != (W.shape[1],):
+                raise ValueError(f"biases[{i}] has shape {b.shape}, expected ({W.shape[1]},)")
+            if i and self.weights[i - 1].shape[1] != W.shape[0]:
                 raise ValueError("consecutive layer dims are incompatible")
 
     @classmethod
@@ -571,16 +582,17 @@ class Mlp:
         return list(self.weights) + list(self.biases)
 
     def to_json(self):
-        return {"dims": [self.in_dim] + [w.shape[1] for w in self.weights],
-                "activations": list(self.activations),
-                "weights": [w.values.tolist() for w in self.weights],
-                "biases": [b.values.tolist() for b in self.biases]}
+        return {**fields_to_json(self), "dims": [self.in_dim] + [w.shape[1] for w in self.weights]}
 
     @classmethod
     def from_json(cls, obj):
-        return cls([Tensor.param(np.asarray(w, dtype=float)) for w in obj["weights"]],
-                   [Tensor.param(np.asarray(b, dtype=float)) for b in obj["biases"]],
-                   list(obj["activations"]))
+        """The network of its to_json form, whose dims must be the widths its
+        weights give."""
+        mlp, dims = fields_from_json(cls, obj), json_field(obj, "dims", "network")
+        widths = [mlp.in_dim] + [w.shape[1] for w in mlp.weights]
+        if repr(dims) != repr(widths):      # by repr, neither true nor 2.0 stands for an int
+            raise ValueError(f"network dims {dims!r:.40} do not match its weights' {widths}")
+        return mlp
 
     def forward(self, x):
         """Apply the layer stack to a (batch, in_dim) tensor or array."""
@@ -591,6 +603,13 @@ class Mlp:
         for W, b, act in zip(self.weights, self.biases, self.activations):
             h = dense(h, W, b, act)
         return h
+
+
+def param(value, name, rank):
+    """value as a trainable Tensor of real_array(value, name, rank), the
+    field rule; a Tensor's values are checked and the Tensor kept."""
+    values = real_array(value.values if isinstance(value, Tensor) else value, name, rank)
+    return value if isinstance(value, Tensor) else Tensor.param(values)
 
 
 def forward(mlp, x):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Gaussian, RandomSource, check_finite, chol_psd,
-                   gaussian_logpdf_rows)
+                   gaussian_logpdf_rows, real_fields)
 from .em import EmConfig, run_em
 
 __all__ = ["PpcaParams", "PpcaPosterior", "fit_closed_form", "posterior",
@@ -40,18 +40,13 @@ class PpcaParams:
     sigma2: float
 
     def __post_init__(self):
-        W = check_finite(np.atleast_2d(np.asarray(self.W, dtype=float)), "W")
-        mu = check_finite(np.atleast_1d(np.asarray(self.mu, dtype=float)), "mu")
-        if W.shape[0] != mu.shape[0]:
+        real_fields(self, W=2, mu=1, sigma2=0)
+        if self.W.shape[0] != self.mu.shape[0]:
             raise ValueError("W rows must match mu length")
-        if W.shape[1] > W.shape[0]:
+        if self.W.shape[1] > self.W.shape[0]:
             raise ValueError("latent dimension M must not exceed data dimension D")
-        sigma2 = float(check_finite(self.sigma2, "sigma2"))
-        if sigma2 < 0:
+        if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def data_dim(self):

@@ -44,8 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Gaussian, NumericError, RandomSource, category_codes, check_finite,
-                   check_simplex_rows, chol_psd, float_list, gaussian_logpdf_columns,
-                   log_sum_exp_rows, normalize_log_rows, row_max)
+                   check_simplex_rows, chol_psd, fields_from_json, fields_to_json,
+                   gaussian_logpdf_columns, json_field, log_sum_exp_rows, normalize_log_rows,
+                   real_fields, row_max)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
                       _perturbed_rows, _var_floor, _weighted_gaussians)
@@ -69,9 +70,8 @@ class DiscreteEmission:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = check_simplex_rows(np.atleast_2d(np.asarray(self.probs, dtype=float)),
-                               name="emission rows")
-        object.__setattr__(self, "probs", p)
+        real_fields(self, probs=2)
+        check_simplex_rows(self.probs, name="emission rows")
 
     @property
     def n_symbols(self):
@@ -93,13 +93,10 @@ class GaussianEmission:
     covs: np.ndarray
 
     def __post_init__(self):
-        means = check_finite(np.atleast_2d(np.asarray(self.means, dtype=float)), "means")
-        covs = check_finite(np.asarray(self.covs, dtype=float), "covs")
-        K, d = means.shape
-        if covs.shape != (K, d, d):
+        real_fields(self, means=2, covs=3)
+        K, d = self.means.shape
+        if self.covs.shape != (K, d, d):
             raise ValueError("covs must be (K, d, d)")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
 
     @property
     def dim(self):
@@ -119,11 +116,11 @@ class HmmParams:
     emit: object
 
     def __post_init__(self):
-        pi = check_simplex_rows(np.asarray(self.pi, dtype=float), name="pi")
-        trans = check_simplex_rows(np.atleast_2d(np.asarray(self.trans, dtype=float)),
-                                   name="transition rows")
-        K = pi.shape[0]
-        if trans.shape != (K, K):
+        real_fields(self, pi=1, trans=2)
+        check_simplex_rows(self.pi, name="pi")
+        check_simplex_rows(self.trans, name="transition rows")
+        K = self.pi.shape[0]
+        if self.trans.shape != (K, K):
             raise ValueError("transition matrix must be (K, K)")
         if not isinstance(self.emit, (DiscreteEmission, GaussianEmission)):
             raise TypeError("emit must be DiscreteEmission or GaussianEmission")
@@ -131,8 +128,6 @@ class HmmParams:
             else self.emit.means.shape[0]
         if n_emit != K:
             raise ValueError("emission parameters do not match state count")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "trans", trans)
 
     @property
     def n_states(self):
@@ -142,19 +137,15 @@ class HmmParams:
 def hmm_to_json(params):
     """JSON form in canonical state order (see canonical_state_order)."""
     params = canonical_state_order(params)
-    out = {"pi": float_list(params.pi), "trans": float_list(params.trans)}
-    if isinstance(params.emit, DiscreteEmission):
-        out["emit"] = float_list(params.emit.probs)
-    else:
-        out["means"] = float_list(params.emit.means)
-        out["covs"] = float_list(params.emit.covs)
-    return out
+    emit = {"emit": params.emit.probs.tolist()} if isinstance(params.emit, DiscreteEmission) \
+        else fields_to_json(params.emit)
+    return {"pi": params.pi.tolist(), "trans": params.trans.tolist(), **emit}
 
 
 def hmm_from_json(obj):
-    emit = DiscreteEmission(np.asarray(obj["emit"])) if "emit" in obj \
-        else GaussianEmission(np.asarray(obj["means"]), np.asarray(obj["covs"]))
-    return HmmParams(np.asarray(obj["pi"]), np.asarray(obj["trans"]), emit)
+    emit = DiscreteEmission(obj["emit"]) if "emit" in obj \
+        else fields_from_json(GaussianEmission, obj)
+    return HmmParams(json_field(obj, "pi", "hmm"), json_field(obj, "trans", "hmm"), emit)
 
 
 @dataclass(frozen=True)
@@ -181,26 +172,17 @@ class LdsParams:
     Sigma0: np.ndarray
 
     def __post_init__(self):
-        A = check_finite(np.atleast_2d(np.asarray(self.A, dtype=float)), "A")
-        C = check_finite(np.atleast_2d(np.asarray(self.C, dtype=float)), "C")
-        Q = check_finite(np.atleast_2d(np.asarray(self.Q, dtype=float)), "Q")
-        R = check_finite(np.atleast_2d(np.asarray(self.R, dtype=float)), "R")
-        mu0 = check_finite(np.atleast_1d(np.asarray(self.mu0, dtype=float)), "mu0")
-        S0 = check_finite(np.atleast_2d(np.asarray(self.Sigma0, dtype=float)), "Sigma0")
-        dz = A.shape[0]
-        dx = C.shape[0]
-        if A.shape != (dz, dz) or C.shape != (dx, dz) or Q.shape != (dz, dz) \
-                or R.shape != (dx, dx) or mu0.shape != (dz,) or S0.shape != (dz, dz):
+        real_fields(self, A=2, C=2, Q=2, R=2, mu0=1, Sigma0=2)
+        dz, dx = self.A.shape[0], self.C.shape[0]
+        if self.A.shape != (dz, dz) or self.C.shape != (dx, dz) or self.Q.shape != (dz, dz) \
+                or self.R.shape != (dx, dx) or self.mu0.shape != (dz,) \
+                or self.Sigma0.shape != (dz, dz):
             raise ValueError("inconsistent LDS parameter shapes")
-        for name, Mx in (("Q", Q), ("R", R), ("Sigma0", S0)):
-            if not np.allclose(Mx, Mx.T, atol=1e-10):
+        for name in ("Q", "R", "Sigma0"):
+            M = getattr(self, name)
+            if not np.allclose(M, M.T, atol=1e-10):
                 raise ValueError(f"{name} must be symmetric")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "Q", 0.5 * (Q + Q.T))
-        object.__setattr__(self, "R", 0.5 * (R + R.T))
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "Sigma0", 0.5 * (S0 + S0.T))
+            object.__setattr__(self, name, 0.5 * (M + M.T))
 
     @property
     def state_dim(self):
@@ -730,9 +712,7 @@ def canonical_state_order(params):
     else:
         key = np.linalg.norm(params.emit.means, axis=1)
     order = np.argsort(key, kind="stable")
-    emit = DiscreteEmission(params.emit.probs[order]) \
-        if isinstance(params.emit, DiscreteEmission) \
-        else GaussianEmission(params.emit.means[order], params.emit.covs[order])
+    emit = type(params.emit)(*(a[order] for a in vars(params.emit).values()))
     return HmmParams(params.pi[order], params.trans[np.ix_(order, order)], emit)
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import int_fields, real_fields
 from .nn import Mlp, Tensor, _sigmoid, check_counts, eager, fit_minibatch
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
@@ -32,16 +33,15 @@ class VaeModel:
     sigma_dec: float = 0.1
 
     def __post_init__(self):
+        int_fields(self, latent_dim=0)
+        real_fields(self, sigma_dec=0)
         if self.likelihood not in ("gaussian", "bernoulli"):
             raise ValueError("likelihood must be 'gaussian' or 'bernoulli'")
         if self.encoder.out_dim != 2 * self.latent_dim:
             raise ValueError("encoder output dim must be 2 * latent_dim")
         if self.decoder.in_dim != self.latent_dim:
             raise ValueError("decoder input dim must equal latent_dim")
-        s = self.sigma_dec
-        if not (math.isfinite(s) and s > 0 and 0 < s * s < math.inf):
-            raise ValueError(f"sigma_dec must be positive and finite, and so must its "
-                             f"square, got {s}")
+        _check_sigma_dec(self.sigma_dec)
 
     @property
     def data_dim(self):
@@ -49,6 +49,12 @@ class VaeModel:
 
     def params(self):
         return self.encoder.params() + self.decoder.params()
+
+
+def _check_sigma_dec(s):
+    if not (math.isfinite(s) and s > 0 and 0 < s * s < math.inf):
+        raise ValueError(f"sigma_dec must be positive and finite, and so must its square, "
+                         f"got {s}")
 
 
 @dataclass
@@ -69,6 +75,7 @@ def make_vae(data_dim, latent_dim, rng, hidden=64, likelihood="gaussian",
              sigma_dec=0.1, hidden_layers=1):
     """Default architecture: one hidden tanh layer of 64 units on both sides."""
     check_counts(latent_dim=latent_dim, hidden=hidden)
+    _check_sigma_dec(sigma_dec)
     enc_dims = [data_dim] + [hidden] * hidden_layers + [2 * latent_dim]
     dec_dims = [latent_dim] + [hidden] * hidden_layers + [data_dim]
     acts = ["tanh"] * hidden_layers + ["identity"]

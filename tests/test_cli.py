@@ -278,7 +278,7 @@ def test_lda_cli(tmp_path):
                  "--seed", "3", "--max-iters", "30", "--out", str(model)]) == 0
     fam, params, _cfg = read_model(model)
     assert fam == "lda"
-    assert np.asarray(params["topic_word"]).shape == (2, 5)
+    assert params.topic_word.shape == (2, 5)
 
 
 def test_blank_corpus_is_usage_error(tmp_path, capsys):
@@ -580,14 +580,13 @@ def test_eval_rejects_non_finite_data(tmp_path, real_csv, capsys):
 def test_undefined_commands_are_usage_errors(tmp_path, capsys):
     from latentlab import flow, gan
     from latentlab.datasets import write_model
-    from latentlab.lda import LdaHyper
+    from latentlab.lda import LdaModel
     from latentlab.mixture import GmmParams
     models = {
         "gmm": GmmParams([0.5, 0.5], [[0.0, 0.0], [3.0, 0.0]], [np.eye(2), np.eye(2)]),
         "flow": flow.make_coupling_stack(2, 2, RandomSource(1), hidden=4),
         "gan": gan.make_gan(2, 1, RandomSource(2), hidden=4),
-        "lda": {"hyper": LdaHyper(np.ones(2), np.ones(3), 2, 3),
-                "doc_topic": np.ones((1, 2)), "topic_word": np.ones((2, 3))},
+        "lda": LdaModel(np.ones(2), np.ones(3), 2, 3, np.ones((1, 2)), np.ones((2, 3))),
     }
     for family, params in models.items():
         write_model(tmp_path / f"{family}.json", family, params)
@@ -732,9 +731,9 @@ def test_lda_eval_prints_one_bound_per_document(tmp_path, capsys):
     assert total == values.sum()
     # the same sweeps as eval: the document factors fitted under the model's topics
     _fam, fitted, _cfg = read_model(model)
-    var, _report = lda.fit_documents(fitted["hyper"], corpus, fitted["topic_word"],
+    var, _report = lda.fit_documents(fitted, corpus, fitted.topic_word,
                                      EmConfig(max_iters=200, rel_tol=1e-6))
-    assert total == pytest.approx(lda.elbo(fitted["hyper"], corpus, var), rel=1e-9)
+    assert total == pytest.approx(lda.elbo(fitted, corpus, var), rel=1e-9)
 
 
 def test_vae_eval_prints_per_point_elbo(tmp_path, real_csv, capsys):
@@ -1012,3 +1011,82 @@ def test_ppca_model_with_a_non_finite_sigma2_is_a_usage_error(tmp_path, capsys, 
         assert captured.out == ""
         assert captured.err == "latentlab: sigma2 contains non-finite entries\n"
         assert not out.exists()
+
+
+def test_synth_specs_follow_the_field_rule(tmp_path, capsys):
+    gmm = {"weights": [0.5, 0.5], "means": [[0.0], [3.0]], "covs": {}}
+    lda = {"alpha": [1.0, 1.0], "beta": [1.0] * 4, "K": 2.7, "V": 4}
+    cases = [({"family": "blobs2d", "n": 5, "seed": 1.5}, "seed must be an integer"),
+             ({"family": "blobs2d", "n": 5, "seed": "x"}, "seed must be an integer"),
+             ({"family": "mixture1d", "n": 5, "params": {"weights": [0.5, 0.5], "means": [1.0]}},
+              "mixture1d weights, means and sds must have one length"),
+             ({"family": "blobs2d", "n": 5, "params": {"separation": [1]}},
+              "separation must be a number"),
+             ({"family": "lda", "lengths": [3], "params": lda}, "K must be an integer"),
+             ({"family": "gmm", "n": 5, "params": gmm}, "covs must be an array of numbers")]
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "out.csv"
+    for doc, message in cases:
+        spec.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["synth", str(spec), "--out", str(out)]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith(f"latentlab: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def _edited_model(tmp_path, model, edit):
+    """A copy of the model file with edit(doc) applied."""
+    doc = json.loads(model.read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _set(path, value):
+    """An edit that sets the model's doc[path] to value."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def test_flow_and_network_fields_are_checked(tmp_path, capsys):
+    from latentlab import flow
+    from latentlab.datasets import write_model
+    model = tmp_path / "flow.json"
+    write_model(model, "flow", flow.make_coupling_stack(3, 2, RandomSource(1), hidden=4))
+    assert json.loads(model.read_text())["params"]["layers"][1]["kind"] == "permutation"
+    s_net = ("params", "layers", 0, "s_net")
+    cases = [(_set(("params", "layers", 1, "perm"), [0, 0, 0]),
+              "perm must be a permutation of 0..2"),
+             (_set(("params", "layers", 1, "kind"), "shuffle"),
+              "unknown flow layer kind 'shuffle'"),
+             (_set(s_net + ("biases",), [[1], [2, 3]]), "biases[0] has shape (1,), expected (4,)"),
+             (_set(s_net + ("dims",), [1, 5, 2]),
+              "network dims [1, 5, 2] do not match its weights' [1, 4, 2]")]
+    out = tmp_path / "out.csv"
+    for edit, message in cases:
+        path = _edited_model(tmp_path, model, edit)
+        capsys.readouterr()
+        assert main(["sample", str(path), "--n", "3", "--out", str(out)]) == 2, message
+        assert capsys.readouterr().err == f"latentlab: {message}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [41.5, True, [41]])
+def test_model_config_values_take_their_fit_flag_type(value, tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    write_csv(data, (RandomSource(3).uniform((30, 4)) < 0.5).astype(float))
+    model = tmp_path / "irt.json"
+    assert main(["fit", "irt", "--data", str(data), "--max-iters", "5", "--out", str(model)]) == 0
+    path = _edited_model(tmp_path, model, _set(("config", "quad_nodes"), value))
+    capsys.readouterr()
+    assert main(["eval", str(path), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"latentlab: {path}: config key 'quad_nodes': invalid value "
+                            f"{value!r} for --quad-nodes\n")

@@ -256,16 +256,14 @@ def test_model_round_trip_irt(tmp_path):
 
 
 def test_model_round_trip_lda(tmp_path):
-    from latentlab.lda import LdaHyper
-    model = {"hyper": LdaHyper(np.array([0.5, 1.5]), np.full(4, 0.1), 2, 4),
-             "doc_topic": np.array([[1.5, 2.0], [3.25, 0.5], [1.0, 1.0]]),
-             "topic_word": np.array([[1.0, 2.0, 3.0, 0.5], [0.25, 4.0, 1.0, 2.0]])}
+    from latentlab.lda import LdaModel
+    model = LdaModel(np.array([0.5, 1.5]), np.full(4, 0.1), 2, 4,
+                     doc_topic=np.array([[1.5, 2.0], [3.25, 0.5], [1.0, 1.0]]),
+                     topic_word=np.array([[1.0, 2.0, 3.0, 0.5], [0.25, 4.0, 1.0, 2.0]]))
     loaded = _round_trip(tmp_path, "lda", model)
-    assert loaded.keys() == model.keys()
-    for name in ("doc_topic", "topic_word"):
-        assert np.array_equal(loaded[name], model[name])
-    for name in ("alpha", "beta", "K", "V"):
-        assert np.array_equal(getattr(loaded["hyper"], name), getattr(model["hyper"], name))
+    assert type(loaded) is LdaModel
+    for name in ("alpha", "beta", "K", "V", "doc_topic", "topic_word"):
+        assert np.array_equal(getattr(loaded, name), getattr(model, name))
 
 
 def test_model_round_trip_ghmm(tmp_path):
