@@ -94,9 +94,10 @@ def int_fields(obj, **ranks):
 
 
 def json_list(value, name):
-    """value, if it is a list (or a tuple); else a ValueError naming the field."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r:.40}")
+    """value, if it is a non-empty list (or tuple); else a ValueError naming
+    the field."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty list, got {value!r:.40}")
     return value
 
 

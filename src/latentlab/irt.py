@@ -38,8 +38,8 @@ class IrtParams:
 
     def __post_init__(self):
         real_fields(self, a=1, b=1)
-        if self.a.shape != self.b.shape:
-            raise ValueError("a and b must have the same length")
+        if self.a.shape != self.b.shape or not self.a.size:
+            raise ValueError("a and b must have one length, at least 1")
         if np.any(self.a < 0):
             raise ValueError("discriminations must be nonnegative")
 

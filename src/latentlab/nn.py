@@ -545,9 +545,9 @@ class Mlp:
         self.weights, self.biases = (
             [param(v, f"{name}[{i}]", rank) for i, v in enumerate(json_list(values, name))]
             for name, values, rank in (("weights", self.weights, 2), ("biases", self.biases, 1)))
-        if not self.weights or len(self.weights) != len(self.biases) \
+        if len(self.weights) != len(self.biases) \
                 or len(self.weights) != len(json_list(self.activations, "activations")):
-            raise ValueError("weights, biases, activations must align, one per layer")
+            raise ValueError("weights, biases, activations must align")
         for act in self.activations:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")

@@ -9,11 +9,14 @@ each value of MUTATIONS and runs the command that reads the model in
 process; each must exit 2 with one stderr line. The hypothesis test draws a
 path at any depth, list entries included, and a value from the same
 grammar; it must end in exit 0, 1 or 2, and exit 0 only with finite output.
+A third test draws the same way into the synth specs of
+test_generate_reference.
 """
 import contextlib
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from latentlab.cli import main
 from latentlab.datasets import read_model, write_model
+from test_generate_reference import SPECS as SYNTH_SPECS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "models")
 FAMILIES = ("ppca", "gmm", "lca", "irt", "lda", "hmm", "ghmm", "lds",
@@ -122,9 +126,9 @@ def _paths(node, prefix=()):
 
 
 def _mutated(doc, path, value):
-    """The model file text of doc with params[path] set to value."""
+    """The JSON text of doc with doc[path] set to value."""
     doc = json.loads(json.dumps(doc))
-    node = doc["params"]
+    node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
@@ -146,7 +150,7 @@ def test_every_malformed_field_is_one_usage_error(family, data_files, tmp_path):
     for path in paths:
         for value in MUTATIONS:
             with open(model, "w") as fh:
-                fh.write(_mutated(doc, path, value))
+                fh.write(_mutated(doc, ("params",) + path, value))
             code, out, err = _run(argv)
             assert (code, err.count("\n")) == (2, 1), (path, value, err)
             assert err.startswith("latentlab: ") and "Traceback" not in err
@@ -170,7 +174,7 @@ def _any_path(draw, node):
 def test_a_field_at_any_depth_keeps_the_cli_contract(data_files, tmp_path_factory, drawn):
     family = drawn.draw(st.sampled_from(FAMILIES))
     doc = _load(family)
-    path = _any_path(drawn.draw, doc["params"])
+    path = ("params",) + _any_path(drawn.draw, doc["params"])
     value = drawn.draw(st.sampled_from(MUTATIONS))
     workdir = str(tmp_path_factory.mktemp("fuzz"))
     model = os.path.join(workdir, "m.json")
@@ -186,6 +190,30 @@ def test_a_field_at_any_depth_keeps_the_cli_contract(data_files, tmp_path_factor
         else:
             values = np.array([float(line.split()[-1]) for line in out.splitlines()])
         assert values.size and np.all(np.isfinite(values))
+    else:
+        assert err.count("\n") == 1 and err.startswith("latentlab: ")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.data())
+def test_a_synth_spec_field_at_any_depth_keeps_the_cli_contract(tmp_path_factory, drawn):
+    family = drawn.draw(st.sampled_from(sorted(SYNTH_SPECS)))
+    params, sizes = SYNTH_SPECS[family]
+    doc = {"family": family, "params": params, **sizes, "seed": 3}
+    path = _any_path(drawn.draw, doc)
+    value = drawn.draw(st.sampled_from(MUTATIONS))
+    workdir = str(tmp_path_factory.mktemp("synth"))
+    spec, out = os.path.join(workdir, "spec.json"), os.path.join(workdir, "out.txt")
+    with open(spec, "w") as fh:
+        fh.write(_mutated(doc, path, value))
+    code, _out, err = _run(["synth", spec, "--out", out])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    if code == 0:
+        with open(out) as fh:       # a header ("x0,x1" or "dx=2"), then numbers
+            values = [float(v) for v in re.split(r"[,\s]+", fh.read()) if v and v[0] not in "xd"]
+        assert values and np.all(np.isfinite(values))
     else:
         assert err.count("\n") == 1 and err.startswith("latentlab: ")
 
