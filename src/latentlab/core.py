@@ -52,13 +52,22 @@ def is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _holds_bool(items):
+    """True if the list or tuple items holds a bool at any depth."""
+    return any(isinstance(v, bool) or isinstance(v, (list, tuple)) and _holds_bool(v)
+               for v in items)
+
+
 def _array(value, name, rank, kinds, what):
     """value as an array of at most rank axes and a dtype kind in kinds (an
     empty list passes), with leading axes added up to rank as np.atleast_1d
-    and np.atleast_2d add them; else a ValueError naming the field."""
+    and np.atleast_2d add them; else a ValueError naming the field. A bool
+    inside a list is refused too, where np.asarray would read it as 0 or 1;
+    an array input takes no pass for it."""
     try:
         a = np.asarray(value)
-        ok = a.ndim <= rank and (a.dtype.kind in kinds or 0 == a.size < a.ndim)
+        ok = a.ndim <= rank and (a.dtype.kind in kinds or 0 == a.size < a.ndim) \
+            and not (isinstance(value, (list, tuple)) and _holds_bool(value))
     except ValueError:      # a ragged list
         ok = False
     if not ok:

@@ -27,7 +27,8 @@ import numpy as np
 
 import latentlab as pkg
 from .core import (RNG_ALGORITHM, NumericError, RandomSource, category_codes,
-                   fields_from_json, int_fields, is_int, real_array, sample_categorical_many)
+                   check_simplex_rows, fields_from_json, int_fields, is_int, real_array,
+                   sample_categorical_many)
 from . import families
 
 __all__ = ["SyntheticSpec", "generate", "KINDS", "SYNTHETIC_FAMILIES", "MAX_ABS",
@@ -171,6 +172,9 @@ def generate(spec):
             ("weights", [0.5, 0.5]), ("means", [-2.0, 2.0]), ("sds", [0.5, 0.5])))
         if not weights.shape == means.shape == sds.shape:
             raise ValueError("mixture1d weights, means and sds must have one length")
+        check_simplex_rows(weights, name="weights")
+        if np.any(sds < 0):
+            raise ValueError("sds must be nonnegative")
         z = sample_categorical_many(weights, rng, spec.n)
         X = (means[z] + sds[z] * rng.standard_normal(spec.n))[:, None]
         return X, {"assignments": z}, {"weights": weights, "means": means, "sds": sds}

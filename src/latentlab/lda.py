@@ -7,10 +7,11 @@ proportional to exp of digamma expectations, Dirichlet parameters equal to
 prior plus expected counts).
 
 A corpus is held flat: one array of all N tokens plus document offsets. Each
-sweep works on one (N_tokens, K) block of token weights: the token update is
-a gather of digamma expectations by each token's document and word, the
-topic update one scatter-add over the words, and the bound a per-token row
-sum reduced per document. The document sums go document by document over
+sweep is one pass over an (N_tokens, K) block: the bound gathers the digamma
+expectations by each token's document and word into token logits, reduces
+their per-token row sums per document, and the token update then normalizes
+those same logits in place into the new weights. The topic update is one
+scatter-add over the words. The document sums go document by document over
 views into the block, which adds the rows in the same order as a
 per-document loop, so fits are bit-identical to one.
 """
@@ -193,74 +194,65 @@ def _dirichlet_logpdf_expectation(prior, elog):
             + ((prior - 1.0) * elog).sum(axis=1))
 
 
-def _entropy_dirichlet(params, elog):
-    """-E_q[log q] for Dirichlet rows with precomputed elog."""
-    from scipy.special import gammaln  # loaded here so only LDA pays its import
-    params = np.atleast_2d(params)
-    return -(gammaln(params.sum(axis=1)) - gammaln(params).sum(axis=1)
-             + ((params - 1.0) * elog).sum(axis=1))
-
-
 def _token_logits(corpus, elog_theta, elog_phi):
     """(N_tokens, K) E[log theta_dk] + E[log phi_kw] of each token's document and word."""
     return elog_theta[corpus.doc_of] + np.ascontiguousarray(elog_phi.T)[corpus.words]
 
 
 def _bound_terms(hyper, corpus, var):
-    """The bound split as (topics, docs): the q(phi) prior and entropy terms,
-    a float, and the (D,) rest of the bound, document by document."""
+    """The bound split as (topics, docs, logits): the q(phi) prior and
+    entropy terms, a float; the (D,) rest of the bound, document by
+    document; and the (N_tokens, K) token logits at var, which are the next
+    token update's input."""
     elog_theta = _dirichlet_elog(var.doc_topic)       # (D, K)
     elog_phi = _dirichlet_elog(var.topic_word)        # (K, V)
     topics = float(np.sum(_dirichlet_logpdf_expectation(hyper.beta[None, :], elog_phi)
-                          + _entropy_dirichlet(var.topic_word, elog_phi)))
+                          - _dirichlet_logpdf_expectation(var.topic_word, elog_phi)))
     docs = (_dirichlet_logpdf_expectation(hyper.alpha[None, :], elog_theta)
-            + _entropy_dirichlet(var.doc_topic, elog_theta))
+            - _dirichlet_logpdf_expectation(var.doc_topic, elog_theta))
     wt = var.weights
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(wt > 0, wt * np.log(wt), 0.0)
-    tokens = np.sum(wt * _token_logits(corpus, elog_theta, elog_phi) - plogp, axis=1)
+    logits = _token_logits(corpus, elog_theta, elog_phi)
+    tokens = np.sum(wt * logits - plogp, axis=1)
     docs += np.bincount(corpus.doc_of, weights=tokens, minlength=corpus.n_docs)
-    return topics, docs
+    return topics, docs, logits
 
 
 def elbo(hyper, corpus, var):
     """Evidence lower bound of the mean-field family; analytic in the
     Dirichlet/categorical expectations, bounded above by log p(w)."""
-    topics, docs = _bound_terms(hyper, corpus, var)
+    topics, docs, _logits = _bound_terms(hyper, corpus, var)
     return topics + float(np.sum(docs))
 
 
 def document_elbo(hyper, corpus, var):
     """The bound as (D,) per-document values that sum to elbo: each document's
     own terms plus an equal share of the topic terms."""
-    topics, docs = _bound_terms(hyper, corpus, var)
+    topics, docs, _logits = _bound_terms(hyper, corpus, var)
     return docs + topics / corpus.n_docs
 
 
-def _token_update(hyper, corpus, var):
-    """Exact coordinate update of the per-token assignment weights."""
-    logits = _token_logits(corpus, _dirichlet_elog(var.doc_topic),
-                           _dirichlet_elog(var.topic_word))
+def _token_weights(logits):
+    """Exact coordinate update of the per-token assignment weights: the
+    token logits softmaxed row by row, in place."""
     logits -= logits.max(axis=1, keepdims=True)
-    wt = np.exp(logits)
-    wt /= wt.sum(axis=1, keepdims=True)
-    return LdaVariational(var.doc_topic, var.topic_word, wt, corpus.offsets)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
-def _doc_topic(hyper, corpus, weights):
-    """Exact coordinate update of the document Dirichlets."""
+def _dirichlet_updates(hyper, corpus, weights, topic_word=None):
+    """The variational parameters of the token weights, with the exact
+    coordinate updates of the document Dirichlets and, unless topic_word
+    holds them fixed, of the topic Dirichlets."""
     doc_topic = np.empty((corpus.n_docs, hyper.K))
     for d, wt_d in enumerate(_blocks(weights, corpus.offsets)):
         doc_topic[d] = hyper.alpha + wt_d.sum(axis=0)
-    return doc_topic
-
-
-def _dirichlet_updates(hyper, corpus, var):
-    """Exact coordinate updates of the document and topic Dirichlets."""
-    topic_word = np.tile(hyper.beta, (hyper.K, 1))
-    np.add.at(topic_word.T, corpus.words, var.weights)
-    return LdaVariational(_doc_topic(hyper, corpus, var.weights), topic_word, var.weights,
-                          corpus.offsets)
+    if topic_word is None:
+        topic_word = np.tile(hyper.beta, (hyper.K, 1))
+        np.add.at(topic_word.T, corpus.words, weights)
+    return LdaVariational(doc_topic, topic_word, weights, corpus.offsets)
 
 
 def init_variational(hyper, corpus, rng):
@@ -275,9 +267,7 @@ def init_variational(hyper, corpus, rng):
     total[underflow] = hyper.K
     wt = g / total
     wt /= wt.sum(axis=1, keepdims=True)
-    var = LdaVariational(np.ones((corpus.n_docs, hyper.K)), np.ones((hyper.K, hyper.V)),
-                         wt, corpus.offsets)
-    return _dirichlet_updates(hyper, corpus, var)
+    return _dirichlet_updates(hyper, corpus, wt)
 
 
 def fit_lda(hyper, corpus, cfg: EmConfig, init=None):
@@ -288,7 +278,7 @@ def fit_lda(hyper, corpus, cfg: EmConfig, init=None):
         init = init_variational(hyper, corpus, RandomSource(cfg.seed).split(404))
 
     def m_step(data, scored):
-        return _dirichlet_updates(hyper, data, _token_update(hyper, data, scored[0]))
+        return _dirichlet_updates(hyper, data, _token_weights(scored[1]))
 
     return _ascend(hyper, corpus, init, m_step, cfg)
 
@@ -298,25 +288,25 @@ def fit_documents(hyper, corpus, topic_word, cfg: EmConfig):
     topic Dirichlets held at topic_word (a fitted model's), from uniform
     token weights; stops like fit_lda."""
     weights = np.full((corpus.n_tokens, hyper.K), 1.0 / hyper.K)
-    init = LdaVariational(_doc_topic(hyper, corpus, weights), topic_word, weights, corpus.offsets)
+    init = _dirichlet_updates(hyper, corpus, weights, topic_word)
 
     def m_step(data, scored):
-        var = _token_update(hyper, data, scored[0])
-        return LdaVariational(_doc_topic(hyper, data, var.weights), topic_word, var.weights,
-                              data.offsets)
+        return _dirichlet_updates(hyper, data, _token_weights(scored[1]), topic_word)
 
     return _ascend(hyper, corpus, init, m_step, cfg)
 
 
 def _ascend(hyper, corpus, init, sweep, cfg):
     # Coordinate ascent has no separate posterior: the "E-step" scores the
-    # current variational parameters and one sweep is the "M-step", so the
-    # trace holds the bound after each sweep and the last score costs no
-    # token update.
+    # current variational parameters, keeping the token logits it forms, and
+    # one sweep is the "M-step", which turns those logits into the new token
+    # weights. So the trace holds the bound after each sweep and the last
+    # score costs no token update.
     def e_step(var, data):
-        return var, elbo(hyper, data, var)
+        topics, docs, logits = _bound_terms(hyper, data, var)
+        return topics + float(np.sum(docs)), logits
 
     def objective(scored):
-        return scored[1]
+        return scored[0]
 
     return run_em(e_step, sweep, objective, corpus, init, cfg, monotonic_slack=1e-6)

@@ -65,6 +65,15 @@ _UNARY_FNS = {
     "log": (np.log, lambda g, x, y: g / x),
     "abs": (np.abs, lambda g, x, y: g * np.sign(x)),
 }
+# name -> (forward, grad_a, grad_b) of the broadcasting ops on two operands;
+# grad_a(g, a, b) is the gradient at a, shaped like the output, given the
+# output gradient g.
+_BINARY_FNS = {
+    "add": (np.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / b**2),
+}
 
 
 def _unbroadcast(grad, shape):
@@ -133,8 +142,11 @@ class Tensor:
     def _lift(self, other):
         return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=float))
 
+    def _binary(self, name, other):
+        return _op(_binary, _binary_grad, (self, self._lift(other)), _BINARY_FNS[name])
+
     def __add__(self, other):
-        return _op(_add, _add_grad, (self, self._lift(other)))
+        return self._binary("add", other)
 
     __radd__ = __add__
 
@@ -142,18 +154,18 @@ class Tensor:
         return self._unary("neg")
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self._binary("sub", other)
 
     def __rsub__(self, other):
-        return self._lift(other) + (-self)
+        return self._lift(other) - self
 
     def __mul__(self, other):
-        return _op(_mul, _mul_grad, (self, self._lift(other)))
+        return self._binary("mul", other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _op(_div, _div_grad, (self, self._lift(other)))
+        return self._binary("div", other)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -246,43 +258,16 @@ def _accum(t, g):
 # A backward reads the values it needs from the node and its parents when it
 # runs; a unary node is on the backward walk only if its parent needs a grad.
 
-def _add(n):
+def _binary(n):
     a, b = n.parents
-    return a.values + b.values
+    return n._args[0](a.values, b.values)
 
 
-def _add_grad(n, g):
+def _binary_grad(n, g):
     a, b = n.parents
-    if a.requires_grad:
-        _accum(a, _unbroadcast(g, a.values.shape))
-    if b.requires_grad:
-        _accum(b, _unbroadcast(g, b.values.shape))
-
-
-def _mul(n):
-    a, b = n.parents
-    return a.values * b.values
-
-
-def _mul_grad(n, g):
-    a, b = n.parents
-    if a.requires_grad:
-        _accum(a, _unbroadcast(g * b.values, a.values.shape))
-    if b.requires_grad:
-        _accum(b, _unbroadcast(g * a.values, b.values.shape))
-
-
-def _div(n):
-    a, b = n.parents
-    return a.values / b.values
-
-
-def _div_grad(n, g):
-    a, b = n.parents
-    if a.requires_grad:
-        _accum(a, _unbroadcast(g / b.values, a.values.shape))
-    if b.requires_grad:
-        _accum(b, _unbroadcast(-g * a.values / b.values**2, b.values.shape))
+    for t, grad_fn in zip(n.parents, n._args[1:]):
+        if t.requires_grad:
+            _accum(t, _unbroadcast(grad_fn(g, a.values, b.values), t.values.shape))
 
 
 def _matmul(n):

@@ -80,8 +80,9 @@ def _m_matrix(params):
     return params.W.T @ params.W + params.sigma2 * np.eye(M)
 
 
-def fit_closed_form(data, M):
-    """Maximum likelihood PPCA fit via eigendecomposition of the sample covariance."""
+def _moments(data, M):
+    """(N, mu, S): the row count, sample mean and sample covariance of the
+    data both fits start from, after checking them against M."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
     check_finite(X, "data")
     N, D = X.shape
@@ -91,7 +92,12 @@ def fit_closed_form(data, M):
         raise ValueError("need more data points than latent dimensions")
     mu = X.mean(axis=0)
     Xc = X - mu
-    S = (Xc.T @ Xc) / N
+    return N, mu, (Xc.T @ Xc) / N
+
+
+def fit_closed_form(data, M):
+    """Maximum likelihood PPCA fit via eigendecomposition of the sample covariance."""
+    _N, mu, S = _moments(data, M)
     evals, evecs = np.linalg.eigh(S)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
@@ -199,16 +205,8 @@ def fit_em(data, M, cfg: EmConfig, init=None):
     sum_i x_i E[z_i]^T / N = S B^T and sum_i E[z_i z_i^T] / N =
     sigma2 Minv + B S B^T.
     """
-    X = np.atleast_2d(np.asarray(data, dtype=float))
-    check_finite(X, "data")
-    N, D = X.shape
-    if M >= D:
-        raise ValueError("latent dimension M must be < data dimension D")
-    if N <= M:
-        raise ValueError("need more data points than latent dimensions")
-    mu = X.mean(axis=0)
-    Xc = X - mu
-    S = (Xc.T @ Xc) / N
+    N, mu, S = _moments(data, M)
+    D = S.shape[0]
 
     def e_step(params, S):
         """Posterior map B, shared posterior covariance and the exact

@@ -1020,6 +1020,11 @@ def test_synth_specs_follow_the_field_rule(tmp_path, capsys):
              ({"family": "blobs2d", "n": 5, "seed": "x"}, "seed must be an integer"),
              ({"family": "mixture1d", "n": 5, "params": {"weights": [0.5, 0.5], "means": [1.0]}},
               "mixture1d weights, means and sds must have one length"),
+             ({"family": "mixture1d", "n": 5,
+               "params": {"weights": [2, -1], "means": [0, 100], "sds": [1, 1]}},
+              "weights contain negative entries"),
+             ({"family": "mixture1d", "n": 5, "params": {"sds": [-1, 1]}},
+              "sds must be nonnegative"),
              ({"family": "blobs2d", "n": 5, "params": {"separation": [1]}},
               "separation must be a number"),
              ({"family": "lda", "lengths": [3], "params": lda}, "K must be an integer"),

@@ -368,3 +368,36 @@ def test_flat_sweeps_match_reference_loop(K, V, lengths, seed):
         hyper, docs, [_ref_doc_topic(hyper, uniform), topic_word, uniform], ref_doc_sweep, cfg)
     _assert_same_state(held, ref_held)
     _assert_same_report(held_report, ref_held_report)
+
+
+@pytest.mark.parametrize("fit", ["fit_lda", "fit_documents"])
+def test_each_sweep_forms_the_token_logits_once(monkeypatch, fit):
+    from latentlab import lda
+    counts = {"_token_logits": 0, "_dirichlet_elog": 0, "LdaVariational": 0}
+
+    def counting(name):
+        original = getattr(lda, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    hyper = LdaHyper(np.ones(3), np.full(12, 0.5), 3, 12)
+    corpus, _ = generate_corpus(hyper, [8, 1, 20, 5], RandomSource(21))
+    cfg = EmConfig(seed=3, max_iters=6, rel_tol=1e-15)
+    if fit == "fit_lda":
+        init = init_variational(hyper, corpus, RandomSource(22))
+        run = lambda: fit_lda(hyper, corpus, cfg, init=init)      # noqa: E731
+    else:
+        topic_word = 0.5 + RandomSource(22).uniform((3, 12))
+        run = lambda: fit_documents(hyper, corpus, topic_word, cfg)   # noqa: E731
+    for name in counts:
+        monkeypatch.setattr(lda, name, counting(name))
+    _var, report = run()
+    assert report.iters == 6
+    # one bound per sweep and the opening one; one set of parameters per
+    # sweep, and for fit_documents the starting one
+    sweeps = report.iters + 1
+    assert counts == {"_token_logits": sweeps, "_dirichlet_elog": 2 * sweeps,
+                      "LdaVariational": report.iters + (fit == "fit_documents")}

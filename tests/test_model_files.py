@@ -157,6 +157,16 @@ def test_every_malformed_field_is_one_usage_error(family, data_files, tmp_path):
             assert out == ""
 
 
+def test_a_bool_inside_a_numeric_array_is_one_usage_error(data_files, tmp_path):
+    doc = _load("ppca")
+    model = str(tmp_path / "m.json")
+    with open(model, "w") as fh:
+        fh.write(_mutated(doc, ("params", "mu"), [True] + doc["params"]["mu"][1:]))
+    code, out, err = _run(_command("ppca", model, data_files, str(tmp_path)))
+    assert (code, out, err.count("\n")) == (2, "", 1), err
+    assert err.startswith("latentlab: mu must be "), err
+
+
 def _any_path(draw, node):
     """A path drawn into node at any depth: one step at least, then each
     further step into a dict key or a list entry, or a stop."""
