@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import category_codes, int_fields
+from .core import category_codes, int_fields, softmax_rows
 from .nn import Mlp, Recorder, check_counts, eager, fit_minibatch
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
@@ -142,9 +142,7 @@ def sample(model, n, rng):
     logits_of = Recorder(model.cond_net.forward)
     for d in range(D):
         logits = logits_of(_masked_inputs(model, X, [d])).values
-        m = logits.max(axis=1, keepdims=True)
-        p = np.exp(logits - m)
-        p /= p.sum(axis=1, keepdims=True)
+        p = softmax_rows(logits)
         u = rng.uniform(n)
         X[:, d] = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1).clip(0, V - 1)
     return X

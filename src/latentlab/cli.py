@@ -103,6 +103,8 @@ def _build_parser():
     syn.add_argument("spec")
     syn.add_argument("--out", required=True)
     add_common(syn)
+    # the model commands read a model file's config as fit reads these flags
+    top.set_defaults(fit_flags=_flags(fit))
     return top, sub.choices
 
 
@@ -180,7 +182,7 @@ def _model_command(args, field):
     fn = getattr(FAMILIES[family], field)
     if fn is None:
         raise UsageError(UNDEFINED[field].format(family))
-    flags = _flags(_build_parser()[1]["fit"])
+    flags = args.fit_flags
     config = {key: _config_value(flags[key], key, value, f"{args.model}: ") if key in flags
               else value for key, value in config.items()}
     return family, fn, params, config

@@ -4,6 +4,13 @@ Gaussian conditioning, and a seedable deterministic random source.
 All matrices are dense, row-major float64 numpy arrays. Log-domain is the
 default for mixture/sequential computations; linear-domain variants live
 only inside test oracles.
+
+Every parameter class converts and checks its fields by one field rule:
+real_fields for reals, int_fields for integers, and cov_fields for
+covariances, reals whose last two axes are also square and symmetric within
+np.allclose(M, M^T, atol=1e-10), stored as their symmetric part. The
+logistic (sigmoid) and the max-shifted row softmax (softmax_rows) live here
+too, one definition each for every module.
 """
 from __future__ import annotations
 
@@ -22,6 +29,8 @@ __all__ = [
     "Simplex",
     "RandomSource",
     "log_sum_exp",
+    "softmax_rows",
+    "sigmoid",
     "gaussian_logpdf",
     "gaussian_condition",
     "sample_gaussian",
@@ -90,6 +99,21 @@ def real_fields(obj, **ranks):
     for name, rank in ranks.items():
         a = real_array(getattr(obj, name), name, rank)
         object.__setattr__(obj, name, a if rank else float(a))
+
+
+def cov_fields(obj, **ranks):
+    """The field rule for covariances: each named field of the dataclass obj
+    by the rule for reals, with square last two axes that are symmetric
+    within np.allclose(M, M^T, atol=1e-10), stored as its symmetric part
+    (M + M^T) / 2. A field that fails is a ValueError naming it; each class
+    keeps its own positive-definiteness policy."""
+    for name, rank in ranks.items():
+        M = real_array(getattr(obj, name), name, rank)
+        MT = np.swapaxes(M, -1, -2)
+        if M.shape[-1] != M.shape[-2] or not np.allclose(M, MT, atol=1e-10):
+            raise ValueError(f"{name} must be square and symmetric within 1e-10, "
+                             f"got shape {M.shape}")
+        object.__setattr__(obj, name, 0.5 * (M + MT))
 
 
 def int_fields(obj, **ranks):
@@ -213,18 +237,16 @@ class Gaussian:
     cov: np.ndarray
 
     def __post_init__(self):
-        real_fields(self, mean=1, cov=2)
-        mean, cov, d = self.mean, self.cov, self.mean.shape[0]
+        real_fields(self, mean=1)
+        cov_fields(self, cov=2)
+        cov, d = self.cov, self.mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {d}")
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise ValueError("cov is not symmetric within 1e-10")
         # PSD check: smallest eigenvalue may only be negative at roundoff scale.
-        w = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+        w = np.linalg.eigvalsh(cov)
         scale = max(1.0, float(np.trace(cov)) / d if d else 1.0)
         if w.min() < -1e-8 * scale:
             raise ValueError("cov is not positive semi-definite")
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
 
     @property
     def dim(self):
@@ -376,6 +398,21 @@ def normalize_log_rows(log_rows):
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
     return probs, lse
+
+
+def softmax_rows(log_rows, out=None):
+    """exp(log_rows) normalized over the last axis, the last-axis maximum
+    subtracted first so no entry overflows; out=log_rows works in place."""
+    out = np.subtract(log_rows, log_rows.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def sigmoid(x):
+    """Logistic function; exp(-|x|) is evaluated once and never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def gaussian_logpdf(x, g):

@@ -13,8 +13,9 @@ follow core.category_codes. Model files are versioned JSON carrying the RNG
 algorithm id; every number in them is finite. A model file's params, and a
 synth spec's params and seed, go as they are to the constructors of the
 parameters that hold them, which apply one field rule (core.real_fields,
-core.int_fields): a missing or malformed field is a ValueError, exit 2 at
-the command line, with one line naming it.
+core.int_fields, and core.cov_fields for a covariance, which must also be
+square and symmetric within 1e-10): a missing or malformed field is a
+ValueError, exit 2 at the command line, with one line naming it.
 """
 from __future__ import annotations
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .core import category_codes, log_sum_exp_rows, normalize_log_rows, real_fields
+from .core import (category_codes, log_sum_exp_rows, normalize_log_rows, real_fields,
+                   sigmoid, softmax_rows)
 from .em import EmConfig, run_em
 
 __all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik", "loglik_rows",
@@ -76,15 +77,7 @@ def default_quadrature(n_nodes=DEFAULT_NODES):
 
 def item_prob(theta, a_j, b_j):
     """Logistic response probability sigmoid(a_j * theta - b_j)."""
-    z = a_j * np.asarray(theta, dtype=float) - b_j
-    out = np.empty_like(z, dtype=float) if np.ndim(z) else None
-    if out is None:
-        return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return sigmoid(a_j * np.asarray(theta, dtype=float) - b_j)
 
 
 def _check_responses(responses, n_items=None):
@@ -130,10 +123,7 @@ def posterior_theta(params, x, quad):
     posterior mass over quadrature nodes.
     """
     X = _check_responses(np.atleast_2d(x), params.n_items)
-    ll = _log_lik_at_nodes(params, X, quad)[0] + np.log(quad.weights)
-    ll -= ll.max()
-    w = np.exp(ll)
-    w /= w.sum()
+    w = softmax_rows(_log_lik_at_nodes(params, X, quad)[0] + np.log(quad.weights))
     eap = float(w @ quad.nodes)
     var = float(w @ (quad.nodes - eap) ** 2)
     return eap, math.sqrt(max(var, 0.0)), w

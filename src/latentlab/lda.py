@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (RandomSource, category_codes, int_fields, real_fields,
-                   sample_categorical_many, sample_dirichlet)
+                   sample_categorical_many, sample_dirichlet, softmax_rows)
 from .em import EmConfig, run_em
 
 __all__ = ["LdaHyper", "LdaModel", "Corpus", "LdaVariational", "generate_corpus", "elbo",
@@ -236,10 +236,7 @@ def document_elbo(hyper, corpus, var):
 def _token_weights(logits):
     """Exact coordinate update of the per-token assignment weights: the
     token logits softmaxed row by row, in place."""
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
+    return softmax_rows(logits, out=logits)
 
 
 def _dirichlet_updates(hyper, corpus, weights, topic_word=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (RandomSource, category_codes, chol_psd, check_finite,
-                   check_simplex_rows, gaussian_logpdf_columns, json_list,
+                   check_simplex_rows, cov_fields, gaussian_logpdf_columns, json_list,
                    log_sum_exp_rows, normalize_log_rows, real_array, real_fields,
                    sample_categorical_many)
 from .em import EmConfig, run_em
@@ -37,7 +37,8 @@ class GmmParams:
     covs: np.ndarray
 
     def __post_init__(self):
-        real_fields(self, weights=1, means=2, covs=3)
+        real_fields(self, weights=1, means=2)
+        cov_fields(self, covs=3)
         check_simplex_rows(self.weights, name="weights")
         K, d = self.means.shape
         if self.weights.shape != (K,) or self.covs.shape != (K, d, d):

@@ -10,6 +10,9 @@ reachable leaf that has requires_grad set. The first contribution to a
 gradient is copied, later ones are added in place, in reverse depth-first
 order from the loss.
 
+The sigmoid activation is core.sigmoid, the one logistic of the package
+(vae and irt evaluate it off the tape).
+
 A dense layer act(h @ W + b) is one node (dense(), used by Mlp.forward). Its
 backward runs the expressions of the matmul, bias-add and activation ops it
 stands for, so a fused layer gives the same bits as the three-op chain.
@@ -32,17 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import fields_from_json, fields_to_json, json_field, json_list, real_array
+from .core import (fields_from_json, fields_to_json, json_field, json_list, real_array,
+                   sigmoid as _sigmoid)
 
 __all__ = ["Tensor", "Mlp", "AdamState", "Recorder", "as_batch", "eager", "forward",
            "backward", "adam_step", "concat", "zero_grad", "descend", "fit_minibatch",
            "check_counts", "check_lr"]
-
-
-def _sigmoid(x):
-    """Logistic function; exp(-|x|) is evaluated once and never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # name -> (forward, backward); backward(g, x, y) is the gradient at the input

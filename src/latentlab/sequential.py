@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Gaussian, NumericError, RandomSource, category_codes, check_finite,
-                   check_simplex_rows, chol_psd, fields_from_json, fields_to_json,
+                   check_simplex_rows, chol_psd, cov_fields, fields_from_json, fields_to_json,
                    gaussian_logpdf_columns, json_field, log_sum_exp_rows, normalize_log_rows,
-                   real_fields, row_max)
+                   real_fields, row_max, softmax_rows)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
                       _perturbed_rows, _var_floor, _weighted_gaussians)
@@ -93,7 +93,8 @@ class GaussianEmission:
     covs: np.ndarray
 
     def __post_init__(self):
-        real_fields(self, means=2, covs=3)
+        real_fields(self, means=2)
+        cov_fields(self, covs=3)
         K, d = self.means.shape
         if self.covs.shape != (K, d, d):
             raise ValueError("covs must be (K, d, d)")
@@ -172,17 +173,13 @@ class LdsParams:
     Sigma0: np.ndarray
 
     def __post_init__(self):
-        real_fields(self, A=2, C=2, Q=2, R=2, mu0=1, Sigma0=2)
+        real_fields(self, A=2, C=2, mu0=1)
+        cov_fields(self, Q=2, R=2, Sigma0=2)
         dz, dx = self.A.shape[0], self.C.shape[0]
         if self.A.shape != (dz, dz) or self.C.shape != (dx, dz) or self.Q.shape != (dz, dz) \
                 or self.R.shape != (dx, dx) or self.mu0.shape != (dz,) \
                 or self.Sigma0.shape != (dz, dz):
             raise ValueError("inconsistent LDS parameter shapes")
-        for name in ("Q", "R", "Sigma0"):
-            M = getattr(self, name)
-            if not np.allclose(M, M.T, atol=1e-10):
-                raise ValueError(f"{name} must be symmetric")
-            object.__setattr__(self, name, 0.5 * (M + M.T))
 
     @property
     def state_dim(self):
@@ -305,9 +302,7 @@ class HmmSetPosterior:
             logA = np.log(self.params.trans)
         lx = (self.log_alpha[self.pack.prev][:, :, None] + logA[None]
               + (self.logB[nxt] + self.log_beta[nxt])[:, None, :])
-        xi = np.exp(lx - lx.max(axis=(1, 2), keepdims=True))
-        xi /= xi.sum(axis=(1, 2), keepdims=True)
-        return xi
+        return softmax_rows(lx.reshape(-1, logA.size)).reshape(lx.shape)
 
     def pairwise_sum(self):
         """pairwise() summed over all rows as one (K, N) @ (N, K) product.
@@ -752,9 +747,11 @@ def _kalman_pass(params, pack):
     The covariances, the gain and the innovation covariance depend on the
     parameters and t alone, so each is formed once per step; the means of
     all running sequences advance together. The loop solves one system per
-    step for the gain; the Cholesky factors behind the log-likelihood are
-    taken in one batched call afterwards, and each row's innovation is
-    whitened by the factor of its step.
+    step for the gain and forms each row's predicted mean and innovation
+    once; the log-likelihood and the RTS pass read those same rows. The
+    Cholesky factors behind the log-likelihood are taken in one batched call
+    afterwards, and each row's innovation is whitened by the factor of its
+    step.
     """
     X = pack.data
     if X.shape[1] != params.obs_dim:
@@ -765,13 +762,16 @@ def _kalman_pass(params, pack):
     dz, dx = params.state_dim, params.obs_dim
     A, C, Q, R = params.A, params.C, params.Q, params.R
     CT, AT = C.T, A.T
-    means = np.empty((N, dz))
+    means, pred_means = np.empty((N, dz)), np.empty((N, dz))
+    innov = np.empty((N, dx))
     covs = np.empty((Tm, dz, dz))
     pred_covs = np.empty((Tm, dz, dz))
     innov_covs = np.empty((Tm, dx, dx))
-    m_pred, P_pred = params.mu0[None, :], params.Sigma0
+    pred_means[:counts[0]] = params.mu0
+    P_pred = params.Sigma0
     for t in range(Tm):
         s, e = starts[t], starts[t + 1]
+        m_pred = pred_means[s:e]
         pred_covs[t] = P_pred
         CP = C @ P_pred
         # S is symmetric up to rounding; the Cholesky factors below read one triangle
@@ -780,11 +780,12 @@ def _kalman_pass(params, pack):
             gain_T = np.linalg.solve(S, CP)                   # K^T, (dx, dz)
         except np.linalg.LinAlgError:
             raise NumericError(f"singular innovation covariance at step {t}")
-        means[s:e] = m_pred + (X[s:e] - m_pred @ CT) @ gain_T
+        np.subtract(X[s:e], m_pred @ CT, out=innov[s:e])
+        means[s:e] = m_pred + innov[s:e] @ gain_T
         P = P_pred - gain_T.T @ CP
         P = covs[t] = 0.5 * (P + P.T)
         if t < Tm - 1:
-            m_pred = means[s:s + counts[t + 1]] @ AT
+            pred_means[e:e + counts[t + 1]] = means[s:s + counts[t + 1]] @ AT
             # symmetric up to rounding; it feeds S and the next P, which is
             # symmetrized again
             P_pred = A @ P @ AT + Q
@@ -797,11 +798,8 @@ def _kalman_pass(params, pack):
             except np.linalg.LinAlgError:
                 raise NumericError(f"singular innovation covariance at step {t}")
         raise
-    pred_means = np.empty((N, dz))
-    pred_means[:counts[0]] = params.mu0
-    pred_means[counts[0]:] = means[pack.prev] @ AT
     steps = pack.steps
-    sol = np.linalg.solve(L[steps], (X - pred_means @ CT)[:, :, None])[:, :, 0]
+    sol = np.linalg.solve(L[steps], innov[:, :, None])[:, :, 0]
     logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
     row_ll = -0.5 * (dx * math.log(2 * math.pi) + logdet[steps] + np.sum(sol * sol, axis=1))
     return LdsSetPosterior(params, pack, means, covs, pred_means, pred_covs,

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import int_fields, real_fields
-from .nn import Mlp, Tensor, _sigmoid, check_counts, eager, fit_minibatch
+from .core import int_fields, real_fields, sigmoid
+from .nn import Mlp, Tensor, check_counts, eager, fit_minibatch
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
            "elbo", "elbo_rows", "train", "sample", "reconstruct"]
@@ -177,7 +177,7 @@ def sample(model, n, rng, binarize=False):
     out = model.decoder.forward(rng.standard_normal((n, model.latent_dim))).values
     if model.likelihood == "gaussian":
         return out + model.sigma_dec * rng.standard_normal(out.shape)
-    probs = _sigmoid(out)
+    probs = sigmoid(out)
     if binarize:
         return (rng.uniform(probs.shape) < probs).astype(float)
     return probs
@@ -188,5 +188,5 @@ def reconstruct(model, x):
     mu, _sigma = encode(model, x)
     out = model.decoder.forward(mu).values
     if model.likelihood == "bernoulli":
-        return _sigmoid(out)
+        return sigmoid(out)
     return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import latentlab
-from latentlab import datasets, irt
+from latentlab import cli, datasets, irt
 from latentlab.cli import main
 from latentlab.core import RandomSource
 from latentlab.datasets import (SyntheticSpec, generate, read_csv, write_csv,
@@ -1028,7 +1028,10 @@ def test_synth_specs_follow_the_field_rule(tmp_path, capsys):
              ({"family": "blobs2d", "n": 5, "params": {"separation": [1]}},
               "separation must be a number"),
              ({"family": "lda", "lengths": [3], "params": lda}, "K must be an integer"),
-             ({"family": "gmm", "n": 5, "params": gmm}, "covs must be an array of numbers")]
+             ({"family": "gmm", "n": 5, "params": gmm}, "covs must be an array of numbers"),
+             ({"family": "gmm", "n": 5, "params": {**gmm, "covs": [[[1.0, 5.0], [0.0, 1.0]]] * 2,
+                                                   "means": [[0.0, 0.0], [3.0, 0.0]]}},
+              "covs must be square and symmetric within 1e-10")]
     spec = tmp_path / "spec.json"
     out = tmp_path / "out.csv"
     for doc, message in cases:
@@ -1095,3 +1098,20 @@ def test_model_config_values_take_their_fit_flag_type(value, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"latentlab: {path}: config key 'quad_nodes': invalid value "
                             f"{value!r} for --quad-nodes\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "infer", "sample", "reconstruct"])
+def test_a_model_command_builds_the_parser_once(command, tmp_path, monkeypatch):
+    data = tmp_path / "x.csv"
+    write_csv(data, RandomSource(4).standard_normal((20, 3)))
+    model = tmp_path / "m.json"
+    assert main(["fit", "ppca", "--data", str(data), "--out", str(model)]) == 0
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    argv = [command, str(model)] + (["--n", "3"] if command == "sample" else
+                                    ["--data", str(data)])
+    if command != "eval":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert len(built) == 1

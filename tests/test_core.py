@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentlab import nn
 from latentlab.core import (Gaussian, NumericError, RandomSource, Simplex,
                             category_codes, gaussian_condition, gaussian_logpdf,
                             kl_divergence_categorical, log_sum_exp,
                             sample_categorical, sample_dirichlet,
-                            sample_gaussian)
+                            sample_gaussian, sigmoid, softmax_rows)
+from latentlab.irt import item_prob
+from latentlab.mixture import GmmParams
+from latentlab.sequential import GaussianEmission, LdsParams
 
 
 def test_log_sum_exp_two_equal_terms():
@@ -251,3 +255,114 @@ def test_category_codes_returns_the_codes_or_names_the_first_bad_entry(rows):
             i, j = np.argwhere(~valid)[0]
             assert str(err.value).startswith("codes must be ")
             assert f"row {i}, item {j} holds" in str(err.value)
+
+
+# -- the shared logistic, row softmax and covariance rule ----------------------------
+# In-test copies of the expressions core.sigmoid and core.softmax_rows replaced;
+# each must give the bytes the shared function gives.
+
+def _item_prob_array(z):
+    """irt.item_prob's array branch."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _token_weights(logits):
+    """lda._token_weights, in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _arm_sampler_softmax(logits):
+    m = logits.max(axis=1, keepdims=True)
+    p = np.exp(logits - m)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def _posterior_theta_weights(ll):
+    ll = ll.copy()
+    ll -= ll.max()
+    w = np.exp(ll)
+    w /= w.sum()
+    return w
+
+
+def _pairwise_tables(lx):
+    xi = np.exp(lx - lx.max(axis=(1, 2), keepdims=True))
+    xi /= xi.sum(axis=(1, 2), keepdims=True)
+    return xi
+
+
+SOFTMAX_SIZES = [1, 2, 4, 5, 9, 16, 21, 41, 101]
+
+
+def _logits(seed, shape):
+    """Logits of spread 30, with an entry at +800 and one at -800."""
+    x = 30.0 * RandomSource(seed).standard_normal(shape)
+    x.flat[0], x.flat[-1] = 800.0, -800.0
+    return x
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("K", SOFTMAX_SIZES)
+def test_softmax_rows_gives_the_bytes_of_each_replaced_copy(K):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 7, 300):
+            x = _logits(K + n, (n, K))
+            assert _same_bytes(softmax_rows(x), _arm_sampler_softmax(x))
+            inplace = x.copy()
+            assert softmax_rows(inplace, out=inplace) is inplace
+            assert _same_bytes(inplace, _token_weights(x.copy()))
+            pairs = _logits(K + n + 1, (n, K, K))
+            assert _same_bytes(softmax_rows(pairs.reshape(-1, K * K)).reshape(pairs.shape),
+                               _pairwise_tables(pairs))
+        row = _logits(K, K)
+        assert _same_bytes(softmax_rows(row), _posterior_theta_weights(row))
+
+
+@pytest.mark.parametrize("K", SOFTMAX_SIZES)
+def test_sigmoid_gives_the_bytes_of_item_prob(K):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (_logits(K, K), _logits(K + 1, (300, K)), _logits(K + 2, (K, 7))[:, ::2]):
+            assert _same_bytes(sigmoid(z), _item_prob_array(z))
+
+
+def test_the_logistic_has_one_home():
+    assert nn._sigmoid is sigmoid
+    z = _logits(3, (40, 5))
+    assert _same_bytes(item_prob(z, 1.0, 0.0), sigmoid(z))
+
+
+I2, Z2 = np.eye(2), [0.0, 0.0]
+# where -> (the parameters with cov in that field, the field's name)
+COVARIANCE_FIELDS = {
+    "GmmParams.covs": (lambda cov: GmmParams([1.0], [Z2], [cov]), "covs"),
+    "GaussianEmission.covs": (lambda cov: GaussianEmission([Z2], [cov]), "covs"),
+    "LdsParams.Q": (lambda cov: LdsParams(I2, I2, cov, I2, Z2, I2), "Q"),
+    "LdsParams.R": (lambda cov: LdsParams(I2, I2, I2, cov, Z2, I2), "R"),
+    "LdsParams.Sigma0": (lambda cov: LdsParams(I2, I2, I2, I2, Z2, cov), "Sigma0"),
+    "Gaussian.cov": (lambda cov: Gaussian(Z2, cov), "cov"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(COVARIANCE_FIELDS))
+def test_every_covariance_field_is_square_and_symmetric(where):
+    make, name = COVARIANCE_FIELDS[where]
+    for bad in ([[1.0, 0.5], [0.4, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+        with pytest.raises(ValueError, match=f"^{name} must be square and symmetric within 1e-10"):
+            make(bad)
+    near = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+    held = np.reshape(getattr(make(near), name), (2, 2))
+    assert _same_bytes(held, 0.5 * (near + near.T))

@@ -167,6 +167,32 @@ def test_a_bool_inside_a_numeric_array_is_one_usage_error(data_files, tmp_path):
     assert err.startswith("latentlab: mu must be "), err
 
 
+# every covariance field of the committed fixtures, and one off-diagonal entry
+COVARIANCES = [("gmm", "covs", (0, 0, 1)), ("ghmm", "covs", (1, 1, 0)),
+               ("lds", "Q", (0, 1)), ("lds", "R", (2, 0)), ("lds", "Sigma0", (1, 0))]
+
+
+@pytest.mark.parametrize("family, name, entry", COVARIANCES,
+                         ids=[f"{family}.{name}" for family, name, _ in COVARIANCES])
+def test_an_asymmetric_covariance_is_one_usage_error(family, name, entry, data_files, tmp_path):
+    doc = _load(family)
+    node = doc["params"][name]
+    for i in entry[:-1]:
+        node = node[i]
+    node[entry[-1]] += 5.0
+    model = str(tmp_path / "m.json")
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "out.csv")
+    for argv in (["eval", model, "--data", data_files[DATA[family]]],
+                 ["sample", model, "--n", "3", "--out", out]):
+        code, stdout, err = _run(argv)
+        assert (code, stdout) == (2, ""), (argv, err)
+        assert err == (f"latentlab: {name} must be square and symmetric within 1e-10, "
+                       f"got shape {np.shape(doc['params'][name])}\n")
+    assert not os.path.exists(out)
+
+
 def _any_path(draw, node):
     """A path drawn into node at any depth: one step at least, then each
     further step into a dict key or a list entry, or a stop."""

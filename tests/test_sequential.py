@@ -473,6 +473,25 @@ def test_ragged_lds_batch_matches_stacked_joint():
         assert abs(post.logliks[i] - gaussian_logpdf(obs.ravel(), marginal)) < 1e-8
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_the_filter_stores_the_predicted_means_it_advanced(seed):
+    """The log-likelihood and the RTS pass read pred_means; each step's rows
+    must be the bits the filter formed, means_f rows of the step before times
+    A^T as one block product (a product over all rows at once rounds apart)."""
+    rng = RandomSource(500 + seed)
+    dz, dx = (int(v) for v in rng.integers(1, [6, 9]))
+    params = _random_lds(seed, dz, dx)
+    seqs = [rng.standard_normal((int(T), dx))
+            for T in rng.integers(1, 30, int(rng.integers(1, 41)))]
+    post = lds_infer(params, seqs, smooth=False)
+    counts, starts = post.pack.counts, post.pack.starts
+    assert np.array_equal(post.pred_means[:counts[0]],
+                          np.broadcast_to(params.mu0, (counts[0], dz)))
+    for t in range(len(counts) - 1):
+        s, e, n = starts[t], starts[t + 1], counts[t + 1]
+        assert post.pred_means[e:e + n].tobytes() == (post.means_f[s:s + n] @ params.A.T).tobytes()
+
+
 def test_set_e_step_equals_sum_of_single_sequence_calls():
     params = _random_hmm(44, K=3, S=4)
     rng = RandomSource(45)
