@@ -105,15 +105,16 @@ def cov_fields(obj, **ranks):
     """The field rule for covariances: each named field of the dataclass obj
     by the rule for reals, with square last two axes that are symmetric
     within np.allclose(M, M^T, atol=1e-10), stored as its symmetric part
-    (M + M^T) / 2. A field that fails is a ValueError naming it; each class
-    keeps its own positive-definiteness policy."""
+    M / 2 + M^T / 2, which does not overflow for any finite M. A field that
+    fails is a ValueError naming it; each class keeps its own
+    positive-definiteness policy."""
     for name, rank in ranks.items():
         M = real_array(getattr(obj, name), name, rank)
         MT = np.swapaxes(M, -1, -2)
         if M.shape[-1] != M.shape[-2] or not np.allclose(M, MT, atol=1e-10):
             raise ValueError(f"{name} must be square and symmetric within 1e-10, "
                              f"got shape {M.shape}")
-        object.__setattr__(obj, name, 0.5 * (M + MT))
+        object.__setattr__(obj, name, 0.5 * M + 0.5 * MT)
 
 
 def int_fields(obj, **ranks):

@@ -129,10 +129,8 @@ class CouplingLayer:
     t_net: Mlp
 
     @classmethod
-    def create(cls, dim, rng, hidden=32, flip=False):
-        half = dim // 2
-        idx = np.arange(dim)
-        idx_a, idx_b = (idx[half:], idx[:half]) if flip else (idx[:half], idx[half:])
+    def create(cls, dim, rng, hidden=32):
+        idx_a, idx_b = np.arange(dim // 2), np.arange(dim // 2, dim)
         s_net = Mlp.create([len(idx_a), hidden, len(idx_b)], ["tanh", "identity"], rng.split(1))
         t_net = Mlp.create([len(idx_a), hidden, len(idx_b)], ["tanh", "identity"], rng.split(2))
         return cls(idx_a, idx_b, s_net, t_net)

@@ -610,7 +610,11 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, grads, state, lr=1e-3):
     """One bias-corrected Adam update of params; returns state.
 
     The update runs once over the concatenated gradients. Each p.values is
@@ -639,16 +643,16 @@ def adam_step(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     v = state.v[live]
     if g.size != m.size:
         raise ValueError("gradient sizes do not match the parameters")
-    m *= beta1
-    m += (1 - beta1) * g
-    v *= beta2
-    v += (1 - beta2) * g * g
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
     if not all(present):
         state.m[live] = m
         state.v[live] = v
-    m_hat = m / (1 - beta1 ** t)
-    v_hat = v / (1 - beta2 ** t)
-    theta[live] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    theta[live] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     start = 0
     for p, g in zip(params, grads):
         size = p.values.size

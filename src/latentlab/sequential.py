@@ -12,22 +12,23 @@ since they depend on the parameters and t alone, and advance the means of
 all running sequences together. hmm_forward_backward, kalman_filter and
 kalman_smooth run the same kernels on a set of one sequence.
 
-HMM forward-backward runs in the log domain on one exact log-semiring
-product, _log_matmul: it forms exp(X) @ exp(Y) in the linear domain and
-recomputes every entry below TINY as a logaddexp over the shared index, so
-no state is dropped however improbable. Two kernels use it. The packed loop
-advances all running sequences one step at a time; it takes the plain
-product and redoes a pass with the exact one only when a transition below
-K TINY let an entry fall below TINY. The parallel-in-time scan (Hassan,
-Sarkka & Garcia-Fernandez, "Temporal Parallelization of Inference in Hidden
-Markov Models", IEEE TSP 2021) writes the forward and backward messages as
-prefix and suffix products of the per-step matrices logA + logB_t, in
-2 log2(N) vectorised levels of an odd-even scan that restarts at each
-sequence and shifts every product by its log-scale. The scan multiplies
-K x K matrices where the loop multiplies vectors by one, but pays no fixed
-cost per step, so _scan_pays picks the scan for few long sequences and small
-K, and the loop for many sequences per step or large K, by costs measured on
-both kernels.
+HMM forward-backward runs in the log domain with one exactness rule for
+every product: a product exp(X) @ exp(Y) is formed in the linear domain and
+_exact_log recomputes each entry below TINY as a logaddexp over the shared
+index, so no state is dropped however improbable. Two kernels use it. The
+packed loop advances all running sequences one step at a time in one pass;
+only when a transition below K TINY could let an entry fall below TINY does
+each step pass its product through _exact_log. The parallel-in-time scan
+(Hassan, Sarkka & Garcia-Fernandez, "Temporal Parallelization of Inference
+in Hidden Markov Models", IEEE TSP 2021) writes the forward and backward
+messages as prefix and suffix products of the per-step matrices
+logA + logB_t, in 2 log2(N) vectorised levels of an odd-even scan that
+restarts at each sequence and shifts every product by its log-scale. The
+scan multiplies K x K matrices where the loop multiplies vectors by one, but
+pays no fixed cost per step, so _scan_pays picks the scan for few long
+sequences and small K, and the loop for many sequences per step or large K,
+by costs measured on both kernels. The Baum-Welch transition sum takes the
+exact log of a row's normalizer by the same rule when it falls below TINY.
 
 Baum-Welch and LDS EM read sufficient statistics off the packed rows; the
 initial-state distribution pools the t=1 posteriors of all sequences. An HMM
@@ -305,17 +306,33 @@ class HmmSetPosterior:
         return softmax_rows(lx.reshape(-1, logA.size)).reshape(lx.shape)
 
     def pairwise_sum(self):
-        """pairwise() summed over all rows as one (K, N) @ (N, K) product.
+        """pairwise() summed over all rows.
 
         Each table is alpha_{t-1}(i) A_ij B_j(x_t) beta_t(j) up to a per-row
-        constant, which its normalization to one removes."""
+        constant, which its normalization to one removes. The rows whose
+        normalizer is at least TINY are summed as one (K, N) @ (N, K)
+        product. A row whose normalizer falls below TINY may have lost terms
+        to underflow, so its table is normalized by the exact log of the
+        normalizer, which takes the row's product exp(log_alpha) @ A through
+        _exact_log as a forward step does.
+        """
         A = self.params.trans
         nxt = slice(self.pack.counts[0], None)
         w = self.logB[nxt] + self.log_beta[nxt]
-        V = np.exp(w - row_max(w))
-        U = np.exp(self.log_alpha[self.pack.prev])
-        U /= np.sum((U @ A) * V, axis=1, keepdims=True)
-        return A * (U.T @ V)
+        w -= row_max(w)
+        U, V = np.exp(self.log_alpha[self.pack.prev]), np.exp(w)
+        z = np.sum((U @ A) * V, axis=1, keepdims=True)
+        low = z[:, 0] < TINY
+        U[low], z[low] = 0.0, 1.0
+        U /= z
+        total = A * (U.T @ V)
+        if low.any():
+            X = self.log_alpha[self.pack.prev[low]]
+            with np.errstate(divide="ignore"):
+                logA = np.log(A)
+                lz = log_sum_exp_rows(_exact_log(np.exp(X) @ A, X, logA) + w[low])[:, None, None]
+            total += np.exp(X[:, :, None] + logA + w[low, None, :] - lz).sum(axis=0)
+        return total
 
 
 def _hmm_pack(discrete, obs_set):
@@ -331,22 +348,21 @@ TINY = 1e-280
 LOG_TINY = math.log(TINY)
 
 
-def _log_matmul(X, Y):
-    """log(exp(X) @ exp(Y)) over the last two axes, exact at every entry,
-    and the linear product as formed.
+def _exact_log(P, X, logY):
+    """log P for a product P = exp(X) @ exp(logY) over the last two axes
+    formed in the linear domain, exact at every entry.
 
-    The product is formed in the linear domain, so the caller keeps X and Y
-    at or below about 0 and ignores numpy's divide warnings. Each entry
-    below TINY is recomputed as a logaddexp over the shared index, so no
-    term is dropped however far below the others it lies.
+    Each entry of P below TINY may have lost terms to underflow, so its log
+    is recomputed as a logaddexp over the shared index; an entry with no
+    nonzero term gives -inf, as log(0) does. The caller ignores numpy's
+    divide warnings.
     """
-    P = np.exp(X) @ np.exp(Y)
     out = np.log(P)
     if P.size and P.min() < TINY:
         at = np.nonzero(P < TINY)
-        Yt = np.swapaxes(Y, -1, -2)
+        Yt = np.swapaxes(logY, -1, -2)
         out[at] = np.logaddexp.reduce(X[at[:-1]] + Yt[at[:-2] + at[-1:]], axis=-1)
-    return out, P
+    return out
 
 
 def _log_rows(L):
@@ -363,7 +379,8 @@ def _combine(X, Y, restart):
     most 0 and its largest within log K^2 of 0 at any length. Where the sum
     itself falls below TINY, the shift is the largest exact entry instead.
     """
-    Z, P = _log_matmul(X, Y)
+    P = np.exp(X) @ np.exp(Y)
+    Z = _exact_log(P, X, Y)
     size = P.shape[1] * P.shape[2]
     shift = np.log(P.reshape(-1, size) @ np.ones(size))
     low = shift < LOG_TINY
@@ -410,77 +427,61 @@ def _forward_result(params, pack, logB, log_alpha, log_c):
     return HmmSetPosterior(params, pack, logB, log_alpha, log_c, pack.sums(log_c[:, 0]))
 
 
-def _lost(logP, X, V):
-    """Whether a loop's products exp(X) @ V, whose logs are logP, fell below
-    TINY at an entry with a nonzero term, which may then have underflowed."""
-    low = logP < LOG_TINY
-    return bool(low.any()) and bool(((X > -np.inf) @ (V > 0))[low].any())
-
-
 def _forward_loop(params, pack):
     """Forward recursion over the packed rows, one step at a time.
 
-    The first pass takes each step's product as exp(log_alpha) @ A. A
-    normalized message holds a state of probability at least 1/K, so each
-    product is at least min(A) / K: only a transition below K TINY can make
-    an entry fall below TINY. If one did where a term could be nonzero, a
-    second pass takes the exact product.
+    Each step's product is exp(log_alpha) @ A. A normalized message holds a
+    state of probability at least 1/K, so each product is at least min(A) / K:
+    only a transition below K TINY can make an entry fall below TINY, and
+    then each step passes its product through _exact_log.
     """
     logB = params.emit.log_liks(pack.data)               # (N, K)
     counts, starts = pack.counts.tolist(), pack.starts.tolist()
     A = params.trans
+    exact = A.min() < A.shape[0] * TINY
     log_alpha = np.empty_like(logB)
     log_c = np.empty((logB.shape[0], 1))
-    n0 = counts[0]
     # normalized log-alpha entries are <= 0, so exp never overflows. A row
     # with no possible state gets a normalizer of -inf, which is reported
     # after the loop.
     exp, log, lse = np.exp, np.log, np.logaddexp.reduce
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_pi, logA = log(params.pi), log(A)
-        for exact in (False, True):
-            a = log_pi + logB[:n0]
-            for t in range(len(counts)):
-                s, e = starts[t], starts[t + 1]
-                if t:
-                    p = starts[t - 1]
-                    X = log_alpha[p:p + e - s]
-                    a = logB[s:e] + (_log_matmul(X, logA)[0] if exact else log(exp(X) @ A))
-                c = log_c[s:e] = lse(a, axis=1, keepdims=True)
-                log_alpha[s:e] = a - c
-            if exact or A.min() >= A.shape[0] * TINY or (np.isfinite(log_c).all() and not _lost(
-                    log_alpha[n0:] + log_c[n0:] - logB[n0:], log_alpha[pack.prev], A)):
-                break
+        logA = log(A)
+        a = log(params.pi) + logB[:counts[0]]
+        for t in range(len(counts)):
+            s, e = starts[t], starts[t + 1]
+            if t:
+                p = starts[t - 1]
+                X = log_alpha[p:p + e - s]
+                P = exp(X) @ A
+                a = logB[s:e] + (_exact_log(P, X, logA) if exact else log(P))
+            c = log_c[s:e] = lse(a, axis=1, keepdims=True)
+            log_alpha[s:e] = a - c
     return _forward_result(params, pack, logB, log_alpha, log_c)
 
 
 def _backward_loop(post):
     """Backward recursion and state marginals over a forward pass, one step
     at a time. Each step's product is at least min(A), since the shifted
-    message peaks at 0; it is checked and redone as in _forward_loop."""
+    message peaks at 0: only a transition below TINY makes each step pass
+    its product through _exact_log."""
     counts, starts = post.pack.counts.tolist(), post.pack.starts.tolist()
     log_alpha, log_c = post.log_alpha, post.log_c
     log_beta = np.zeros_like(post.logB)
     logB_c = post.logB - log_c
     AT = post.params.trans.T
+    exact = AT.min() < TINY
     exp, log = np.exp, np.log
     with np.errstate(divide="ignore", invalid="ignore"):
         logAT = log(AT)
-        for exact in (False, True):
-            for t in range(len(counts) - 2, -1, -1):
-                s, q = starts[t], starts[t + 1]
-                n = counts[t + 1]
-                nxt = logB_c[q:q + n] + log_beta[q:q + n]
-                m = nxt.max(1, keepdims=True)
-                X = nxt - m
-                log_beta[s:s + n] = (_log_matmul(X, logAT)[0] if exact
-                                     else log(exp(X) @ AT)) + m
-            if exact or AT.min() >= TINY:
-                break
-            W = logB_c[counts[0]:] + log_beta[counts[0]:]
-            m = W.max(1, keepdims=True)
-            if np.isfinite(m).all() and not _lost(log_beta[post.pack.prev] - m, W, AT):
-                break
+        for t in range(len(counts) - 2, -1, -1):
+            s, q = starts[t], starts[t + 1]
+            n = counts[t + 1]
+            nxt = logB_c[q:q + n] + log_beta[q:q + n]
+            m = nxt.max(1, keepdims=True)
+            X = nxt - m
+            P = exp(X) @ AT
+            log_beta[s:s + n] = (_exact_log(P, X, logAT) if exact else log(P)) + m
     gamma, _ = normalize_log_rows(log_alpha + log_beta)
     return dataclasses.replace(post, log_beta=log_beta, gamma=gamma)
 
@@ -508,7 +509,8 @@ def _forward_scan(params, pack):
         n0 = pack.counts[0]
         a = np.empty_like(logB)
         a[:n0] = log_pi + logB[:n0]
-        a[n0:] = logB[n0:] + _log_matmul(F[pack.prev], logA)[0]
+        X = F[pack.prev]
+        a[n0:] = logB[n0:] + _exact_log(np.exp(X) @ np.exp(logA), X, logA)
         log_c = log_sum_exp_rows(a)[:, None]
         log_alpha = a - log_c
     return _forward_result(params, pack, logB, log_alpha, log_c)

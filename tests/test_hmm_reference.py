@@ -8,7 +8,9 @@ scan must agree with it within 1e-12: relative for log-likelihoods,
 absolute for state marginals and the pairwise tables and sums. Both cover
 discrete and Gaussian emissions, K from 1 to 16, single sequences whose
 lengths straddle every power of two up to 4097, and ragged sets on both
-sides of the rule that picks a kernel.
+sides of the rule that picks a kernel. Ragged sets whose chains have
+exact-zero transitions, which send every loop step through the exact
+product, keep the replaced bytes too.
 """
 import dataclasses
 
@@ -228,3 +230,29 @@ def test_zero_probability_sequence_raises_the_same_message_on_both_kernels(lengt
         messages.append(str(err.value))
     assert messages[0] == messages[1] == messages[2]
     assert messages[0] == f"zero-probability sequence 2: no path explains step {lengths[2] - 2}"
+
+
+# chains with exact-zero transitions: (pi, trans)
+ZERO_TRANSITIONS = {
+    "left-right": ([1.0, 0.0, 0.0, 0.0], [[0.6, 0.4, 0.0, 0.0], [0.0, 0.7, 0.3, 0.0],
+                                          [0.0, 0.0, 0.8, 0.2], [0.0, 0.0, 0.0, 1.0]]),
+    "identity": ([0.5, 0.5, 0.0], np.eye(3)),          # state 2 is never reached
+}
+
+
+@pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+@pytest.mark.parametrize("chain", sorted(ZERO_TRANSITIONS))
+def test_loop_keeps_the_replaced_bytes_with_exact_zero_transitions(kind, chain):
+    pi, trans = ZERO_TRANSITIONS[chain]
+    params = dataclasses.replace(_model(kind, len(pi), 500), pi=pi, trans=trans)
+    # short enough that only the structural zeros fall below TINY, where the
+    # replaced code is exact too
+    pack = _pack(params, _draw(params, [20, 1, 13, 20, 8, 2], 600))
+    want = ref_backward(ref_forward(params, pack))
+    loop = _loop(params, pack)
+    _assert_same_bytes(loop, want)
+    assert loop.pairwise_sum().tobytes() == ref_pairwise_sum(want).tobytes()
+    assert np.isneginf(loop.log_alpha).any()
+    scan = _scan(params, pack)
+    assert np.max(np.abs(scan.logliks - want.logliks) / np.abs(want.logliks)) < 1e-12
+    assert np.max(np.abs(scan.gamma - want.gamma)) < 1e-12

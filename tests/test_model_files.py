@@ -193,6 +193,24 @@ def test_an_asymmetric_covariance_is_one_usage_error(family, name, entry, data_f
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("family", ["gmm", "ghmm"])
+def test_a_variance_near_the_float_maximum_is_stored_without_overflow(family, data_files,
+                                                                      tmp_path):
+    # M + M^T overflows at this entry; M / 2 + M^T / 2 does not
+    doc = _load(family)
+    doc["params"]["covs"][0][0][0] = 1.7e308
+    model = str(tmp_path / "m.json")
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = _run(["eval", model, "--data", data_files[DATA[family]]])
+    assert (code, err) == (0, ""), err
+    total = out.splitlines()[-1]
+    assert total.startswith("total ") and np.isfinite(float(total.split()[1]))
+    params = read_model(model)[1]
+    covs = params.covs if family == "gmm" else params.emit.covs
+    assert covs[0, 0, 0] == 1.7e308
+
+
 def _any_path(draw, node):
     """A path drawn into node at any depth: one step at least, then each
     further step into a dict key or a list entry, or a stop."""

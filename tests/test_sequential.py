@@ -557,6 +557,16 @@ def test_a_state_far_below_the_others_is_kept(kernel):
     assert abs(hmm_forward_backward(params, obs).loglik - exact) < 1e-12 * abs(exact)
 
 
+def test_baum_welch_through_a_state_far_below_the_others_stays_finite():
+    # the first 8 rows' transition normalizers fall below TINY, one of them to 0
+    params, obs, exact = underflow_case()
+    fitted, report = hmm_fit([obs], 2, "discrete", EmConfig(max_iters=5), init=params)
+    trace = report.objective_trace
+    assert np.all(np.isfinite(trace)) and trace[0] > exact
+    assert np.all(np.diff(trace) >= 0.0)
+    assert np.all(np.isfinite(fitted.trans)) and np.all(np.isfinite(fitted.emit.probs))
+
+
 PROBS = st.sampled_from([0.0, 1e-300, 1e-200, 1e-100, 0.5, 1.0])
 
 
@@ -604,6 +614,7 @@ def test_extreme_probabilities_give_exact_posteriors_on_both_kernels(case):
         assert abs(post.logliks[0] - log_ll) < 1e-10 * max(1.0, abs(log_ll))
         assert np.max(np.abs(post.gamma - log_marg)) < 1e-10
         assert np.max(np.abs(post.pairwise() - log_pair), initial=0.0) < 1e-10
+        assert np.max(np.abs(post.pairwise_sum() - log_pair.sum(axis=0))) < 1e-10
         # the linear-domain enumeration is exact where its total is a normal float
         if ll > math.log(1e-300):
             assert abs(post.logliks[0] - ll) < 1e-10
@@ -612,10 +623,19 @@ def test_extreme_probabilities_give_exact_posteriors_on_both_kernels(case):
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.lists(st.integers(1, 7), min_size=1, max_size=6), st.integers(0, 2**16))
-def test_packed_kernels_match_single_sequences(lengths, seed):
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=6), st.integers(0, 2**16),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from([None, 0.0, 1e-300])),
+                min_size=2, max_size=2))
+def test_packed_kernels_match_single_sequences(lengths, seed, low):
     rng = RandomSource(seed)
     params = _random_hmm(seed, K=2, S=3)
+    # one entry per transition row may be 0 or 1e-300, so products fall
+    # below TINY on packed blocks that shrink as sequences end
+    trans = params.trans.copy()
+    for i, (j, p) in enumerate(low):
+        if p is not None:
+            trans[i, j] = p
+    params = HmmParams(params.pi, trans / trans.sum(axis=1, keepdims=True), params.emit)
     seqs = [rng.integers(0, 3, L) for L in lengths]
     post = hmm_infer(params, seqs)
     for i, (obs, states) in enumerate(zip(seqs, _split(post.pack, post.gamma))):
