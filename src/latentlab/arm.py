@@ -2,7 +2,9 @@
 probability factorizes into per-position conditionals, each computed by a
 single shared network fed a causally masked one-hot prefix plus a position
 indicator. Likelihoods are exact; training uses observed prefixes (teacher
-forcing); sampling is ancestral, left to right.
+forcing); sampling is ancestral, left to right. Scoring and sampling run
+the network block by block of sequences (nn.map_rows); the sampler replays
+one recording per block shape.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import category_codes, int_fields, softmax_rows
-from .nn import Mlp, Recorder, check_counts, eager, fit_minibatch
+from .nn import Mlp, Recorder, check_counts, eager, fit_minibatch, map_rows
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
            "train", "sample", "position_logits"]
@@ -117,11 +119,14 @@ def log_likelihood(model, x):
 
 
 def log_likelihood_batch(model, x):
-    X = _check_sequences(model, x)
-    N, D = X.shape
-    logp = _log_conditionals(model, _masked_inputs(model, X)).values
-    picked = logp[np.arange(N * D), X.reshape(-1)].reshape(N, D)
-    return np.maximum(picked.sum(axis=1), NEG_INF_SENTINEL)
+    """Exact log p(x) of each sequence, block by block of whole sequences,
+    clamped at the sentinel as log_likelihood is."""
+    def block(X):
+        N, D = X.shape
+        logp = _log_conditionals(model, _masked_inputs(model, X)).values
+        picked = logp[np.arange(N * D), X.reshape(-1)].reshape(N, D)
+        return np.maximum(picked.sum(axis=1), NEG_INF_SENTINEL)
+    return map_rows(block, [_check_sequences(model, x)], model.seq_len * model.cond_net.width)
 
 
 def train(model, data, epochs, batch, rng, lr=1e-3):
@@ -136,12 +141,14 @@ def train(model, data, epochs, batch, rng, lr=1e-3):
 
 
 def sample(model, n, rng):
-    """Ancestral sampling, one position at a time across the whole batch."""
+    """Ancestral sampling, one position at a time across the whole batch,
+    each position's network replayed block by block of sequences."""
     D, V = model.seq_len, model.alphabet
     X = np.zeros((n, D), dtype=int)
     logits_of = Recorder(model.cond_net.forward)
     for d in range(D):
-        logits = logits_of(_masked_inputs(model, X, [d])).values
+        logits = map_rows(lambda Xb: logits_of(_masked_inputs(model, Xb, [d])).values, [X],
+                          model.cond_net.width)
         p = softmax_rows(logits)
         u = rng.uniform(n)
         X[:, d] = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1).clip(0, V - 1)

@@ -213,6 +213,8 @@ def _cmd_fit(args):
 
 
 def _cmd_sample(args):
+    if args.n < 0:
+        raise UsageError(f"n must be >= 0, got {args.n}")
     posterior = args.mode == "posterior"
     _family, sample, params, _config = _model_command(
         args, "sample_posterior" if posterior else "sample")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import int_fields, json_field, real_fields
-from .nn import Mlp, Recorder, Tensor, check_counts, concat, eager, fit_minibatch
+from .nn import Mlp, Recorder, Tensor, check_counts, concat, eager, fit_minibatch, map_rows
 
 __all__ = ["NoiseSchedule", "DiffusionModel", "linear_schedule", "make_diffusion",
            "time_features", "q_sample", "posterior_params", "loss_simple",
@@ -225,11 +225,17 @@ def elbo_terms(model, x0, rng):
 
 
 def sample(model, n, rng):
-    """Ancestral reverse chain from x_T ~ N(0, I); the final step adds no noise."""
+    """Ancestral reverse chain from x_T ~ N(0, I); the final step adds no noise.
+    Each step replays the network block by block of rows and draws its noise
+    for all rows at once."""
     x = rng.standard_normal((n, model.dim))
     predict = Recorder(lambda x_t, feats: _eps_graph(model, x_t, feats))
+    # a duck-typed eps net without a width holds about its input row
+    width = getattr(model.eps_net, "width", model.dim + TIME_FEATURES)
     for t in range(model.schedule.T, 0, -1):
-        eps_hat = predict(x, time_features(t, model.schedule.T, n)).values
+        eps_hat = map_rows(
+            lambda x_t: predict(x_t, time_features(t, model.schedule.T, len(x_t))).values,
+            [x], width)
         mu = _mu_from_eps(model.schedule, x, eps_hat, t)
         if t > 1:
             beta_tilde = _posterior_coefs(model.schedule, t)[2]

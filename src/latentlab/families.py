@@ -223,7 +223,7 @@ FAMILIES = {
         fit=_fit_vae,
         sample=lambda m, n, rng: pkg.vae.sample(m, n, rng),
         loglik=lambda m, X, _c, seed: pkg.vae.elbo_rows(m, X, RandomSource(seed), n_samples=16),
-        infer=lambda m, X, _c: _columns("z", pkg.vae.encode(m, X)[0].values),
+        infer=lambda m, X, _c: _columns("z", pkg.vae.encode(m, X)[0]),
         reconstruct=lambda m, X: pkg.vae.reconstruct(m, X)),
     "flow": Family(
         "matrix", ("layers",) + TRAIN_FLAGS,

@@ -8,6 +8,10 @@ to sign. Coupling and permutation layers invert analytically and
 differentiably; planar layers invert by scalar root-finding into constants,
 so flows containing planar layers support evaluation and inversion but not
 gradient-based likelihood training.
+
+log_likelihood and sample run the stack block by block of rows
+(nn.map_rows), each block on its own eager tape: a planar inverse builds its
+constants from the block's data.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import fields_from_json, fields_to_json, int_fields, json_field, json_list
-from .nn import Mlp, Tensor, as_batch, check_counts, concat, fit_minibatch, param
+from .nn import Mlp, Tensor, as_batch, check_counts, concat, fit_minibatch, map_rows, param
 
 __all__ = ["PlanarLayer", "CouplingLayer", "PermutationLayer", "FlowModel",
            "forward_with_logdet", "inverse", "log_likelihood", "fit",
@@ -225,6 +229,14 @@ class FlowModel:
             out.extend(layer.params())
         return out
 
+    @property
+    def width(self):
+        """Floats per row that a pass through the stack holds, roughly: the
+        row at each layer and each coupling network's forward."""
+        nets = [net for layer in self.layers if isinstance(layer, CouplingLayer)
+                for net in (layer.s_net, layer.t_net)]
+        return len(self.layers) * self.dim + sum(net.width for net in nets)
+
 
 LAYER_KINDS = {"planar": PlanarLayer, "coupling": CouplingLayer,
                "permutation": PermutationLayer}
@@ -296,8 +308,10 @@ def _loglik_tensor(model, x):
 
 
 def log_likelihood(model, x):
-    """Exact log-density of each row of x, from one inverse pass."""
-    return _loglik_tensor(model, x).values
+    """Exact log-density of each row of x, from one inverse pass per block
+    of rows."""
+    return map_rows(lambda xb: _loglik_tensor(model, xb).values,
+                    [np.atleast_2d(np.asarray(x, dtype=float))], model.width)
 
 
 def fit(model, data, epochs, batch, rng, lr=1e-3):
@@ -312,5 +326,7 @@ def fit(model, data, epochs, batch, rng, lr=1e-3):
 
 
 def sample(model, n, rng):
-    """Base draws pushed through the generator direction."""
-    return forward_with_logdet(model, rng.standard_normal((n, model.dim)))[0].values
+    """Base draws pushed through the generator direction, block by block of
+    rows."""
+    return map_rows(lambda z: forward_with_logdet(model, z)[0].values,
+                    [rng.standard_normal((n, model.dim))], model.width)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import int_fields
-from .nn import AdamState, Mlp, Recorder, check_counts, check_lr, descend
+from .nn import AdamState, Mlp, Recorder, check_counts, check_lr, descend, map_rows
 
 __all__ = ["GanModel", "make_gan", "disc_loss", "gen_loss", "train", "sample"]
 
@@ -79,6 +79,8 @@ def _prior(model, n, rng):
 
 
 def _gen_forward(model, n, rng):
+    """The generator's output Tensor at n prior draws, on one eager tape: the
+    fake batch of a training step."""
     return model.gen.forward(_prior(model, n, rng))
 
 
@@ -115,4 +117,6 @@ def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
 
 
 def sample(model, n, rng):
-    return _gen_forward(model, n, rng).values
+    """n generator outputs of prior draws, block by block of rows."""
+    return map_rows(lambda z: model.gen.forward(z).values, [_prior(model, n, rng)],
+                    model.gen.width)

@@ -13,13 +13,25 @@ order from the loss.
 The sigmoid activation is core.sigmoid, the one logistic of the package
 (vae and irt evaluate it off the tape).
 
-A dense layer act(h @ W + b) is one node (dense(), used by Mlp.forward). Its
-backward runs the expressions of the matmul, bias-add and activation ops it
-stands for, so a fused layer gives the same bits as the three-op chain.
+A node keeps its values; after backward() it also holds its gradient. An
+op's backward reads the values of the node and of its parents, so no op keeps
+anything else, with one exception below.
+
+A dense layer act(h @ W + b) is one node (dense(), used by Mlp.forward). It
+adds the bias into its own matmul result and applies tanh or relu in place
+there, so it holds one array. Only softplus, whose derivative reads the
+pre-activation, keeps that too. Its backward runs the expressions of the
+matmul, bias-add and activation ops it stands for, so a fused layer gives the
+same bits as the three-op chain.
 
 A Recorder runs a graph once per tuple of input shapes and keeps its nodes;
 later calls rebind the input leaves and rerun the same forwards, so a
 training step builds no new tape and gives the bits an eager step gives.
+
+map_rows runs a function over a large array block by block of rows, so that
+scoring, inference and sampling hold one block's tape at a time: a scorer
+builds one eager tape per block, and a sampler that loops over steps replays
+one recording per block shape.
 
 AdamState holds the first and second moments of all parameters as two flat
 vectors. adam_step updates them in one pass over the concatenated gradients
@@ -38,23 +50,26 @@ import numpy as np
 from .core import (fields_from_json, fields_to_json, json_field, json_list, real_array,
                    sigmoid as _sigmoid)
 
-__all__ = ["Tensor", "Mlp", "AdamState", "Recorder", "as_batch", "eager", "forward",
-           "backward", "adam_step", "concat", "zero_grad", "descend", "fit_minibatch",
-           "check_counts", "check_lr"]
+__all__ = ["Tensor", "Mlp", "AdamState", "Recorder", "as_batch", "eager", "map_rows",
+           "forward", "backward", "adam_step", "concat", "zero_grad", "descend",
+           "fit_minibatch", "check_counts", "check_lr"]
 
 
 # name -> (forward, backward); backward(g, x, y) is the gradient at the input
 # x given the output y = forward(x) and the output gradient g. The standalone
 # ops and the fused dense node share these expressions, so both give the same
-# bits. identity has no node of its own.
+# bits. identity has no node of its own. Only softplus's backward reads x;
+# relu's reads y > 0, which is x > 0 for every x, signed zeros and NaN included.
 _ACTIVATION_FNS = {
     "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y * y)),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (y > 0)),
     "identity": (None, None),
     "sigmoid": (_sigmoid, lambda g, x, y: g * y * (1.0 - y)),
     "softplus": (lambda x: np.logaddexp(0.0, x), lambda g, x, y: g * _sigmoid(x)),
 }
 ACTIVATIONS = tuple(_ACTIVATION_FNS)
+# the activations a dense node applies in place, over its own pre-activation
+_IN_PLACE = {"tanh": lambda x: np.tanh(x, out=x), "relu": lambda x: np.maximum(x, 0.0, out=x)}
 # the other elementwise ops without a parameter, in the same form
 _UNARY_FNS = {
     **_ACTIVATION_FNS,
@@ -108,7 +123,7 @@ class Tensor:
         self._forward = forward
         self._backward = backward
         self._args = args
-        self._aux = None             # what forward keeps for backward (dense: h @ W + b)
+        self._aux = None             # what forward keeps for backward (softplus dense: x)
         self._order = None           # a recorded loss's backward order
         self._backward_done = False
         if forward is None:
@@ -368,13 +383,20 @@ def dense(h, W, b, activation):
     # backward() walks parents last to first; in this order it reaches b, W
     # and h as it did through the bias-add and matmul nodes, so every
     # gradient still sums its contributions in the same order.
-    return _op(_dense, _dense_grad, (h, W, b), _ACTIVATION_FNS[activation])
+    fn, grad_fn = _ACTIVATION_FNS[activation]
+    return _op(_dense, _dense_grad, (h, W, b),
+               (_IN_PLACE.get(activation, fn), grad_fn, activation == "softplus"))
 
 
 def _dense(n):
+    """The node's values: the bias added into a fresh matmul result, then the
+    activation (in place for tanh and relu)."""
     h, W, b = n.parents
-    fn = n._args[0]
-    n._aux = pre = h.values @ W.values + b.values
+    fn, _grad_fn, keeps_pre = n._args
+    pre = h.values @ W.values
+    pre += b.values
+    if keeps_pre:
+        n._aux = pre
     return pre if fn is None else fn(pre)
 
 
@@ -480,9 +502,10 @@ class Recorder:
             return program[2]
         leaves, nodes, out = program
         # The previous step's arrays are released after the forward, as an
-        # eager step releases the previous tape. Released node by node, the
-        # allocator gave the large arrays fresh pages on most steps (ARM's
-        # 640 x 64 layers: 20 times the page faults of an eager fit).
+        # eager step releases the previous tape. Page faults follow the
+        # allocator's state: in a deep-minibatch benchmark pass, ARM's fit
+        # (640 x 64 layers) took 288 minor faults so, as many with the arrays
+        # released node by node, and 368 eagerly.
         previous = [(t.values, t.grad, t._aux) for t in leaves + nodes]
         for leaf, a in zip(leaves, arrays):
             leaf.values = a
@@ -508,6 +531,40 @@ class Recorder:
 def eager(graph, arrays):
     """graph on fresh leaf Tensors holding arrays: one unrecorded tape."""
     return graph(*[Tensor(a) for a in arrays])
+
+
+# The bytes one block of map_rows may hold. At N = 1e5 and D = 64 the
+# narrowest product of every deep family's blocks stays above OpenBLAS's
+# small-matrix cut (M * N * K <= 1e6), whose kernel rounds differently from
+# the one a long matrix gets; every deep call of the benchmark is one block.
+BLOCK_BYTES = 1 << 24
+
+
+def map_rows(fn, arrays, width):
+    """fn(*arrays) run block by block of rows; the results' rows stacked in
+    order (one array, or a tuple of arrays if fn returns a tuple).
+
+    The arrays share their first axis. width is the number of floats per
+    row that fn's pass holds at once (its tape). The rows split into the
+    fewest blocks of at most BLOCK_BYTES, of sizes that differ by at most one
+    row; a single block is fn(*arrays) itself. fn must treat its rows
+    independently; each block's results are copied out before the next
+    block runs.
+    """
+    n = len(arrays[0])
+    k = min(n, -(-n * width * 8 // BLOCK_BYTES))
+    if k <= 1:
+        return fn(*arrays)
+    outs = None
+    for i in range(k):
+        rows = slice(n * i // k, n * (i + 1) // k)
+        got = fn(*(a[rows] for a in arrays))
+        parts = got if isinstance(got, tuple) else (got,)
+        if outs is None:
+            outs = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs if isinstance(got, tuple) else outs[0]
 
 
 def zero_grad(params):
@@ -560,6 +617,12 @@ class Mlp:
     @property
     def out_dim(self):
         return self.weights[-1].shape[1]
+
+    @property
+    def width(self):
+        """Floats per input row that a forward holds: the input and the output
+        of every layer."""
+        return self.in_dim + sum(W.shape[1] for W in self.weights)
 
     def params(self):
         return list(self.weights) + list(self.biases)

@@ -1,6 +1,10 @@
 """Variational autoencoder: Gaussian encoder with diagonal covariance,
 decoder likelihood (fixed-variance Gaussian or Bernoulli), reparameterized
 single-sample ELBO, minibatch training, and prior sampling.
+
+elbo() is one tape over its batch. The per-row functions (elbo_rows, encode,
+reconstruct, sample) run the networks block by block of rows (nn.map_rows)
+and draw their random numbers in the order elbo() and the one-pass forms do.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import int_fields, real_fields, sigmoid
-from .nn import Mlp, Tensor, check_counts, eager, fit_minibatch
+from .nn import Mlp, Tensor, check_counts, eager, fit_minibatch, map_rows
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
            "elbo", "elbo_rows", "train", "sample", "reconstruct"]
@@ -46,6 +50,11 @@ class VaeModel:
     @property
     def data_dim(self):
         return self.decoder.out_dim
+
+    @property
+    def width(self):
+        """Floats per row that a block of the encoder and decoder holds."""
+        return self.encoder.width + self.decoder.width
 
     def params(self):
         return self.encoder.params() + self.decoder.params()
@@ -84,15 +93,26 @@ def make_vae(data_dim, latent_dim, rng, hidden=64, likelihood="gaussian",
     return VaeModel(encoder, decoder, latent_dim, likelihood, sigma_dec)
 
 
-def encode(model, x):
-    """Posterior parameters (mu, sigma) for a batch; sigma = exp(logvar/2)
-    clamped to [1e-4, 1e4] so the KL term stays finite."""
+def _rows(x):
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
+def _posterior(model, x):
+    """Posterior parameter Tensors (mu, sigma) of a batch; sigma =
+    exp(logvar/2) clamped to [1e-4, 1e4] so the KL term stays finite."""
     h = model.encoder.forward(x)
     d = model.latent_dim
     mu = h[:, :d]
     logvar = h[:, d:].clip(4 * LOGVAR_MIN, 4 * LOGVAR_MAX)   # overflow guard only
     sigma = (logvar * 0.5).exp().clip(SIGMA_MIN, SIGMA_MAX)
     return mu, sigma
+
+
+def encode(model, x):
+    """Posterior parameters (mu, sigma) of each row of x, as arrays, block by
+    block of rows; sigma is clamped as in training."""
+    return map_rows(lambda xb: tuple(t.values for t in _posterior(model, xb)), [_rows(x)],
+                    model.width)
 
 
 def reparameterize(mu, sigma, rng):
@@ -119,28 +139,32 @@ def _recon_loglik(model, x, z):
     return per_point
 
 
+def _draw(model, n_rows, rng):
+    """One draw of eps ~ N(0, I), (n_rows, latent_dim)."""
+    return rng.standard_normal((n_rows, model.latent_dim))
+
+
 def _elbo_inputs(model, x, rng, n_samples):
-    """The batch as a 2-D array, then n_samples draws of eps ~ N(0, I), one
-    (N, latent_dim) array each."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    return [X] + [rng.standard_normal((X.shape[0], model.latent_dim)) for _ in range(n_samples)]
+    """The batch as a 2-D array, then n_samples draws of eps."""
+    X = _rows(x)
+    return [X] + [_draw(model, X.shape[0], rng) for _ in range(n_samples)]
 
 
-def _elbo_terms(model, x, *eps):
-    """Per-point (sum over the eps draws of log p(x|z), KL) Tensors for a
-    batch Tensor x; z = mu + sigma * eps as in reparameterize()."""
-    mu, sigma = encode(model, x)
+def _kl(mu, sigma):
+    """Per-point KL(N(mu, sigma^2) || N(0, I)) of posterior Tensors."""
     sigma2 = sigma * sigma
-    kl_per_point = (sigma2 + mu * mu - 1.0 - sigma2.log()).sum(axis=1) * 0.5
+    return (sigma2 + mu * mu - 1.0 - sigma2.log()).sum(axis=1) * 0.5
+
+
+def _elbo_parts(model, x, *eps):
+    """ElboParts of a batch Tensor x; z = mu + sigma * eps as in
+    reparameterize(), the reconstruction term summed over the eps draws."""
+    mu, sigma = _posterior(model, x)
+    kl_per_point = _kl(mu, sigma)
     recon_acc = None
     for e in eps:
         r = _recon_loglik(model, x, mu + sigma * e)
         recon_acc = r if recon_acc is None else recon_acc + r
-    return recon_acc, kl_per_point
-
-
-def _elbo_parts(model, x, *eps):
-    recon_acc, kl_per_point = _elbo_terms(model, x, *eps)
     recon = recon_acc.mean() * (1.0 / len(eps))
     kl = kl_per_point.mean()
     return ElboParts(recon, kl, recon - kl)
@@ -157,10 +181,28 @@ def elbo(model, x, rng, n_samples=1):
 
 def elbo_rows(model, x, rng, n_samples=1):
     """The ELBO of each point (N,) from the draws elbo() makes with the same
-    rng; their mean is elbo(...).elbo."""
-    recon_acc, kl_per_point = eager(lambda *t: _elbo_terms(model, *t),
-                                    _elbo_inputs(model, x, rng, n_samples))
-    return recon_acc.values * (1.0 / n_samples) - kl_per_point.values
+    rng; their mean is elbo(...).elbo.
+
+    The posterior and KL of every row come first, block by block of rows.
+    Then each draw of eps, in turn, adds its log p(x|z) into every row's sum.
+    """
+    X = _rows(x)
+
+    def posterior_kl(xb):
+        mu, sigma = _posterior(model, xb)
+        return mu.values, sigma.values, _kl(mu, sigma).values
+
+    def recon(xb, mu, sigma, eps):
+        return _recon_loglik(model, Tensor(xb), Tensor(mu) + Tensor(sigma) * Tensor(eps)).values
+
+    def draw_terms():
+        return map_rows(recon, [X, mu, sigma, _draw(model, X.shape[0], rng)], model.width)
+
+    mu, sigma, kl = map_rows(posterior_kl, [X], model.width)
+    recon_acc = draw_terms()
+    for _ in range(n_samples - 1):
+        recon_acc += draw_terms()
+    return recon_acc * (1.0 / n_samples) - kl
 
 
 def train(model, data, epochs, batch, rng, lr=1e-3):
@@ -174,7 +216,8 @@ def train(model, data, epochs, batch, rng, lr=1e-3):
 def sample(model, n, rng, binarize=False):
     """Prior draws pushed through the decoder. Gaussian models add decoder
     noise; Bernoulli models emit probabilities (or binary draws)."""
-    out = model.decoder.forward(rng.standard_normal((n, model.latent_dim))).values
+    out = map_rows(lambda z: model.decoder.forward(z).values, [_draw(model, n, rng)],
+                   model.decoder.width)
     if model.likelihood == "gaussian":
         return out + model.sigma_dec * rng.standard_normal(out.shape)
     probs = sigmoid(out)
@@ -184,9 +227,9 @@ def sample(model, n, rng, binarize=False):
 
 
 def reconstruct(model, x):
-    """Deterministic encode -> posterior-mean z -> decode round trip."""
-    mu, _sigma = encode(model, x)
-    out = model.decoder.forward(mu).values
-    if model.likelihood == "bernoulli":
-        return sigmoid(out)
-    return out
+    """Deterministic encode -> posterior-mean z -> decode round trip, block
+    by block of rows."""
+    def block(xb):
+        out = model.decoder.forward(_posterior(model, xb)[0]).values
+        return sigmoid(out) if model.likelihood == "bernoulli" else out
+    return map_rows(block, [_rows(x)], model.width)

@@ -157,6 +157,15 @@ def test_every_malformed_field_is_one_usage_error(family, data_files, tmp_path):
             assert out == ""
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_negative_sample_count_is_one_usage_error(family, tmp_path):
+    out = tmp_path / "out.csv"
+    code, stdout, err = _run(["sample", os.path.join(FIXTURES, f"{family}.json"), "--n", "-1",
+                              "--out", str(out)])
+    assert (code, stdout, err) == (2, "", "latentlab: n must be >= 0, got -1\n")
+    assert not out.exists()
+
+
 def test_a_bool_inside_a_numeric_array_is_one_usage_error(data_files, tmp_path):
     doc = _load("ppca")
     model = str(tmp_path / "m.json")

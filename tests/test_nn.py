@@ -218,6 +218,84 @@ def test_gradcheck_dense_node(act, input_grad):
         assert h.grad is None
 
 
+# h, W and b hold 0.0 and -0.0, and h entries where each activation
+# saturates: tanh and sigmoid round to +-1 and 0, softplus to 0 and to x.
+# BLAS sums a row of zero terms to +0.0, so a dense pre-activation is never
+# -0.0; relu at -0.0 is checked on the standalone op.
+EDGE_INPUTS = np.array([[0.0], [-0.0], [40.0], [-40.0], [800.0], [-800.0], [0.3], [-1e-300]])
+
+
+def _dense_inputs(act, input_grad):
+    """h (8, 2): the edge inputs beside random ones, W (2, 4) and b (4,), the
+    bias holding 0.0 and -0.0."""
+    rng = RandomSource(zlib.crc32(act.encode()))
+    X = np.hstack([EDGE_INPUTS, rng.standard_normal((8, 1))])
+    W = np.array([[1.0, -1.0, 0.5, -0.0], [0.0, -0.0, 0.25, -0.75]])
+    b = np.array([-0.0, 0.0, -0.0, 0.1])
+    h = Tensor.param(X) if input_grad else Tensor(X)
+    return h, Tensor.param(W), Tensor.param(b)
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_dense_node_gives_the_bits_of_the_three_op_chain(act, input_grad):
+    results = []
+    for fused in (True, False):
+        h, W, b = _dense_inputs(act, input_grad)
+        if fused:
+            out = dense(h, W, b, act)
+        else:
+            out = h @ W + b
+            out = out if act == "identity" else getattr(out, act)()
+        weights = RandomSource(7).standard_normal(out.values.shape)
+        backward((out * weights).sum())
+        results.append([out.values] + [t.grad for t in (W, b, h) if t.requires_grad])
+    fused, chain = results
+    assert len(fused) == len(chain) == (4 if input_grad else 3)
+    for a, c in zip(fused, chain):
+        assert a.tobytes() == c.tobytes()
+
+
+def test_relu_backward_reads_the_sign_of_its_output():
+    # y > 0 passes the gradient exactly where x > 0 does: at NaN and at either
+    # zero it passes none
+    x = Tensor.param(np.array([np.nan, -0.0, 0.0, 1e-300, -1e-300, 2.0, -2.0]))
+    backward(x.relu().sum())
+    assert np.array_equal(x.grad, (x.values > 0).astype(float))
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_dense_never_writes_a_held_array(act):
+    # a square layer: its output could be written into h
+    h, W, b = _dense_inputs(act, True)
+    W, b = Tensor.param(W.values[:, :2]), Tensor.param(b.values[:2])
+    held = [h.values, W.values, b.values]
+    saved = [a.copy() for a in held]
+    out = dense(h, W, b, act)
+    backward(out.sum())
+    assert all(out.values is not a for a in held)
+    for a, s in zip(held, saved):
+        assert a.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_a_replay_never_writes_the_previous_steps_arrays(act):
+    mlp = Mlp.create([3, 5, 4, 2], [act, act, "identity"], RandomSource(42))
+    step = nn.Recorder(_squared_error(mlp))
+    rng = RandomSource(43)
+    loss = step(rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))
+    backward(loss)
+    nodes = step.programs[((6, 3), (6, 2))][1]
+    held = [loss.values] + [n.values for n in nodes] + [n.grad for n in nodes if n.grad is not None]
+    saved = [a.copy() for a in held]
+    for _ in range(2):
+        assert step(rng.standard_normal((6, 3)), rng.standard_normal((6, 2))) is loss
+        backward(loss)
+        for a, s in zip(held, saved):
+            assert a.tobytes() == s.tobytes()
+    assert loss.values is not held[0]
+
+
 def test_first_gradient_contribution_is_copied():
     # the node of a + b hands one array to both operands; a then gets a
     # second contribution, which must not reach b's gradient

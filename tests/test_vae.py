@@ -30,8 +30,8 @@ def test_encode_zero_net():
     model = VaeModel(_zero_mlp([3, 4], ["identity"]), _zero_mlp([2, 3], ["identity"]),
                      2, "gaussian", 0.1)
     mu, sigma = encode(model, np.ones((5, 3)))
-    assert np.array_equal(mu.values, np.zeros((5, 2)))
-    assert np.array_equal(sigma.values, np.ones((5, 2)))
+    assert np.array_equal(mu, np.zeros((5, 2)))
+    assert np.array_equal(sigma, np.ones((5, 2)))
 
 
 def test_encode_deterministic_and_matches_mlp():
@@ -39,10 +39,10 @@ def test_encode_deterministic_and_matches_mlp():
     x = RandomSource(2).standard_normal((4, 3))
     mu1, s1 = encode(model, x)
     mu2, s2 = encode(model, x)
-    assert np.array_equal(mu1.values, mu2.values)
+    assert np.array_equal(mu1, mu2)
     raw = model.encoder.forward(Tensor(x)).values
-    assert np.allclose(mu1.values, raw[:, :2], atol=1e-12)
-    assert np.allclose(s1.values, np.clip(np.exp(0.5 * raw[:, 2:]), 1e-4, 1e4), atol=1e-12)
+    assert np.allclose(mu1, raw[:, :2], atol=1e-12)
+    assert np.allclose(s1, np.clip(np.exp(0.5 * raw[:, 2:]), 1e-4, 1e4), atol=1e-12)
 
 
 def test_encode_sigma_clamped():
@@ -50,8 +50,8 @@ def test_encode_sigma_clamped():
     enc.biases[0].values = np.array([0.0, 0.0, 100.0, -100.0])
     model = VaeModel(enc, _zero_mlp([2, 2], ["identity"]), 2, "gaussian", 0.1)
     _mu, sigma = encode(model, np.zeros((1, 2)))
-    assert sigma.values[0, 0] <= 1e4
-    assert sigma.values[0, 1] >= 1e-4
+    assert sigma[0, 0] <= 1e4
+    assert sigma[0, 1] >= 1e-4
 
 
 # -- reparameterize ----------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_encoder_approaches_ppca_posterior():
             state = adam_step(enc_params, [p.grad for p in enc_params], state, lr=5e-3)
     mu_enc, _ = encode(model, X)
     target = np.stack([posterior(ppca, x).mean for x in X])
-    rmse = math.sqrt(np.mean((mu_enc.values - target) ** 2))
+    rmse = math.sqrt(np.mean((mu_enc - target) ** 2))
     assert rmse < 0.1
 
 
