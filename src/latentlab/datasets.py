@@ -29,7 +29,7 @@ import numpy as np
 import latentlab as pkg
 from .core import (RNG_ALGORITHM, NumericError, RandomSource, category_codes,
                    check_simplex_rows, fields_from_json, int_fields, is_int, real_array,
-                   sample_categorical_many)
+                   row_blocks, sample_categorical_many)
 from . import families
 
 __all__ = ["SyntheticSpec", "generate", "KINDS", "SYNTHETIC_FAMILIES", "MAX_ABS",
@@ -193,21 +193,28 @@ def generate(spec):
 # CSV and sequence I/O
 
 def write_csv(path, data, header=None):
-    """A header row, then one row of 17-significant-digit values per row of data."""
+    """A header row, then one row of 17-significant-digit values per row of
+    data, formatted and written block by block of rows (core.row_blocks), so
+    the text and Python floats of one block are held at a time."""
     X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
     cols = header or [f"x{j}" for j in range(d)]
     row = ",".join([FMT] * d) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n" + (row * n) % tuple(X.ravel().tolist()))
+        fh.write(",".join(cols) + "\n")
+        for b in row_blocks(n, X.itemsize * d):
+            fh.write((row * (b.stop - b.start)) % tuple(X[b].ravel().tolist()))
 
 
-def _lines(path):
-    """The non-blank lines of a text file, any newline convention; a file
-    with none is an error."""
+def _read_text(path):
     with open(path, "r", newline="") as fh:
-        raw = fh.read()
-    lines = [ln for ln in raw.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln.strip()]
+        return fh.read()
+
+
+def _lines(text, path):
+    """The non-blank lines of the text of the file at path, any newline
+    convention; a file with none is an error."""
+    lines = [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
     return lines
@@ -216,12 +223,17 @@ def _lines(path):
 def read_csv(path):
     """The data rows of a CSV under a header row, as an (n, width) float array
     ((0,) when there are none). numpy's C parser reads a well-formed file; any
-    other goes through the line parser, which names the line at fault."""
-    lines = _lines(path)
+    other goes through the line parser, which names the line at fault. The
+    file's text is dropped once split into lines."""
+    raw = _read_text(path)
+    lines = _lines(raw, path)
+    # loadtxt reads the data rows: the text after the header line
+    head = raw.find(lines[0]) + len(lines[0])
+    spaced = any(raw.find(c, head) >= 0 for c in _LOADTXT_ONLY_SPACE)
+    del raw
     width = len(lines[0].split(","))
     data = lines[1:]
-    text = "\n".join(data)
-    if data and not any(c in text for c in _LOADTXT_ONLY_SPACE):
+    if data and not spaced:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -261,7 +273,7 @@ def read_seq(path):
     """Returns (sequences, dx) where dx is None for discrete files, whose
     symbols are category codes; the row of a bad symbol is its place on the
     line."""
-    lines = _lines(path)
+    lines = _lines(_read_text(path), path)
     dx = None
     start = 0
     if lines[0].startswith("dx="):
@@ -296,7 +308,7 @@ def write_corpus(path, corpus):
 def read_corpus(path, V=None):
     """A corpus of word indices below V (by default the largest + 1)."""
     docs = []
-    for lineno, line in enumerate(_lines(path), start=1):
+    for lineno, line in enumerate(_lines(_read_text(path), path), start=1):
         try:
             words = np.array(line.split(), dtype=float)[:, None]
         except ValueError:

@@ -9,8 +9,16 @@ prefix of that block, so one recursion over t = 0..Tmax-1 advances every
 sequence with one array operation per step. The Kalman filter and RTS
 smoother form the covariances, gains and log-determinants once per step,
 since they depend on the parameters and t alone, and advance the means of
-all running sequences together. hmm_forward_backward, kalman_filter and
-kalman_smooth run the same kernels on a set of one sequence.
+all running sequences together. The Riccati recursion of the covariances
+settles into a fixed cycle (Anderson & Moore, "Optimal Filtering", 1979,
+ch. 4), and in floating point it often repeats bitwise: once a predicted
+covariance has the bytes of one of the last CYCLE_WINDOW steps, every later
+covariance, gain and log-determinant goes through the same operations on the
+same bytes, so the filter stops forming them there and gathers the remaining
+steps from the cycle; past that step both passes advance only the means. A
+model that does not repeat within the window takes the full recursion.
+hmm_forward_backward, kalman_filter and kalman_smooth run the same kernels on
+a set of one sequence.
 
 HMM forward-backward runs in the log domain with one exactness rule for
 every product: a product exp(X) @ exp(Y) is formed in the linear domain and
@@ -62,6 +70,9 @@ __all__ = [
 ]
 
 RIDGE = 1e-9
+# How many of the last predicted covariances the Kalman filter compares with
+# each new one; a cycle of up to this period is found.
+CYCLE_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -722,9 +733,11 @@ class LdsSetPosterior:
 
     Per packed row: filtered means means_f and predicted means pred_means.
     Per step, shared by all sequences: filtered and predicted covariances
-    covs_f and pred_covs (Tmax, dz, dz). Per sequence, in input order:
-    logliks. After smoothing: smoothed means (N, dz) and covs (N, dz, dz)
-    per row, and the smoother gains (Tmax-1, dz, dz) per step.
+    covs_f and pred_covs (Tmax, dz, dz), and cov_steps (Tmax,), the step
+    each step's covariances repeat (itself before the first repeat). Per
+    sequence, in input order: logliks. After smoothing: smoothed means
+    (N, dz) and covs (N, dz, dz) per row, and the smoother gains
+    (Tmax-1, dz, dz) per step.
     """
 
     params: LdsParams
@@ -734,6 +747,7 @@ class LdsSetPosterior:
     pred_means: np.ndarray
     pred_covs: np.ndarray
     logliks: np.ndarray
+    cov_steps: np.ndarray
     means: np.ndarray = None
     covs: np.ndarray = None
     gains: np.ndarray = None
@@ -747,13 +761,16 @@ def _kalman_pass(params, pack):
     """Kalman filter over every sequence of a pack.
 
     The covariances, the gain and the innovation covariance depend on the
-    parameters and t alone, so each is formed once per step; the means of
-    all running sequences advance together. The loop solves one system per
-    step for the gain and forms each row's predicted mean and innovation
-    once; the log-likelihood and the RTS pass read those same rows. The
-    Cholesky factors behind the log-likelihood are taken in one batched call
-    afterwards, and each row's innovation is whitened by the factor of its
-    step.
+    parameters and t alone, so a first loop forms each once per step, and a
+    second advances the means of all running sequences together with the
+    three products of a step. The covariance loop stops at the first step
+    whose predicted covariance has the bytes of one of the last
+    CYCLE_WINDOW steps: the Riccati recursion from there on repeats that
+    cycle exactly, so one index array (cov_steps) fills the remaining steps
+    from it. The Cholesky factors and log-determinants behind the
+    log-likelihood are taken in one batched call over the steps before the
+    repeat, each row's innovation is whitened by the factor of its step, and
+    the RTS pass reads the same rows and cycle.
     """
     X = pack.data
     if X.shape[1] != params.obs_dim:
@@ -764,64 +781,87 @@ def _kalman_pass(params, pack):
     dz, dx = params.state_dim, params.obs_dim
     A, C, Q, R = params.A, params.C, params.Q, params.R
     CT, AT = C.T, A.T
-    means, pred_means = np.empty((N, dz)), np.empty((N, dz))
-    innov = np.empty((N, dx))
     covs = np.empty((Tm, dz, dz))
     pred_covs = np.empty((Tm, dz, dz))
     innov_covs = np.empty((Tm, dx, dx))
-    pred_means[:counts[0]] = params.mu0
-    P_pred = params.Sigma0
+    gains_T = np.empty((Tm, dx, dz))                          # K^T per step
+    cov_steps = np.arange(Tm)
+    n_cov = Tm
+    # step of each of the last CYCLE_WINDOW predicted covariances, by bytes:
+    # -0.0 == 0.0, but later products can tell them apart
+    recent = {}
     for t in range(Tm):
-        s, e = starts[t], starts[t + 1]
-        m_pred = pred_means[s:e]
+        # symmetric up to rounding; it feeds S and the next P, which is
+        # symmetrized again
+        P_pred = A @ P @ AT + Q if t else params.Sigma0
+        key = P_pred.tobytes()
+        if key in recent:
+            s, n_cov = recent[key], t
+            cov_steps[t:] = s + (cov_steps[t:] - s) % (t - s)
+            for a in (pred_covs, covs, gains_T):
+                a[t:] = a[cov_steps[t:]]
+            break
+        recent[key] = t
+        if len(recent) > CYCLE_WINDOW:
+            del recent[next(iter(recent))]
         pred_covs[t] = P_pred
         CP = C @ P_pred
         # S is symmetric up to rounding; the Cholesky factors below read one triangle
         S = innov_covs[t] = CP @ CT + R
         try:
-            gain_T = np.linalg.solve(S, CP)                   # K^T, (dx, dz)
+            gain_T = gains_T[t] = np.linalg.solve(S, CP)
         except np.linalg.LinAlgError:
             raise NumericError(f"singular innovation covariance at step {t}")
-        np.subtract(X[s:e], m_pred @ CT, out=innov[s:e])
-        means[s:e] = m_pred + innov[s:e] @ gain_T
         P = P_pred - gain_T.T @ CP
         P = covs[t] = 0.5 * (P + P.T)
+    means, pred_means = np.empty((N, dz)), np.empty((N, dz))
+    innov = np.empty((N, dx))
+    pred_means[:counts[0]] = params.mu0
+    for t in range(Tm):
+        s, e = starts[t], starts[t + 1]
+        m_pred = pred_means[s:e]
+        v, m = innov[s:e], means[s:e]
+        np.subtract(X[s:e], np.matmul(m_pred, CT, out=v), out=v)
+        np.add(m_pred, np.matmul(v, gains_T[t], out=m), out=m)
         if t < Tm - 1:
-            pred_means[e:e + counts[t + 1]] = means[s:s + counts[t + 1]] @ AT
-            # symmetric up to rounding; it feeds S and the next P, which is
-            # symmetrized again
-            P_pred = A @ P @ AT + Q
+            n = counts[t + 1]
+            np.matmul(means[s:s + n], AT, out=pred_means[e:e + n])
     try:
-        L = np.linalg.cholesky(innov_covs)
+        L = np.linalg.cholesky(innov_covs[:n_cov])
     except np.linalg.LinAlgError:
-        for t in range(Tm):
+        for t in range(n_cov):
             try:
                 np.linalg.cholesky(innov_covs[t])
             except np.linalg.LinAlgError:
                 raise NumericError(f"singular innovation covariance at step {t}")
         raise
-    steps = pack.steps
+    steps = cov_steps[pack.steps]
     sol = np.linalg.solve(L[steps], innov[:, :, None])[:, :, 0]
     logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
     row_ll = -0.5 * (dx * math.log(2 * math.pi) + logdet[steps] + np.sum(sol * sol, axis=1))
     return LdsSetPosterior(params, pack, means, covs, pred_means, pred_covs,
-                           pack.sums(row_ll))
+                           pack.sums(row_ll), cov_steps)
 
 
 def _rts_pass(filt):
-    """RTS backward pass over a filtered set. The smoothed covariances are
-    per row, since they depend on each sequence's length."""
+    """RTS backward pass over a filtered set. The smoother gains and the
+    part of each smoothed covariance that depends on t alone are formed for
+    the steps before the filter's covariance cycle repeats and gathered by
+    step through cov_steps; the smoothed covariances are per row, since they
+    depend on each sequence's length."""
     counts, starts = filt.pack.counts.tolist(), filt.pack.starts.tolist()
     covs_f, pred_covs, pred_means = filt.covs_f, filt.pred_covs, filt.pred_means
     # the smoother gains J_t = P_t A^T (P_{t+1|t})^{-1} depend on t alone,
-    # so one batched solve gives all of them
-    gains = np.linalg.solve(pred_covs[1:].transpose(0, 2, 1),
-                            (covs_f[:-1] @ filt.params.A.T).transpose(0, 2, 1)
-                            ).transpose(0, 2, 1)
+    # so one batched solve gives all of them up to the repeat
+    n_cov = min(int(filt.cov_steps.max()) + 1, len(counts) - 1)
+    cyc = filt.cov_steps[:-1]
+    gains = np.linalg.solve(pred_covs[1:n_cov + 1].transpose(0, 2, 1),
+                            (covs_f[:n_cov] @ filt.params.A.T).transpose(0, 2, 1)
+                            )[cyc].transpose(0, 2, 1)
     gains_T = gains.transpose(0, 2, 1)
     # P_s[t] = P_t + J_t (P_s[t+1] - P_{t+1|t}) J_t^T, split into a part
     # that depends on t alone and one per row
-    base = covs_f[:-1] - gains @ pred_covs[1:] @ gains_T
+    base = (covs_f[:n_cov] - gains[:n_cov] @ pred_covs[1:n_cov + 1] @ gains_T[:n_cov])[cyc]
     means = filt.means_f.copy()
     covs = covs_f[filt.pack.steps]
     for t in range(len(counts) - 2, -1, -1):

@@ -1,16 +1,17 @@
-"""`datasets.write_csv` formats the whole matrix in one operation and
-`datasets.read_csv` parses well-formed files with numpy's C parser. This file
-holds the per-value writer and the line parser they replaced, copied as they
-were written before, and checks that every file is written byte for byte as
-before and read bit for bit as before, and that every malformed file fails
-with the same message, naming the same line.
+"""`datasets.write_csv` formats the matrix block by block of rows, one
+operation per block, and `datasets.read_csv` parses well-formed files with
+numpy's C parser. This file holds the per-value writer, the one-string writer
+and the line parser they replaced, copied as they were written before, and
+checks that every file is written byte for byte as before and read bit for
+bit as before, and that every malformed file fails with the same message,
+naming the same line.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentlab import cli, datasets
+from latentlab import cli, core, datasets
 
 FMT = "%.17g"
 
@@ -26,6 +27,15 @@ def ref_write_csv(path, data, header=None):
         lines.append(",".join(FMT % v for v in row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def one_string_write_csv(path, data, header=None):
+    X = np.atleast_2d(np.asarray(data, dtype=float))
+    n, d = X.shape
+    cols = header or [f"x{j}" for j in range(d)]
+    row = ",".join([FMT] * d) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n" + (row * n) % tuple(X.ravel().tolist()))
 
 
 def ref_lines(path):
@@ -104,6 +114,27 @@ def test_write_csv_matches_reference(tmp_path_factory, n, d, data):
     assert_writes_as_before(tmp_path_factory.mktemp("w"), X)
 
 
+@pytest.mark.parametrize("n, sizes", [(370, [100, 100, 100, 70]), (340, [100, 100, 140]),
+                                      (99, [99]), (0, [0])])
+def test_write_csv_writes_row_blocks_as_one_string(tmp_path, monkeypatch, n, sizes):
+    # blocks of 100 rows of 3 values; a tail of fewer than core.MIN_BLOCK_ROWS
+    # rows joins the block before it
+    monkeypatch.setattr(core, "ROW_BLOCK_BYTES", 100 * 3 * 8)
+    blocks = []
+
+    def row_blocks(*args):
+        blocks.extend(core.row_blocks(*args))
+        return blocks
+
+    monkeypatch.setattr(datasets, "row_blocks", row_blocks)
+    X = np.resize(np.array(EDGE_VALUES), (n, 3))
+    ref = tmp_path / "ref.csv"
+    one_string_write_csv(ref, X)
+    assert_writes_as_before(tmp_path, X)
+    assert [b.stop - b.start for b in blocks] == sizes
+    assert (tmp_path / "new.csv").read_bytes() == ref.read_bytes()
+
+
 # Files the line parser reads: read_csv must return the same array, bit for bit.
 VALID = {
     "lf": "a,b\n1,2\n3,4\n",
@@ -124,6 +155,8 @@ VALID = {
     "nan": "a,b\n1,nan\n3,4\n",
     "inf": "a,b\n1,2\n-Infinity,4\n",
     "overflow to inf": "a\n1e400\n",
+    "separator-only line": "a,b\n1,2\n\x1c\n3,4\n",
+    "separator in header": "a\x1d,b\n1,2\n",
 }
 # Files the line parser rejects: read_csv must raise the same error.
 MALFORMED = {
