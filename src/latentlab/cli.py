@@ -68,7 +68,6 @@ def _build_parser():
     fit.add_argument("--quad-nodes", type=int, default=41)
     fit.add_argument("--likelihood", choices=("gaussian", "bernoulli"), default="gaussian")
     fit.add_argument("--sigma-dec", type=float, default=0.1)
-    fit.add_argument("--seq-len", type=int, default=None, help="ARM sequence length")
     fit.add_argument("--alphabet", type=int, default=None, help="ARM alphabet size")
     fit.add_argument("--layers", type=int, default=4, help="flow coupling layers")
     add_common(fit)

@@ -1,9 +1,10 @@
-"""Shared numerical primitives: distributions, log-domain utilities,
-Gaussian conditioning, and a seedable deterministic random source.
+"""Shared numerical primitives: distributions, log-domain utilities, and a
+seedable deterministic random source.
 
 All matrices are dense, row-major float64 numpy arrays. Log-domain is the
-default for mixture/sequential computations; linear-domain variants live
-only inside test oracles.
+default for mixture/sequential computations. The independent oracles that
+judge the models (Gaussian conditioning, single-point densities and draws,
+enumeration) live outside the library, in tests/oracle_utils.py.
 
 Every parameter class converts and checks its fields by one field rule:
 real_fields for reals, int_fields for integers, and cov_fields for
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 import typing
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -28,15 +28,9 @@ __all__ = [
     "Gaussian",
     "Simplex",
     "RandomSource",
-    "log_sum_exp",
     "softmax_rows",
     "sigmoid",
-    "gaussian_logpdf",
-    "gaussian_condition",
-    "sample_gaussian",
-    "sample_categorical",
     "sample_dirichlet",
-    "kl_divergence_categorical",
     "chol_psd",
     "check_finite",
     "category_codes",
@@ -327,19 +321,6 @@ class RandomSource:
         return self._gen.permutation(n)
 
 
-def log_sum_exp(v):
-    """Stable log(sum(exp(v))) via max-shift; -inf iff all entries are -inf."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        raise ValueError("log_sum_exp of empty vector")
-    if np.any(np.isnan(v)) or np.any(v == np.inf):
-        raise ValueError("entries must be finite or -inf")
-    m = v.max()
-    if m == -np.inf:
-        return -np.inf
-    return float(m + np.log(np.sum(np.exp(v - m))))
-
-
 def row_max(mat):
     """Maxima over the last axis of an (..., K) array, kept as an (..., 1)
     axis, by one elementwise pass per column: a max over a short last axis
@@ -352,7 +333,7 @@ def row_max(mat):
 
 
 def log_sum_exp_rows(mat):
-    """Row-wise log_sum_exp for (N, K) arrays (log-domain workhorse).
+    """Row-wise log-sum-exp for (N, K) arrays (log-domain workhorse).
 
     Rows of all -inf yield -inf; +inf and NaN are the caller's bug.
     """
@@ -416,21 +397,8 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def gaussian_logpdf(x, g):
-    """Log density of a multivariate normal, via Cholesky."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != g.dim:
-        raise ValueError(f"x has dim {x.shape[0]}, Gaussian has dim {g.dim}")
-    L = chol_psd(g.cov)
-    diff = x - g.mean
-    sol = np.linalg.solve(L, diff)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    d = g.dim
-    return float(-0.5 * (d * math.log(2 * math.pi) + logdet + sol @ sol))
-
-
 def gaussian_logpdf_rows(X, mean, cov):
-    """Vectorized gaussian_logpdf over the rows of X (shared mean/cov)."""
+    """Log-densities of the rows of X under one Gaussian (mean, cov)."""
     return gaussian_logpdf_columns(X, np.asarray(mean, dtype=float)[None],
                                    np.atleast_2d(cov)[None])[:, 0]
 
@@ -470,57 +438,6 @@ def gaussian_logpdf_columns(X, means, covs):
     return out
 
 
-def gaussian_condition(joint, n_a, observed_b):
-    """Condition a joint Gaussian over (a, b) on b = observed_b.
-
-    n_a declares the size of the leading block a. Returns the conditional
-    Gaussian N(mu_a + S_ab S_bb^-1 (b - mu_b), S_aa - S_ab S_bb^-1 S_ba).
-    """
-    observed_b = np.atleast_1d(np.asarray(observed_b, dtype=float))
-    d = joint.dim
-    n_b = d - n_a
-    if n_a <= 0 or n_b <= 0:
-        raise ValueError("both blocks must be non-empty")
-    if observed_b.shape[0] != n_b:
-        raise ValueError(f"observed_b has dim {observed_b.shape[0]}, expected {n_b}")
-    mu_a = joint.mean[:n_a]
-    mu_b = joint.mean[n_a:]
-    S_aa = joint.cov[:n_a, :n_a]
-    S_ab = joint.cov[:n_a, n_a:]
-    S_bb = joint.cov[n_a:, n_a:]
-    try:
-        solved = np.linalg.solve(S_bb, np.column_stack([observed_b - mu_b, S_ab.T]))
-    except np.linalg.LinAlgError:
-        raise NumericError("conditioning block covariance is singular")
-    if not np.all(np.isfinite(solved)):
-        raise NumericError("conditioning block covariance is singular")
-    mean = mu_a + S_ab @ solved[:, 0]
-    cov = S_aa - S_ab @ solved[:, 1:]
-    cov = 0.5 * (cov + cov.T)
-    # Clamp tiny negative eigenvalues born from cancellation.
-    w, V = np.linalg.eigh(cov)
-    if w.min() < 0:
-        cov = (V * np.maximum(w, 0.0)) @ V.T
-        cov = 0.5 * (cov + cov.T)
-    return Gaussian(mean, cov)
-
-
-def sample_gaussian(g, rng):
-    """Draw from g as mean + L @ eps with L the (jittered) Cholesky factor."""
-    if not np.any(g.cov):
-        return g.mean.copy()
-    L = chol_psd(g.cov)
-    eps = rng.standard_normal(g.dim)
-    return g.mean + L @ eps
-
-
-def sample_categorical(p, rng):
-    """Index i with probability p_i, by inverse CDF on a single uniform."""
-    probs = p.probs if isinstance(p, Simplex) else Simplex(np.asarray(p, dtype=float)).probs
-    u = rng.uniform()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
-
-
 def sample_categorical_many(probs, rng, n):
     """n iid categorical draws from one probability vector."""
     cum = np.cumsum(np.asarray(probs, dtype=float))
@@ -543,16 +460,3 @@ def sample_dirichlet(alpha, rng):
     # renormalize exactly so downstream Simplex validation never trips
     p = p / p.sum()
     return Simplex(p)
-
-
-def kl_divergence_categorical(q, p):
-    """KL(q || p) = sum q log(q/p); +inf (with warning) if supp(q) not in supp(p)."""
-    qp = q.probs if isinstance(q, Simplex) else Simplex(np.asarray(q, dtype=float)).probs
-    pp = p.probs if isinstance(p, Simplex) else Simplex(np.asarray(p, dtype=float)).probs
-    if qp.shape != pp.shape:
-        raise ValueError("distributions have different sizes")
-    support = qp > 0
-    if np.any(pp[support] == 0):
-        warnings.warn("support violation: q positive where p is zero; KL is +inf", RuntimeWarning)
-        return math.inf
-    return float(np.sum(qp[support] * (np.log(qp[support]) - np.log(pp[support]))))

@@ -132,8 +132,7 @@ def _fit_diffusion(X, args, rng):
 
 def _fit_arm(X, args, rng):
     X, widths = category_codes(X, "ARM sequences", args.alphabet)
-    seq_len = X.shape[1] if args.seq_len is None else args.seq_len
-    model = pkg.arm.make_ar_model(seq_len, int(widths.max()), rng, hidden=args.hidden)
+    model = pkg.arm.make_ar_model(X.shape[1], int(widths.max()), rng, hidden=args.hidden)
     return model, pkg.arm.train(model, X, args.epochs, args.batch, rng.split(7), lr=args.lr), None
 
 
@@ -238,7 +237,7 @@ FAMILIES = {
         fit=_fit_diffusion,
         sample=lambda m, n, rng: pkg.diffusion.sample(m, n, rng)),
     "arm": Family(
-        "codes", ("seq_len", "alphabet") + TRAIN_FLAGS,
+        "codes", ("alphabet",) + TRAIN_FLAGS,
         to_json=fields_to_json,
         from_json=lambda o: fields_from_json(pkg.arm.ArModel, o),
         fit=_fit_arm,

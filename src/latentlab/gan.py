@@ -78,12 +78,6 @@ def _prior(model, n, rng):
     return rng.standard_normal((n, model.prior_dim))
 
 
-def _gen_forward(model, n, rng):
-    """The generator's output Tensor at n prior draws, on one eager tape: the
-    fake batch of a training step."""
-    return model.gen.forward(_prior(model, n, rng))
-
-
 def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
     """Alternating minimax training: k_disc discriminator updates per
     generator update. Returns (disc_trace, gen_trace)."""

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Gaussian, RandomSource, check_finite, chol_psd,
-                   gaussian_logpdf_rows, real_fields)
+from .core import RandomSource, check_finite, chol_psd, gaussian_logpdf_rows, real_fields
 from .em import EmConfig, run_em
 
 __all__ = ["PpcaParams", "PpcaPosterior", "fit_closed_form", "posterior",
@@ -55,12 +54,6 @@ class PpcaParams:
     @property
     def latent_dim(self):
         return self.W.shape[1]
-
-    def marginal(self):
-        """Gaussian over x: N(mu, W W^T + sigma2 I)."""
-        D = self.data_dim
-        return Gaussian(self.mu, self.W @ self.W.T + self.sigma2 * np.eye(D))
-
 
 
 @dataclass(frozen=True)

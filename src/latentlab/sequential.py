@@ -12,11 +12,11 @@ since they depend on the parameters and t alone, and advance the means of
 all running sequences together. The Riccati recursion of the covariances
 settles into a fixed cycle (Anderson & Moore, "Optimal Filtering", 1979,
 ch. 4), and in floating point it often repeats bitwise: once a predicted
-covariance has the bytes of one of the last CYCLE_WINDOW steps, every later
-covariance, gain and log-determinant goes through the same operations on the
-same bytes, so the filter stops forming them there and gathers the remaining
-steps from the cycle; past that step both passes advance only the means. A
-model that does not repeat within the window takes the full recursion.
+covariance has the bytes of any earlier step's, every later covariance, gain
+and log-determinant goes through the same operations on the same bytes, so
+the filter stops forming them there and gathers the remaining steps from the
+cycle; past that step both passes advance only the means. A model that never
+repeats takes the full recursion, and keeps one key per step until its end.
 hmm_forward_backward, kalman_filter and kalman_smooth run the same kernels on
 a set of one sequence.
 
@@ -70,9 +70,6 @@ __all__ = [
 ]
 
 RIDGE = 1e-9
-# How many of the last predicted covariances the Kalman filter compares with
-# each new one; a cycle of up to this period is found.
-CYCLE_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -764,13 +761,13 @@ def _kalman_pass(params, pack):
     parameters and t alone, so a first loop forms each once per step, and a
     second advances the means of all running sequences together with the
     three products of a step. The covariance loop stops at the first step
-    whose predicted covariance has the bytes of one of the last
-    CYCLE_WINDOW steps: the Riccati recursion from there on repeats that
-    cycle exactly, so one index array (cov_steps) fills the remaining steps
-    from it. The Cholesky factors and log-determinants behind the
-    log-likelihood are taken in one batched call over the steps before the
-    repeat, each row's innovation is whitened by the factor of its step, and
-    the RTS pass reads the same rows and cycle.
+    whose predicted covariance has the bytes of any earlier step's: the
+    Riccati recursion from there on repeats that cycle exactly, so one
+    index array (cov_steps) fills the remaining steps from it. The Cholesky
+    factors and log-determinants behind the log-likelihood are taken in one
+    batched call over the steps before the repeat, each row's innovation is
+    whitened by the factor of its step, and the RTS pass reads the same rows
+    and cycle.
     """
     X = pack.data
     if X.shape[1] != params.obs_dim:
@@ -787,23 +784,21 @@ def _kalman_pass(params, pack):
     gains_T = np.empty((Tm, dx, dz))                          # K^T per step
     cov_steps = np.arange(Tm)
     n_cov = Tm
-    # step of each of the last CYCLE_WINDOW predicted covariances, by bytes:
-    # -0.0 == 0.0, but later products can tell them apart
-    recent = {}
+    # step of each earlier predicted covariance, by bytes: -0.0 == 0.0, but
+    # later products can tell them apart
+    seen = {}
     for t in range(Tm):
         # symmetric up to rounding; it feeds S and the next P, which is
         # symmetrized again
         P_pred = A @ P @ AT + Q if t else params.Sigma0
         key = P_pred.tobytes()
-        if key in recent:
-            s, n_cov = recent[key], t
+        if key in seen:
+            s, n_cov = seen[key], t
             cov_steps[t:] = s + (cov_steps[t:] - s) % (t - s)
             for a in (pred_covs, covs, gains_T):
                 a[t:] = a[cov_steps[t:]]
             break
-        recent[key] = t
-        if len(recent) > CYCLE_WINDOW:
-            del recent[next(iter(recent))]
+        seen[key] = t
         pred_covs[t] = P_pred
         CP = C @ P_pred
         # S is symmetric up to rounding; the Cholesky factors below read one triangle
@@ -855,9 +850,16 @@ def _rts_pass(filt):
     # so one batched solve gives all of them up to the repeat
     n_cov = min(int(filt.cov_steps.max()) + 1, len(counts) - 1)
     cyc = filt.cov_steps[:-1]
-    gains = np.linalg.solve(pred_covs[1:n_cov + 1].transpose(0, 2, 1),
-                            (covs_f[:n_cov] @ filt.params.A.T).transpose(0, 2, 1)
-                            )[cyc].transpose(0, 2, 1)
+    P_next_T = pred_covs[1:n_cov + 1].transpose(0, 2, 1)
+    AP = (covs_f[:n_cov] @ filt.params.A.T).transpose(0, 2, 1)
+    try:
+        gains = np.linalg.solve(P_next_T, AP)
+    except np.linalg.LinAlgError:
+        # a singular P_{t+1|t} (zero Q and Sigma0 along some direction):
+        # range(A P_t) lies in range(P_{t+1|t}), so its pseudo-inverse gives
+        # a gain that the smoothed moments accept
+        gains = np.linalg.pinv(P_next_T) @ AP
+    gains = gains[cyc].transpose(0, 2, 1)
     gains_T = gains.transpose(0, 2, 1)
     # P_s[t] = P_t + J_t (P_s[t+1] - P_{t+1|t}) J_t^T, split into a part
     # that depends on t alone and one per row

@@ -86,6 +86,12 @@ def arm_sample(model, n, rng):
     return X
 
 
+def gen_forward(model, n, rng):
+    """The generator's output Tensor at n prior draws, on one eager tape: the
+    fake batch of a training step."""
+    return model.gen.forward(gan._prior(model, n, rng))
+
+
 def gan_train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
     nn.check_counts(steps=steps, batch=batch, k_disc=k_disc)
     nn.check_lr(lr)
@@ -100,13 +106,13 @@ def gan_train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=Fals
     for step in range(steps):
         for _ in range(k_disc):
             idx = rng.integers(0, N, batch)
-            fake = gan._gen_forward(model, batch, rng).values   # detached for the disc update
+            fake = gen_forward(model, batch, rng).values   # detached for the disc update
             dl = gan.disc_loss(model, X[idx], fake)
             nn.descend(dl, disc_params, disc_state, lr,
                        f"discriminator loss diverged at step {step}")
         # the discriminator's gradients from this loss are never read: its
         # next step zeroes them first
-        gl = gan.gen_loss(model, gan._gen_forward(model, batch, rng), saturating=saturating)
+        gl = gan.gen_loss(model, gen_forward(model, batch, rng), saturating=saturating)
         nn.descend(gl, gen_params, gen_state, lr, f"generator loss diverged at step {step}")
         disc_trace[step] = float(dl.values)
         gen_trace[step] = float(gl.values)

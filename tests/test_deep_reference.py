@@ -364,7 +364,6 @@ def reference_code(mp):
     mp.setattr(arm, "_loglik_tensor", ref_arm_loglik_tensor)
     mp.setattr(arm, "log_likelihood_batch", ref_arm_log_likelihood_batch)
     mp.setattr(gan, "train", ref_gan_train)
-    mp.setattr(gan, "_gen_forward", ref_gen_forward)
     mp.setattr(diffusion, "loss_simple", ref_loss_simple)
     mp.setattr(diffusion, "elbo_terms", ref_elbo_terms)
     mp.setattr(diffusion, "sample", ref_diffusion_sample)

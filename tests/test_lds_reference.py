@@ -1,12 +1,12 @@
 """`sequential._kalman_pass` stops forming covariances at the first step whose
-predicted covariance has the bytes of one of the last CYCLE_WINDOW steps, and
-fills the remaining steps from that cycle; `_rts_pass` forms its gains for
+predicted covariance has the bytes of any earlier step's, and fills the
+remaining steps from that cycle; `_rts_pass` forms its gains for
 the steps before the repeat and gathers them. This file holds both passes as
 they were before (every covariance formed at every step) and checks, bit for
 bit, every posterior field, the outputs of `kalman_filter` and
 `kalman_smooth`, and `lds_fit`'s parameters, trace and iteration count, on
-lengths around each model's cycle, on models whose cycle the window misses or
-that never repeat, on ragged sets, and on covariances holding -0.0.
+lengths around each model's cycle, on a model whose period exceeds 8, on one
+that never repeats, on ragged sets, and on covariances holding -0.0.
 """
 import dataclasses
 import math
@@ -133,8 +133,8 @@ def random_model(seed):
 
 
 # Seeds of random_model whose predicted covariances repeat with periods 1, 2,
-# 3 and 8 (the window's largest), and one whose period is 9, which the
-# window misses.
+# 3 and 8, and one whose period is 9: an earlier filter compared each step
+# with the last 8 only, and missed it.
 CYCLE_SEEDS = [11, 14, 57, 9]
 WINDOW_MISS_SEED = 91
 
@@ -217,9 +217,8 @@ def assert_same_posteriors(params, obs, smooth=True):
 
 def test_the_models_cover_the_periods_and_the_window():
     periods = [cycle(random_model(seed))[1] for seed in CYCLE_SEEDS]
-    assert 1 in periods and 2 in periods and any(2 < p <= sequential.CYCLE_WINDOW
-                                                 for p in periods), periods
-    assert cycle(random_model(WINDOW_MISS_SEED))[1] > sequential.CYCLE_WINDOW
+    assert 1 in periods and 2 in periods and any(2 < p <= 8 for p in periods), periods
+    assert cycle(random_model(WINDOW_MISS_SEED))[1] > 8
     assert cycle(NEVER_REPEATS, T=5000) is None
 
 
@@ -290,12 +289,13 @@ def _count_step_solves(monkeypatch):
 
 
 def test_the_filter_solves_for_the_gain_only_until_the_repeat(monkeypatch):
-    params = random_model(CYCLE_SEEDS[1])
-    onset, period = cycle(params)
-    obs = observations(params, [5000], 3)
     calls = _count_step_solves(monkeypatch)
-    sequential.lds_infer(params, obs, smooth=False)
-    assert 0 < calls.count(2) <= onset + period
+    for seed in (CYCLE_SEEDS[1], WINDOW_MISS_SEED):
+        params = random_model(seed)
+        onset, period = cycle(params)
+        calls.clear()
+        sequential.lds_infer(params, observations(params, [5000], 3), smooth=False)
+        assert 0 < calls.count(2) <= onset + period, seed
     calls.clear()
     sequential.lds_infer(NEVER_REPEATS, observations(NEVER_REPEATS, [5000], 4), smooth=False)
     assert calls.count(2) == 5000

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from latentlab.core import Gaussian, RandomSource, gaussian_logpdf
+from oracle_utils import gaussian_logpdf
+from latentlab.core import Gaussian, RandomSource
 from latentlab.em import EmConfig
 from latentlab.mixture import (GmmParams, LcaParams, Responsibilities,
                                fit_gmm, fit_lca, gmm_e_step, gmm_loglik,

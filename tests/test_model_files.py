@@ -24,7 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latentlab.cli import main
-from latentlab.datasets import read_model, write_model
+from latentlab.datasets import read_model, read_seq, write_model
+from latentlab.sequential import lds_infer
 from test_generate_reference import SPECS as SYNTH_SPECS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "models")
@@ -218,6 +219,22 @@ def test_a_variance_near_the_float_maximum_is_stored_without_overflow(family, da
     params = read_model(model)[1]
     covs = params.covs if family == "gmm" else params.emit.covs
     assert covs[0, 0, 0] == 1.7e308
+
+
+def test_infer_of_a_noise_free_lds_smooths_to_its_filtered_means(data_files, tmp_path):
+    # Q = Sigma0 = 0 fixes every state, so every predicted covariance is
+    # zero: the smoother must take its gains without inverting them
+    doc = _load("lds")
+    zero = np.zeros_like(doc["params"]["Q"]).tolist()
+    doc["params"]["Q"] = doc["params"]["Sigma0"] = zero
+    model, out = str(tmp_path / "m.json"), str(tmp_path / "z.csv")
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    code, _stdout, err = _run(["infer", model, "--data", data_files["lds_seq"], "--out", out])
+    assert (code, err) == (0, ""), err
+    filt = lds_infer(read_model(model)[1], read_seq(data_files["lds_seq"])[0], smooth=False)
+    assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1),
+                          filt.pack.unpack(filt.means_f))
 
 
 def _any_path(draw, node):

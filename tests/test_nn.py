@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from eager_trainers import recordings
+from eager_trainers import gen_forward, recordings
 
 from latentlab import nn
 from latentlab.core import RandomSource
@@ -585,7 +585,7 @@ def _eager_losses(family):
         model = arm.make_ar_model(4, 3, rng, hidden=4)
         return [-arm._loglik_tensor(model, rng.integers(0, 3, (6, 4)))]
     model = gan.make_gan(3, 2, rng, hidden=4)
-    fake = gan._gen_forward(model, 6, rng)
+    fake = gen_forward(model, 6, rng)
     return [gan.disc_loss(model, X, fake.values), gan.gen_loss(model, fake)]
 
 

@@ -461,7 +461,7 @@ def one_step_grads(family, seed, act):
     elif family == "arm":
         loss = -arm._loglik_tensor(model, X)
     else:
-        fake = gan._gen_forward(model, 8, rng)
+        fake = eager_trainers.gen_forward(model, 8, rng)
         loss = gan.disc_loss(model, X[:8], fake.values) + gan.gen_loss(model, fake)
     params = _params(model)
     nn.zero_grad(params)

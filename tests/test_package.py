@@ -1,5 +1,10 @@
 """`import latentlab` loads submodules on first use, and the family records
-look their model module up at call time."""
+look their model module up at call time. The library's surface holds only
+what runs: every exported name resolves, and every private top-level
+function has a reader in the library itself, not only in the tests."""
+import ast
+import glob
+import importlib
 import os
 import subprocess
 import sys
@@ -17,6 +22,46 @@ def test_every_public_name_resolves():
         if name != "__version__":
             assert value is sys.modules[f"latentlab.{name}"]
     assert set(latentlab.__all__) <= set(dir(latentlab))
+
+
+SUBMODULES = [name for name in latentlab.__all__ if name != "__version__"]
+SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(latentlab.__file__), "*.py")))
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_name_a_submodule_exports_resolves(module):
+    mod = importlib.import_module(f"latentlab.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, missing
+
+
+# the field holding the name that a node of each type reads
+NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def _names_read(top):
+    """Every name that the top-level statement top reads: bare names,
+    attributes and imported names, leaving out a function's own name."""
+    own = getattr(top, "name", None)
+    for node in ast.walk(top):
+        name = getattr(node, NAME_FIELDS.get(type(node), ""), None)
+        if name and name != own:
+            yield name
+
+
+def test_every_private_function_has_a_reader_in_the_library():
+    # a helper that only tests call belongs in the tests
+    private, read = [], set()
+    for path in SOURCES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("_") \
+                    and not top.name.startswith("__"):
+                private.append((os.path.basename(path), top.name))
+            read.update(_names_read(top))
+    assert private
+    assert [p for p in private if p[1] not in read] == []
 
 
 def test_unknown_attribute_raises():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from latentlab.core import Gaussian, RandomSource, gaussian_condition
+from oracle_utils import gaussian_condition
+from latentlab.core import Gaussian, RandomSource
 from latentlab.em import EmConfig
 from latentlab.ppca import (PpcaParams, canonicalize, fit_closed_form, fit_em,
                             marginal_loglik, posterior, reconstruct, sample)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import enumerate_hmm_log_posteriors, enumerate_hmm_posteriors, stacked_joint
+from oracle_utils import (enumerate_hmm_log_posteriors, enumerate_hmm_posteriors,
+                          gaussian_condition, gaussian_logpdf, sample_categorical,
+                          sample_gaussian, stacked_joint)
 from latentlab import sequential
-from latentlab.core import (Gaussian, NumericError, RandomSource,
-                            gaussian_condition, gaussian_logpdf)
+from latentlab.core import Gaussian, NumericError, RandomSource, Simplex
 from latentlab.em import EmConfig
 from latentlab.sequential import (DiscreteEmission, GaussianEmission,
                                   HmmParams, LdsParams, SequencePack, hmm_fit,
@@ -447,12 +449,11 @@ def test_ragged_hmm_batch_matches_enumeration():
         assert abs(post.logliks[i] - ll) < 1e-10
 
 
-def test_ragged_lds_batch_matches_stacked_joint():
-    params = _random_lds(42)
-    rng = RandomSource(43)
-    seqs = [lds_sample(params, T, rng)[1] for T in (3, 5, 2)]
+def _assert_matches_stacked_joint(params, seqs):
+    """Filtered and smoothed moments and log-likelihoods of lds_infer over
+    the set seqs, each against conditioning of its dense joint."""
     post = lds_infer(params, seqs)
-    dz, dx = 2, 2
+    dz, dx = params.state_dim, params.obs_dim
     for i, obs in enumerate(seqs):
         T = len(obs)
         rows = _sequence_rows(post, i)
@@ -471,6 +472,23 @@ def test_ragged_lds_batch_matches_stacked_joint():
         obs_idx = list(range(T * dz, T * (dz + dx)))
         marginal = Gaussian(joint.mean[obs_idx], joint.cov[np.ix_(obs_idx, obs_idx)])
         assert abs(post.logliks[i] - gaussian_logpdf(obs.ravel(), marginal)) < 1e-8
+
+
+def test_ragged_lds_batch_matches_stacked_joint():
+    params = _random_lds(42)
+    rng = RandomSource(43)
+    _assert_matches_stacked_joint(params, [lds_sample(params, T, rng)[1] for T in (3, 5, 2)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lds_with_zero_q_and_sigma0_matches_stacked_joint(seed):
+    # every predicted covariance is zero, so the smoother gains come from its
+    # pseudo-inverse
+    dz, dx = 2 + seed % 2, 2 + seed // 2
+    zero = np.zeros((dz, dz))
+    params = dataclasses.replace(_random_lds(500 + seed, dz, dx), Q=zero, Sigma0=zero)
+    rng = RandomSource(600 + seed)
+    _assert_matches_stacked_joint(params, [lds_sample(params, T, rng)[1] for T in (4, 1, 3)])
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -659,7 +677,6 @@ def test_packed_kernels_match_single_sequences(lengths, seed, low):
 # -- samplers against the step-by-step draws ----------------------------------------
 
 def _hmm_sample_stepwise(params, T, rng):
-    from latentlab.core import Simplex, sample_categorical, sample_gaussian
     states = np.empty(T, dtype=int)
     states[0] = sample_categorical(Simplex(params.pi), rng)
     for t in range(1, T):
@@ -677,7 +694,6 @@ def _hmm_sample_stepwise(params, T, rng):
 
 
 def _lds_sample_stepwise(params, T, rng):
-    from latentlab.core import sample_gaussian
     Z = np.empty((T, params.state_dim))
     X = np.empty((T, params.obs_dim))
     Z[0] = sample_gaussian(Gaussian(params.mu0, params.Sigma0), rng)
