@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import category_codes, int_fields, softmax_rows
-from .nn import Mlp, Recorder, check_counts, eager, fit_minibatch, map_rows
+from .core import category_codes, check_counts, int_fields, row_sums, softmax_rows
+from .nn import Mlp, Recorder, eager, fit_minibatch, map_rows
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
            "train", "sample", "position_logits"]
@@ -125,7 +125,7 @@ def log_likelihood_batch(model, x):
         N, D = X.shape
         logp = _log_conditionals(model, _masked_inputs(model, X)).values
         picked = logp[np.arange(N * D), X.reshape(-1)].reshape(N, D)
-        return np.maximum(picked.sum(axis=1), NEG_INF_SENTINEL)
+        return np.maximum(row_sums(picked), NEG_INF_SENTINEL)
     return map_rows(block, [_check_sequences(model, x)], model.seq_len * model.cond_net.width)
 
 

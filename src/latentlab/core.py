@@ -12,6 +12,12 @@ covariances, reals whose last two axes are also square and symmetric within
 np.allclose(M, M^T, atol=1e-10), stored as their symmetric part. The
 logistic (sigmoid) and the max-shifted row softmax (softmax_rows) live here
 too, one definition each for every module.
+
+Every max and sum over a short last axis on many rows goes through one
+reduction rule: row_max and row_sums give numpy's bytes, as whole-column
+passes on many rows of at most COLUMN_MAX_TERMS terms and as numpy's own
+call otherwise; "many" is a measured number of rows per term. A max is
+exact, and row_sums replays numpy's pairwise order in its passes.
 """
 from __future__ import annotations
 
@@ -119,6 +125,14 @@ def int_fields(obj, **ranks):
         what = "a list of integers" if rank else "an integer"
         a = _array(getattr(obj, name), name, rank, "iu", what)
         object.__setattr__(obj, name, a.astype(int) if rank else int(a))
+
+
+def check_counts(**counts):
+    """Raise ValueError naming the first count (epochs, batch, hidden,
+    latent_dim, quad_nodes, ...) below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def json_list(value, name):
@@ -321,28 +335,67 @@ class RandomSource:
         return self._gen.permutation(n)
 
 
+# When row_max and row_sums take column passes, from timings on a 2-vCPU x86
+# host (numpy 2.4); no result depends on these values. A pass costs one numpy
+# call per term, where numpy's own reduction loops once per row, so the
+# passes pay from some rows per term on. From 16 terms on they lose even on
+# a cached block: a max over 41 terms took 85 us against numpy's 83 on 1598
+# rows, over 64 terms 143 against 81 on 1024; a replay of the 8 running sums
+# that numpy's sum keeps from 16 terms on took 120 us against 65 at 41.
+COLUMN_MAX_TERMS = 15
+# Per term, the max passes were faster than numpy's max from 8-31 rows at 2 to
+# 16 terms, and the sum passes, which also fold and write an output, from
+# 37-64 rows at 2 to 15 terms; below these many rows per term, numpy's own
+# call is taken.
+MAX_PASS_ROWS_PER_TERM = 32
+SUM_PASS_ROWS_PER_TERM = 64
+
+
 def row_max(mat):
     """Maxima over the last axis of an (..., K) array, kept as an (..., 1)
-    axis, by one elementwise pass per column: a max over a short last axis
-    runs a separate inner loop for every row. A maximum is exact, so this is
-    mat.max(axis=-1, keepdims=True) up to the sign of a zero maximum."""
+    axis: mat.max(axis=-1, keepdims=True) up to the sign of a zero maximum.
+    A maximum is exact, so on MAX_PASS_ROWS_PER_TERM rows per term or more,
+    of at most COLUMN_MAX_TERMS terms, it is taken by one elementwise pass
+    per column, where numpy runs a separate inner loop for every row. Its
+    sibling row_sums gives the sums over the last axis."""
+    K = mat.shape[-1]
+    if K > COLUMN_MAX_TERMS or mat.size < MAX_PASS_ROWS_PER_TERM * K * K:
+        return mat.max(axis=-1, keepdims=True)
     m = mat[..., :1].copy()
-    for k in range(1, mat.shape[-1]):
+    for k in range(1, K):
         np.maximum(m, mat[..., k:k + 1], out=m)
     return m
 
 
-def log_sum_exp_rows(mat):
-    """Row-wise log-sum-exp for (N, K) arrays (log-domain workhorse).
+def row_sums(mat):
+    """Sums over the last axis of a float64 (..., K) array: the bytes of
+    mat.sum(axis=-1).
 
-    Rows of all -inf yield -inf; +inf and NaN are the caller's bug.
+    numpy sums each row pairwise (Higham 1993). Below 8 terms it adds them
+    in turn; from 8 to 15 it adds ((a0 + a1) + (a2 + a3)) + ((a4 + a5) +
+    (a6 + a7)), then the rest in turn; the total is added to +0.0. On
+    SUM_PASS_ROWS_PER_TERM rows per term or more, of 2 to COLUMN_MAX_TERMS
+    terms on a contiguous last axis, this replays that order as whole-column
+    passes,
+    which run at vector speed where numpy runs one short loop per row; else
+    it is numpy's own call. (Where two NaNs of different bits meet, which
+    one propagates is up to the compiled loop.)
     """
-    mat = np.asarray(mat, dtype=float)
-    m = row_max(mat)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = m[..., 0] + np.log(np.sum(np.exp(mat - m), axis=-1))
-    return out
+    K = mat.shape[-1]
+    if (not 1 < K <= COLUMN_MAX_TERMS or mat.size < SUM_PASS_ROWS_PER_TERM * K * K
+            or mat.dtype != np.float64 or mat.strides[-1] != mat.itemsize):
+        return mat.sum(axis=-1)
+    cols = mat.transpose(-1, *range(mat.ndim - 1))
+    if K < 8:
+        total, rest = cols[0] + 0.0, cols[1:]
+    else:
+        pairs = np.add(cols[0:8:2], cols[1:8:2], out=np.empty((4,) + mat.shape[:-1]))
+        quads = pairs[0::2] + pairs[1::2]
+        total, rest = quads[0] + quads[1], cols[8:]
+        total += 0.0        # an all -0.0 row sums to +0.0
+    for col in rest:
+        total += col
+    return total
 
 
 # Bytes of one work buffer of the row-blocked kernels below; the buffers of
@@ -366,6 +419,37 @@ def row_blocks(n_rows, row_bytes):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
+def _log_sum_exp_block(x, e, out):
+    """The log-sum-exp of each row of the (n, K) block x, into out; e is an
+    (n, K) work buffer."""
+    m = row_max(x)
+    m[~np.isfinite(m)] = 0.0
+    np.subtract(x, m, out=e)
+    np.exp(e, out=e)
+    with np.errstate(divide="ignore"):
+        np.add(m[:, 0], np.log(row_sums(e)), out=out)
+
+
+def log_sum_exp_rows(mat):
+    """Row-wise log-sum-exp over the last axis of an (..., K) array, read as
+    C-ordered rows (log-domain workhorse). Runs block by block of rows
+    through one work buffer.
+
+    Rows of all -inf yield -inf; +inf and NaN are the caller's bug.
+    """
+    mat = np.asarray(mat, dtype=float)
+    rows = mat.reshape(-1, mat.shape[-1])
+    out = np.empty(len(rows))
+    if rows.nbytes <= ROW_BLOCK_BYTES:      # one block: no slicing
+        _log_sum_exp_block(rows, np.empty_like(rows), out)
+    else:
+        blocks = row_blocks(len(rows), rows.shape[1] * 8)
+        buf = np.empty((max(b.stop - b.start for b in blocks), rows.shape[1]))
+        for b in blocks:
+            _log_sum_exp_block(rows[b], buf[:b.stop - b.start], out[b])
+    return out.reshape(mat.shape[:-1])
+
+
 def normalize_log_rows(log_rows):
     """Row-normalized probabilities of an (N, K) array of log-weights, and
     each row's log-normalizer: the posterior over K discrete values. Runs
@@ -374,20 +458,20 @@ def normalize_log_rows(log_rows):
     probs = np.empty((N, K))
     lse = np.empty(N)
     for rows in row_blocks(N, K * 8):
-        lse[rows] = log_sum_exp_rows(log_rows[rows])
-        p = probs[rows]
-        np.subtract(log_rows[rows], lse[rows, None], out=p)
+        x, p = log_rows[rows], probs[rows]
+        _log_sum_exp_block(x, p, lse[rows])
+        np.subtract(x, lse[rows, None], out=p)
         np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= row_sums(p)[:, None]
     return probs, lse
 
 
 def softmax_rows(log_rows, out=None):
     """exp(log_rows) normalized over the last axis, the last-axis maximum
     subtracted first so no entry overflows; out=log_rows works in place."""
-    out = np.subtract(log_rows, log_rows.max(axis=-1, keepdims=True), out=out)
+    out = np.subtract(log_rows, row_max(log_rows), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= row_sums(out)[..., None]
     return out
 
 
@@ -409,8 +493,8 @@ def gaussian_logpdf_columns(X, means, covs):
     Block by block of rows, the K centred blocks X_b - mu_k go through one
     batched matmul with the transposed inverses of the d x d Cholesky
     factors (np.linalg.solve would LU-factorize each triangular factor
-    again), then are squared and summed in place; two (K, B, d) buffers
-    serve every block.
+    again), then are squared in place and summed over d by row_sums; two
+    (K, B, d) buffers serve every block.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     means = np.asarray(means, dtype=float)
@@ -431,10 +515,10 @@ def gaussian_logpdf_columns(X, means, covs):
         np.subtract(X[b], means[:, None, :], out=diff[:, :n])
         np.matmul(diff[:, :n], inv_t, out=sol[:, :n])
         np.multiply(sol[:, :n], sol[:, :n], out=sol[:, :n])
-        quad = out[b].T
-        np.sum(sol[:, :n], axis=2, out=quad)
+        quad = row_sums(sol[:, :n])
         quad += const[:, None]
         quad *= -0.5
+        out[b] = quad.T
     return out
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import int_fields, json_field, real_fields
-from .nn import Mlp, Recorder, Tensor, check_counts, concat, eager, fit_minibatch, map_rows
+from .core import check_counts, int_fields, json_field, real_fields
+from .nn import Mlp, Recorder, Tensor, concat, eager, fit_minibatch, map_rows
 
 __all__ = ["NoiseSchedule", "DiffusionModel", "linear_schedule", "make_diffusion",
            "time_features", "q_sample", "posterior_params", "loss_simple",

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import fields_from_json, fields_to_json, int_fields, json_field, json_list
-from .nn import Mlp, Tensor, as_batch, check_counts, concat, fit_minibatch, map_rows, param
+from .core import (check_counts, fields_from_json, fields_to_json, int_fields, json_field,
+                   json_list)
+from .nn import Mlp, Tensor, as_batch, concat, fit_minibatch, map_rows, param
 
 __all__ = ["PlanarLayer", "CouplingLayer", "PermutationLayer", "FlowModel",
            "forward_with_logdet", "inverse", "log_likelihood", "fit",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import int_fields
-from .nn import AdamState, Mlp, Recorder, check_counts, check_lr, descend, map_rows
+from .core import check_counts, int_fields
+from .nn import AdamState, Mlp, Recorder, check_lr, descend, map_rows
 
 __all__ = ["GanModel", "make_gan", "disc_loss", "gen_loss", "train", "sample"]
 

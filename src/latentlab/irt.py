@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .core import (category_codes, log_sum_exp_rows, normalize_log_rows, real_fields,
-                   sigmoid, softmax_rows)
+from .core import (category_codes, check_counts, log_sum_exp_rows, normalize_log_rows,
+                   real_fields, row_sums, sigmoid, softmax_rows)
 from .em import EmConfig, run_em
 
 __all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik", "loglik_rows",
@@ -68,7 +68,9 @@ class QuadratureRule:
 
 
 def default_quadrature(n_nodes=DEFAULT_NODES):
-    """Gauss-Hermite rule rescaled to the N(0, 1) prior measure."""
+    """Gauss-Hermite rule of n_nodes nodes (the quad_nodes setting, at least
+    1) rescaled to the N(0, 1) prior measure."""
+    check_counts(quad_nodes=n_nodes)
     x, w = hermegauss(n_nodes)
     w = w / math.sqrt(2.0 * math.pi)
     w = w / w.sum()
@@ -143,7 +145,7 @@ def posterior_moments(params, responses, quad):
     X = _check_responses(responses, params.n_items)
     gamma, _ = _node_posteriors(params, X, quad)
     eap = gamma @ quad.nodes
-    var = np.sum(gamma * (quad.nodes[None, :] - eap[:, None]) ** 2, axis=1)
+    var = row_sums(gamma * (quad.nodes[None, :] - eap[:, None]) ** 2)
     return eap, np.sqrt(np.maximum(var, 0.0))
 
 

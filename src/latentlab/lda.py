@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RandomSource, category_codes, int_fields, real_fields,
+from .core import (RandomSource, category_codes, int_fields, real_fields, row_sums,
                    sample_categorical_many, sample_dirichlet, softmax_rows)
 from .em import EmConfig, run_em
 
@@ -214,7 +214,7 @@ def _bound_terms(hyper, corpus, var):
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(wt > 0, wt * np.log(wt), 0.0)
     logits = _token_logits(corpus, elog_theta, elog_phi)
-    tokens = np.sum(wt * logits - plogp, axis=1)
+    tokens = row_sums(wt * logits - plogp)
     docs += np.bincount(corpus.doc_of, weights=tokens, minlength=corpus.n_docs)
     return topics, docs, logits
 
@@ -258,12 +258,12 @@ def init_variational(hyper, corpus, rng):
     One standard-gamma block, normalized row by row as core.sample_dirichlet
     normalizes a single draw, gives the same weights as one draw per token."""
     g = rng.standard_gamma(np.ones((corpus.n_tokens, hyper.K)))
-    total = g.sum(axis=1, keepdims=True)
+    total = row_sums(g)[:, None]
     underflow = total[:, 0] == 0.0
     g[underflow] = 1.0
     total[underflow] = hyper.K
     wt = g / total
-    wt /= wt.sum(axis=1, keepdims=True)
+    wt /= row_sums(wt)[:, None]
     return _dirichlet_updates(hyper, corpus, wt)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .core import (RandomSource, category_codes, chol_psd, check_finite,
                    check_simplex_rows, cov_fields, gaussian_logpdf_columns, json_list,
                    log_sum_exp_rows, normalize_log_rows, real_array, real_fields,
-                   sample_categorical_many)
+                   row_sums, sample_categorical_many)
 from .em import EmConfig, run_em
 
 __all__ = [
@@ -252,11 +252,11 @@ def _farthest_point_means(X, K, rng):
     N = X.shape[0]
     first = int(rng.integers(0, N))
     chosen = [first]
-    dist = np.sum((X - X[first]) ** 2, axis=1)
+    dist = row_sums((X - X[first]) ** 2)
     for _ in range(1, K):
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.sum((X - X[nxt]) ** 2, axis=1))
+        dist = np.minimum(dist, row_sums((X - X[nxt]) ** 2))
     return X[chosen].copy()
 
 

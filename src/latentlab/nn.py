@@ -47,12 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (fields_from_json, fields_to_json, json_field, json_list, real_array,
-                   sigmoid as _sigmoid)
+from .core import (check_counts, fields_from_json, fields_to_json, json_field, json_list,
+                   real_array, sigmoid as _sigmoid)
 
 __all__ = ["Tensor", "Mlp", "AdamState", "Recorder", "as_batch", "eager", "map_rows",
            "forward", "backward", "adam_step", "concat", "zero_grad", "descend",
-           "fit_minibatch", "check_counts", "check_lr"]
+           "fit_minibatch", "check_lr"]
 
 
 # name -> (forward, backward); backward(g, x, y) is the gradient at the input
@@ -723,14 +723,6 @@ def adam_step(params, grads, state, lr=1e-3):
             p.values = theta[start:start + size].reshape(p.values.shape)
         start += size
     return state
-
-
-def check_counts(**counts):
-    """Raise ValueError naming the first count (epochs, batch, hidden, ...)
-    below 1."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def check_lr(lr):

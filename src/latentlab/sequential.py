@@ -52,10 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Gaussian, NumericError, RandomSource, category_codes, check_finite,
-                   check_simplex_rows, chol_psd, cov_fields, fields_from_json, fields_to_json,
-                   gaussian_logpdf_columns, json_field, log_sum_exp_rows, normalize_log_rows,
-                   real_fields, row_max, softmax_rows)
+from .core import (Gaussian, NumericError, RandomSource, category_codes, check_counts,
+                   check_finite, check_simplex_rows, chol_psd, cov_fields, fields_from_json,
+                   fields_to_json, gaussian_logpdf_columns, json_field, log_sum_exp_rows,
+                   normalize_log_rows, real_fields, row_max, row_sums, softmax_rows)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
                       _perturbed_rows, _var_floor, _weighted_gaussians)
@@ -183,6 +183,7 @@ class LdsParams:
 
     def __post_init__(self):
         real_fields(self, A=2, C=2, mu0=1)
+        check_counts(latent_dim=self.mu0.shape[0])
         cov_fields(self, Q=2, R=2, Sigma0=2)
         dz, dx = self.A.shape[0], self.C.shape[0]
         if self.A.shape != (dz, dz) or self.C.shape != (dx, dz) or self.Q.shape != (dz, dz) \
@@ -329,7 +330,7 @@ class HmmSetPosterior:
         w = self.logB[nxt] + self.log_beta[nxt]
         w -= row_max(w)
         U, V = np.exp(self.log_alpha[self.pack.prev]), np.exp(w)
-        z = np.sum((U @ A) * V, axis=1, keepdims=True)
+        z = row_sums((U @ A) * V)[:, None]
         low = z[:, 0] < TINY
         U[low], z[low] = 0.0, 1.0
         U /= z
@@ -833,7 +834,7 @@ def _kalman_pass(params, pack):
     steps = cov_steps[pack.steps]
     sol = np.linalg.solve(L[steps], innov[:, :, None])[:, :, 0]
     logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-    row_ll = -0.5 * (dx * math.log(2 * math.pi) + logdet[steps] + np.sum(sol * sol, axis=1))
+    row_ll = -0.5 * (dx * math.log(2 * math.pi) + logdet[steps] + row_sums(sol * sol))
     return LdsSetPosterior(params, pack, means, covs, pred_means, pred_covs,
                            pack.sums(row_ll), cov_steps)
 
@@ -915,6 +916,7 @@ def lds_fit(obs_set, state_dim, cfg: EmConfig, init=None):
     single sequence it is held at its initial value (one observation of z_1
     cannot identify it).
     """
+    check_counts(latent_dim=state_dim)
     pack = _lds_pack(obs_set)
     if np.any(pack.lengths < 2):
         raise ValueError("sequences must have length >= 2")

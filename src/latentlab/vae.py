@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import int_fields, real_fields, sigmoid
-from .nn import Mlp, Tensor, check_counts, eager, fit_minibatch, map_rows
+from .core import check_counts, int_fields, real_fields, sigmoid
+from .nn import Mlp, Tensor, eager, fit_minibatch, map_rows
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
            "elbo", "elbo_rows", "train", "sample", "reconstruct"]

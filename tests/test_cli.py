@@ -1127,3 +1127,60 @@ def test_a_model_command_builds_the_parser_once(command, tmp_path, monkeypatch):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
     assert len(built) == 1
+
+
+def _lds_data(tmp_path):
+    from latentlab import sequential as seq
+    data = tmp_path / "s.seq"
+    write_seq(data, [seq.lds_sample(seq.LdsParams([[0.8]], [[1.0]], [[0.2]], [[0.3]], [0.0],
+                                                  [[1.0]]), 40, RandomSource(14))[1]], dx=1)
+    return data
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_lds_fit_needs_a_state(value, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main(["fit", "lds", "--data", str(_lds_data(tmp_path)), "--latent-dim", value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"latentlab: latent_dim must be >= 1, got {value}\n"
+    assert not out.exists() and not (tmp_path / "m.json.trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "infer", "sample"])
+def test_an_lds_model_without_a_state_is_refused(command, tmp_path, capsys):
+    # the file a fit with --latent-dim 0 wrote before the fit refused it; its
+    # (0, 0) matrices read back as (1, 0)
+    model = tmp_path / "lds0.json"
+    model.write_text(json.dumps({
+        "config": {"family": "lds", "latent_dim": 0, "max_iters": 500, "rel_tol": None,
+                   "seed": 0},
+        "family": "lds", "params": {"A": [], "C": [[]], "Q": [], "R": [[0.9]], "Sigma0": [],
+                                    "mu0": []},
+        "rng_algorithm": "philox4x64", "schema": "latentlab-model-v1"}))
+    out = tmp_path / "out.seq"
+    argv = [command, str(model)] + (["--n", "3"] if command == "sample" else
+                                    ["--data", str(_lds_data(tmp_path))])
+    assert main(argv + ([] if command == "eval" else ["--out", str(out)])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "latentlab: latent_dim must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_irt_quadrature_needs_a_node(tmp_path, capsys):
+    data = tmp_path / "x.csv"
+    write_csv(data, (RandomSource(3).uniform((30, 4)) < 0.5).astype(float))
+    model = tmp_path / "irt.json"
+    assert main(["fit", "irt", "--data", str(data), "--quad-nodes", "0", "--out",
+                 str(model)]) == 2
+    assert capsys.readouterr().err == "latentlab: quad_nodes must be >= 1, got 0\n"
+    assert not model.exists()
+    assert main(["fit", "irt", "--data", str(data), "--max-iters", "5", "--out", str(model)]) == 0
+    path = _edited_model(tmp_path, model, _set(("config", "quad_nodes"), -3))
+    out = tmp_path / "theta.csv"
+    for argv in (["eval", str(path), "--data", str(data)],
+                 ["infer", str(path), "--data", str(data), "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "latentlab: quad_nodes must be >= 1, got -3\n"
+    assert not out.exists()

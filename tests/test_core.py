@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import (gaussian_condition, gaussian_logpdf, kl_divergence_categorical,
                           log_sum_exp, sample_categorical, sample_gaussian)
-from latentlab import nn
+from latentlab import core, nn
 from latentlab.core import (Gaussian, NumericError, RandomSource, Simplex,
                             category_codes, sample_dirichlet, sigmoid, softmax_rows)
 from latentlab.irt import item_prob
@@ -313,7 +313,7 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("K", SOFTMAX_SIZES)
+@pytest.mark.parametrize("K", SOFTMAX_SIZES + [8, 128, 129])
 def test_softmax_rows_gives_the_bytes_of_each_replaced_copy(K):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -342,6 +342,132 @@ def test_the_logistic_has_one_home():
     assert nn._sigmoid is sigmoid
     z = _logits(3, (40, 5))
     assert _same_bytes(item_prob(z, 1.0, 0.0), sigmoid(z))
+
+
+# -- row maxima and row sums in numpy's order ----------------------------------------
+# core.row_max and core.row_sums take column passes on many rows of at most
+# COLUMN_MAX_TERMS terms, row_sums replaying numpy's pairwise row sum in them;
+# elsewhere each is numpy's own call. Either way row_sums must give the bytes of
+# numpy's sum over a C-ordered last axis, and row_max numpy's maxima.
+
+def _switch_rows(per_term, K):
+    """Row counts on both sides of a switch to column passes at per_term rows
+    per term (past the term limit, where numpy's call is taken, as at it)."""
+    m = per_term * min(K, core.COLUMN_MAX_TERMS)
+    return [1, 5, m - 1, m, m + 77]
+
+
+# entries whose order shows: zeros of either sign (numpy's sum starts from +0.0),
+# infinities (a row with both sums to NaN) and subnormals
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+
+
+def _terms(seed, rows, K, specials, share):
+    """(rows, K) terms of magnitudes 1e-17 to 1e17, so that a change of order
+    moves low bits, with about share of them drawn from specials."""
+    g = np.random.default_rng(seed)
+    a = g.standard_normal((rows, K)) * np.exp(g.uniform(-40.0, 40.0, (rows, K)))
+    special = g.random((rows, K)) < share
+    a[special] = g.choice(specials, size=int(special.sum()))
+    return a
+
+
+def _in_rank(a, rank):
+    """The (rows, K) terms as one row (rank 1), as they are (rank 2), or as a
+    (2, rows, K) view into a longer buffer, as gaussian_logpdf_columns passes
+    its blocks (rank 3)."""
+    if rank == 1:
+        return a[0].copy()
+    if rank == 2:
+        return a
+    buf = np.empty((2, len(a) + 3, a.shape[1]))
+    buf[0, :len(a)], buf[1, :len(a)] = a, a[::-1]
+    return buf[:, :len(a)]
+
+
+# numpy adds below 8 terms in turn, 8 to 128 as 8 running sums, and more as two
+# halves; half of the draws have at most one term past the column passes' limit
+TERMS = st.one_of(st.integers(1, core.COLUMN_MAX_TERMS + 1), st.integers(1, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=TERMS, side=st.integers(0, 4), rank=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+def test_row_sums_gives_the_bytes_of_numpys_sum(K, side, rank, seed, share):
+    rows = _switch_rows(core.SUM_PASS_ROWS_PER_TERM, K)[side]
+    a = _in_rank(_terms(seed, rows, K, SPECIALS, share), rank)
+    with np.errstate(invalid="ignore"):
+        want = np.ascontiguousarray(a).sum(axis=-1)
+        assert _same_bytes(core.row_sums(a), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=TERMS, side=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_row_sums_with_nan_terms(K, side, seed):
+    rows = _switch_rows(core.SUM_PASS_ROWS_PER_TERM, K)[side]
+    # NaNs of one bit pattern come out as numpy gives them
+    a = _terms(seed, rows, K, [np.nan, 0.0, -0.0, 5e-324], 0.1)
+    assert _same_bytes(core.row_sums(a), a.sum(axis=-1))
+    # inf - inf makes a NaN of other bits, and where two NaNs meet, which one
+    # propagates is the compiled loop's choice: the NaNs fall in the same rows
+    b = _terms(seed, rows, K, [np.nan, np.inf, -np.inf], 0.3)
+    with np.errstate(invalid="ignore"):
+        got, want = core.row_sums(b), b.sum(axis=-1)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and _same_bytes(got[~nan], want[~nan])
+
+
+def test_row_sums_of_negative_zeros_are_positive_zeros():
+    # numpy adds each row's total to +0.0, so no row sums to -0.0
+    for K in range(1, 2 * core.COLUMN_MAX_TERMS):
+        for rows in _switch_rows(core.SUM_PASS_ROWS_PER_TERM, K):
+            a = np.full((rows, K), -0.0)
+            assert _same_bytes(core.row_sums(a), np.zeros(rows)) and _same_bytes(a.sum(axis=-1),
+                                                                                 np.zeros(rows))
+
+
+class _NoNumpyReduction(np.ndarray):
+    """An array whose own sum and max methods fail: the helper took numpy's
+    call."""
+
+    def sum(self, *args, **kwargs):
+        raise AssertionError("numpy's row reduction")
+
+    def max(self, *args, **kwargs):
+        raise AssertionError("numpy's row reduction")
+
+
+def test_row_sums_takes_column_passes_only_on_many_rows_of_a_few_terms():
+    for K in range(1, core.COLUMN_MAX_TERMS + 3):
+        m = core.SUM_PASS_ROWS_PER_TERM * K
+        for rows in (m - 1, m):
+            many = 1 < K <= core.COLUMN_MAX_TERMS and rows >= m
+            a = np.ones((rows, K)).view(_NoNumpyReduction)
+            # a last axis that is not contiguous is numpy's to add in turn
+            for mat, columns in ((a, many), (a.reshape(1, rows, K), many),
+                                 (np.ones((K, rows)).view(_NoNumpyReduction).T, False)):
+                if columns:
+                    assert _same_bytes(core.row_sums(mat), np.full(mat.shape[:-1], float(K)))
+                else:
+                    with pytest.raises(AssertionError, match="numpy's row reduction"):
+                        core.row_sums(mat)
+
+
+def test_row_max_gives_numpys_maxima_in_column_passes_on_many_rows_of_a_few_terms():
+    for K in range(1, core.COLUMN_MAX_TERMS + 3):
+        m = core.MAX_PASS_ROWS_PER_TERM * K
+        for shape in ((K,), (3, K), (m - 1, K), (m, K), (2, m // 2, K)):
+            g = np.random.default_rng(K + shape[0])
+            # ties, zeros of either sign, rows wholly or partly -inf
+            x = g.choice([0.0, -0.0, 1.0, 2.5, -np.inf, -3.0], size=shape)
+            want = x.max(axis=-1, keepdims=True)
+            got = core.row_max(x)
+            assert got.shape == want.shape and np.array_equal(got, want)   # up to zero signs
+            if K <= core.COLUMN_MAX_TERMS and x.size >= m * K:
+                core.row_max(x.view(_NoNumpyReduction))
+            else:
+                with pytest.raises(AssertionError, match="numpy's row reduction"):
+                    core.row_max(x.view(_NoNumpyReduction))
 
 
 I2, Z2 = np.eye(2), [0.0, 0.0]

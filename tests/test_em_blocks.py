@@ -21,8 +21,7 @@ import pytest
 from latentlab import core, irt, mixture, sequential
 from latentlab.core import RandomSource, chol_psd, log_sum_exp_rows
 from latentlab.em import EmConfig, run_em
-from latentlab.mixture import (GmmParams, LcaParams, Responsibilities, _cov_floor,
-                               _farthest_point_means)
+from latentlab.mixture import GmmParams, LcaParams, Responsibilities, _cov_floor
 from latentlab.sequential import DiscreteEmission, GaussianEmission, HmmParams
 
 SEEDS = (0, 1, 2)
@@ -55,6 +54,26 @@ def ref_log_sum_exp_rows(mat):
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = m[..., 0] + np.log(np.sum(np.exp(mat - m), axis=-1))
+    return out
+
+
+def ref_farthest_point_means(X, K, rng):
+    """Greedy farthest-point sweep from a seeded start; deterministic."""
+    N = X.shape[0]
+    first = int(rng.integers(0, N))
+    chosen = [first]
+    dist = np.sum((X - X[first]) ** 2, axis=1)
+    for _ in range(1, K):
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.sum((X - X[nxt]) ** 2, axis=1))
+    return X[chosen].copy()
+
+
+def ref_softmax_rows(log_rows):
+    out = np.subtract(log_rows, log_rows.max(axis=-1, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
@@ -146,7 +165,7 @@ def ref_fit_gmm(X, K, cfg, init=None):
     if init is None:
         d = X.shape[1]
         rng = RandomSource(cfg.seed).split(101)
-        means = _farthest_point_means(X, K, rng)
+        means = ref_farthest_point_means(X, K, rng)
         gcov = np.cov(X.T, bias=True).reshape(d, d)
         gcov = _cov_floor(gcov[None], 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12))[0]
         init = GmmParams(np.full(K, 1.0 / K), means, np.repeat(gcov[None], K, axis=0))
@@ -289,7 +308,7 @@ def ref_hmm_fit(obs_set, K, kind, cfg, init=None):
             init = HmmParams(np.full(K, 1.0 / K), trans, DiscreteEmission(probs))
     elif init is None:
         X = pack.unpack(pack.data)
-        means = _farthest_point_means(X, K, rng)
+        means = ref_farthest_point_means(X, K, rng)
         d = X.shape[1]
         gcov = np.cov(X.T, bias=True).reshape(d, d)
         gcov = _cov_floor(gcov[None], 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12))[0]
@@ -541,7 +560,7 @@ def test_gaussian_columns_match_per_column_loop_at_block_boundaries(K, d):
         assert rows.tobytes() == ref_gaussian_logpdf_rows(X, means[-1], covs[-1]).tobytes()
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 9, 41])
+@pytest.mark.parametrize("K", [1, 2, 3, 9, 41, 8, 16, 128, 129])
 def test_log_sum_exp_rows_matches_row_max_reference(K):
     g = np.random.default_rng(K)
     mat = g.normal(scale=20.0, size=(300, K))
@@ -555,7 +574,7 @@ def test_log_sum_exp_rows_matches_row_max_reference(K):
     assert log_sum_exp_rows(cube).tobytes() == ref_log_sum_exp_rows(cube).tobytes()
 
 
-@pytest.mark.parametrize("K", [1, 3, 9])
+@pytest.mark.parametrize("K", [1, 3, 9, 8, 16, 41, 128, 129])
 def test_posterior_rows_match_reference_at_block_boundaries(K):
     g = np.random.default_rng(K)
     B = _block_rows(K * 8)
@@ -574,6 +593,52 @@ def test_posterior_rows_match_reference_at_block_boundaries(K):
         got, want = mixture._responsibilities(lj), ref_responsibilities(lj)
         assert got.gamma.tobytes() == want.gamma.tobytes()
         assert np.float64(got.loglik).tobytes() == np.float64(want.loglik).tobytes()
+
+
+def _switch_sizes(B, terms, per_row=1):
+    """Row counts on both sides of the switches to column passes of row_max
+    and row_sums at terms terms, for blocks of per_row rows of the helpers
+    per row, and around the block boundaries for blocks of B rows."""
+    switches = {-(-p * terms // per_row) for p in (core.MAX_PASS_ROWS_PER_TERM,
+                                                   core.SUM_PASS_ROWS_PER_TERM)}
+    return sorted({n + i for n in switches for i in (-1, 0, 1)} | set(_boundary_sizes(B)) - {1})
+
+
+@pytest.mark.parametrize("K", [2, 5, 8, 12, 15, 16, 41])
+def test_row_kernels_match_references_across_the_column_switch(K):
+    g = np.random.default_rng(K)
+    for N in _switch_sizes(_block_rows(K * 8), K):
+        lj = g.normal(scale=30.0, size=(N, K))
+        lj[::7, ::2] = -np.inf             # rows partly -inf
+        lj[3::11] = g.choice([0.0, -0.0, 1.0], size=(len(lj[3::11]), K))   # ties, signed zeros
+        assert log_sum_exp_rows(lj).tobytes() == ref_log_sum_exp_rows(lj).tobytes(), N
+        assert core.softmax_rows(lj).tobytes() == ref_softmax_rows(lj).tobytes(), N
+        lj[5::13] = -np.inf                # rows with no support
+        with np.errstate(invalid="ignore"):
+            got, want = core.normalize_log_rows(lj), ref_normalize_log_rows(lj)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 8, 12, 15, 16])
+@pytest.mark.parametrize("K", [1, 3])
+def test_gaussian_columns_match_reference_across_the_column_switch(K, d):
+    g = np.random.default_rng(10 * K + d)
+    means, covs = _gaussians(g, K, d)
+    for N in _switch_sizes(_block_rows(K * d * 8), d, per_row=K):
+        X = 4.0 * g.normal(size=(N, d))
+        got = core.gaussian_logpdf_columns(X, means, covs)
+        assert got.tobytes() == ref_gaussian_logpdf_columns(X, means, covs).tobytes(), N
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 33])
+@pytest.mark.parametrize("K", [1, 3, 5])
+def test_farthest_point_means_match_reference(K, d):
+    g = np.random.default_rng(10 * K + d)
+    for N in _switch_sizes(_block_rows(d * 8), d) + [1]:
+        X = 3.0 * g.normal(size=(N, d))
+        got = mixture._farthest_point_means(X, K, RandomSource(N).split(101))
+        want = ref_farthest_point_means(X, K, RandomSource(N).split(101))
+        assert got.tobytes() == want.tobytes(), N
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])

@@ -733,3 +733,13 @@ def test_lds_sample_matches_stepwise_draws(T):
         assert np.max(np.abs(Z - ref_Z)) < 1e-12
         assert np.max(np.abs(X - ref_X)) < 1e-12
         assert r_new.uniform() == r_old.uniform()
+
+
+def test_lds_needs_a_state():
+    with pytest.raises(ValueError, match=r"^latent_dim must be >= 1, got 0$"):
+        LdsParams(np.zeros((0, 0)), np.zeros((2, 0)), np.zeros((0, 0)), np.eye(2), np.zeros(0),
+                  np.zeros((0, 0)))
+    X = [np.ones((5, 2))]
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=rf"^latent_dim must be >= 1, got {dim}$"):
+            lds_fit(X, dim, EmConfig(max_iters=3))
