@@ -440,13 +440,10 @@ def log_sum_exp_rows(mat):
     mat = np.asarray(mat, dtype=float)
     rows = mat.reshape(-1, mat.shape[-1])
     out = np.empty(len(rows))
-    if rows.nbytes <= ROW_BLOCK_BYTES:      # one block: no slicing
-        _log_sum_exp_block(rows, np.empty_like(rows), out)
-    else:
-        blocks = row_blocks(len(rows), rows.shape[1] * 8)
-        buf = np.empty((max(b.stop - b.start for b in blocks), rows.shape[1]))
-        for b in blocks:
-            _log_sum_exp_block(rows[b], buf[:b.stop - b.start], out[b])
+    blocks = row_blocks(len(rows), rows.shape[1] * 8)
+    buf = np.empty((max(b.stop - b.start for b in blocks), rows.shape[1]))
+    for b in blocks:
+        _log_sum_exp_block(rows[b], buf[:b.stop - b.start], out[b])
     return out.reshape(mat.shape[:-1])
 
 
