@@ -440,10 +440,16 @@ def log_sum_exp_rows(mat):
     mat = np.asarray(mat, dtype=float)
     rows = mat.reshape(-1, mat.shape[-1])
     out = np.empty(len(rows))
-    blocks = row_blocks(len(rows), rows.shape[1] * 8)
-    buf = np.empty((max(b.stop - b.start for b in blocks), rows.shape[1]))
-    for b in blocks:
-        _log_sum_exp_block(rows[b], buf[:b.stop - b.start], out[b])
+    # An input that fits one block skips row_blocks and its slices: 2-3 us a
+    # call, measured as 1.6-1.9% of seq-ragged score_s, whose per-sequence
+    # HMM scores make 180 such calls a pass (alternating pairs, 2-vCPU x86).
+    if rows.nbytes <= ROW_BLOCK_BYTES:
+        _log_sum_exp_block(rows, np.empty_like(rows), out)
+    else:
+        blocks = row_blocks(len(rows), rows.shape[1] * 8)
+        buf = np.empty((max(b.stop - b.start for b in blocks), rows.shape[1]))
+        for b in blocks:
+            _log_sum_exp_block(rows[b], buf[:b.stop - b.start], out[b])
     return out.reshape(mat.shape[:-1])
 
 
