@@ -87,7 +87,7 @@ def position_logits(model, prefix, d):
 def _log_conditionals(model, inputs):
     """(N*D, V) conditional log-probabilities of every position, on the tape,
     from the masked inputs (an array or a Tensor)."""
-    return model.cond_net.forward(inputs).log_softmax(axis=1)
+    return model.cond_net.forward(inputs).log_softmax()
 
 
 def _loglik_inputs(model, X):

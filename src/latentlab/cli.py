@@ -26,7 +26,6 @@ from .families import FAMILIES
 __all__ = ["main", "console_main"]
 
 FIT_FAMILIES = tuple(FAMILIES)
-FMT = "%.17g"
 # Usage error for a command a family does not define, by record field.
 UNDEFINED = {
     "sample": "cannot sample family {!r}",
@@ -156,14 +155,6 @@ def _finite(output, values):
     return values
 
 
-def _write_trace(out_path, trace):
-    lines = ["iter,objective"]
-    for i, v in enumerate(np.asarray(trace, dtype=float), start=1):
-        lines.append(f"{i}," + FMT % v)
-    with open(out_path + ".trace.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _read_data(family, args):
     """The --data file of a command, read as the family's input kind; a fit's
     --vocab or --alphabet, where the family reads it, sets the table width."""
@@ -203,9 +194,11 @@ def _cmd_fit(args):
                                        RandomSource(args.seed))
     config = {"family": args.family, "seed": args.seed}
     config.update((flag, getattr(args, flag)) for flag in record.flags)
-    _finite(args.out + ".trace.csv", trace)
+    trace = _finite(args.out + ".trace.csv", trace)
     datasets.write_model(args.out, args.family, params, config)
-    _write_trace(args.out, trace)
+    datasets.write_csv(args.out + ".trace.csv",
+                       np.column_stack([np.arange(1, len(trace) + 1), trace]),
+                       header=["iter", "objective"])
     if report is not None:
         _report_fit(args.family, report)
     return 0
@@ -232,8 +225,8 @@ def _cmd_eval(args):
     lls = _finite(_output(args), loglik(params, _read_data(family, args), config, args.seed))
     total = _finite(_output(args), np.sum(lls))
     for v in lls:
-        print(FMT % v)
-    print("total " + FMT % total)
+        print(datasets.FMT % v)
+    print("total " + datasets.FMT % total)
     return 0
 
 

@@ -17,7 +17,9 @@ Every max and sum over a short last axis on many rows goes through one
 reduction rule: row_max and row_sums give numpy's bytes, as whole-column
 passes on many rows of at most COLUMN_MAX_TERMS terms and as numpy's own
 call otherwise; "many" is a measured number of rows per term. A max is
-exact, and row_sums replays numpy's pairwise order in its passes.
+exact, and row_sums replays numpy's pairwise order in its passes. The
+tape's log-softmax (nn) takes its normalizer from log_sum_exp_rows and its
+backward's sums from row_sums, so it follows the same rule.
 """
 from __future__ import annotations
 

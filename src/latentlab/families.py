@@ -56,8 +56,10 @@ class Family:
 
 
 def _em_cfg(args, default_rel_tol=1e-7):
-    return EmConfig(max_iters=args.max_iters, rel_tol=args.rel_tol or default_rel_tol,
-                    seed=args.seed)
+    """The EM settings of a fit's flags; an unset --rel-tol (None) takes the
+    family's default, and any value given goes to EmConfig's check."""
+    rel_tol = default_rel_tol if args.rel_tol is None else args.rel_tol
+    return EmConfig(max_iters=args.max_iters, rel_tol=rel_tol, seed=args.seed)
 
 
 def _em_fit(fitted):

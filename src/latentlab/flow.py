@@ -165,20 +165,20 @@ class CouplingLayer:
         return s, t
 
     def forward(self, z):
-        za = z.take_columns(self.idx_a)
-        zb = z.take_columns(self.idx_b)
+        za = z[:, self.idx_a]
+        zb = z[:, self.idx_b]
         s, t = self._s_t(za)
         zb_new = zb * s.exp() + t
-        out = concat([za, zb_new], axis=1).take_columns(self.scatter)
+        out = concat([za, zb_new], axis=1)[:, self.scatter]
         logdet = s.sum(axis=1)
         return out, logdet
 
     def inverse(self, x):
-        za = x.take_columns(self.idx_a)
-        xb = x.take_columns(self.idx_b)
+        za = x[:, self.idx_a]
+        xb = x[:, self.idx_b]
         s, t = self._s_t(za)
         zb = (xb - t) * (-s).exp()
-        z = concat([za, zb], axis=1).take_columns(self.scatter)
+        z = concat([za, zb], axis=1)[:, self.scatter]
         return z, -(s.sum(axis=1))
 
 
@@ -202,10 +202,10 @@ class PermutationLayer:
         return []
 
     def forward(self, z):
-        return z.take_columns(self.perm), Tensor(np.zeros(z.values.shape[0]))
+        return z[:, self.perm], Tensor(np.zeros(z.values.shape[0]))
 
     def inverse(self, x):
-        return x.take_columns(self.inv_perm), Tensor(np.zeros(x.values.shape[0]))
+        return x[:, self.inv_perm], Tensor(np.zeros(x.values.shape[0]))
 
 
 @dataclass

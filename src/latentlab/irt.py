@@ -163,42 +163,45 @@ def _newton_item(theta, r, n, c0, b0):
     in (log a, b)."""
     c, b = c0, b0
     f = _item_objective(c, b, theta, r, n)
-    for _ in range(NEWTON_MAX_STEPS):
-        a = math.exp(c)
-        z = a * theta - b
-        p = 1.0 / (1.0 + np.exp(-z))
-        resid = r - n * p
-        g_a = float(resid @ theta)
-        g_b = -float(resid.sum())
-        w = n * p * (1.0 - p)
-        h_aa = -float(w @ (theta * theta))
-        h_ab = float(w @ theta)
-        h_bb = -float(w.sum())
-        # chain rule to c = log a
-        g_c = a * g_a
-        h_cc = a * a * h_aa + a * g_a
-        h_cb = a * h_ab
-        grad = np.array([g_c, g_b])
-        if np.linalg.norm(grad, ord=np.inf) < NEWTON_GRAD_TOL:
-            break
-        H = np.array([[h_cc, h_cb], [h_cb, h_bb]])
-        H -= 1e-10 * np.eye(2)
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            c_new, b_new = c - t * step[0], b - t * step[1]
-            f_new = _item_objective(c_new, b_new, theta, r, n)
-            if f_new >= f:
-                c, b, f = c_new, b_new, f_new
-                improved = True
+    # p = 1 / (1 + exp(-z)) is exactly 0 where exp(-z) overflows (z < -709),
+    # as on responses that a threshold in ability separates
+    with np.errstate(over="ignore"):
+        for _ in range(NEWTON_MAX_STEPS):
+            a = math.exp(c)
+            z = a * theta - b
+            p = 1.0 / (1.0 + np.exp(-z))
+            resid = r - n * p
+            g_a = float(resid @ theta)
+            g_b = -float(resid.sum())
+            w = n * p * (1.0 - p)
+            h_aa = -float(w @ (theta * theta))
+            h_ab = float(w @ theta)
+            h_bb = -float(w.sum())
+            # chain rule to c = log a
+            g_c = a * g_a
+            h_cc = a * a * h_aa + a * g_a
+            h_cb = a * h_ab
+            grad = np.array([g_c, g_b])
+            if np.linalg.norm(grad, ord=np.inf) < NEWTON_GRAD_TOL:
                 break
-            t *= 0.5
-        if not improved:
-            break
+            H = np.array([[h_cc, h_cb], [h_cb, h_bb]])
+            H -= 1e-10 * np.eye(2)
+            try:
+                step = np.linalg.solve(H, grad)
+            except np.linalg.LinAlgError:
+                step = -grad
+            t = 1.0
+            improved = False
+            for _ in range(30):
+                c_new, b_new = c - t * step[0], b - t * step[1]
+                f_new = _item_objective(c_new, b_new, theta, r, n)
+                if f_new >= f:
+                    c, b, f = c_new, b_new, f_new
+                    improved = True
+                    break
+                t *= 0.5
+            if not improved:
+                break
     return c, b
 
 

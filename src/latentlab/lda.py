@@ -141,7 +141,7 @@ class LdaVariational:
             offsets = np.concatenate(([0], np.cumsum([len(b) for b in blocks], dtype=int)))
             wt = np.concatenate(blocks) if blocks else np.zeros((0, self.doc_topic.shape[1]))
         wt = np.asarray(wt, dtype=float)
-        simplex = np.all(wt >= 0, axis=1) & np.isclose(wt.sum(axis=1), 1.0, atol=1e-9)
+        simplex = np.all(wt >= 0, axis=1) & np.isclose(row_sums(wt), 1.0, atol=1e-9)
         if not np.all(simplex):
             d = np.searchsorted(offsets, np.argmin(simplex), side="right") - 1
             raise ValueError(f"token weights of document {d} are not simplex rows")

@@ -2,16 +2,20 @@
 feed-forward networks, and an Adam optimizer.
 
 The op surface is the smallest one the deep generative modules need: affine
-layers, elementwise nonlinearities, reductions, log-softmax, column
-gather/concat. Each op is written once, as a forward over its parents'
-current values and a backward; a Tensor records its parents and both.
+layers, elementwise nonlinearities, reductions, log-softmax over the last
+axis, indexing and concat; columns are gathered by indexing (t[:, idx]),
+whose backward adds into the gathered columns by np.add.at. Each op is
+written once, as a forward over its parents' current values and a
+backward; a Tensor records its parents and both.
 Calling backward() on a scalar loss accumulates gradients into every
 reachable leaf that has requires_grad set. The first contribution to a
 gradient is copied, later ones are added in place, in reverse depth-first
 order from the loss.
 
 The sigmoid activation is core.sigmoid, the one logistic of the package
-(vae and irt evaluate it off the tape).
+(vae and irt evaluate it off the tape). log_softmax follows core's row
+rule: its normalizer is core.log_sum_exp_rows and its backward's row sums
+are core.row_sums, so it gives the bytes of numpy's last-axis reductions.
 
 A node keeps its values; after backward() it also holds its gradient. An
 op's backward reads the values of the node and of its parents, so no op keeps
@@ -48,10 +52,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (check_counts, fields_from_json, fields_to_json, json_field, json_list,
-                   real_array, sigmoid as _sigmoid)
+                   log_sum_exp_rows, real_array, row_sums, sigmoid as _sigmoid)
 
 __all__ = ["Tensor", "Mlp", "AdamState", "Recorder", "as_batch", "eager", "map_rows",
-           "forward", "backward", "adam_step", "concat", "zero_grad", "descend",
+           "backward", "adam_step", "concat", "zero_grad", "descend",
            "fit_minibatch", "check_lr"]
 
 
@@ -234,15 +238,13 @@ class Tensor:
         n = self.values.size if axis is None else self.values.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def log_softmax(self, axis=-1):
-        return _op(_log_softmax, _log_softmax_grad, (self,), axis)
+    def log_softmax(self):
+        """Log-probabilities over the last axis, normalized by
+        core.log_sum_exp_rows."""
+        return _op(_log_softmax, _log_softmax_grad, (self,))
 
     def reshape(self, *shape):
         return _op(_reshape, _reshape_grad, (self,), shape)
-
-    def take_columns(self, idx):
-        """Gather columns of a 2-D tensor by integer index array."""
-        return _op(_take_columns, _take_columns_grad, (self,), np.asarray(idx, dtype=int))
 
 
 def _op(forward, backward, parents, args=None):
@@ -348,14 +350,12 @@ def _sum_grad(n, g):
 
 
 def _log_softmax(n):
-    x, axis = n.parents[0].values, n._args
-    m = x.max(axis=axis, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    return x - lse
+    x = n.parents[0].values
+    return x - log_sum_exp_rows(x)[..., None]
 
 
 def _log_softmax_grad(n, g):
-    _accum(n.parents[0], g - np.exp(n.values) * g.sum(axis=n._args, keepdims=True))
+    _accum(n.parents[0], g - np.exp(n.values) * row_sums(g)[..., None])
 
 
 def _reshape(n):
@@ -364,16 +364,6 @@ def _reshape(n):
 
 def _reshape_grad(n, g):
     _accum(n.parents[0], g.reshape(n.parents[0].values.shape))
-
-
-def _take_columns(n):
-    return n.parents[0].values[:, n._args]
-
-
-def _take_columns_grad(n, g):
-    full = np.zeros_like(n.parents[0].values)
-    np.add.at(full.T, n._args, g.T)
-    _accum(n.parents[0], full)
 
 
 def dense(h, W, b, activation):
@@ -656,11 +646,6 @@ def param(value, name, rank):
     field rule; a Tensor's values are checked and the Tensor kept."""
     values = real_array(value.values if isinstance(value, Tensor) else value, name, rank)
     return value if isinstance(value, Tensor) else Tensor.param(values)
-
-
-def forward(mlp, x):
-    """Functional alias for Mlp.forward."""
-    return mlp.forward(x)
 
 
 @dataclass

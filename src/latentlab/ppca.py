@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, check_finite, chol_psd, gaussian_logpdf_rows, real_fields
+from .core import (RandomSource, check_counts, check_finite, chol_psd, gaussian_logpdf_rows,
+                   real_fields)
 from .em import EmConfig, run_em
 
 __all__ = ["PpcaParams", "PpcaPosterior", "fit_closed_form", "posterior",
@@ -28,7 +29,7 @@ SIGMA2_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PpcaParams:
-    """Loading matrix W (D x M), data mean mu (D,), noise variance sigma2.
+    """Loading matrix W (D x M, M >= 1), data mean mu (D,), noise variance sigma2.
 
     sigma2 = 0 is the degenerate PCA limit and is accepted only so the
     noiseless formulas stay expressible; fitted models keep sigma2 > 0.
@@ -42,6 +43,7 @@ class PpcaParams:
         real_fields(self, W=2, mu=1, sigma2=0)
         if self.W.shape[0] != self.mu.shape[0]:
             raise ValueError("W rows must match mu length")
+        check_counts(latent_dim=self.latent_dim)
         if self.W.shape[1] > self.W.shape[0]:
             raise ValueError("latent dimension M must not exceed data dimension D")
         if self.sigma2 < 0:
@@ -75,7 +77,8 @@ def _m_matrix(params):
 
 def _moments(data, M):
     """(N, mu, S): the row count, sample mean and sample covariance of the
-    data both fits start from, after checking them against M."""
+    data both fits start from, after checking them against M (at least 1)."""
+    check_counts(latent_dim=M)
     X = np.atleast_2d(np.asarray(data, dtype=float))
     check_finite(X, "data")
     N, D = X.shape

@@ -1184,3 +1184,83 @@ def test_irt_quadrature_needs_a_node(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "latentlab: quad_nodes must be >= 1, got -3\n"
     assert not out.exists()
+
+
+def _separable_responses(path, seed=0):
+    """Responses X_ij = [theta_i > t_j] of N = 200 sorted standard-normal
+    abilities and J = 5 sorted thresholds: every item is separated by a
+    threshold in ability, so the fitted slopes grow until exp(-z) overflows."""
+    rng = np.random.default_rng(seed)
+    theta, t = np.sort(rng.standard_normal(200)), np.sort(rng.standard_normal(5))
+    write_csv(path, (theta[:, None] > t[None, :]).astype(float))
+    return path
+
+
+def test_irt_fits_separable_responses(tmp_path, capsys):
+    data, model = _separable_responses(tmp_path / "sep.csv"), tmp_path / "irt.json"
+    assert main(["fit", "irt", "--data", str(data), "--max-iters", "500",
+                 "--out", str(model)]) == 0
+    assert capsys.readouterr().err == ""
+    trace = read_csv(str(model) + ".trace.csv")
+    assert np.all(np.isfinite(trace)) and np.all(np.diff(trace[:, 1]) >= -1e-8)
+    assert main(["eval", str(model), "--data", str(data)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 201 and np.all(np.isfinite([float(v) for v in lines[:-1]]))
+
+
+def _em_family_data(tmp_path):
+    """A small input file of each EM family's kind, by family."""
+    rng = RandomSource(8)
+    write_csv(tmp_path / "x.csv", rng.standard_normal((40, 3)))
+    write_csv(tmp_path / "b.csv", (rng.uniform((40, 3)) < 0.5).astype(float))
+    write_seq(tmp_path / "d.seq", [np.array([0, 1, 1, 0, 1] * 4)])
+    write_seq(tmp_path / "r.seq", [rng.standard_normal((20, 2))], dx=2)
+    (tmp_path / "c.txt").write_text("0 1 2 1\n2 3 3 0 1\n")
+    files = {"ppca": "x.csv", "gmm": "x.csv", "lca": "b.csv", "irt": "b.csv", "lda": "c.txt",
+             "hmm": "d.seq", "ghmm": "r.seq", "lds": "r.seq"}
+    return {family: tmp_path / name for family, name in files.items()}
+
+
+EM_FAMILIES = ["ppca", "gmm", "lca", "irt", "lda", "hmm", "ghmm", "lds"]
+
+
+@pytest.mark.parametrize("family", EM_FAMILIES)
+def test_em_fit_refuses_rel_tol_zero(family, tmp_path, capsys):
+    from latentlab.families import EM_FLAGS, FAMILIES
+    assert [f for f, rec in FAMILIES.items() if set(EM_FLAGS) <= set(rec.flags)] == EM_FAMILIES
+    model = tmp_path / "m.json"
+    assert main(["fit", family, "--data", str(_em_family_data(tmp_path)[family]),
+                 "--rel-tol", "0", "--out", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "latentlab: rel_tol must be positive\n"
+    assert not model.exists() and not (tmp_path / "m.json.trace.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_ppca_fit_needs_a_latent_dimension(value, tmp_path, real_csv, capsys):
+    model = tmp_path / "m.json"
+    assert main(["fit", "ppca", "--data", str(real_csv), "--latent-dim", value,
+                 "--out", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"latentlab: latent_dim must be >= 1, got {value}\n"
+    assert not model.exists() and not (tmp_path / "m.json.trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "infer", "sample", "reconstruct"])
+def test_a_ppca_model_without_a_latent_dimension_is_refused(command, tmp_path, real_csv,
+                                                              capsys):
+    # the file a fit with --latent-dim 0 wrote before the fit refused it
+    model = tmp_path / "ppca0.json"
+    model.write_text(json.dumps({
+        "config": {"family": "ppca", "latent_dim": 0, "max_iters": 500, "rel_tol": None,
+                   "seed": 0},
+        "family": "ppca", "params": {"W": [[], []], "mu": [0.1, -0.2], "sigma2": 0.9},
+        "rng_algorithm": "philox4x64", "schema": "latentlab-model-v1"}))
+    out = tmp_path / "out.csv"
+    argv = [command, str(model)] + (["--n", "3"] if command == "sample" else
+                                    ["--data", str(real_csv)])
+    assert main(argv + ([] if command == "eval" else ["--out", str(out)])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "latentlab: latent_dim must be >= 1, got 0\n"
+    assert not out.exists()

@@ -91,11 +91,11 @@ def ref_scatter_perm(self):
 
 
 def ref_coupling_forward(self, z):
-    za = z.take_columns(self.idx_a)
-    zb = z.take_columns(self.idx_b)
+    za = z[:, self.idx_a]
+    zb = z[:, self.idx_b]
     s, t = self._s_t(za)
     zb_new = zb * s.exp() + t
-    out = concat([za, zb_new], axis=1).take_columns(ref_scatter_perm(self))
+    out = concat([za, zb_new], axis=1)[:, ref_scatter_perm(self)]
     logdet = s.sum(axis=1)
     return out, logdet
 
@@ -112,17 +112,17 @@ def ref_coupling_inverse(self, x):
 
 
 def ref_coupling_inverse_tensor(self, x):
-    za = x.take_columns(self.idx_a)
-    xb = x.take_columns(self.idx_b)
+    za = x[:, self.idx_a]
+    xb = x[:, self.idx_b]
     s, t = self._s_t(za)
     zb = (xb - t) * (-s).exp()
-    z = concat([za, zb], axis=1).take_columns(ref_scatter_perm(self))
+    z = concat([za, zb], axis=1)[:, ref_scatter_perm(self)]
     inv_logdet = -(s.sum(axis=1))
     return z, inv_logdet
 
 
 def ref_permutation_forward(self, z):
-    out = z.take_columns(self.perm)
+    out = z[:, self.perm]
     return out, Tensor(np.zeros(z.values.shape[0]))
 
 
@@ -131,7 +131,7 @@ def ref_permutation_inverse(self, x):
 
 
 def ref_permutation_inverse_tensor(self, x):
-    return x.take_columns(self.inv_perm), Tensor(np.zeros(x.values.shape[0]))
+    return x[:, self.inv_perm], Tensor(np.zeros(x.values.shape[0]))
 
 
 def ref_forward_with_logdet(model, z0):
@@ -221,7 +221,7 @@ def ref_arm_loglik_tensor(model, X):
     V = model.alphabet
     inp = Tensor(ref_masked_inputs(model, X))
     logits = model.cond_net.forward(inp)
-    logp = logits.log_softmax(axis=1)
+    logp = logits.log_softmax()
     targets = np.zeros((N * D, V))
     targets[np.arange(N * D), X.reshape(-1)] = 1.0
     return (logp * targets).sum()

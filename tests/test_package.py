@@ -64,6 +64,22 @@ def test_every_private_function_has_a_reader_in_the_library():
     assert [p for p in private if p[1] not in read] == []
 
 
+def test_only_datasets_binds_the_number_format():
+    # every byte-compared output formats its numbers with datasets.FMT; a
+    # ".17g" in any other string (a %-format, an f-string spec, a format()
+    # spec) would be a second formatter
+    bound = []
+    for path in SOURCES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        bound += [(os.path.basename(path), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and ".17g" in node.value]
+    assert [name for name, _line in bound] == ["datasets.py"], bound
+    from latentlab import datasets
+    assert datasets.FMT == "%.17g"
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="'nope'"):
         latentlab.nope
