@@ -422,14 +422,17 @@ def row_blocks(n_rows, row_bytes):
 
 
 def _log_sum_exp_block(x, e, out):
-    """The log-sum-exp of each row of the (n, K) block x, into out; e is an
-    (n, K) work buffer."""
+    """The log-sum-exp m + log(s) of each row of the (n, K) block x, into
+    out, with m the row maximum (0 where it is not finite); leaves exp(x - m)
+    in the (n, K) work buffer e and returns its row sums s."""
     m = row_max(x)
     m[~np.isfinite(m)] = 0.0
     np.subtract(x, m, out=e)
     np.exp(e, out=e)
+    s = row_sums(e)
     with np.errstate(divide="ignore"):
-        np.add(m[:, 0], np.log(row_sums(e)), out=out)
+        np.add(m[:, 0], np.log(s), out=out)
+    return s
 
 
 def log_sum_exp_rows(mat):
@@ -458,16 +461,17 @@ def log_sum_exp_rows(mat):
 def normalize_log_rows(log_rows):
     """Row-normalized probabilities of an (N, K) array of log-weights, and
     each row's log-normalizer: the posterior over K discrete values. Runs
-    block by block of rows, so each block's passes stay in cache."""
+    block by block of rows, so each block's passes stay in cache. Each entry
+    is exponentiated once: the probabilities are the shifted exponentials of
+    log_sum_exp_rows divided by their row sums, so the log-normalizers are
+    log_sum_exp_rows' bytes. A row of all -inf gives lse -inf and NaN
+    probabilities."""
     N, K = log_rows.shape
     probs = np.empty((N, K))
     lse = np.empty(N)
     for rows in row_blocks(N, K * 8):
-        x, p = log_rows[rows], probs[rows]
-        _log_sum_exp_block(x, p, lse[rows])
-        np.subtract(x, lse[rows, None], out=p)
-        np.exp(p, out=p)
-        p /= row_sums(p)[:, None]
+        p = probs[rows]
+        p /= _log_sum_exp_block(log_rows[rows], p, lse[rows])[:, None]
     return probs, lse
 
 

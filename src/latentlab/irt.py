@@ -158,6 +158,18 @@ def _item_objective(c, b, theta, r, n):
     return float(r @ log_p1 + (n - r) @ log_p0)
 
 
+def _newton_step(g_c, g_b, h_cc, h_cb, h_bb):
+    """The step s of (H - 1e-10 I) s = g for the gradient g = (g_c, g_b) and
+    the symmetric H = [[h_cc, h_cb], [h_cb, h_bb]], by Cramer's rule, in
+    float arithmetic; -g where the ridged H is singular or not finite."""
+    h_cc -= 1e-10
+    h_bb -= 1e-10
+    det = h_cc * h_bb - h_cb * h_cb
+    if det == 0.0 or not math.isfinite(det):
+        return -g_c, -g_b
+    return (h_bb * g_c - h_cb * g_b) / det, (h_cc * g_b - h_cb * g_c) / det
+
+
 def _newton_item(theta, r, n, c0, b0):
     """Maximize the per-item expected log-likelihood by damped Newton steps
     in (log a, b)."""
@@ -181,19 +193,13 @@ def _newton_item(theta, r, n, c0, b0):
             g_c = a * g_a
             h_cc = a * a * h_aa + a * g_a
             h_cb = a * h_ab
-            grad = np.array([g_c, g_b])
-            if np.linalg.norm(grad, ord=np.inf) < NEWTON_GRAD_TOL:
+            if abs(g_c) < NEWTON_GRAD_TOL and abs(g_b) < NEWTON_GRAD_TOL:
                 break
-            H = np.array([[h_cc, h_cb], [h_cb, h_bb]])
-            H -= 1e-10 * np.eye(2)
-            try:
-                step = np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError:
-                step = -grad
+            step_c, step_b = _newton_step(g_c, g_b, h_cc, h_cb, h_bb)
             t = 1.0
             improved = False
             for _ in range(30):
-                c_new, b_new = c - t * step[0], b - t * step[1]
+                c_new, b_new = c - t * step_c, b - t * step_b
                 f_new = _item_objective(c_new, b_new, theta, r, n)
                 if f_new >= f:
                     c, b, f = c_new, b_new, f_new

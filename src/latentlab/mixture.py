@@ -158,10 +158,6 @@ def gmm_e_step(params, data):
     return _responsibilities(_gmm_log_joint(params, data))
 
 
-# The component posterior IS the responsibility computation; one code path.
-gmm_posterior = gmm_e_step
-
-
 def _cov_floor(covs, floor):
     """Clamp eigenvalues of each covariance at floor."""
     out = np.empty_like(covs)
@@ -202,18 +198,32 @@ def _reseed_empty(gamma, what):
     return gamma, counts, events
 
 
+# Rows per chunk of the scatter sums in _weighted_gaussians. A chunk's two
+# (rows, d) work buffers take 256 KiB each at d = 8 and stay in the 4 MiB L2,
+# where two (N, d) buffers did not. The chunk size is part of the
+# arithmetic: a covariance is the sum of its chunks' products in chunk
+# order. It is fixed, so no result depends on ROW_BLOCK_BYTES.
+SCATTER_CHUNK_ROWS = 4096
+
+
 def _weighted_gaussians(X, gamma, counts, var_floor):
     """Means (K, d) and covariances (K, d, d) of X under the column weights
-    of gamma, whose column sums are counts, floored at var_floor. Two (N, d)
-    buffers serve all K components."""
-    K, d = gamma.shape[1], X.shape[1]
+    of gamma, whose column sums are counts, floored at var_floor. Each
+    component's scatter is summed over chunks of SCATTER_CHUNK_ROWS rows
+    through two chunk-sized buffers, then divided by its count."""
+    (N, d), K = X.shape, gamma.shape[1]
     means = (gamma.T @ X) / counts[:, None]
-    covs = np.empty((K, d, d))
-    diff, weighted = np.empty_like(X), np.empty_like(X)
-    for k in range(K):
-        np.subtract(X, means[k], out=diff)
-        np.multiply(gamma[:, k, None], diff, out=weighted)
-        covs[k] = weighted.T @ diff / counts[k]
+    covs = np.zeros((K, d, d))
+    size = min(N, SCATTER_CHUNK_ROWS)
+    diff, weighted = np.empty((size, d)), np.empty((size, d))
+    for a in range(0, N, SCATTER_CHUNK_ROWS):
+        x, g = X[a:a + size], gamma[a:a + size]
+        n = len(x)
+        for k in range(K):
+            np.subtract(x, means[k], out=diff[:n])
+            np.multiply(g[:, k, None], diff[:n], out=weighted[:n])
+            covs[k] += weighted[:n].T @ diff[:n]
+    covs /= counts[:, None, None]
     return means, _cov_floor(covs, var_floor)
 
 
@@ -354,9 +364,6 @@ def lca_loglik(params, data):
 def lca_e_step(params, data):
     X = _check_lca_data(params, data)
     return _responsibilities(_lca_log_joint(params, X))
-
-
-lca_posterior = lca_e_step
 
 
 def lca_m_step(data, resp, n_categories=None):

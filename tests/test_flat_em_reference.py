@@ -1,9 +1,11 @@
-"""PPCA-EM iterates on the sample covariance S, and the 2PL E-step forms its
-node log-likelihoods with one product. This file holds the row-based code
-both replaced, copied as it was written before, and checks that the new
-code agrees with it: equal iteration counts and W, sigma2 and objective
-trace within 1e-9 relative for PPCA; the node log-likelihoods within 1e-12
-relative for IRT.
+"""PPCA-EM iterates on the sample covariance S, the 2PL E-step forms its
+node log-likelihoods with one product, and the 2PL M-step solves each
+item's 2 x 2 Newton system in closed form. This file holds the code they
+replaced, copied as it was written before, and checks that the new code
+agrees with it: equal iteration counts and W, sigma2 and objective trace
+within 1e-9 relative for PPCA; the node log-likelihoods within 1e-12
+relative for IRT; the Newton step within 1e-12 of a linear solve, and IRT
+fits with equal iteration counts and a and b within 1e-8 relative.
 
 The flat-em sizes are the benchmark's own (perfbench/inputs.py, loaded by
 path), at its seeds 0 and 1.
@@ -80,6 +82,48 @@ def ref_log_lik_at_nodes(params, X, quad):
     log_p1 = -np.logaddexp(0.0, -Z)
     log_p0 = -np.logaddexp(0.0, Z)
     return X @ log_p1.T + (1 - X) @ log_p0.T
+
+
+def ref_newton_item(theta, r, n, c0, b0):
+    c, b = c0, b0
+    f = irt._item_objective(c, b, theta, r, n)
+    with np.errstate(over="ignore"):
+        for _ in range(irt.NEWTON_MAX_STEPS):
+            a = math.exp(c)
+            z = a * theta - b
+            p = 1.0 / (1.0 + np.exp(-z))
+            resid = r - n * p
+            g_a = float(resid @ theta)
+            g_b = -float(resid.sum())
+            w = n * p * (1.0 - p)
+            h_aa = -float(w @ (theta * theta))
+            h_ab = float(w @ theta)
+            h_bb = -float(w.sum())
+            g_c = a * g_a
+            h_cc = a * a * h_aa + a * g_a
+            h_cb = a * h_ab
+            grad = np.array([g_c, g_b])
+            if np.linalg.norm(grad, ord=np.inf) < irt.NEWTON_GRAD_TOL:
+                break
+            H = np.array([[h_cc, h_cb], [h_cb, h_bb]])
+            H -= 1e-10 * np.eye(2)
+            try:
+                step = np.linalg.solve(H, grad)
+            except np.linalg.LinAlgError:
+                step = -grad
+            t = 1.0
+            improved = False
+            for _ in range(30):
+                c_new, b_new = c - t * step[0], b - t * step[1]
+                f_new = irt._item_objective(c_new, b_new, theta, r, n)
+                if f_new >= f:
+                    c, b, f = c_new, b_new, f_new
+                    improved = True
+                    break
+                t *= 0.5
+            if not improved:
+                break
+    return c, b
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +213,55 @@ def test_irt_one_product_is_exact_up_to_the_rounding_of_its_terms():
     Z = np.outer(quad.nodes, a) - b
     scale = np.abs(Z).sum(axis=1) + np.abs(np.logaddexp(0.0, Z)).sum(axis=1)
     assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_newton_step_in_closed_form_matches_a_linear_solve(seed):
+    # symmetric Hessians of either definiteness with eigenvalues 1 to 100
+    # in size, gradients from 1e-3 to 1e3
+    g = np.random.default_rng(seed)
+    for _ in range(200):
+        Q = np.linalg.qr(g.normal(size=(2, 2)))[0]
+        H = (Q * g.choice([-1.0, 1.0], 2) * 10.0 ** g.uniform(0, 2, 2)) @ Q.T
+        H = 0.5 * (H + H.T)
+        grad = g.normal(size=2) * 10.0 ** g.uniform(-3, 3)
+        want = np.linalg.solve(H - 1e-10 * np.eye(2), grad)
+        got = np.array(irt._newton_step(grad[0], grad[1], H[0, 0], H[0, 1], H[1, 1]))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_newton_step_on_a_singular_hessian_is_the_negative_gradient():
+    # after the 1e-10 ridge, a zero matrix and a zero row: exactly singular,
+    # where the linear solve raised
+    for h_cc, h_cb, h_bb in ((1e-10, 0.0, 1e-10), (1e-10, 0.0, 5.0)):
+        H = np.array([[h_cc, h_cb], [h_cb, h_bb]]) - 1e-10 * np.eye(2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H, np.ones(2))
+        assert irt._newton_step(0.25, -2.0, h_cc, h_cb, h_bb) == (-0.25, 2.0)
+    # a determinant that overflows
+    assert irt._newton_step(0.25, -2.0, 1e300, 0.0, 1e300) == (-0.25, 2.0)
+
+
+def _flat_em_irt(seed):
+    """flat-em's IRT training set, quadrature and fit settings at one of its
+    seeds."""
+    inputs = _load_inputs()
+    (X,) = inputs.irt_data(inputs.rng_for(seed, 4), (10_000,), 20)
+    return X, irt.default_quadrature(41), EmConfig(max_iters=8, rel_tol=1e-7, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_irt_fit_with_the_closed_form_step_matches_the_linear_solve(seed, monkeypatch):
+    # On the same inputs the two Newton solves end within 2e-13 of each
+    # other. A solve whose line search can no longer resolve a gain above
+    # the objective's rounding stops short of NEWTON_GRAD_TOL (a gradient
+    # of up to 2.6e-6 here), at a point that rounding picks, so a few items
+    # differ by up to 6.3e-10 relative after flat-em's 8 iterations.
+    X, quad, cfg = _flat_em_irt(seed)
+    params, rep = irt.fit_irt(X, quad, cfg)
+    monkeypatch.setattr(irt, "_newton_item", ref_newton_item)
+    want, ref = irt.fit_irt(X, quad, cfg)
+    assert rep.iters == ref.iters and rep.converged == ref.converged
+    np.testing.assert_allclose(params.a, want.a, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(params.b, want.b, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(rep.objective_trace, ref.objective_trace, rtol=1e-11, atol=0)

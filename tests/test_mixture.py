@@ -300,20 +300,6 @@ def test_lca_monotone_loglik():
     assert np.all(np.diff(report.objective_trace) >= -1e-8)
 
 
-def test_posterior_is_e_step_same_code_path():
-    params = _random_gmm(30)
-    X = RandomSource(31).standard_normal((10, 2))
-    from latentlab.mixture import gmm_posterior, lca_posterior
-    assert gmm_posterior is gmm_e_step
-    a = gmm_e_step(params, X).gamma
-    b = gmm_posterior(params, X).gamma
-    assert np.array_equal(a, b)
-    lparams = _random_lca(32)
-    Xc = RandomSource(33).integers(0, 2, (10, 3))
-    assert lca_posterior is lca_e_step
-    assert np.array_equal(lca_e_step(lparams, Xc).gamma, lca_posterior(lparams, Xc).gamma)
-
-
 def test_fit_lca_rejects_non_integer_and_negative_codes():
     X = RandomSource(60).integers(0, 3, (40, 3)).astype(float)
     X[5, 1] = 1.7

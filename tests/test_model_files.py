@@ -221,6 +221,58 @@ def test_a_variance_near_the_float_maximum_is_stored_without_overflow(family, da
     assert covs[0, 0, 0] == 1.7e308
 
 
+def _runs_to_finite_output(doc, command, data, workdir):
+    """Write the model doc and run command on it (eval, or infer or sample
+    into out.csv): exit 0, no stderr, and only finite numbers out."""
+    model, out = os.path.join(workdir, "m.json"), os.path.join(workdir, "out.csv")
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    argv = {"eval": ["eval", model, "--data", data],
+            "infer": ["infer", model, "--data", data, "--out", out],
+            "sample": ["sample", model, "--n", "50", "--out", out]}[command]
+    code, stdout, err = _run(argv)
+    assert (code, err) == (0, ""), (command, err)
+    values = np.array([float(line.split()[-1]) for line in stdout.splitlines()]) \
+        if command == "eval" else np.loadtxt(out, delimiter=",", skiprows=1)
+    assert values.size and np.all(np.isfinite(values)), command
+
+
+# One variance of each Gaussian fixture at 1.7e308, near the float maximum:
+# valid models, whose samples reach about 1e154. An LDS with such a state
+# variance has an innovation covariance C P C^T + R that is singular in
+# float64 (R is below its rounding), so eval and infer exit 1 at a numeric
+# failure: a known open case.
+SINGULAR_INNOVATION = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="C P C^T + R is singular in float64: exit 1, numeric failure")
+HUGE_VARIANCES = [("gmm", ("covs", 0, 0, 0)), ("ghmm", ("covs", 0, 0, 0)),
+                  ("lds", ("R", 0, 0)), ("lds", ("Q", 0, 0)), ("lds", ("Sigma0", 0, 0))]
+
+
+@pytest.mark.parametrize("family, entry, command", [
+    pytest.param(family, entry, command, id=f"{family}.{entry[0]}-{command}",
+                 marks=[SINGULAR_INNOVATION] if entry[0] in ("Q", "Sigma0")
+                 and command != "sample" else [])
+    for family, entry in HUGE_VARIANCES for command in ("eval", "infer", "sample")])
+def test_a_variance_near_the_float_maximum_runs_to_finite_output(family, entry, command,
+                                                                 data_files, tmp_path):
+    doc = _load(family)
+    node = doc["params"]
+    for i in entry[:-1]:
+        node = node[i]
+    node[entry[-1]] = 1.7e308
+    _runs_to_finite_output(doc, command, data_files[DATA[family]], str(tmp_path))
+
+
+@pytest.mark.parametrize("command", ["eval", "infer", "sample"])
+def test_an_hmm_state_of_prior_1e_300_that_never_leaves_runs_to_finite_output(
+        command, data_files, tmp_path):
+    doc = _load("hmm")
+    doc["params"]["pi"] = [1 - 1e-300, 1e-300]
+    doc["params"]["trans"] = [[1.0, 0.0], [0.0, 1.0]]
+    _runs_to_finite_output(doc, command, data_files["seq"], str(tmp_path))
+
+
 def test_infer_of_a_noise_free_lds_smooths_to_its_filtered_means(data_files, tmp_path):
     # Q = Sigma0 = 0 fixes every state, so every predicted covariance is
     # zero: the smoother must take its gains without inverting them
