@@ -178,11 +178,12 @@ def _model_command(args, field):
     return family, fn, params, config
 
 
-def _report_fit(family, report):
-    """One stderr line per rescue event, and one if the fit hit --max-iters."""
+def _report_fit(family, report, max_iters):
+    """One stderr line per EM event, and one if the fit hit --max-iters (a
+    fit that refused a rescue stopped before it)."""
     for event in report.events:
         print(f"latentlab: fit {family}: {event}", file=sys.stderr)
-    if not report.converged:
+    if not report.converged and report.iters == max_iters:
         print(f"latentlab: fit {family}: stopped at --max-iters after {report.iters} "
               f"iterations without converging (last relative change {report.rel_change:.3g})",
               file=sys.stderr)
@@ -200,7 +201,7 @@ def _cmd_fit(args):
                        np.column_stack([np.arange(1, len(trace) + 1), trace]),
                        header=["iter", "objective"])
     if report is not None:
-        _report_fit(args.family, report)
+        _report_fit(args.family, report, args.max_iters)
     return 0
 
 

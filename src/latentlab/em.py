@@ -30,10 +30,12 @@ class EmConfig:
 class FitReport:
     """Per-iteration objective trace plus convergence bookkeeping.
 
-    The trace holds the objective after each completed EM iteration and is
+    The trace holds the objective after each kept EM iteration and is
     non-decreasing up to the driver's slack. events records recoverable
-    interventions (e.g. empty-component rescues). rel_change is the relative
-    objective change of the last iteration, the quantity compared with
+    interventions, one text each: an empty component, class or state
+    re-seeded, an HMM state that saw no transitions, and a rescue that
+    run_em refused because the objective fell. rel_change is the relative
+    objective change of the last kept iteration, the quantity compared with
     rel_tol.
     """
 
@@ -65,15 +67,20 @@ def run_em(e_step, m_step, objective, data, init_params, cfg,
     (log-likelihood or bound) at the params it was given; an exact E-step
     gets it from the normalizer it already computes. objective(posterior)
     reads that value back. m_step(data, posterior) -> new params, or
-    (params, events).
+    (params, events) when it intervened, as in an empty-column rescue.
 
     run_em runs one E-step on init_params, then alternates M-step and
     E-step, so each iteration makes a single likelihood pass; trace entry t
     is the objective the E-step reports for the params of M-step t. Stops
     when the relative objective change drops below cfg.rel_tol (or the
     absolute change below ABS_TOL), or after cfg.max_iters iterations.
-    Raises MonotonicityError if the objective falls by more than
-    monotonic_slack, which signals a broken update rather than bad data.
+    An M-step that does not lower the objective keeps EM's guarantees
+    (Neal & Hinton 1998), so a step with events is kept only if the
+    objective does not fall by more than monotonic_slack. Otherwise the fit
+    stops unconverged at the params of the last kept iteration, leaves the
+    refused one out of the trace and records the refusal as an event. A
+    step without events whose objective falls that far signals a broken
+    update rather than bad data and raises MonotonicityError.
     """
     posterior = e_step(init_params, data)
     prev = float(objective(posterior))
@@ -85,17 +92,21 @@ def run_em(e_step, m_step, objective, data, init_params, cfg,
     converged = False
     rel_change = math.nan
     for it in range(1, cfg.max_iters + 1):
-        params = m_step(data, posterior)
-        if isinstance(params, tuple):
-            params, step_events = params
+        step, step_events = m_step(data, posterior), []
+        if isinstance(step, tuple):
+            step, step_events = step
             events.extend(step_events)
-        posterior = e_step(params, data)
+        posterior = e_step(step, data)
         obj = float(objective(posterior))
         if math.isnan(obj):
             raise FloatingPointError(f"objective is NaN at iteration {it}")
-        trace.append(obj)
         if obj < prev - monotonic_slack:
-            raise MonotonicityError(it, prev, obj)
+            if not step_events:
+                raise MonotonicityError(it, prev, obj)
+            events.append(f"rescue refused at iteration {it}: objective {prev!r} -> {obj!r}")
+            break
+        params = step
+        trace.append(obj)
         delta = abs(obj - prev)
         rel_change = delta / max(1.0, abs(obj))
         if rel_change < cfg.rel_tol or delta < ABS_TOL:

@@ -172,7 +172,8 @@ def _newton_step(g_c, g_b, h_cc, h_cb, h_bb):
 
 def _newton_item(theta, r, n, c0, b0):
     """Maximize the per-item expected log-likelihood by damped Newton steps
-    in (log a, b)."""
+    in (log a, b). Stops at a small gradient, when the line search finds no
+    gain, or when the step it accepts no longer changes (c, b)."""
     c, b = c0, b0
     f = _item_objective(c, b, theta, r, n)
     # p = 1 / (1 + exp(-z)) is exactly 0 where exp(-z) overflows (z < -709),
@@ -202,8 +203,9 @@ def _newton_item(theta, r, n, c0, b0):
                 c_new, b_new = c - t * step_c, b - t * step_b
                 f_new = _item_objective(c_new, b_new, theta, r, n)
                 if f_new >= f:
+                    # a step that leaves (c, b) as they are would only repeat
+                    improved = (c_new, b_new) != (c, b)
                     c, b, f = c_new, b_new, f_new
-                    improved = True
                     break
                 t *= 0.5
             if not improved:

@@ -1,8 +1,10 @@
 """Flat discrete-latent models sharing the responsibility machinery:
 Gaussian mixtures over continuous data and latent class analysis over
 categorical items. All likelihood work is done in the log domain. The
-seeded starts, weighted M-steps, probability floor and empty-component
-rescue here are also the HMMs' (sequential.py).
+seeded starts, weighted M-steps, probability floor and empty-column rescue
+here are also the HMMs' (sequential.py). _reseed_empty is the one rescue
+rule of all four families; run_em keeps a rescue only if the objective does
+not fall.
 """
 from __future__ import annotations
 
@@ -175,24 +177,36 @@ def _var_floor(X):
     return 1e-6 * max(float(np.mean(np.var(X, axis=0))), 1e-12)
 
 
-def _reseed_empty(gamma, what):
+def _reseed_empty(gamma, what, index=None):
     """(gamma, counts, events) with every effectively empty column re-seeded
-    at a row of its own: the most ambiguous rows (lowest maximum weight,
-    ties by index) go to the empty columns in order. gamma is copied only
-    when a column is re-seeded. Raises ValueError when there are more empty
-    columns than rows."""
+    at a row of its own. This is the one rescue rule of every discrete-latent
+    EM family. Data point i is row index[i] of gamma (row i by default). The
+    empty columns, in order, each take the most ambiguous data point (lowest
+    maximum weight, ties by i) whose move leaves every other non-empty
+    column at EMPTY_COMPONENT_COUNT or more, so no rescue empties a donor; a
+    re-seeded column keeps its one row by the same test. gamma is copied
+    only when a column is re-seeded. Raises ValueError when there are more
+    empty columns than rows, or when no row can move."""
+    least = EMPTY_COMPONENT_COUNT
     counts = gamma.sum(axis=0)
-    empty = np.where(counts < EMPTY_COMPONENT_COUNT)[0]
+    empty = np.where(counts < least)[0]
     events = []
     if empty.size > gamma.shape[0]:
         raise ValueError(f"{empty.size} empty {what} columns but only "
                          f"{gamma.shape[0]} data points to re-seed them at")
     if empty.size:
-        rows = np.argsort(gamma.max(axis=1), kind="stable")
-        gamma = gamma.copy()
-        for k, i in zip(empty, rows.tolist()):
-            gamma[i] = 0.0
-            gamma[i, k] = 1.0
+        index = np.arange(len(gamma)) if index is None else index
+        order = np.argsort(gamma.max(axis=1)[index], kind="stable").tolist()
+        gamma, left = gamma.copy(), counts.copy()
+        for k in empty:
+            exempt = left < least
+            i = next((i for i in order if np.all(exempt | (left - gamma[index[i]] >= least))), None)
+            if i is None:
+                raise ValueError(f"no data point can re-seed {what} {k} without emptying another")
+            row = index[i]
+            left -= gamma[row]
+            gamma[row] = 0.0
+            gamma[row, k] = left[k] = 1.0
             events.append(f"{what} {k} empty; re-seeded at data point {i}")
         counts = gamma.sum(axis=0)
     return gamma, counts, events
@@ -230,10 +244,9 @@ def _weighted_gaussians(X, gamma, counts, var_floor):
 def gmm_m_step(data, resp, var_floor=None):
     """Weighted-average parameter updates from responsibilities.
 
-    An effectively empty component is re-seeded at the most ambiguous data
-    point (lowest maximum responsibility); the rescue is reported in the
-    returned events list as (params, events). var_floor is _var_floor(data),
-    which a fit computes once.
+    An effectively empty component is re-seeded by _reseed_empty; the
+    rescue is reported in the returned events list as (params, events).
+    var_floor is _var_floor(data), which a fit computes once.
     """
     X = np.atleast_2d(np.asarray(data, dtype=float))
     gamma, counts, events = _reseed_empty(resp.gamma, "component")

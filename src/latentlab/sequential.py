@@ -41,7 +41,10 @@ exact log of a row's normalizer by the same rule when it falls below TINY.
 Baum-Welch and LDS EM read sufficient statistics off the packed rows; the
 initial-state distribution pools the t=1 posteriors of all sequences. An HMM
 is a mixture whose component follows a Markov chain, so Baum-Welch takes its
-seeded start, weighted Gaussian M-step and probability floor from mixture.py.
+seeded start, weighted Gaussian M-step, probability floor and empty-state
+rescue from mixture.py. Its only rule of its own is a guard, not a rescue: a
+state seen only at final steps has no transitions, and its row is set
+uniform in place of 0/0.
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ from .core import (Gaussian, NumericError, RandomSource, category_codes, check_c
                    normalize_log_rows, real_fields, row_max, row_sums, softmax_rows)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
-                      _perturbed_rows, _var_floor, _weighted_gaussians)
+                      _perturbed_rows, _reseed_empty, _var_floor, _weighted_gaussians)
 
 __all__ = [
     "DiscreteEmission", "GaussianEmission", "HmmParams", "LdsParams",
@@ -603,13 +606,25 @@ def hmm_loglik(params, obs_set):
 
 
 def _hmm_m_step(pack, post, kind, n_symbols=None):
+    """Baum-Welch update. An empty state is re-seeded by the mixtures' rule,
+    which counts data points in input order. pi, the transitions and the
+    emissions then all come from the re-seeded marginals: each pair table
+    that touches a re-seeded row becomes the outer product of its two rows'
+    marginals, so a re-seeded state is reachable."""
     post = _hmm_backward(post)
     K = post.params.n_states
     gamma = post.gamma
-    events = []
-    pi = gamma[:pack.counts[0]].sum(axis=0)
+    G, _counts, events = _reseed_empty(gamma, "state", pack.index)
+    if events:
+        moved = np.any(G != gamma, axis=1)
+        nxt, tables = np.arange(pack.counts[0], len(G)), post.pairwise()
+        hit = moved[pack.prev] | moved[nxt]
+        tables[hit] = G[pack.prev[hit], :, None] * G[nxt[hit], None, :]
+        trans_num = tables.sum(axis=0)
+    else:
+        trans_num = post.pairwise_sum()
+    pi = G[:pack.counts[0]].sum(axis=0)
     pi = pi / pi.sum()
-    trans_num = post.pairwise_sum()
     row = trans_num.sum(axis=1, keepdims=True)
     for k in np.where(row[:, 0] < EMPTY_COMPONENT_COUNT)[0]:
         trans_num[k] = 1.0 / K
@@ -618,23 +633,9 @@ def _hmm_m_step(pack, post, kind, n_symbols=None):
     trans = trans_num / row
 
     if kind == "discrete":
-        counts = np.stack([np.bincount(pack.data, weights=g, minlength=n_symbols)
-                           for g in gamma.T])
-        occ = counts.sum(axis=1, keepdims=True)
-        for k in np.where(occ[:, 0] < EMPTY_COMPONENT_COUNT)[0]:
-            counts[k] = 1.0
-            occ[k] = n_symbols
-            events.append(f"state {k} empty; emissions reset to uniform")
-        emit = DiscreteEmission(_floored_rows(counts / occ))
+        counts = np.stack([np.bincount(pack.data, weights=g, minlength=n_symbols) for g in G.T])
+        emit = DiscreteEmission(_floored_rows(counts / counts.sum(axis=1, keepdims=True)))
     else:
-        G = gamma
-        occ = G.sum(axis=0)
-        for k in np.where(occ < EMPTY_COMPONENT_COUNT)[0]:
-            i = int(np.argmin(G.max(axis=1)[pack.index]))    # input-order point
-            G = G.copy()
-            G[pack.index[i]] = 0.0
-            G[pack.index[i], k] = 1.0
-            events.append(f"state {k} empty; re-seeded at pooled point {i}")
         emit = GaussianEmission(*_weighted_gaussians(pack.data, G, G.sum(axis=0),
                                                      _var_floor(pack.data)))
     params = HmmParams(pi, trans, emit)
@@ -647,6 +648,8 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
         raise ValueError("kind must be 'discrete' or 'gaussian'")
     _check_k(K, "states")
     pack = _hmm_pack(kind == "discrete", obs_set)
+    if pack.index.size < K:
+        raise ValueError("need at least K data points")
     rng = RandomSource(cfg.seed).split(303)
     if kind == "discrete":
         codes, (n_symbols,) = category_codes(pack.data[:, None], "observation symbols", n_symbols)

@@ -13,6 +13,7 @@ from latentlab.cli import main
 from latentlab.core import RandomSource
 from latentlab.datasets import (SyntheticSpec, generate, read_csv, write_csv,
                                 write_seq, write_corpus, read_model)
+from latentlab.em import FitReport
 from latentlab.mixture import gmm_loglik
 
 
@@ -777,14 +778,32 @@ def test_fit_reports_max_iters_and_rescues_on_stderr(tmp_path, blobs_csv, capsys
     assert len((tmp_path / "capped.json.trace.csv").read_text().strip().split("\n")) == 4
     assert main(["fit", "gmm", "--data", str(data), "--k", "2", "--out", str(converged)]) == 0
     assert capsys.readouterr().err == ""
-    # a single one-step sequence has no transitions: every state's row is reset
+    # one-step sequences have no transitions: every state's row is reset
     one = tmp_path / "one.seq"
-    write_seq(one, [np.array([1])])
+    write_seq(one, [np.array([1]), np.array([0])])
     assert main(["fit", "hmm", "--data", str(one), "--k", "2",
                  "--out", str(tmp_path / "hmm.json")]) == 0
     err = capsys.readouterr().err
     for k in range(2):
         assert f"latentlab: fit hmm: state {k} saw no transitions; row reset to uniform" in err
+
+
+def test_fit_hmm_with_more_states_than_steps_is_a_usage_error(tmp_path, capsys):
+    data = tmp_path / "short.seq"
+    write_seq(data, [np.array([0, 1, 2])])
+    assert main(["fit", "hmm", "--data", str(data), "--k", "5",
+                 "--out", str(tmp_path / "hmm.json")]) == 2
+    assert capsys.readouterr().err == "latentlab: need at least K data points\n"
+    assert not (tmp_path / "hmm.json").exists()
+
+
+def test_a_refused_rescue_is_not_reported_as_max_iters(capsys):
+    refused = "rescue refused at iteration 3: objective -6.9 -> -7.3"
+    report = FitReport(np.array([-8.0, -6.9]), False, 2, -6.9, ["class 1 empty; re-seeded at "
+                                                                "data point 0", refused])
+    cli._report_fit("lca", report, 500)
+    assert capsys.readouterr().err == ("latentlab: fit lca: class 1 empty; re-seeded at data "
+                                       f"point 0\nlatentlab: fit lca: {refused}\n")
 
 
 @pytest.mark.parametrize("which", ["data", "config", "model", "out"])
@@ -867,6 +886,9 @@ BOUNDARY_PROBES = {
                          "symbols.seq: line 2: symbols must be category codes"),
     "lda word 10^30": ("corpus.txt", "1" + "0" * 30, ["lda"], 2,
                        "corpus.txt: line 2: word indices must be category codes"),
+    # more states than observed steps
+    "hmm --k 1e15": ("symbols.seq", "1", ["hmm", "--k", "1000000000000000"], 2,
+                     "need at least K data points"),
     # each first allocation exceeds 1 PiB, so it fails at once on any host
     "lca code 1e15": ("codes.csv", "1000000000000000", ["lca"], 1, "Unable to allocate"),
     "arm code 1e15": ("codes.csv", "1000000000000000", ["arm", "--epochs", "1"], 1,
@@ -876,8 +898,6 @@ BOUNDARY_PROBES = {
     "lda word 1e15": ("corpus.txt", "1000000000000000", ["lda"], 1, "Unable to allocate"),
     "lda --vocab 1e15": ("corpus.txt", "4", ["lda", "--vocab", "1000000000000000"], 1,
                          "Unable to allocate"),
-    "hmm --k 1e15": ("symbols.seq", "1", ["hmm", "--k", "1000000000000000"], 1,
-                     "Unable to allocate"),
     "vae --hidden 1e15": ("codes.csv", "1", ["vae", "--hidden", "1000000000000000"], 1,
                           "Unable to allocate"),
     "lds dx=0": ("real.seq", "0", ["lds"], 2,

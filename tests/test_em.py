@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from latentlab import irt, lda, mixture, ppca
 from latentlab import sequential as seq
 from latentlab.core import RandomSource
 from latentlab.em import EmConfig, MonotonicityError, run_em
-from latentlab.mixture import fit_gmm, fit_lca, gmm_e_step, gmm_loglik, gmm_m_step
+from latentlab.mixture import (GmmParams, LcaParams, fit_gmm, fit_lca, gmm_e_step, gmm_loglik,
+                               gmm_m_step)
 
 
 def _blob_data(seed=0, n=200):
@@ -166,3 +169,114 @@ def test_component_count_below_one_rejected(fit, K):
     X = np.abs(_blob_data(7, n=20)).round()
     with pytest.raises(ValueError, match=">= 1"):
         fit(X, K)
+
+
+def test_a_rescue_that_lowers_the_objective_is_refused():
+    # from the third iteration on the M-step reports a rescue and returns
+    # params that lower the objective: the fit stops at the second
+    X = _blob_data(8)
+    calls = []
+
+    def m_step(data, resp):
+        params = gmm_m_step(data, resp)
+        calls.append(params)
+        if len(calls) < 3:
+            return params
+        return type(params)(params.weights, params.means + 5.0, params.covs), ["rescued"]
+
+    init, _ = fit_gmm(X, 2, EmConfig(seed=8, max_iters=1))
+    params, report = run_em(gmm_e_step, m_step, lambda resp: resp.loglik, X, init,
+                            EmConfig(rel_tol=1e-300))
+    assert params is calls[1] and report.iters == 2 and not report.converged
+    assert report.final_objective == report.objective_trace[-1] == gmm_loglik(params, X)
+    fell = gmm_loglik(m_step(X, gmm_e_step(params, X))[0], X)
+    assert report.events == ["rescued", "rescue refused at iteration 3: objective "
+                             f"{report.final_objective!r} -> {fell!r}"]
+    a, b = report.objective_trace
+    assert report.rel_change == abs(b - a) / max(1.0, abs(b))
+
+
+def test_lca_rescue_that_lowers_the_objective_is_refused():
+    # it raised MonotonicityError: -6.9315 -> -7.3540 at iteration 1
+    codes = np.array([[1, 1], [1, 0], [0, 1], [1, 0], [0, 1]])
+    init = LcaParams([1.0, 0.0], (np.full((2, 2), 0.5),) * 2)
+    params, report = fit_lca(codes, 2, EmConfig(), init=init)
+    start = mixture.lca_loglik(init, codes)
+    fell = mixture.lca_loglik(mixture.lca_m_step(codes, mixture.lca_e_step(init, codes))[0], codes)
+    assert fell < start - 0.4
+    assert params is init and not report.converged
+    assert report.iters == 0 and report.objective_trace.size == 0
+    assert report.events == ["class 1 empty; re-seeded at data point 0",
+                             f"rescue refused at iteration 1: objective {start!r} -> {fell!r}"]
+    assert report.final_objective == mixture.lca_loglik(params, codes) == start
+
+
+def test_gaussian_hmm_rescue_that_raised_monotonicity_error_is_kept():
+    # -17.48 -> -20.58 at iteration 1, when the re-seeded state was unreachable
+    obs = [RandomSource(3).standard_normal((5, 2)), RandomSource(4).standard_normal((3, 2))]
+    init = seq.HmmParams([1.0, 0.0], np.eye(2),
+                         seq.GaussianEmission(np.zeros((2, 2)), np.stack([np.eye(2)] * 2)))
+    params, report = seq.hmm_fit(obs, 2, "gaussian", EmConfig(), init=init)
+    assert report.events == ["state 1 empty; re-seeded at data point 0"]
+    assert report.objective_trace[0] > seq.hmm_loglik(init, obs)
+    assert np.all(np.diff(report.objective_trace) >= -1e-8)
+    assert report.final_objective == seq.hmm_loglik(params, obs)
+
+
+# Every event a discrete-latent EM family may report: the one re-seed rule,
+# the HMM's guard against a 0/0 transition row, and run_em's refusal.
+EVENT = re.compile(r"(component|class|state) \d+ empty; re-seeded at data point \d+"
+                   r"|state \d+ saw no transitions; row reset to uniform"
+                   r"|rescue refused at iteration \d+: objective \S+ -> \S+")
+
+
+def _stuck_starts(seed, K):
+    """(fit, rescore, init) per discrete-latent family, from a start whose
+    weights or pi are [1, 0, ...], with far means, uniform tables and
+    trans = I, so every column but the first is empty."""
+    rng = RandomSource(seed)
+    X = rng.standard_normal((30, 2)) + 4.0 * (rng.uniform(30) < 0.5)[:, None]
+    codes = rng.integers(0, 3, (30, 4))
+    lengths = rng.integers(1, 9, 4).tolist()
+    symbols = [rng.integers(0, 3, T) for T in lengths]
+    reals = [rng.standard_normal((T, 2)) + 3.0 * ((np.arange(T) // 3) % 2)[:, None]
+             for T in lengths]
+    first, eyes = np.eye(K)[0], np.stack([np.eye(2)] * K)
+    far = 1e3 * np.arange(K)[:, None] * np.ones(2)
+    gmm = GmmParams(first, far, eyes)
+    lca = LcaParams(first, (np.full((K, 3), 1 / 3),) * 4)
+    hmm = seq.HmmParams(first, np.eye(K), seq.DiscreteEmission(np.full((K, 3), 1 / 3)))
+    ghmm = seq.HmmParams(first, np.eye(K), seq.GaussianEmission(far, eyes))
+    cfg = EmConfig(max_iters=30, seed=seed)
+    return [
+        (lambda: fit_gmm(X, K, cfg, init=gmm), lambda q: gmm_loglik(q, X), gmm),
+        (lambda: fit_lca(codes, K, cfg, n_categories=[3] * 4, init=lca),
+         lambda q: mixture.lca_loglik(q, codes), lca),
+        (lambda: seq.hmm_fit(symbols, K, "discrete", cfg, n_symbols=3, init=hmm),
+         lambda q: seq.hmm_loglik(q, symbols), hmm),
+        (lambda: seq.hmm_fit(reals, K, "gaussian", cfg, init=ghmm),
+         lambda q: seq.hmm_loglik(q, reals), ghmm),
+    ]
+
+
+def _arrays(obj):
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in _arrays(getattr(obj, f.name))]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _arrays(item)]
+    return [np.asarray(obj)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("family", range(4), ids=["gmm", "lca", "hmm", "ghmm"])
+def test_stuck_starts_end_finite_monotone_and_rescored(family, K, seed):
+    fit, rescore, init = _stuck_starts(seed, K)[family]
+    params, report = fit()
+    assert all(np.all(np.isfinite(a)) for a in _arrays(params))
+    trace = np.concatenate(([rescore(init)], report.objective_trace))
+    assert np.all(np.diff(trace) >= -1e-8)
+    assert report.final_objective == rescore(params)
+    assert any("empty; re-seeded" in e for e in report.events)
+    for event in report.events:
+        assert EVENT.fullmatch(event), event

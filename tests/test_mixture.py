@@ -170,6 +170,27 @@ def test_m_steps_reseed_two_empty_columns_at_distinct_rows():
         assert np.allclose(table.sum(axis=1), 1.0)
 
 
+def test_m_steps_never_empty_a_donor_column():
+    # Row 0 is the most ambiguous, but it holds all of column 1, so column 2
+    # takes row 1 instead; taking row 0 left column 1 empty and its mean 0/0.
+    gamma = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    params, events = gmm_m_step(np.array([[0.0], [1.0], [2.0]]), Responsibilities(gamma))
+    assert events == ["component 2 empty; re-seeded at data point 1"]
+    assert np.allclose(params.weights, [1 / 2, 1 / 6, 1 / 3])
+    assert np.allclose(params.means[:, 0], [4 / 3, 0.0, 1.0])
+    params, events = lca_m_step(np.array([[0], [1], [1]]), Responsibilities(gamma))
+    assert events == ["class 2 empty; re-seeded at data point 1"]
+    assert np.allclose(params.weights, [1 / 2, 1 / 6, 1 / 3])
+    assert all(np.all(np.isfinite(t)) for t in params.item_probs)
+
+
+def test_m_steps_reject_a_rescue_that_would_empty_a_donor():
+    # two empty columns, two rows, and column 0 needs one of them
+    gamma = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="no data point can re-seed component 2 without"):
+        gmm_m_step(np.array([[0.0], [1.0]]), Responsibilities(gamma))
+
+
 def test_m_steps_reject_more_empty_columns_than_rows():
     gamma = np.zeros((2, 4))
     gamma[:, 0] = 1.0

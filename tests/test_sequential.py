@@ -173,12 +173,13 @@ def test_hmm_fit_gaussian_emissions():
     assert np.all(np.diff(report.objective_trace) >= -1e-8)
 
 
-@pytest.mark.parametrize("kind, event", [
-    ("discrete", "state 1 empty; emissions reset to uniform"),
-    ("gaussian", "state 1 empty; re-seeded at pooled point 0"),
-])
-def test_hmm_fit_reports_empty_state_rescue(kind, event):
-    # pi = [1, 0] with trans = I never visits state 1
+@pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+def test_hmm_fit_reports_empty_state_rescue(kind):
+    # pi = [1, 0] with trans = I never visits state 1. The mixtures' rule
+    # re-seeds it at the most ambiguous point in input order (every point
+    # ties here, so the first), and pi and the pair tables then come from the
+    # re-seeded marginals, so the state is reachable from the first
+    # iteration on and needs no second rescue.
     if kind == "discrete":
         obs = [np.array([0, 1, 2, 1]), np.array([2, 2, 0])]
         emit = DiscreteEmission(np.full((2, 3), 1.0 / 3.0))
@@ -188,8 +189,44 @@ def test_hmm_fit_reports_empty_state_rescue(kind, event):
                for T in (5, 3)]
         emit = GaussianEmission(np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
     init = HmmParams([1.0, 0.0], np.eye(2), emit)
-    _params, report = hmm_fit(obs, 2, kind, EmConfig(max_iters=1), init=init)
-    assert report.events == ["state 1 saw no transitions; row reset to uniform", event]
+    params, report = hmm_fit(obs, 2, kind, EmConfig(max_iters=50), init=init)
+    assert report.events == ["state 1 empty; re-seeded at data point 0"]
+    assert params.pi[1] > 0 or np.any(params.trans[:, 1] > 0)
+    trace = np.concatenate(([hmm_loglik(init, obs)], report.objective_trace))
+    assert np.all(np.diff(trace) >= -1e-8)
+    assert report.final_objective == hmm_loglik(params, obs)
+    one, _report = hmm_fit(obs, 2, kind, EmConfig(max_iters=1), init=init)
+    assert one.pi[1] > 0
+    if kind == "gaussian":
+        # the state's only row is input point 0, the first row of the first sequence
+        assert np.array_equal(one.emit.means[1], obs[0][0])
+
+
+@pytest.mark.parametrize("cuts", [[], [2]])
+def test_gaussian_hmm_rescue_gives_each_empty_state_its_own_point(cuts):
+    # Every row is certain, so every row ties as the most ambiguous. The
+    # old pooled-point loop re-seeded both empty states at point 0, leaving
+    # counts [5, 0, 1] and a 0/0 mean. Cut at 2, the first sequence is the
+    # shorter one and is packed second, so points 0 and 1 are the input
+    # order's and not the packed rows'. Point 1 then ends its sequence, so
+    # state 2 also has no transitions.
+    x = RandomSource(3).standard_normal((6, 1))
+    init = HmmParams([1.0, 0.0, 0.0], np.eye(3),
+                     GaussianEmission(np.zeros((3, 1)), np.ones((3, 1, 1))))
+    params, report = hmm_fit(np.split(x, cuts), 3, "gaussian", EmConfig(max_iters=1), init=init)
+    assert report.events[:2] == ["state 1 empty; re-seeded at data point 0",
+                                 "state 2 empty; re-seeded at data point 1"]
+    assert report.events[2:] == ["state 2 saw no transitions; row reset to uniform"] * len(cuts)
+    assert np.array_equal(params.emit.means[1:, 0], x[:2, 0])
+    assert np.all(np.isfinite(params.emit.means)) and np.all(np.isfinite(params.emit.covs))
+
+
+@pytest.mark.parametrize("K, lengths", [(5, [3]), (4, [1, 2]), (2, [1])])
+def test_hmm_fit_needs_at_least_k_observed_steps(K, lengths):
+    obs = [np.arange(T) % 3 for T in lengths]
+    with pytest.raises(ValueError, match="need at least K data points"):
+        hmm_fit(obs, K, "discrete", EmConfig())
+    hmm_fit(obs, sum(lengths), "discrete", EmConfig(max_iters=3))
 
 
 def test_hmm_multiple_sequences():
