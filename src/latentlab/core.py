@@ -9,9 +9,12 @@ enumeration) live outside the library, in tests/oracle_utils.py.
 Every parameter class converts and checks its fields by one field rule:
 real_fields for reals, int_fields for integers, and cov_fields for
 covariances, reals whose last two axes are also square and symmetric within
-np.allclose(M, M^T, atol=1e-10), stored as their symmetric part. The
-logistic (sigmoid) and the max-shifted row softmax (softmax_rows) live here
-too, one definition each for every module.
+np.allclose(M, M^T, atol=1e-10), stored as their symmetric part, and
+positive semi-definite. Every Gaussian of every family follows one rule
+from there: a draw takes its factor from chol_psd (gaussian_noise), and a
+density checks the data width (check_width) and factors by chol_psd
+(gaussian_logpdf_columns). The logistic (sigmoid) and the max-shifted row
+softmax (softmax_rows) live here too, one definition each for every module.
 
 Every max and sum over a short last axis on many rows goes through one
 reduction rule: row_max and row_sums give numpy's bytes, as whole-column
@@ -40,6 +43,7 @@ __all__ = [
     "sigmoid",
     "sample_dirichlet",
     "chol_psd",
+    "gaussian_noise",
     "check_finite",
     "category_codes",
     "fields_to_json",
@@ -107,16 +111,28 @@ def cov_fields(obj, **ranks):
     """The field rule for covariances: each named field of the dataclass obj
     by the rule for reals, with square last two axes that are symmetric
     within np.allclose(M, M^T, atol=1e-10), stored as its symmetric part
-    M / 2 + M^T / 2, which does not overflow for any finite M. A field that
-    fails is a ValueError naming it; each class keeps its own
-    positive-definiteness policy."""
+    S = M / 2 + M^T / 2, which does not overflow for any finite M. Each
+    matrix must also be positive semi-definite: no eigenvalue of S below
+    -1e-8 max(1, tr(S) / d), the trace taken as the sum of diag(S) / d so it
+    does not overflow either. Zero variances pass. A field that fails is a
+    ValueError naming it, and in a stack the index of its first failing
+    matrix. This is the one positive semi-definiteness check of every
+    covariance field."""
     for name, rank in ranks.items():
         M = real_array(getattr(obj, name), name, rank)
         MT = np.swapaxes(M, -1, -2)
         if M.shape[-1] != M.shape[-2] or not np.allclose(M, MT, atol=1e-10):
             raise ValueError(f"{name} must be square and symmetric within 1e-10, "
                              f"got shape {M.shape}")
-        object.__setattr__(obj, name, 0.5 * M + 0.5 * MT)
+        S = 0.5 * M + 0.5 * MT
+        scale = np.maximum(1.0, (np.diagonal(S, axis1=-2, axis2=-1) / S.shape[-1]).sum(axis=-1))
+        low = np.linalg.eigvalsh(S).min(axis=-1, initial=0.0)
+        bad = np.flatnonzero(low < -1e-8 * scale)
+        if bad.size:
+            where = f"{name}[{bad[0]}]" if rank > 2 else name
+            raise ValueError(f"{where} is not positive semi-definite: smallest eigenvalue "
+                             f"{low.flat[bad[0]]:.3g}")
+        object.__setattr__(obj, name, S)
 
 
 def int_fields(obj, **ranks):
@@ -222,10 +238,12 @@ def fields_from_json(cls, obj):
 
 
 def chol_psd(cov):
-    """Cholesky factor of a symmetric PSD matrix.
+    """Cholesky factor of a symmetric PSD matrix (cov_fields checked it):
+    the one factor rule of every Gaussian density and draw.
 
     Tries a plain factorization first; on failure adds 1e-9*trace/d to the
-    diagonal once and retries. Raises NumericError if still not PSD.
+    diagonal once and retries. Raises NumericError for a covariance still
+    too singular to factor, such as an all-zero one.
     """
     cov = np.asarray(cov, dtype=float)
     try:
@@ -237,7 +255,16 @@ def chol_psd(cov):
     try:
         return np.linalg.cholesky(cov + jitter * np.eye(d))
     except np.linalg.LinAlgError:
-        raise NumericError("covariance not positive semi-definite after jitter")
+        raise NumericError("covariance too singular to factor, even after jitter")
+
+
+def gaussian_noise(cov, n, rng):
+    """n rows drawn from N(0, cov): n standard normal rows from rng times the
+    transposed chol_psd factor. An all-zero cov gives zeros and takes no
+    draw from rng."""
+    if not np.any(cov):
+        return np.zeros((n, cov.shape[0]))
+    return rng.standard_normal((n, cov.shape[0])) @ chol_psd(cov).T
 
 
 @dataclass(frozen=True)
@@ -250,14 +277,9 @@ class Gaussian:
     def __post_init__(self):
         real_fields(self, mean=1)
         cov_fields(self, cov=2)
-        cov, d = self.cov, self.mean.shape[0]
-        if cov.shape != (d, d):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {d}")
-        # PSD check: smallest eigenvalue may only be negative at roundoff scale.
-        w = np.linalg.eigvalsh(cov)
-        scale = max(1.0, float(np.trace(cov)) / d if d else 1.0)
-        if w.min() < -1e-8 * scale:
-            raise ValueError("cov is not positive semi-definite")
+        d = self.mean.shape[0]
+        if self.cov.shape != (d, d):
+            raise ValueError(f"cov shape {self.cov.shape} does not match mean length {d}")
 
     @property
     def dim(self):
@@ -496,8 +518,17 @@ def gaussian_logpdf_rows(X, mean, cov):
                                    np.atleast_2d(cov)[None])[:, 0]
 
 
+def check_width(X, dim):
+    """X, if its rows have dim columns; else the ValueError of every density
+    whose model has dim columns."""
+    if X.shape[1] != dim:
+        raise ValueError(f"data dim {X.shape[1]} does not match model dim {dim}")
+    return X
+
+
 def gaussian_logpdf_columns(X, means, covs):
-    """(N, K) log-densities of the rows of X under K Gaussians.
+    """(N, K) log-densities of the rows of X under K Gaussians of one width,
+    which X must have (check_width).
 
     Block by block of rows, the K centred blocks X_b - mu_k go through one
     batched matmul with the transposed inverses of the d x d Cholesky
@@ -505,8 +536,8 @@ def gaussian_logpdf_columns(X, means, covs):
     again), then are squared in place and summed over d by row_sums; two
     (K, B, d) buffers serve every block.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     means = np.asarray(means, dtype=float)
+    X = check_width(np.atleast_2d(np.asarray(X, dtype=float)), means.shape[1])
     (N, d), K = X.shape, len(means)
     inv_t = np.empty((K, d, d))
     const = np.empty(K)

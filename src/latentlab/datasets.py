@@ -14,8 +14,9 @@ algorithm id; every number in them is finite. A model file's params, and a
 synth spec's params and seed, go as they are to the constructors of the
 parameters that hold them, which apply one field rule (core.real_fields,
 core.int_fields, and core.cov_fields for a covariance, which must also be
-square and symmetric within 1e-10): a missing or malformed field is a
-ValueError, exit 2 at the command line, with one line naming it.
+square, symmetric within 1e-10 and positive semi-definite): a missing or
+malformed field is a ValueError, exit 2 at the command line, with one line
+naming it.
 """
 from __future__ import annotations
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (check_counts, fields_from_json, fields_to_json, int_fields, json_field,
-                   json_list)
+from .core import (check_counts, check_width, fields_from_json, fields_to_json, int_fields,
+                   json_field, json_list)
 from .nn import Mlp, Tensor, as_batch, concat, fit_minibatch, map_rows, param
 
 __all__ = ["PlanarLayer", "CouplingLayer", "PermutationLayer", "FlowModel",
@@ -309,10 +309,10 @@ def _loglik_tensor(model, x):
 
 
 def log_likelihood(model, x):
-    """Exact log-density of each row of x, from one inverse pass per block
-    of rows."""
-    return map_rows(lambda xb: _loglik_tensor(model, xb).values,
-                    [np.atleast_2d(np.asarray(x, dtype=float))], model.width)
+    """Exact log-density of each row of x, which must have the model's width,
+    from one inverse pass per block of rows."""
+    X = check_width(np.atleast_2d(np.asarray(x, dtype=float)), model.dim)
+    return map_rows(lambda xb: _loglik_tensor(model, xb).values, [X], model.width)
 
 
 def fit(model, data, epochs, batch, rng, lr=1e-3):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RandomSource, category_codes, chol_psd, check_finite,
-                   check_simplex_rows, cov_fields, gaussian_logpdf_columns, json_list,
+from .core import (RandomSource, category_codes, check_finite, check_simplex_rows,
+                   cov_fields, gaussian_logpdf_columns, gaussian_noise, json_list,
                    log_sum_exp_rows, normalize_log_rows, real_array, real_fields,
                    row_sums, sample_categorical_many)
 from .em import EmConfig, run_em
@@ -45,8 +45,6 @@ class GmmParams:
         K, d = self.means.shape
         if self.weights.shape != (K,) or self.covs.shape != (K, d, d):
             raise ValueError("inconsistent GMM parameter shapes")
-        for k in range(K):
-            chol_psd(self.covs[k])
 
     @property
     def n_components(self):
@@ -124,10 +122,6 @@ class Responsibilities:
 
 def _gmm_log_joint(params, X):
     """log pi_k + log N(x_i | mu_k, Sigma_k) as an (N, K) array."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = X.shape[1]
-    if d != params.dim:
-        raise ValueError(f"data dim {d} does not match model dim {params.dim}")
     out = gaussian_logpdf_columns(X, params.means, params.covs)
     out += np.log(np.where(params.weights > 0, params.weights, 1e-300))
     return out
@@ -258,15 +252,14 @@ def gmm_m_step(data, resp, var_floor=None):
 
 
 def gmm_sample(params, n, rng):
-    """Ancestral draws: a component per row, then that component's Gaussian.
-    Returns (X, assignments)."""
+    """Ancestral draws: a component per row, then that component's Gaussian
+    (core.gaussian_noise). Returns (X, assignments)."""
     z = sample_categorical_many(params.weights, rng, n)
     X = np.empty((n, params.dim))
     for k in range(params.n_components):
         rows = np.where(z == k)[0]
         if rows.size:
-            L = np.linalg.cholesky(params.covs[k] + 1e-12 * np.eye(params.dim))
-            X[rows] = params.means[k] + rng.standard_normal((rows.size, params.dim)) @ L.T
+            X[rows] = params.means[k] + gaussian_noise(params.covs[k], rows.size, rng)
     return X, z
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RandomSource, check_counts, check_finite, chol_psd, gaussian_logpdf_rows,
-                   real_fields)
+from .core import (RandomSource, check_counts, check_finite, check_width, chol_psd,
+                   gaussian_logpdf_rows, gaussian_noise, real_fields)
 from .em import EmConfig, run_em
 
 __all__ = ["PpcaParams", "PpcaPosterior", "fit_closed_form", "posterior",
@@ -110,9 +110,7 @@ def fit_closed_form(data, M):
 def posterior_means(params, X):
     """Posterior means Minv W^T (x - mu) of the rows of X, (N, M), from one
     solve with M for all rows."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != params.data_dim:
-        raise ValueError("x has wrong dimension")
+    X = check_width(np.atleast_2d(np.asarray(X, dtype=float)), params.data_dim)
     return np.linalg.solve(_m_matrix(params), params.W.T @ (X - params.mu).T).T
 
 
@@ -153,7 +151,9 @@ def sample(params, n, rng, mode="prior", given=None):
 
 
 def sample_joint(params, n, rng, mode="prior", given=None):
-    """sample's draw with the latent rows it was drawn from: (X, Z)."""
+    """sample's draw with the latent rows it was drawn from: (X, Z). Posterior
+    draws come from core.gaussian_noise, so sigma2 = 0, a zero posterior
+    covariance, takes no draw for them."""
     D, M = params.data_dim, params.latent_dim
     if mode == "prior":
         Z = rng.standard_normal((n, M))
@@ -161,8 +161,7 @@ def sample_joint(params, n, rng, mode="prior", given=None):
         if given is None:
             raise ValueError("posterior sampling requires a conditioning observation")
         post = posterior(params, given)
-        L = np.linalg.cholesky(post.cov + 1e-15 * np.eye(M)) if np.any(post.cov) else np.zeros((M, M))
-        Z = post.mean + rng.standard_normal((n, M)) @ L.T
+        Z = post.mean + gaussian_noise(post.cov, n, rng)
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     noise = np.sqrt(params.sigma2) * rng.standard_normal((n, D))

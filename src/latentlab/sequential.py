@@ -55,10 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Gaussian, NumericError, RandomSource, category_codes, check_counts,
-                   check_finite, check_simplex_rows, chol_psd, cov_fields, fields_from_json,
-                   fields_to_json, gaussian_logpdf_columns, json_field, log_sum_exp_rows,
-                   normalize_log_rows, real_fields, row_max, row_sums, softmax_rows)
+from .core import (NumericError, RandomSource, category_codes, check_counts, check_finite,
+                   check_simplex_rows, check_width, chol_psd, cov_fields, fields_from_json,
+                   fields_to_json, gaussian_logpdf_columns, gaussian_noise, json_field,
+                   log_sum_exp_rows, normalize_log_rows, real_fields, row_max, row_sums,
+                   softmax_rows)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
                       _perturbed_rows, _reseed_empty, _var_floor, _weighted_gaussians)
@@ -701,10 +702,9 @@ def hmm_sample(params, T, rng):
     chol = np.zeros((K, d, d))
     noisy = np.zeros(K, dtype=bool)
     for k in np.unique(states):
-        g = Gaussian(params.emit.means[k], params.emit.covs[k])
-        if np.any(g.cov):
+        if np.any(params.emit.covs[k]):
             noisy[k] = True
-            chol[k] = chol_psd(g.cov)
+            chol[k] = chol_psd(params.emit.covs[k])
     obs = params.emit.means[states]
     drawn = noisy[states]
     eps = rng.standard_normal((int(drawn.sum()), d))
@@ -773,9 +773,7 @@ def _kalman_pass(params, pack):
     whitened by the factor of its step, and the RTS pass reads the same rows
     and cycle.
     """
-    X = pack.data
-    if X.shape[1] != params.obs_dim:
-        raise ValueError("observation dimension mismatch")
+    X = check_width(pack.data, params.obs_dim)
     counts, starts = pack.counts.tolist(), pack.starts.tolist()
     Tm = len(counts)
     N = X.shape[0]
@@ -981,20 +979,12 @@ def lds_sample(params, T, rng):
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    dz, dx = params.state_dim, params.obs_dim
-
-    def noise(cov, n, d):
-        g = Gaussian(np.zeros(d), cov)
-        if not np.any(g.cov):
-            return np.zeros((n, d))
-        return rng.standard_normal((n, d)) @ chol_psd(g.cov).T
-
-    Z = np.empty((T, dz))
-    Z[0] = params.mu0 + noise(params.Sigma0, 1, dz)[0]
+    Z = np.empty((T, params.state_dim))
+    Z[0] = params.mu0 + gaussian_noise(params.Sigma0, 1, rng)[0]
     if T > 1:
-        W = noise(params.Q, T - 1, dz)
+        W = gaussian_noise(params.Q, T - 1, rng)
         A = params.A
         for t in range(1, T):
             Z[t] = A @ Z[t - 1] + W[t - 1]
-    X = Z @ params.C.T + noise(params.R, T, dx)
+    X = Z @ params.C.T + gaussian_noise(params.R, T, rng)
     return check_finite(Z, "sampled states"), check_finite(X, "sampled observations")

@@ -83,6 +83,14 @@ def sample_gaussian(g, rng):
     return g.mean + L @ eps
 
 
+def same_spread(a, b, z=5.0):
+    """True if the sample standard deviations of the columns of the draws a
+    and b agree within z Monte Carlo standard errors (sd / sqrt(2 n) each)."""
+    sa, sb = np.std(a, axis=0), np.std(b, axis=0)
+    se = np.sqrt(sa ** 2 / (2 * len(a)) + sb ** 2 / (2 * len(b)))
+    return bool(np.all(np.abs(sa - sb) <= z * se))
+
+
 def sample_categorical(p, rng):
     """Index i with probability p_i, by inverse CDF on a single uniform."""
     probs = p.probs if isinstance(p, Simplex) else Simplex(np.asarray(p, dtype=float)).probs

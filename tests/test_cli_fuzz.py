@@ -1,6 +1,7 @@
 """The command line at its boundary: hypothesis writes small data files from
 a grammar of well-formed and malformed lines and draws the numeric fit
-flags, and every family's fit, eval and infer run through cli.main on them.
+flags, and every family's fit runs through cli.main on one of them, then
+its eval and infer on that file and on a second one from the same grammar.
 
 The grammar holds blank and ragged lines, dx= headers in any file,
 non-numbers, 1e308, NaN and infinities, and negative and fractional codes.
@@ -91,7 +92,8 @@ def cases(draw):
     family = draw(st.sampled_from(sorted(FAMILIES)))
     record = FAMILIES[family]
     flags = {flag: draw(FLAG_VALUES[flag]) for flag in record.flags}
-    return family, draw(data_files(record.input)), {f: v for f, v in flags.items() if v}
+    return (family, draw(data_files(record.input)), {f: v for f, v in flags.items() if v},
+            draw(data_files(record.input)))
 
 
 def _separable_responses():
@@ -142,15 +144,18 @@ def _check(code, out, err, written):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
-@example(("irt", _separable_responses(), {"max_iters": "500"}))
-@example(("gmm", BLOBS, {"rel_tol": "0"}))
-@example(("ppca", BLOBS, {"latent_dim": "0"}))
+@example(("irt", _separable_responses(), {"max_iters": "500"}, "x0\n1\n"))
+@example(("gmm", BLOBS, {"rel_tol": "0"}, "x0,x1\n1,2\n"))
+@example(("ppca", BLOBS, {"latent_dim": "0"}, BLOBS))
+@example(("flow", BLOBS, {"epochs": "1", "hidden": "1"}, "x0\n1\n0.5\n"))
 def test_fit_eval_and_infer_hold_the_exit_contract(case):
-    family, text, flags = case
+    family, text, flags, other_text = case
     with tempfile.TemporaryDirectory() as tmp:
-        data, model, inferred = (os.path.join(tmp, name) for name in ("data", "m.json", "i.csv"))
-        with open(data, "w", newline="") as fh:
-            fh.write(text)
+        data, other, model, inferred = (os.path.join(tmp, name)
+                                        for name in ("data", "other", "m.json", "i.csv"))
+        for path, content in ((data, text), (other, other_text)):
+            with open(path, "w", newline="") as fh:
+                fh.write(content)
         argv = ["fit", family, "--data", data, "--out", model]
         for flag, value in flags.items():
             argv.append(f"--{flag.replace('_', '-')}={value}")
@@ -162,12 +167,14 @@ def test_fit_eval_and_infer_hold_the_exit_contract(case):
             json.load(fh, parse_constant=_refuse)
         with open(model + ".trace.csv") as fh:
             _finite_rows(fh.read())
-        code, out, err = _run(["eval", model, "--data", data])
-        _check(code, out, err, [])
-        if code == 0:
-            assert all(math.isfinite(float(line.split()[-1])) for line in out.splitlines())
-        code, out, err = _run(["infer", model, "--data", data, "--out", inferred])
-        _check(code, out, err, [inferred])
-        if code == 0:
-            with open(inferred) as fh:
-                _finite_rows(fh.read())
+        for path in (data, other):
+            code, out, err = _run(["eval", model, "--data", path])
+            _check(code, out, err, [])
+            if code == 0:
+                assert all(math.isfinite(float(line.split()[-1])) for line in out.splitlines())
+            code, out, err = _run(["infer", model, "--data", path, "--out", inferred])
+            _check(code, out, err, [inferred])
+            if code == 0:
+                with open(inferred) as fh:
+                    _finite_rows(fh.read())
+                os.remove(inferred)

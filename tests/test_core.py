@@ -1,4 +1,8 @@
+import ast
+import glob
 import math
+import os
+import re
 import warnings
 
 import numpy as np
@@ -491,3 +495,62 @@ def test_every_covariance_field_is_square_and_symmetric(where):
     near = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
     held = np.reshape(getattr(make(near), name), (2, 2))
     assert _same_bytes(held, 0.5 * (near + near.T))
+
+
+@pytest.mark.parametrize("where", sorted(COVARIANCE_FIELDS))
+def test_every_covariance_field_is_positive_semi_definite(where):
+    make, name = COVARIANCE_FIELDS[where]
+    shown = f"{name}[0]" if name == "covs" else name
+    for bad in ([[1.0, 0.0], [0.0, -1e-3]], [[1.0, 2.0], [2.0, 1.0]],
+                [[1.7e308, 0.0], [0.0, -1e300]]):
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not positive semi-definite"):
+            make(bad)
+    # zero variances, a rank-one matrix whose eigenvalue rounds below zero, and
+    # variances whose trace overflows are accepted as they are
+    for good in ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.1, 0.3], [0.3, 0.9]],
+                 [[1.7e308, 0.0], [0.0, 1.7e308]], [[1.7e308, 1e300], [1e300, 1.0]]):
+        held = np.reshape(getattr(make(good), name), (2, 2))
+        assert _same_bytes(held, np.array(good))
+
+
+def test_a_stack_of_covariances_names_the_matrix_that_is_not_positive_semi_definite():
+    with pytest.raises(ValueError, match=r"^covs\[2\] is not positive semi-definite: "
+                                         r"smallest eigenvalue -0\.5$"):
+        GmmParams([0.5, 0.25, 0.25], np.zeros((3, 2)), [I2, I2, [[1.0, 0.0], [0.0, -0.5]]])
+
+
+def test_chol_psd_names_a_covariance_too_singular_to_factor():
+    with pytest.raises(NumericError, match="^covariance too singular to factor"):
+        core.chol_psd(np.zeros((2, 2)))
+
+
+def test_gaussian_noise_draws_as_the_oracle_and_nothing_at_a_zero_covariance():
+    cov = np.array([[2.0, 0.6], [0.6, 0.5]])
+    rows = core.gaussian_noise(cov, 5, RandomSource(3))
+    oracle, g = RandomSource(3), Gaussian(Z2, cov)
+    assert np.allclose(rows, [sample_gaussian(g, oracle) for _ in range(5)], rtol=1e-14, atol=0)
+    rng = RandomSource(3)
+    assert _same_bytes(core.gaussian_noise(np.zeros((2, 2)), 4, rng), np.zeros((4, 2)))
+    assert rng.standard_normal() == RandomSource(3).standard_normal()
+
+
+def _linalg_homes(*names):
+    """(module, attribute, top-level definition) of every use of the named
+    attributes in the modules of latentlab."""
+    homes = set()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(core.__file__), "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in names:
+                    homes.add((os.path.basename(path), node.attr, getattr(top, "name", None)))
+    return homes
+
+
+def test_the_covariance_factor_and_psd_test_have_one_home():
+    # every covariance is checked by cov_fields and factored by chol_psd; the
+    # Kalman filter's batched innovation factor keeps its own no-jitter policy
+    assert _linalg_homes("cholesky", "eigvalsh") == {
+        ("core.py", "eigvalsh", "cov_fields"), ("core.py", "cholesky", "chol_psd"),
+        ("sequential.py", "cholesky", "_kalman_pass")}

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracle_utils import gaussian_logpdf
+from oracle_utils import gaussian_logpdf, same_spread, sample_gaussian
 from latentlab.core import Gaussian, RandomSource
 from latentlab.em import EmConfig
 from latentlab.mixture import (GmmParams, LcaParams, Responsibilities,
                                fit_gmm, fit_lca, gmm_e_step, gmm_loglik,
-                               gmm_m_step, lca_e_step, lca_loglik, lca_m_step)
+                               gmm_m_step, gmm_sample, lca_e_step, lca_loglik, lca_m_step)
 
 
 def _random_gmm(seed, K=3, d=2):
@@ -329,3 +329,23 @@ def test_fit_lca_rejects_non_integer_and_negative_codes():
     X[5, 1] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
         fit_lca(X, 2, EmConfig(seed=0))
+
+
+def test_gmm_sample_spreads_as_the_oracle_at_a_tiny_covariance():
+    # a fixed jitter of 1e-12 I would give sd 1e-6 for 1e-7
+    cov = 1e-14 * np.eye(2)
+    X, _z = gmm_sample(GmmParams([1.0], [[1.0, -2.0]], [cov]), 4000, RandomSource(5))
+    g, oracle = Gaussian([1.0, -2.0], cov), RandomSource(6)
+    assert same_spread(X, [sample_gaussian(g, oracle) for _ in range(4000)])
+
+
+def test_a_zero_covariance_component_draws_its_mean_and_no_normals():
+    params = GmmParams([0.5, 0.5], [[1.0, -2.0], [0.0, 3.0]], [np.zeros((2, 2)), np.eye(2)])
+    rng = RandomSource(7)
+    X, z = gmm_sample(params, 200, rng)
+    assert np.array_equal(X[z == 0], np.tile([1.0, -2.0], (np.sum(z == 0), 1)))
+    # the stream gave its uniforms to the components and normals to component 1 only
+    ref = RandomSource(7)
+    ref.uniform(200)
+    assert np.array_equal(X[z == 1], [0.0, 3.0] + ref.standard_normal((np.sum(z == 1), 2)))
+    assert rng.standard_normal() == ref.standard_normal()

@@ -15,6 +15,7 @@ test_generate_reference.
 import contextlib
 import io
 import json
+import math
 import os
 import re
 
@@ -24,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latentlab.cli import main
-from latentlab.datasets import read_model, read_seq, write_model
+from latentlab.datasets import read_model, read_seq, write_csv, write_model, write_seq
 from latentlab.sequential import lds_infer
 from test_generate_reference import SPECS as SYNTH_SPECS
 
@@ -200,6 +201,75 @@ def test_an_asymmetric_covariance_is_one_usage_error(family, name, entry, data_f
         assert (code, stdout) == (2, ""), (argv, err)
         assert err == (f"latentlab: {name} must be square and symmetric within 1e-10, "
                        f"got shape {np.shape(doc['params'][name])}\n")
+    assert not os.path.exists(out)
+
+
+def _matrix(doc, entry):
+    """The matrix of the params field entry[0] (a list of lists) that holds
+    the off-diagonal pair entry[-2:]."""
+    node = doc["params"]
+    for i in entry[:-2]:
+        node = node[i]
+    return node
+
+
+@pytest.mark.parametrize("family, name, entry", COVARIANCES,
+                         ids=[f"{family}.{name}" for family, name, _ in COVARIANCES])
+def test_an_indefinite_covariance_is_one_usage_error(family, name, entry, data_files, tmp_path):
+    doc = _load(family)
+    M, (i, j) = _matrix(doc, (name,) + entry), entry[-2:]
+    M[i][j] = M[j][i] = math.sqrt(M[i][i] * M[j][j]) + 1.0     # a minor of negative determinant
+    shown = f"{name}[{entry[0]}]" if name == "covs" else name
+    model, spec, out = (str(tmp_path / f) for f in ("m.json", "spec.json", "out.csv"))
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    with open(spec, "w") as fh:
+        json.dump({"family": family, "params": doc["params"],
+                   **({"n": 5} if family == "gmm" else {"lengths": [4]})}, fh)
+    data = data_files[DATA[family]]
+    for argv in (["eval", model, "--data", data], ["infer", model, "--data", data, "--out", out],
+                 ["sample", model, "--n", "3", "--out", out], ["synth", spec, "--out", out]):
+        code, stdout, err = _run(argv)
+        assert (code, stdout, err.count("\n")) == (2, "", 1), (argv, err)
+        assert err.startswith(f"latentlab: {shown} is not positive semi-definite: "), err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("family, name, entry", COVARIANCES,
+                         ids=[f"{family}.{name}" for family, name, _ in COVARIANCES])
+def test_a_zero_covariance_is_accepted(family, name, entry, data_files, tmp_path):
+    doc = _load(family)
+    M = _matrix(doc, (name,) + entry)
+    M[:] = np.zeros((len(M), len(M))).tolist()
+    _runs_to_finite_output(doc, "sample", data_files[DATA[family]], str(tmp_path))
+    if family != "lds":     # a Gaussian density needs a covariance it can factor
+        code, stdout, err = _run(["eval", str(tmp_path / "m.json"),
+                                  "--data", data_files[DATA[family]]])
+        assert (code, stdout) == (1, ""), err
+        assert err == ("latentlab: numeric failure: covariance too singular to factor, "
+                       "even after jitter\n")
+
+
+# the width of each fixture of a Gaussian density or a flow
+WIDTHS = {"ppca": 2, "gmm": 2, "ghmm": 2, "lds": 3, "flow": 2}
+
+
+@pytest.mark.parametrize("family", sorted(WIDTHS))
+def test_data_of_the_wrong_width_is_one_usage_error(family, tmp_path):
+    model = os.path.join(FIXTURES, f"{family}.json")
+    d, data, out = WIDTHS[family], str(tmp_path / "data"), str(tmp_path / "out.csv")
+    for width in (d - 1, d + 1):
+        rows = np.arange(4.0 * width).reshape(4, width) / 10
+        if DATA[family] == "matrix":
+            write_csv(data, rows)
+        else:
+            write_seq(data, [rows], dx=width)
+        argvs = [["eval", model, "--data", data]]
+        if family != "flow":
+            argvs.append(["infer", model, "--data", data, "--out", out])
+        for argv in argvs:
+            assert _run(argv) == (2, "", f"latentlab: data dim {width} does not match "
+                                         f"model dim {d}\n"), argv
     assert not os.path.exists(out)
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracle_utils import gaussian_condition
+from oracle_utils import gaussian_condition, same_spread, sample_gaussian
 from latentlab.core import Gaussian, RandomSource
 from latentlab.em import EmConfig
 from latentlab.ppca import (PpcaParams, canonicalize, fit_closed_form, fit_em,
-                            marginal_loglik, posterior, reconstruct, sample)
+                            marginal_loglik, posterior, reconstruct, sample, sample_joint)
 
 
 def _random_params(seed, D=3, M=2):
@@ -180,6 +180,28 @@ def test_posterior_samples_concentrate():
     params = PpcaParams(W, np.zeros(3), 1e-8)
     draws = sample(params, 200, RandomSource(16), mode="posterior", given=x)
     assert np.allclose(draws.mean(axis=0), reconstruct(params, x), atol=1e-3)
+
+
+def test_posterior_draws_spread_as_the_oracle_at_a_tiny_noise_variance():
+    # a fixed jitter of 1e-15 I would give sd 3.2e-8 for the posterior's 1e-10
+    params = PpcaParams([[1.0], [0.0], [0.0]], np.zeros(3), 1e-20)
+    x = [1.0, 0.5, -0.5]
+    Z = sample_joint(params, 4000, RandomSource(8), mode="posterior", given=x)[1]
+    post, oracle = posterior(params, x), RandomSource(9)
+    g = Gaussian(post.mean, post.cov)
+    assert same_spread(Z, [sample_gaussian(g, oracle) for _ in range(4000)])
+
+
+def test_posterior_draws_at_zero_noise_are_the_posterior_mean():
+    # a zero posterior covariance takes no draw: the stream goes to the noise
+    params = PpcaParams([[1.0], [0.5], [0.0]], np.zeros(3), 0.0)
+    x = [1.0, 0.5, -0.5]
+    rng = RandomSource(10)
+    Z = sample_joint(params, 6, rng, mode="posterior", given=x)[1]
+    assert np.array_equal(Z, np.tile(posterior(params, x).mean, (6, 1)))
+    ref = RandomSource(10)
+    ref.standard_normal((6, 3))
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 # -- EM ------------------------------------------------------------------------
