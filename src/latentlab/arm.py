@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import category_codes, check_counts, int_fields, row_sums, softmax_rows
+from .core import category_codes, cdf, check_counts, int_fields, normalize_log_rows, row_sums
 from .nn import Mlp, Recorder, eager, fit_minibatch, map_rows
 
 __all__ = ["ArModel", "make_ar_model", "log_likelihood", "log_likelihood_batch",
@@ -143,13 +143,11 @@ def train(model, data, epochs, batch, rng, lr=1e-3):
 def sample(model, n, rng):
     """Ancestral sampling, one position at a time across the whole batch,
     each position's network replayed block by block of sequences."""
-    D, V = model.seq_len, model.alphabet
-    X = np.zeros((n, D), dtype=int)
+    X = np.zeros((n, model.seq_len), dtype=int)
     logits_of = Recorder(model.cond_net.forward)
-    for d in range(D):
+    for d in range(model.seq_len):
         logits = map_rows(lambda Xb: logits_of(_masked_inputs(model, Xb, [d])).values, [X],
                           model.cond_net.width)
-        p = softmax_rows(logits)
         u = rng.uniform(n)
-        X[:, d] = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1).clip(0, V - 1)
+        X[:, d] = (cdf(normalize_log_rows(logits)[0]) <= u[:, None]).sum(axis=1)
     return X

@@ -13,8 +13,17 @@ np.allclose(M, M^T, atol=1e-10), stored as their symmetric part, and
 positive semi-definite. Every Gaussian of every family follows one rule
 from there: a draw takes its factor from chol_psd (gaussian_noise), and a
 density checks the data width (check_width) and factors by chol_psd
-(gaussian_logpdf_columns). The logistic (sigmoid) and the max-shifted row
-softmax (softmax_rows) live here too, one definition each for every module.
+(gaussian_logpdf_columns). The logistic (sigmoid) lives here too, one
+definition for every module.
+
+Every categorical distribution of every family (mixture weights, LCA item
+tables, HMM states and symbols, LDA topics and words, the ARM's per-position
+conditionals) follows one rule. Its log is exact: a zero probability has log
+-inf, and its entropy term p log p is 0 (plogp). A block of log-weights is
+normalized row by row by normalize_log_rows, the one row normalizer. A draw
+inverts cdf(probs), a cumulative sum that ends at exactly 1.0: the drawn
+index is the count of cdf entries <= u for a uniform u in [0, 1), so a
+zero-probability category is never drawn and no index needs a clip.
 
 Every max and sum over a short last axis on many rows goes through one
 reduction rule: row_max and row_sums give numpy's bytes, as whole-column
@@ -39,8 +48,9 @@ __all__ = [
     "Gaussian",
     "Simplex",
     "RandomSource",
-    "softmax_rows",
     "sigmoid",
+    "plogp",
+    "cdf",
     "sample_dirichlet",
     "chol_psd",
     "gaussian_noise",
@@ -497,13 +507,11 @@ def normalize_log_rows(log_rows):
     return probs, lse
 
 
-def softmax_rows(log_rows, out=None):
-    """exp(log_rows) normalized over the last axis, the last-axis maximum
-    subtracted first so no entry overflows; out=log_rows works in place."""
-    out = np.subtract(log_rows, row_max(log_rows), out=out)
-    np.exp(out, out=out)
-    out /= row_sums(out)[..., None]
-    return out
+def plogp(p):
+    """p log p of each entry of a probability array, 0 where p is 0: the
+    terms of a categorical entropy, -sum(plogp(p)), taken without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, p * np.log(p), 0.0)
 
 
 def sigmoid(x):
@@ -562,11 +570,20 @@ def gaussian_logpdf_columns(X, means, covs):
     return out
 
 
+def cdf(probs):
+    """The inverse-CDF table of every categorical draw: the cumulative sums
+    of probs over the last axis, divided by their last entry so that each row
+    ends at exactly 1.0 (a row whose sum is 1.0 keeps its bytes). A draw at a
+    uniform u in [0, 1) is the count of entries <= u: it never passes the
+    last entry, and a zero-probability category has an empty interval."""
+    c = np.cumsum(np.asarray(probs, dtype=float), axis=-1)
+    c /= c[..., -1:]
+    return c
+
+
 def sample_categorical_many(probs, rng, n):
     """n iid categorical draws from one probability vector."""
-    cum = np.cumsum(np.asarray(probs, dtype=float))
-    u = rng.uniform(n)
-    return np.searchsorted(cum, u, side="right").clip(0, len(cum) - 1)
+    return np.searchsorted(cdf(probs), rng.uniform(n), side="right")
 
 
 def sample_dirichlet(alpha, rng):

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .core import (category_codes, check_counts, log_sum_exp_rows, normalize_log_rows,
-                   real_fields, row_sums, sigmoid, softmax_rows)
+                   real_fields, row_sums, sigmoid)
 from .em import EmConfig, run_em
 
 __all__ = ["IrtParams", "QuadratureRule", "item_prob", "marginal_loglik", "loglik_rows",
@@ -125,7 +125,7 @@ def posterior_theta(params, x, quad):
     posterior mass over quadrature nodes.
     """
     X = _check_responses(np.atleast_2d(x), params.n_items)
-    w = softmax_rows(_log_lik_at_nodes(params, X, quad)[0] + np.log(quad.weights))
+    w = _node_posteriors(params, X, quad)[0][0]
     eap = float(w @ quad.nodes)
     var = float(w @ (quad.nodes - eap) ** 2)
     return eap, math.sqrt(max(var, 0.0)), w

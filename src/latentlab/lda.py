@@ -10,8 +10,8 @@ A corpus is held flat: one array of all N tokens plus document offsets. Each
 sweep is one pass over an (N_tokens, K) block: the bound gathers the digamma
 expectations by each token's document and word into token logits, reduces
 their per-token row sums per document, and the token update then normalizes
-those same logits in place into the new weights. The topic update is one
-scatter-add over the words. The document sums go document by document over
+those same logits row by row (core.normalize_log_rows) into the new weights.
+The topic update is one scatter-add over the words. The document sums go document by document over
 views into the block, which adds the rows in the same order as a
 per-document loop, so fits are bit-identical to one.
 """
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RandomSource, category_codes, int_fields, real_fields, row_sums,
-                   sample_categorical_many, sample_dirichlet, softmax_rows)
+from .core import (RandomSource, category_codes, cdf, int_fields, normalize_log_rows, plogp,
+                   real_fields, row_sums, sample_categorical_many, sample_dirichlet)
 from .em import EmConfig, run_em
 
 __all__ = ["LdaHyper", "LdaModel", "Corpus", "LdaVariational", "generate_corpus", "elbo",
@@ -143,7 +143,7 @@ class LdaVariational:
         wt = np.asarray(wt, dtype=float)
         simplex = np.all(wt >= 0, axis=1) & np.isclose(row_sums(wt), 1.0, atol=1e-9)
         if not np.all(simplex):
-            d = np.searchsorted(offsets, np.argmin(simplex), side="right") - 1
+            d = np.count_nonzero(offsets <= np.argmin(simplex)) - 1
             raise ValueError(f"token weights of document {d} are not simplex rows")
         object.__setattr__(self, "weights", wt)
         object.__setattr__(self, "offsets", offsets)
@@ -159,7 +159,7 @@ def generate_corpus(hyper, doc_lengths, rng):
     (topics, per-document proportions, token assignments) for oracle checks."""
     K, V = hyper.K, hyper.V
     phi = np.stack([sample_dirichlet(hyper.beta, rng).probs for _ in range(K)])
-    cum_phi = np.cumsum(phi, axis=1)
+    cdf_phi = cdf(phi)
     thetas = []
     zs = []
     docs = []
@@ -171,7 +171,7 @@ def generate_corpus(hyper, doc_lengths, rng):
         w = np.empty(len(z), dtype=int)
         for k in np.unique(z):
             at = z == k
-            w[at] = np.searchsorted(cum_phi[k], u[at], side="right").clip(0, V - 1)
+            w[at] = np.searchsorted(cdf_phi[k], u[at], side="right")
         thetas.append(theta)
         zs.append(z)
         docs.append(w)
@@ -211,10 +211,8 @@ def _bound_terms(hyper, corpus, var):
     docs = (_dirichlet_logpdf_expectation(hyper.alpha[None, :], elog_theta)
             - _dirichlet_logpdf_expectation(var.doc_topic, elog_theta))
     wt = var.weights
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(wt > 0, wt * np.log(wt), 0.0)
     logits = _token_logits(corpus, elog_theta, elog_phi)
-    tokens = row_sums(wt * logits - plogp)
+    tokens = row_sums(wt * logits - plogp(wt))
     docs += np.bincount(corpus.doc_of, weights=tokens, minlength=corpus.n_docs)
     return topics, docs, logits
 
@@ -233,16 +231,11 @@ def document_elbo(hyper, corpus, var):
     return docs + topics / corpus.n_docs
 
 
-def _token_weights(logits):
-    """Exact coordinate update of the per-token assignment weights: the
-    token logits softmaxed row by row, in place."""
-    return softmax_rows(logits, out=logits)
-
-
 def _dirichlet_updates(hyper, corpus, weights, topic_word=None):
-    """The variational parameters of the token weights, with the exact
-    coordinate updates of the document Dirichlets and, unless topic_word
-    holds them fixed, of the topic Dirichlets."""
+    """The variational parameters of the token weights (whose exact
+    coordinate update is the token logits normalized row by row), with the
+    exact coordinate updates of the document Dirichlets and, unless
+    topic_word holds them fixed, of the topic Dirichlets."""
     doc_topic = np.empty((corpus.n_docs, hyper.K))
     for d, wt_d in enumerate(_blocks(weights, corpus.offsets)):
         doc_topic[d] = hyper.alpha + wt_d.sum(axis=0)
@@ -275,7 +268,7 @@ def fit_lda(hyper, corpus, cfg: EmConfig, init=None):
         init = init_variational(hyper, corpus, RandomSource(cfg.seed).split(404))
 
     def m_step(data, scored):
-        return _dirichlet_updates(hyper, data, _token_weights(scored[1]))
+        return _dirichlet_updates(hyper, data, normalize_log_rows(scored[1])[0])
 
     return _ascend(hyper, corpus, init, m_step, cfg)
 
@@ -288,7 +281,7 @@ def fit_documents(hyper, corpus, topic_word, cfg: EmConfig):
     init = _dirichlet_updates(hyper, corpus, weights, topic_word)
 
     def m_step(data, scored):
-        return _dirichlet_updates(hyper, data, _token_weights(scored[1]), topic_word)
+        return _dirichlet_updates(hyper, data, normalize_log_rows(scored[1])[0], topic_word)
 
     return _ascend(hyper, corpus, init, m_step, cfg)
 

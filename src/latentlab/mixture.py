@@ -1,6 +1,9 @@
 """Flat discrete-latent models sharing the responsibility machinery:
 Gaussian mixtures over continuous data and latent class analysis over
-categorical items. All likelihood work is done in the log domain. The
+categorical items. All likelihood work is done in the log domain, by
+core's categorical rule: the log of a weight or table entry is exact, so a
+zero probability is a -inf term, and a data point that no component or
+class explains stops an E-step with a NumericError naming it. The
 seeded starts, weighted M-steps, probability floor and empty-column rescue
 here are also the HMMs' (sequential.py). _reseed_empty is the one rescue
 rule of all four families; run_em keeps a rescue only if the objective does
@@ -13,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RandomSource, category_codes, check_finite, check_simplex_rows,
-                   cov_fields, gaussian_logpdf_columns, gaussian_noise, json_list,
-                   log_sum_exp_rows, normalize_log_rows, real_array, real_fields,
-                   row_sums, sample_categorical_many)
+from .core import (NumericError, RandomSource, category_codes, check_finite,
+                   check_simplex_rows, cov_fields, gaussian_logpdf_columns, gaussian_noise,
+                   json_list, log_sum_exp_rows, normalize_log_rows, plogp, real_array,
+                   real_fields, row_sums, sample_categorical_many)
 from .em import EmConfig, run_em
 
 __all__ = [
@@ -96,7 +99,7 @@ class LcaParams:
 def lca_to_json(params):
     """JSON form with classes ordered by the entropy of their item tables."""
     stacked = np.concatenate(list(params.item_probs), axis=1)   # (K, sum C_j)
-    ent = -np.sum(np.where(stacked > 0, stacked * np.log(stacked), 0.0), axis=1)
+    ent = -np.sum(plogp(stacked), axis=1)
     order = np.argsort(ent, kind="stable")
     return {"weights": params.weights[order].tolist(),
             "item_probs": [t[order].tolist() for t in params.item_probs]}
@@ -123,7 +126,8 @@ class Responsibilities:
 def _gmm_log_joint(params, X):
     """log pi_k + log N(x_i | mu_k, Sigma_k) as an (N, K) array."""
     out = gaussian_logpdf_columns(X, params.means, params.covs)
-    out += np.log(np.where(params.weights > 0, params.weights, 1e-300))
+    with np.errstate(divide="ignore"):
+        out += np.log(params.weights)
     return out
 
 
@@ -137,11 +141,18 @@ def gmm_loglik(params, data):
     return float(np.sum(gmm_loglik_rows(params, data)))
 
 
-def _responsibilities(lj):
+def _responsibilities(lj, what="component"):
     """Normalize an (N, K) log-joint into responsibilities; the row
-    normalizers sum to the log-likelihood, as in gmm_loglik/lca_loglik."""
-    gamma, lse = normalize_log_rows(lj)
-    return Responsibilities(gamma, float(np.sum(lse)))
+    normalizers sum to the log-likelihood, as in gmm_loglik/lca_loglik. A
+    data point that no component (what) explains, a row of all -inf, is a
+    NumericError naming it."""
+    with np.errstate(invalid="ignore"):
+        gamma, lse = normalize_log_rows(lj)
+    loglik = float(np.sum(lse))
+    bad = [] if math.isfinite(loglik) else np.flatnonzero(lse == -np.inf)
+    if len(bad):
+        raise NumericError(f"zero-probability data point {bad[0]}: no {what} explains it")
+    return Responsibilities(gamma, loglik)
 
 
 def _resp_loglik(resp):
@@ -350,11 +361,11 @@ def _lca_log_joint(params, X):
     (_check_lca_data)."""
     N, K = X.shape[0], params.n_classes
     out = np.empty((K, N))
-    out[:] = np.log(np.where(params.weights > 0, params.weights, 1e-300))[:, None]
     gathered = np.empty((K, N))
-    for j, table in enumerate(params.item_probs):
-        logt = np.log(np.where(table > 0, table, 1e-300))
-        out += np.take(logt, X[:, j], axis=1, out=gathered, mode="wrap")
+    with np.errstate(divide="ignore"):
+        out[:] = np.log(params.weights)[:, None]
+        for j, table in enumerate(params.item_probs):
+            out += np.take(np.log(table), X[:, j], axis=1, out=gathered, mode="wrap")
     return np.ascontiguousarray(out.T)
 
 
@@ -369,7 +380,7 @@ def lca_loglik(params, data):
 
 def lca_e_step(params, data):
     X = _check_lca_data(params, data)
-    return _responsibilities(_lca_log_joint(params, X))
+    return _responsibilities(_lca_log_joint(params, X), "class")
 
 
 def lca_m_step(data, resp, n_categories=None):
@@ -416,5 +427,5 @@ def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
     def m_step(d, resp):
         return lca_m_step(d, resp, n_categories=n_categories)
 
-    return run_em(lambda params, codes: _responsibilities(_lca_log_joint(params, codes)),
+    return run_em(lambda params, codes: _responsibilities(_lca_log_joint(params, codes), "class"),
                   m_step, _resp_loglik, X, init, cfg)

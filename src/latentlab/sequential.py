@@ -55,11 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NumericError, RandomSource, category_codes, check_counts, check_finite,
-                   check_simplex_rows, check_width, chol_psd, cov_fields, fields_from_json,
-                   fields_to_json, gaussian_logpdf_columns, gaussian_noise, json_field,
-                   log_sum_exp_rows, normalize_log_rows, real_fields, row_max, row_sums,
-                   softmax_rows)
+from .core import (NumericError, RandomSource, category_codes, cdf, check_counts,
+                   check_finite, check_simplex_rows, check_width, chol_psd, cov_fields,
+                   fields_from_json, fields_to_json, gaussian_logpdf_columns, gaussian_noise,
+                   json_field, log_sum_exp_rows, normalize_log_rows, plogp, real_fields, row_max,
+                   row_sums)
 from .em import EmConfig, run_em
 from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
                       _perturbed_rows, _reseed_empty, _var_floor, _weighted_gaussians)
@@ -316,7 +316,7 @@ class HmmSetPosterior:
             logA = np.log(self.params.trans)
         lx = (self.log_alpha[self.pack.prev][:, :, None] + logA[None]
               + (self.logB[nxt] + self.log_beta[nxt])[:, None, :])
-        return softmax_rows(lx.reshape(-1, logA.size)).reshape(lx.shape)
+        return normalize_log_rows(lx.reshape(-1, logA.size))[0].reshape(lx.shape)
 
     def pairwise_sum(self):
         """pairwise() summed over all rows.
@@ -434,7 +434,7 @@ def _forward_result(params, pack, logB, log_alpha, log_c):
     bad = np.flatnonzero(~np.isfinite(log_c[:, 0]))
     if bad.size:
         r = int(bad[0])
-        t = int(np.searchsorted(pack.starts, r, side="right")) - 1
+        t = int(np.count_nonzero(pack.starts <= r)) - 1
         raise NumericError(f"zero-probability sequence {pack.seq[r]}: "
                            f"no path explains step {t}")
     return HmmSetPosterior(params, pack, logB, log_alpha, log_c, pack.sums(log_c[:, 0]))
@@ -685,18 +685,16 @@ def hmm_sample(params, T, rng):
         raise ValueError("T must be >= 1")
     K = params.n_states
     u = rng.uniform(T).tolist()
-    cum = np.cumsum(params.trans, axis=1).tolist()
-    s = min(bisect_right(np.cumsum(params.pi).tolist(), u[0]), K - 1)
+    rows = cdf(params.trans).tolist()
+    s = bisect_right(cdf(params.pi).tolist(), u[0])
     path = [s]
     for x in u[1:]:
-        s = min(bisect_right(cum[s], x), K - 1)
+        s = bisect_right(rows[s], x)
         path.append(s)
     states = np.array(path)
     if isinstance(params.emit, DiscreteEmission):
-        cum_emit = np.cumsum(params.emit.probs, axis=1)
         v = rng.uniform(T)
-        obs = np.minimum(np.sum(cum_emit[states] <= v[:, None], axis=1),
-                         params.emit.n_symbols - 1)
+        obs = np.sum(cdf(params.emit.probs)[states] <= v[:, None], axis=1)
         return states, obs
     d = params.emit.dim
     chol = np.zeros((K, d, d))
@@ -716,8 +714,7 @@ def canonical_state_order(params):
     """Deterministic state ordering for serialization: by emission mean norm
     (Gaussian) or emission entropy ascending (discrete)."""
     if isinstance(params.emit, DiscreteEmission):
-        p = params.emit.probs
-        key = -np.sum(np.where(p > 0, p * np.log(p), 0.0), axis=1)
+        key = -np.sum(plogp(params.emit.probs), axis=1)
     else:
         key = np.linalg.norm(params.emit.means, axis=1)
     order = np.argsort(key, kind="stable")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_counts, int_fields, real_fields, sigmoid
+from .core import check_counts, check_width, int_fields, real_fields, sigmoid
 from .nn import Mlp, Tensor, eager, fit_minibatch, map_rows
 
 __all__ = ["VaeModel", "ElboParts", "make_vae", "encode", "reparameterize",
@@ -93,8 +93,9 @@ def make_vae(data_dim, latent_dim, rng, hidden=64, likelihood="gaussian",
     return VaeModel(encoder, decoder, latent_dim, likelihood, sigma_dec)
 
 
-def _rows(x):
-    return np.atleast_2d(np.asarray(x, dtype=float))
+def _rows(model, x):
+    """x as a 2-D float array of the model's width (core.check_width)."""
+    return check_width(np.atleast_2d(np.asarray(x, dtype=float)), model.data_dim)
 
 
 def _posterior(model, x):
@@ -111,8 +112,8 @@ def _posterior(model, x):
 def encode(model, x):
     """Posterior parameters (mu, sigma) of each row of x, as arrays, block by
     block of rows; sigma is clamped as in training."""
-    return map_rows(lambda xb: tuple(t.values for t in _posterior(model, xb)), [_rows(x)],
-                    model.width)
+    return map_rows(lambda xb: tuple(t.values for t in _posterior(model, xb)),
+                    [_rows(model, x)], model.width)
 
 
 def reparameterize(mu, sigma, rng):
@@ -146,7 +147,7 @@ def _draw(model, n_rows, rng):
 
 def _elbo_inputs(model, x, rng, n_samples):
     """The batch as a 2-D array, then n_samples draws of eps."""
-    X = _rows(x)
+    X = _rows(model, x)
     return [X] + [_draw(model, X.shape[0], rng) for _ in range(n_samples)]
 
 
@@ -186,7 +187,7 @@ def elbo_rows(model, x, rng, n_samples=1):
     The posterior and KL of every row come first, block by block of rows.
     Then each draw of eps, in turn, adds its log p(x|z) into every row's sum.
     """
-    X = _rows(x)
+    X = _rows(model, x)
 
     def posterior_kl(xb):
         mu, sigma = _posterior(model, xb)
@@ -232,4 +233,4 @@ def reconstruct(model, x):
     def block(xb):
         out = model.decoder.forward(_posterior(model, xb)[0]).values
         return sigmoid(out) if model.likelihood == "bernoulli" else out
-    return map_rows(block, [_rows(x)], model.width)
+    return map_rows(block, [_rows(model, x)], model.width)

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from oracle_utils import (gaussian_condition, gaussian_logpdf, kl_divergence_categorical,
                           log_sum_exp, sample_categorical, sample_gaussian)
-from latentlab import core, nn
+from latentlab import arm, core, mixture, nn, sequential
 from latentlab.core import (Gaussian, NumericError, RandomSource, Simplex,
-                            category_codes, sample_dirichlet, sigmoid, softmax_rows)
+                            category_codes, sample_dirichlet, sigmoid)
 from latentlab.irt import item_prob
-from latentlab.mixture import GmmParams
-from latentlab.sequential import GaussianEmission, LdsParams
+from latentlab.mixture import GmmParams, LcaParams
+from latentlab.sequential import DiscreteEmission, GaussianEmission, HmmParams, LdsParams
 
 
 def test_log_sum_exp_two_equal_terms():
@@ -260,9 +260,10 @@ def test_category_codes_returns_the_codes_or_names_the_first_bad_entry(rows):
             assert f"row {i}, item {j} holds" in str(err.value)
 
 
-# -- the shared logistic, row softmax and covariance rule ----------------------------
-# In-test copies of the expressions core.sigmoid and core.softmax_rows replaced;
-# each must give the bytes the shared function gives.
+# -- the shared logistic, row normalizer and covariance rule -------------------------
+# In-test copies of the expressions core.sigmoid and the row softmax replaced;
+# each must give the bytes the shared function gives. The row softmax is now
+# core.normalize_log_rows, the one row normalizer.
 
 def _item_prob_array(z):
     """irt.item_prob's array branch."""
@@ -317,21 +318,23 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _normalized(rows):
+    return core.normalize_log_rows(rows)[0]
+
+
 @pytest.mark.parametrize("K", SOFTMAX_SIZES + [8, 128, 129])
 def test_softmax_rows_gives_the_bytes_of_each_replaced_copy(K):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (1, 7, 300):
             x = _logits(K + n, (n, K))
-            assert _same_bytes(softmax_rows(x), _arm_sampler_softmax(x))
-            inplace = x.copy()
-            assert softmax_rows(inplace, out=inplace) is inplace
-            assert _same_bytes(inplace, _token_weights(x.copy()))
+            assert _same_bytes(_normalized(x), _arm_sampler_softmax(x))
+            assert _same_bytes(_normalized(x), _token_weights(x.copy()))
             pairs = _logits(K + n + 1, (n, K, K))
-            assert _same_bytes(softmax_rows(pairs.reshape(-1, K * K)).reshape(pairs.shape),
+            assert _same_bytes(_normalized(pairs.reshape(-1, K * K)).reshape(pairs.shape),
                                _pairwise_tables(pairs))
         row = _logits(K, K)
-        assert _same_bytes(softmax_rows(row), _posterior_theta_weights(row))
+        assert _same_bytes(_normalized(row[None])[0], _posterior_theta_weights(row))
 
 
 @pytest.mark.parametrize("K", SOFTMAX_SIZES)
@@ -554,3 +557,142 @@ def test_the_covariance_factor_and_psd_test_have_one_home():
     assert _linalg_homes("cholesky", "eigvalsh") == {
         ("core.py", "eigvalsh", "cov_fields"), ("core.py", "cholesky", "chol_psd"),
         ("sequential.py", "cholesky", "_kalman_pass")}
+
+
+# -- the categorical rule --------------------------------------------------------------
+# Every categorical distribution takes the exact log of a probability (log 0 is
+# -inf, and an entropy term 0 log 0 is 0 by core.plogp), one row normalizer
+# (core.normalize_log_rows) and one inverse-CDF table (core.cdf), which ends at
+# exactly 1.0: a draw at u in [0, 1) is the count of its entries <= u.
+
+def _draws(table, u):
+    """Draws at the uniforms u from one cdf row, by searchsorted and by the
+    count of entries <= u, which must agree."""
+    u = np.asarray(u)
+    drawn = np.searchsorted(table, u, side="right")
+    assert np.array_equal(drawn, np.sum(table <= u[:, None], axis=1))
+    return drawn
+
+
+ENDS = [0.0, np.nextafter(1.0, 0.0)]       # the two ends of [0, 1)
+MASSES = st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MASSES, MASSES, st.floats(-1e-5, 1e-5), st.floats(0.0, 1.0, exclude_max=True))
+def test_cdf_never_draws_a_zero_probability_category(head, tail, slack, u):
+    # zeros first, inside and last, in a row that sums to within 1e-5 of 1
+    w = np.array([0.0] + head + [0.0, 0.0] + tail + [0.0])
+    p = w / w.sum() * (1.0 + slack)
+    table = core.cdf(p)
+    assert table[-1] == 1.0 and np.all(np.diff(table) >= 0)
+    assert np.all(p[_draws(table, ENDS + [u])] > 0)
+    if np.cumsum(p)[-1] == 1.0:
+        assert _same_bytes(table, np.cumsum(p))
+    stack = np.stack([p, p[::-1]])
+    assert _same_bytes(core.cdf(stack), np.stack([table, core.cdf(p[::-1])]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=7), st.floats(0.0, 1.0, exclude_max=True))
+def test_cdf_of_a_row_that_sums_to_one_keeps_the_bytes_of_its_cumulative_sum(counts, u):
+    # multiples of 1/64 that sum to 1, so every partial sum is exact
+    p = np.array(counts + [64 - sum(counts)]) / 64.0
+    assert _same_bytes(core.cdf(p), np.cumsum(p))
+    us = ENDS + [u]
+    drawn = _draws(core.cdf(p), us)
+    assert np.array_equal(drawn, np.searchsorted(np.cumsum(p), us, "right"))
+    assert np.all(p[drawn] > 0)
+
+
+class _EdgeUniforms(RandomSource):
+    """A RandomSource whose every block of uniforms starts at the two ends of
+    [0, 1), where a clipped inverse CDF draws a zero-probability category."""
+
+    def uniform(self, shape=None):
+        u = super().uniform(shape)
+        if shape is not None:
+            u.flat[:2] = ENDS[:u.size]
+        return u
+
+
+# rows that sum to 1 - 1e-5, with a zero last, first and inside
+ROWS = np.array([[0.5, 0.49999, 0.0], [0.0, 0.5, 0.49999], [0.49999, 0.0, 0.5]])
+N_DRAWS = 1_000_000
+
+
+def _gmm_drawn(rng):
+    params = GmmParams(ROWS[0], [[0.0], [1.0], [1000.0]], np.ones((3, 1, 1)))
+    X, z = mixture.gmm_sample(params, N_DRAWS, rng)
+    return {"component": ROWS[0][z], "far rows": np.where(X[:, 0] > 500, 0.0, 1.0)}
+
+
+def _lca_drawn(rng):
+    params = LcaParams(ROWS[0], (ROWS, ROWS[::-1]))
+    X, z = mixture.lca_sample(params, N_DRAWS, rng)
+    return {"class": ROWS[0][z], "item 0": ROWS[z, X[:, 0]], "item 1": ROWS[::-1][z, X[:, 1]]}
+
+
+def _hmm_drawn(rng):
+    params = HmmParams(ROWS[0], ROWS, DiscreteEmission(ROWS[::-1]))
+    states, obs = sequential.hmm_sample(params, N_DRAWS, rng)
+    return {"first state": ROWS[0][states[:1]], "transitions": ROWS[states[:-1], states[1:]],
+            "symbols": ROWS[::-1][states, obs]}
+
+
+def _arm_drawn(rng):
+    # a logit 900 below the others: a probability of exactly 0
+    D, V = 2, 6
+    logits = np.array([-900.0, 0.0, -900.0, 0.0, 0.0, -900.0])
+    model = arm.ArModel(D, V, nn.Mlp([np.zeros((D * V + D, V))], [logits], ["identity"]))
+    return {"positions": np.exp(logits)[arm.sample(model, N_DRAWS, rng)]}
+
+
+@pytest.mark.parametrize("sampler", [_gmm_drawn, _lca_drawn, _hmm_drawn, _arm_drawn],
+                         ids=["gmm", "lca", "hmm", "arm"])
+@pytest.mark.parametrize("source", [RandomSource, _EdgeUniforms], ids=["random", "edges"])
+def test_no_sampler_draws_a_zero_probability_category(sampler, source):
+    for what, probs in sampler(source(0)).items():
+        assert np.count_nonzero(probs == 0) == 0, what
+
+
+def test_an_entropy_term_of_a_zero_probability_is_zero_without_a_warning():
+    p = np.array([[0.0, 0.25, 0.75], [1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [[0.0, 0.25 * np.log(0.25), 0.75 * np.log(0.75)], [0.0, 0.0, 0.0]]
+        assert _same_bytes(core.plogp(p), np.array(want))
+        assert mixture.lca_to_json(LcaParams([1.0], [[[1.0, 0.0]]]))["weights"] == [1.0]
+        assert sequential.hmm_to_json(HmmParams([1.0, 0.0], np.eye(2),
+                                                DiscreteEmission(np.eye(2))))["pi"] == [1.0, 0.0]
+
+
+def _identifiers(node):
+    """Every name, attribute, definition, import and string constant in the
+    tree under node."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            or (n.value if isinstance(n, ast.Constant) else None) for n in ast.walk(node)}
+
+
+def _functions(tree):
+    """(name, identifiers) of each function definition and lambda in tree,
+    nested ones included."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            yield getattr(fn, "name", "<lambda>"), _identifiers(fn)
+
+
+def test_every_categorical_distribution_has_one_rule():
+    # no log floor, one row normalizer, and every draw inverts a cdf table unclipped
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(core.__file__), "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        name = os.path.basename(path)
+        assert not [n.lineno for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and n.value == 1e-300], name
+        assert "softmax_rows" not in _identifiers(tree), name
+        for fn, reads in _functions(tree):
+            if reads & {"searchsorted", "bisect_right"}:
+                assert "cdf" in reads, (name, fn)
+            if "cdf" in reads and fn != "cdf":
+                assert not reads & {"clip", "minimum", "min"}, (name, fn)

@@ -19,7 +19,7 @@ mixture.SCATTER_CHUNK_ROWS rows, where the copies take one product over all
 rows; they agree within the parameter tolerance, and byte for byte on one
 chunk. Everything else keeps the copies' bytes: the log-normalisers (and so
 every log-likelihood and E-step objective at given parameters),
-log_sum_exp_rows, softmax_rows, the Gaussian columns, the LCA log joint,
+log_sum_exp_rows, the row softmax, the Gaussian columns, the LCA log joint,
 the means, and the LCA item tables given the same responsibilities.
 
 The flat-EM kernels now run in row blocks with reused buffers. The whole-
@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 from latentlab import core, irt, mixture, sequential
-from latentlab.core import RandomSource, chol_psd, log_sum_exp_rows
+from latentlab.core import NumericError, RandomSource, chol_psd, log_sum_exp_rows
 from latentlab.em import EmConfig, run_em
 from latentlab.mixture import GmmParams, LcaParams, Responsibilities, _cov_floor
 from latentlab.sequential import DiscreteEmission, GaussianEmission, HmmParams
@@ -104,10 +104,10 @@ def ref_normalize_log_rows(log_rows):
 
 def ref_lca_log_joint(params, X):
     N = X.shape[0]
-    out = np.tile(np.log(np.where(params.weights > 0, params.weights, 1e-300)), (N, 1))
-    for j, table in enumerate(params.item_probs):
-        logt = np.log(np.where(table > 0, table, 1e-300))
-        out += logt[:, X[:, j]].T
+    with np.errstate(divide="ignore"):
+        out = np.tile(np.log(params.weights), (N, 1))
+        for j, table in enumerate(params.item_probs):
+            out += np.log(table)[:, X[:, j]].T
     return out
 
 
@@ -149,7 +149,8 @@ def ref_node_posteriors(params, X, quad):
 
 def ref_gmm_e_step(params, X):
     out = np.empty((X.shape[0], params.n_components))
-    log_w = np.log(np.where(params.weights > 0, params.weights, 1e-300))
+    with np.errstate(divide="ignore"):
+        log_w = np.log(params.weights)
     for k in range(params.n_components):
         out[:, k] = log_w[k] + ref_gaussian_logpdf_rows(X, params.means[k], params.covs[k])
     return ref_responsibilities(out)
@@ -671,7 +672,7 @@ def test_row_kernels_match_references_across_the_column_switch(K):
         lj[::7, ::2] = -np.inf             # rows partly -inf
         lj[3::11] = g.choice([0.0, -0.0, 1.0], size=(len(lj[3::11]), K))   # ties, signed zeros
         assert log_sum_exp_rows(lj).tobytes() == ref_log_sum_exp_rows(lj).tobytes(), N
-        assert core.softmax_rows(lj).tobytes() == ref_softmax_rows(lj).tobytes(), N
+        assert core.normalize_log_rows(lj)[0].tobytes() == ref_softmax_rows(lj).tobytes(), N
         lj[5::13] = -np.inf                # rows with no support
         with np.errstate(invalid="ignore"):
             got, want = core.normalize_log_rows(lj), ref_normalize_log_rows(lj)
@@ -737,15 +738,25 @@ def test_lca_log_joint_and_tables_match_reference(K):
     for N in _boundary_sizes(_block_rows(K * 8)):
         params, X = _lca_case(g, N, K, n_categories)
         want = ref_lca_log_joint(params, X)
-        for codes in (_in_layout(X, layout) for layout in LAYOUTS):
+        # no class emits the last code of item 0: those rows have no support
+        kept = X[:, 0] != n_categories[0] - 1
+        for layout in LAYOUTS:
+            codes = _in_layout(X, layout)
             got = mixture._lca_log_joint(params, codes)
             assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+            if not np.all(kept):
+                first = f"^zero-probability data point {np.argmin(kept)}: no class explains it$"
+                with pytest.raises(NumericError, match=first):
+                    mixture.lca_e_step(params, codes)
+            if not np.any(kept):
+                continue
+            codes = _in_layout(X[kept], layout)
             resp = mixture.lca_e_step(params, codes)
-            assert_close_probs(resp.gamma, ref_responsibilities(want).gamma)
+            assert_close_probs(resp.gamma, ref_responsibilities(want[kept]).gamma)
             counts = resp.gamma.sum(axis=0)
             m = mixture.lca_m_step(codes, resp, n_categories=n_categories)
             tables = m[0].item_probs if isinstance(m, tuple) else m.item_probs
-            for t, w in zip(tables, ref_item_tables(X, resp.gamma, counts, n_categories)):
+            for t, w in zip(tables, ref_item_tables(X[kept], resp.gamma, counts, n_categories)):
                 assert t.tobytes() == w.tobytes()
 
 

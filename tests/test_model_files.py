@@ -250,8 +250,8 @@ def test_a_zero_covariance_is_accepted(family, name, entry, data_files, tmp_path
                        "even after jitter\n")
 
 
-# the width of each fixture of a Gaussian density or a flow
-WIDTHS = {"ppca": 2, "gmm": 2, "ghmm": 2, "lds": 3, "flow": 2}
+# the width of each fixture of a Gaussian density, a flow or a VAE
+WIDTHS = {"ppca": 2, "gmm": 2, "ghmm": 2, "lds": 3, "flow": 2, "vae": 2}
 
 
 @pytest.mark.parametrize("family", sorted(WIDTHS))
@@ -267,6 +267,8 @@ def test_data_of_the_wrong_width_is_one_usage_error(family, tmp_path):
         argvs = [["eval", model, "--data", data]]
         if family != "flow":
             argvs.append(["infer", model, "--data", data, "--out", out])
+        if family in ("ppca", "vae"):
+            argvs.append(["reconstruct", model, "--data", data, "--out", out])
         for argv in argvs:
             assert _run(argv) == (2, "", f"latentlab: data dim {width} does not match "
                                          f"model dim {d}\n"), argv
@@ -341,6 +343,58 @@ def test_an_hmm_state_of_prior_1e_300_that_never_leaves_runs_to_finite_output(
     doc["params"]["pi"] = [1 - 1e-300, 1e-300]
     doc["params"]["trans"] = [[1.0, 0.0], [0.0, 1.0]]
     _runs_to_finite_output(doc, command, data_files["seq"], str(tmp_path))
+
+
+def _model_with(family, params, workdir):
+    """The path of the family's fixture with its params replaced."""
+    doc = _load(family)
+    doc["params"] = params
+    model = os.path.join(workdir, "m.json")
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    return model
+
+
+def test_a_component_of_weight_zero_takes_no_point(tmp_path):
+    # its log-weight is -inf, not a floor of log(1e-300) = -690.8
+    model = _model_with("gmm", {"weights": [1.0, 0.0], "means": [[0.0], [1000.0]],
+                                "covs": [[[1.0]], [[1.0]]]}, str(tmp_path))
+    data, out = str(tmp_path / "x.csv"), str(tmp_path / "gamma.csv")
+    write_csv(data, np.array([[1000.0]]))
+    logpdf = "-500000.91893853323"         # log N(1000 | 0, 1)
+    assert _run(["eval", model, "--data", data]) == (0, f"{logpdf}\ntotal {logpdf}\n", "")
+    assert _run(["infer", model, "--data", data, "--out", out])[0] == 0
+    assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), [1.0, 0.0])
+
+
+def test_a_code_that_no_class_emits_is_one_numeric_failure(tmp_path):
+    model = _model_with("lca", {"weights": [0.5, 0.5], "item_probs": [[[1.0, 0.0], [1.0, 0.0]]]},
+                        str(tmp_path))
+    data, out = str(tmp_path / "codes.csv"), str(tmp_path / "gamma.csv")
+    write_csv(data, np.array([[0], [1]]))
+    code, stdout, err = _run(["eval", model, "--data", data])
+    assert (code, stdout) == (1, "") and err.startswith("latentlab: numeric failure: ")
+    assert err.count("\n") == 1 and err.endswith("the output holds a non-finite number; "
+                                                  "nothing written\n")
+    assert _run(["infer", model, "--data", data, "--out", out]) == (
+        1, "", "latentlab: numeric failure: zero-probability data point 1: no class explains it\n")
+    assert not os.path.exists(out)
+
+
+# each row sums to 1 - 1e-5, within check_simplex_rows' tolerance, its last entry 0
+SHORT_ROW = [0.5, 0.49999, 0.0]
+
+
+@pytest.mark.parametrize("family", ["gmm", "hmm"])
+def test_a_category_of_probability_zero_is_never_sampled(family, tmp_path):
+    # the GMM's third component lies at 1000, and only the HMM's third state emits symbol 2
+    params = ({"weights": SHORT_ROW, "means": [[0.0], [1.0], [1000.0]], "covs": [[[1.0]]] * 3}
+              if family == "gmm" else {"pi": SHORT_ROW, "trans": [SHORT_ROW] * 3,
+                                       "emit": np.eye(3).tolist()})
+    model, out = _model_with(family, params, str(tmp_path)), str(tmp_path / "x.csv")
+    assert _run(["sample", model, "--n", "1000000", "--out", out]) == (0, "", "")
+    x = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert x.shape == (1000000,) and np.count_nonzero(x > 1.5 if family == "hmm" else x > 500) == 0
 
 
 def test_infer_of_a_noise_free_lds_smooths_to_its_filtered_means(data_files, tmp_path):
