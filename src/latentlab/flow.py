@@ -280,13 +280,15 @@ def make_coupling_stack(dim, n_layers, rng, hidden=32):
 
 def _walk(layers, x, direction):
     """Apply each layer's forward or inverse in turn to x (an array or a
-    Tensor); returns the result and the sum of the layers' log-dets."""
+    Tensor); returns the result and the sum of the layers' log-dets. A
+    permutation's log-det is zero, so it adds no node to the sum."""
     x = as_batch(x)
     total = None
     for layer in layers:
         x, ld = getattr(layer, direction)(x)
-        total = ld if total is None else total + ld
-    return x, total
+        if not isinstance(layer, PermutationLayer):
+            total = ld if total is None else total + ld
+    return x, ld if total is None else total     # permutations alone: their zero log-det
 
 
 def forward_with_logdet(model, z0):

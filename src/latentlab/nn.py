@@ -8,9 +8,13 @@ whose backward adds into the gathered columns by np.add.at. Each op is
 written once, as a forward over its parents' current values and a
 backward; a Tensor records its parents and both.
 Calling backward() on a scalar loss accumulates gradients into every
-reachable leaf that has requires_grad set. The first contribution to a
-gradient is copied, later ones are added in place, in reverse depth-first
-order from the loss.
+reachable leaf that has requires_grad set, in reverse depth-first order from
+the loss. The first contribution to a node's gradient is copied, broadcast to
+the node's shape, into its gradient storage: a fresh array, or, for a
+parameter that adam_step has updated, that parameter's slot of its
+AdamState's flat gradient vector. Later contributions are added in place; a
+gather adds into its parent's gradient by np.add.at. So a parameter's .grad
+may be a view that the next backward overwrites: copy it to keep it.
 
 The sigmoid activation is core.sigmoid, the one logistic of the package
 (vae and irt evaluate it off the tape). log_softmax follows core's row
@@ -37,12 +41,14 @@ scoring, inference and sampling hold one block's tape at a time: a scorer
 builds one eager tape per block, and a sampler that loops over steps replays
 one recording per block shape.
 
-AdamState holds the first and second moments of all parameters as two flat
-vectors. adam_step updates them in one pass over the concatenated gradients
-and rebinds each parameter's values to a view of one new flat vector; it
-never writes an array a caller or a finished tape may still hold. descend()
-is the one training step of every deep trainer: a finite-loss check, then
-zero_grad, backward and adam_step.
+AdamState holds the values, the gradients and the first and second moments
+of its parameters as four flat vectors in params order. After the first
+step, backward() leaves each gradient in its slot, and adam_step updates
+the moments and a copy of the value vector in one pass without
+concatenating anything. It rebinds each parameter's values to a view of the
+new vector; it never writes an array a caller or a finished tape may still
+hold. descend() is the one training step of every deep trainer: a
+finite-loss check, then zero_grad, backward and adam_step.
 """
 from __future__ import annotations
 
@@ -117,7 +123,7 @@ class Tensor:
     """
 
     __slots__ = ("values", "grad", "parents", "requires_grad", "_forward", "_backward",
-                 "_args", "_aux", "_order", "_backward_done")
+                 "_args", "_aux", "_order", "_backward_done", "_grad_store")
 
     def __init__(self, values, parents=(), forward=None, backward=None, args=None,
                  requires_grad=False):
@@ -130,6 +136,7 @@ class Tensor:
         self._aux = None             # what forward keeps for backward (softplus dense: x)
         self._order = None           # a recorded loss's backward order
         self._backward_done = False
+        self._grad_store = None      # where a first gradient contribution goes (adam_step)
         if forward is None:
             self.values = np.asarray(values, dtype=float)
         else:
@@ -261,10 +268,11 @@ def as_batch(x):
 
 def _accum(t, g):
     """Add g to t.grad. The first contribution is copied, broadcast to t's
-    shape: g may be an array another node still reads."""
+    shape, into t's gradient storage (a fresh array unless adam_step bound
+    one): g may be an array another node still reads."""
     if t.grad is None:
-        g = np.array(g, dtype=float)
-        t.grad = g if g.shape == t.values.shape else np.array(np.broadcast_to(g, t.values.shape))
+        t.grad = np.empty(t.values.shape) if t._grad_store is None else t._grad_store
+        t.grad[...] = g
     else:
         t.grad += g
 
@@ -312,9 +320,10 @@ def _getitem(n):
 
 
 def _getitem_grad(n, g):
-    full = np.zeros_like(n.parents[0].values)
-    np.add.at(full, n._args, g)
-    _accum(n.parents[0], full)
+    parent = n.parents[0]
+    if parent.grad is None:
+        _accum(parent, 0.0)
+    np.add.at(parent.grad, n._args, g)
 
 
 def _unary(n):
@@ -650,12 +659,16 @@ def param(value, name, rank):
 
 @dataclass
 class AdamState:
-    """First/second moments of all parameters, flattened and concatenated in
-    params order (None before the first step); t counts completed steps."""
+    """Flat vectors over all parameters, in params order (None before the
+    first step): theta, whose views the parameters' values are; grad, whose
+    views their gradient storage is; and the first and second moments m and
+    v. t counts completed steps."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
+    theta: np.ndarray | None = None
+    grad: np.ndarray | None = None
 
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
@@ -665,32 +678,47 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 def adam_step(params, grads, state, lr=1e-3):
     """One bias-corrected Adam update of params; returns state.
 
-    The update runs once over the concatenated gradients. Each p.values is
-    then rebound to a view of one new flat parameter vector: arrays held
-    before the step are never written. A parameter whose gradient is None
-    keeps its values and its moments.
+    A gradient that is not its parameter's slot of state.grad (one passed
+    from outside, or computed before that slot was bound) is copied into
+    the slot, and the slot becomes the parameter's gradient storage, so the
+    next backward() writes there. A p.values that is not a view of
+    state.theta (rebound by a caller since the last step) is copied in too.
+    The update runs once over the flat vectors, on a copy of state.theta;
+    each p.values is rebound to a view of that copy, so arrays held before
+    the step are never written. A parameter whose gradient is None keeps its
+    values and its moments.
     """
     present = [g is not None for g in grads]
     if not any(present):
         state.t += 1
         return state
-    theta = np.concatenate([p.values.ravel() for p in params])
-    if state.m is None:
-        state.m = np.zeros_like(theta)
-        state.v = np.zeros_like(theta)
-    elif state.m.size != theta.size:
+    sizes = [p.values.size for p in params]
+    if state.theta is None:
+        state.theta, state.grad, state.m, state.v = (np.zeros(sum(sizes)) for _ in range(4))
+    elif state.theta.size != sum(sizes):
         raise ValueError("parameter sizes changed since the first Adam step")
+    old, grad = state.theta, state.grad
+    theta = old.copy()
+    start = 0
+    for p, g, size in zip(params, grads, sizes):
+        cut = slice(start, start + size)
+        start += size
+        if p.values.base is not old:
+            theta[cut] = p.values.ravel()
+        if g is None:
+            continue
+        store = p._grad_store
+        if store is None or store.base is not grad:
+            store = p._grad_store = grad[cut].reshape(p.values.shape)
+        if g is not store:
+            if np.size(g) != size:
+                raise ValueError("gradient sizes do not match the parameters")
+            grad[cut] = np.ravel(g)
+        p.values = theta[cut].reshape(p.values.shape)
     state.t += 1
     t = state.t
-    if all(present):
-        live = slice(None)
-    else:
-        live = np.repeat(present, [p.values.size for p in params])
-    g = np.concatenate([np.ravel(g) for g in grads if g is not None])
-    m = state.m[live]
-    v = state.v[live]
-    if g.size != m.size:
-        raise ValueError("gradient sizes do not match the parameters")
+    live = slice(None) if all(present) else np.repeat(present, sizes)
+    g, m, v = grad[live], state.m[live], state.v[live]
     m *= ADAM_BETA1
     m += (1 - ADAM_BETA1) * g
     v *= ADAM_BETA2
@@ -701,12 +729,7 @@ def adam_step(params, grads, state, lr=1e-3):
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
     theta[live] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    start = 0
-    for p, g in zip(params, grads):
-        size = p.values.size
-        if g is not None:
-            p.values = theta[start:start + size].reshape(p.values.shape)
-        start += size
+    state.theta = theta
     return state
 
 

@@ -76,6 +76,25 @@ def test_each_trainer_calls_backward_and_adam_once_per_step():
         assert metrics["nn.adam_step.calls"] == metrics["nn.steps"] == steps, name
 
 
+def test_descend_calls_each_step_part_once_through_nn_globals(monkeypatch):
+    # the tracer counts nn.steps by wrapping nn.adam_step, and the reference
+    # tape of test_nn_reference.py swaps nn.zero_grad, nn.backward and
+    # nn.adam_step: both reach a step only through nn's module globals
+    from latentlab import nn
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("zero_grad", "backward", "adam_step"):
+        monkeypatch.setattr(nn, name, counted(name, getattr(nn, name)))
+    p = nn.Tensor.param(np.array([1.0, -2.0]))
+    nn.descend((p * p).sum(), [p], nn.AdamState(), 0.1, "diverged")
+    assert calls == ["zero_grad", "backward", "adam_step"]
+
+
 def _traced(run):
     tracer = _load_tracing().Tracer()
     tracer.install()
