@@ -2,8 +2,12 @@
 across every model family, emitting plot-ready trace files.
 
 Every command is a pure function of (config, input files, seed): repeated
-runs with the same seed produce byte-identical outputs. Exit codes: 0 on
-success, 2 on usage errors, 1 on numeric failures. A command whose output
+runs with the same seed produce byte-identical outputs. main maps every
+failure to its exit code by one rule, and prints it as one stderr line,
+never a traceback: 0 on success; 2 on an input fault (an OSError,
+ValueError or KeyError: a bad flag, file, field or count, such as sample
+--n below 1); 1 on a numeric failure (a NumericError, LinAlgError,
+ArithmeticError, RuntimeError or MemoryError). A command whose output
 would hold a NaN or an infinity, or inside which numpy warns of an overflow
 or an invalid value, is a numeric failure and writes nothing. Flags
 override values from an optional JSON --config file. What each family
@@ -18,9 +22,7 @@ import warnings
 import numpy as np
 
 from . import datasets
-from .core import NumericError, RandomSource
-from .datasets import UsageError
-from .em import MonotonicityError
+from .core import NumericError, RandomSource, check_counts
 from .families import FAMILIES
 
 __all__ = ["main", "console_main"]
@@ -119,7 +121,7 @@ def _config_value(action, key, value, where=""):
         if action.choices is not None and converted not in action.choices:
             raise ValueError
     except ValueError:
-        raise UsageError(f"{where}config key {key!r}: invalid value {value!r} for "
+        raise ValueError(f"{where}config key {key!r}: invalid value {value!r} for "
                          f"{action.option_strings[0]}") from None
     return converted
 
@@ -136,7 +138,7 @@ def _apply_config(command_parser, args, argv):
         flags = _flags(command_parser)
         unknown = [k for k in defaults if k.replace("-", "_") not in flags]
         if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         given = {a.split("=")[0] for a in argv if a.startswith("--") and a != "--"}
         for key, value in defaults.items():
             action = flags[key.replace("-", "_")]
@@ -171,7 +173,7 @@ def _model_command(args, field):
     family, params, config = datasets.read_model(args.model)
     fn = getattr(FAMILIES[family], field)
     if fn is None:
-        raise UsageError(UNDEFINED[field].format(family))
+        raise ValueError(UNDEFINED[field].format(family))
     flags = args.fit_flags
     config = {key: _config_value(flags[key], key, value, f"{args.model}: ") if key in flags
               else value for key, value in config.items()}
@@ -206,15 +208,14 @@ def _cmd_fit(args):
 
 
 def _cmd_sample(args):
-    if args.n < 0:
-        raise UsageError(f"n must be >= 0, got {args.n}")
+    check_counts(n=args.n)
     posterior = args.mode == "posterior"
     _family, sample, params, _config = _model_command(
         args, "sample_posterior" if posterior else "sample")
     given = ()
     if posterior:
         if not args.given:
-            raise UsageError("posterior sampling requires --given")
+            raise ValueError("posterior sampling requires --given")
         given = (datasets.read_matrix(args.given)[0],)
     drawn = sample(params, args.n, RandomSource(args.seed), *given)
     datasets.write_csv(args.out, _finite(args.out, drawn))
@@ -285,19 +286,14 @@ def main(argv=None):
         print(f"latentlab: numeric failure: {_output(args)}: {exc}; nothing written",
               file=sys.stderr)
         return 1
-    except (NumericError, MonotonicityError, FloatingPointError, MemoryError,
-            np.linalg.LinAlgError) as exc:
+    # NumericError and LinAlgError are ValueErrors: numeric failures come first
+    except (NumericError, np.linalg.LinAlgError, ArithmeticError, RuntimeError,
+            MemoryError) as exc:
         print(f"latentlab: numeric failure: {exc}", file=sys.stderr)
         return 1
-    except UsageError as exc:
-        print(f"latentlab: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, KeyError) as exc:
         print(f"latentlab: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"latentlab: numeric failure: {exc}", file=sys.stderr)
-        return 1
 
 
 def console_main():

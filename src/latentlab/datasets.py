@@ -15,8 +15,9 @@ synth spec's params and seed, go as they are to the constructors of the
 parameters that hold them, which apply one field rule (core.real_fields,
 core.int_fields, and core.cov_fields for a covariance, which must also be
 square, symmetric within 1e-10 and positive semi-definite): a missing or
-malformed field is a ValueError, exit 2 at the command line, with one line
-naming it.
+malformed field is a ValueError naming it. ValueError is the one type of
+every input fault found here, in a data file, a model file or a spec; the
+command line prints it as one line and exits 2.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .core import (RNG_ALGORITHM, NumericError, RandomSource, category_codes,
 from . import families
 
 __all__ = ["SyntheticSpec", "generate", "KINDS", "SYNTHETIC_FAMILIES", "MAX_ABS",
-           "UsageError", "read_matrix", "read_codes", "read_csv", "write_csv", "read_seq",
+           "read_matrix", "read_codes", "read_csv", "write_csv", "read_seq",
            "write_seq", "read_corpus", "write_corpus", "write_model",
            "read_model", "read_json_object", "MODEL_SCHEMA"]
 
@@ -45,10 +46,6 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # The largest magnitude of a real input entry: every real-valued family fits
 # and scores data up to it at its default flags without overflow.
 MAX_ABS = 1e50
-
-
-class UsageError(Exception):
-    """Input that breaks the command-line contract: exit code 2."""
 
 
 # An input kind: read(path, family, width) -> checked data (width: the table
@@ -62,45 +59,42 @@ def read_matrix(path):
     data row."""
     X = read_csv(path)
     if X.size == 0:
-        raise UsageError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:
-        raise UsageError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
+        raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
     _check_magnitude(path, X, "data row")
     return X
 
 
 def read_codes(path, family, width=None):
-    """A matrix (read_matrix) of category codes, as an int array; a usage
-    error calls the rows by the family's noun."""
-    X = read_matrix(path)
-    try:
-        return category_codes(X, f"{path}: {families.FAMILIES[family].noun}", width)[0]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    """A matrix (read_matrix) of category codes, as an int array; a
+    ValueError calls the rows by the family's noun."""
+    return category_codes(read_matrix(path), f"{path}: {families.FAMILIES[family].noun}",
+                          width)[0]
 
 
 def _check_magnitude(path, X, row):
     big = np.argwhere(np.abs(X) > MAX_ABS)
     if big.size:
         i, j = big[0]
-        raise UsageError(f"{path}: {row} {i + 1}, column {j + 1}: magnitude above "
+        raise ValueError(f"{path}: {row} {i + 1}, column {j + 1}: magnitude above "
                          f"MAX_ABS = {MAX_ABS:g}")
 
 
 def _read_discrete_seqs(path, family, _width):
     seqs, dx = read_seq(path)
     if dx is not None:
-        raise UsageError(f"{family} requires a discrete sequence file")
+        raise ValueError(f"{family} requires a discrete sequence file")
     return seqs
 
 
 def _read_real_seqs(path, family, _width):
     seqs, dx = read_seq(path)
     if dx is None:
-        raise UsageError(f"{family} requires a continuous sequence file (dx= header)")
+        raise ValueError(f"{family} requires a continuous sequence file (dx= header)")
     if not all(np.all(np.isfinite(s)) for s in seqs):
-        raise UsageError(f"{path}: sequences must be finite")
+        raise ValueError(f"{path}: sequences must be finite")
     for i, s in enumerate(seqs):
         _check_magnitude(path, s, f"sequence {i + 1}, row")
     return seqs

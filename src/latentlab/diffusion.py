@@ -5,13 +5,17 @@ noise-prediction training, and ancestral sampling.
 
 Conventions: t runs 1..T; alpha_bar_0 = 1 so the t=1 posterior is
 deterministic; the reverse variance is fixed to beta_tilde_t (not learned).
+A schedule is its betas alone, and follows one rule (NoiseSchedule):
+alpha_bar falls strictly from 1 and stays above 0 in float64, so a model
+whose betas break it is refused when it loads, before any step divides by
+1 - alpha_bar_t or by alpha_bar_t.
 The network input is [x_t, t/T, sin(2 pi t/T), cos(2 pi t/T),
 sin(4 pi t/T), cos(4 pi t/T)].
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,28 +31,30 @@ TIME_FEATURES = 5
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise variances beta_t in (0,1) and their cumulative products
-    alpha_bar_t = prod_s (1 - beta_s), strictly decreasing (by default
-    computed from betas)."""
+    """Per-step noise variances beta_t in (0, 1), at least one, and their
+    cumulative products alpha_bar_t = prod_{s <= t} (1 - beta_s), derived
+    from them. The schedule rule: in float64, alpha_bar falls strictly at
+    every step from alpha_bar_0 = 1 and stays above 0. So 1 - alpha_bar_t
+    and alpha_bar_t are positive at every t, and every step's posterior
+    coefficients are finite; a beta too small to move alpha_bar, or a
+    product that underflows, is a ValueError naming its step."""
 
     betas: np.ndarray
-    alpha_bars: np.ndarray = None
+    alpha_bars: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         real_fields(self, betas=1)
+        check_counts(T=self.betas.size)
         if np.any(self.betas <= 0) or np.any(self.betas >= 1):
             raise ValueError("betas must lie strictly inside (0, 1)")
-        expected = np.cumprod(1.0 - self.betas)
-        if self.alpha_bars is None:
-            object.__setattr__(self, "alpha_bars", expected)
-        real_fields(self, alpha_bars=1)
-        ab = self.alpha_bars
-        if ab.shape != self.betas.shape:
-            raise ValueError("alpha_bars must match betas in length")
-        if not np.allclose(ab, expected, rtol=0, atol=1e-14 * np.maximum(1.0, np.abs(expected)).max()):
-            raise ValueError("alpha_bars do not satisfy the cumulative-product recurrence")
-        if np.any(np.diff(ab) >= 0):
-            raise ValueError("alpha_bars must be strictly decreasing")
+        ab = np.cumprod(1.0 - self.betas)
+        bad = np.flatnonzero((np.diff(ab, prepend=1.0) >= 0) | (ab <= 0))
+        if bad.size:
+            t = bad[0]
+            raise ValueError(f"betas[{t}] = {float(self.betas[t])!r}: alpha_bar = "
+                             f"cumprod(1 - betas) must fall strictly from 1 at every step "
+                             f"and stay above 0 in float64")
+        object.__setattr__(self, "alpha_bars", ab)
 
     @property
     def T(self):

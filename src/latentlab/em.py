@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_counts
+
 __all__ = ["EmConfig", "FitReport", "MonotonicityError", "run_em"]
 
 # An objective change below this ends a fit whatever its relative size.
@@ -20,8 +22,7 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_counts(max_iters=self.max_iters)
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
 

@@ -101,10 +101,16 @@ def train(model, data, steps, batch, rng, k_disc=1, lr=1e-3, saturating=False):
             dl = disc_step(X[idx], fake)
             descend(dl, disc_params, disc_state, lr,
                     f"discriminator loss diverged at step {step}")
-        # the discriminator's gradients from this loss are never read: its
-        # next step zeroes them first
+        # the generator's step reads no discriminator gradient, so its
+        # backward forms none
         gl = gen_step(_prior(model, batch, rng))
-        descend(gl, gen_params, gen_state, lr, f"generator loss diverged at step {step}")
+        for p in disc_params:
+            p.requires_grad = False
+        try:
+            descend(gl, gen_params, gen_state, lr, f"generator loss diverged at step {step}")
+        finally:
+            for p in disc_params:
+                p.requires_grad = True
         disc_trace[step] = float(dl.values)
         gen_trace[step] = float(gl.values)
     return disc_trace, gen_trace

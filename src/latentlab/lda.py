@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (RandomSource, category_codes, cdf, int_fields, normalize_log_rows, plogp,
-                   real_fields, row_sums, sample_categorical_many, sample_dirichlet)
+from .core import (RandomSource, category_codes, cdf, check_counts, int_fields,
+                   normalize_log_rows, plogp, real_fields, row_sums, sample_categorical_many,
+                   sample_dirichlet)
 from .em import EmConfig, run_em
 
 __all__ = ["LdaHyper", "LdaModel", "Corpus", "LdaVariational", "generate_corpus", "elbo",
@@ -41,6 +42,7 @@ class LdaHyper:
 
     def __post_init__(self):
         int_fields(self, K=0, V=0)
+        check_counts(K=self.K, V=self.V)
         for name, size in (("alpha", self.K), ("beta", self.V)):
             if np.isscalar(getattr(self, name)):
                 object.__setattr__(self, name, np.full(size, getattr(self, name)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NumericError, RandomSource, category_codes, check_finite,
+from .core import (NumericError, RandomSource, category_codes, check_counts, check_finite,
                    check_simplex_rows, cov_fields, gaussian_logpdf_columns, gaussian_noise,
                    json_list, log_sum_exp_rows, normalize_log_rows, plogp, real_array,
                    real_fields, row_sums, sample_categorical_many)
@@ -312,14 +312,9 @@ def _floored_rows(p):
     return p
 
 
-def _check_k(K, what):
-    if K < 1:
-        raise ValueError(f"number of {what} must be >= 1, got {K}")
-
-
 def fit_gmm(data, K, cfg: EmConfig, init=None):
     """EM fit of a K-component Gaussian mixture; deterministic given cfg.seed."""
-    _check_k(K, "components")
+    check_counts(k=K)
     X = np.atleast_2d(np.asarray(data, dtype=float))
     check_finite(X, "data")
     if X.shape[0] < K:
@@ -408,7 +403,7 @@ def lca_m_step(data, resp, n_categories=None):
 
 def fit_lca(data, K, cfg: EmConfig, n_categories=None, init=None):
     """EM fit of a K-class latent class model over categorical items."""
-    _check_k(K, "classes")
+    check_counts(k=K)
     X, n_categories = category_codes(data, "LCA data", n_categories)
     N, J = X.shape
     if N < K:

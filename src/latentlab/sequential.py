@@ -61,7 +61,7 @@ from .core import (NumericError, RandomSource, category_codes, cdf, check_counts
                    json_field, log_sum_exp_rows, normalize_log_rows, plogp, real_fields, row_max,
                    row_sums)
 from .em import EmConfig, run_em
-from .mixture import (EMPTY_COMPONENT_COUNT, _check_k, _floored_rows, _gaussian_start,
+from .mixture import (EMPTY_COMPONENT_COUNT, _floored_rows, _gaussian_start,
                       _perturbed_rows, _reseed_empty, _var_floor, _weighted_gaussians)
 
 __all__ = [
@@ -647,7 +647,7 @@ def hmm_fit(obs_set, K, kind, cfg: EmConfig, n_symbols=None, init=None):
     """Baum-Welch over one or more sequences; deterministic given cfg.seed."""
     if kind not in ("discrete", "gaussian"):
         raise ValueError("kind must be 'discrete' or 'gaussian'")
-    _check_k(K, "states")
+    check_counts(k=K)
     pack = _hmm_pack(kind == "discrete", obs_set)
     if pack.index.size < K:
         raise ValueError("need at least K data points")
@@ -681,8 +681,7 @@ def hmm_sample(params, T, rng):
     symbols, or one standard normal vector to each step whose state has a
     nonzero covariance: the draws of a step-by-step sampler, made in blocks.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    check_counts(T=T)
     K = params.n_states
     u = rng.uniform(T).tolist()
     rows = cdf(params.trans).tolist()
@@ -764,11 +763,13 @@ def _kalman_pass(params, pack):
     three products of a step. The covariance loop stops at the first step
     whose predicted covariance has the bytes of any earlier step's: the
     Riccati recursion from there on repeats that cycle exactly, so one
-    index array (cov_steps) fills the remaining steps from it. The Cholesky
-    factors and log-determinants behind the log-likelihood are taken in one
-    batched call over the steps before the repeat, each row's innovation is
-    whitened by the factor of its step, and the RTS pass reads the same rows
-    and cycle.
+    index array (cov_steps) fills the remaining steps from it. The loop
+    also takes each step's Cholesky factor of the innovation covariance,
+    beside the gain's solve; where either fails, the innovation covariance
+    is singular and the step is named. Each row's innovation is whitened by
+    the factor of its step, the log-determinants come from the factors of
+    the steps before the repeat, and the RTS pass reads the same rows and
+    cycle.
     """
     X = check_width(pack.data, params.obs_dim)
     counts, starts = pack.counts.tolist(), pack.starts.tolist()
@@ -779,7 +780,7 @@ def _kalman_pass(params, pack):
     CT, AT = C.T, A.T
     covs = np.empty((Tm, dz, dz))
     pred_covs = np.empty((Tm, dz, dz))
-    innov_covs = np.empty((Tm, dx, dx))
+    L = np.empty((Tm, dx, dx))                                # Cholesky factor of S per step
     gains_T = np.empty((Tm, dx, dz))                          # K^T per step
     cov_steps = np.arange(Tm)
     n_cov = Tm
@@ -800,9 +801,10 @@ def _kalman_pass(params, pack):
         seen[key] = t
         pred_covs[t] = P_pred
         CP = C @ P_pred
-        # S is symmetric up to rounding; the Cholesky factors below read one triangle
-        S = innov_covs[t] = CP @ CT + R
+        # S is symmetric up to rounding; its Cholesky factor reads one triangle
+        S = CP @ CT + R
         try:
+            L[t] = np.linalg.cholesky(S)
             gain_T = gains_T[t] = np.linalg.solve(S, CP)
         except np.linalg.LinAlgError:
             raise NumericError(f"singular innovation covariance at step {t}")
@@ -820,18 +822,9 @@ def _kalman_pass(params, pack):
         if t < Tm - 1:
             n = counts[t + 1]
             np.matmul(means[s:s + n], AT, out=pred_means[e:e + n])
-    try:
-        L = np.linalg.cholesky(innov_covs[:n_cov])
-    except np.linalg.LinAlgError:
-        for t in range(n_cov):
-            try:
-                np.linalg.cholesky(innov_covs[t])
-            except np.linalg.LinAlgError:
-                raise NumericError(f"singular innovation covariance at step {t}")
-        raise
     steps = cov_steps[pack.steps]
     sol = np.linalg.solve(L[steps], innov[:, :, None])[:, :, 0]
-    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L[:n_cov], axis1=1, axis2=2)), axis=1)
     row_ll = -0.5 * (dx * math.log(2 * math.pi) + logdet[steps] + row_sums(sol * sol))
     return LdsSetPosterior(params, pack, means, covs, pred_means, pred_covs,
                            pack.sums(row_ll), cov_steps)
@@ -974,8 +967,7 @@ def lds_sample(params, T, rng):
     process noise, then T to the observation noise, with no draws for an
     all-zero covariance: the draws of a step-by-step sampler, made in blocks.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    check_counts(T=T)
     Z = np.empty((T, params.state_dim))
     Z[0] = params.mu0 + gaussian_noise(params.Sigma0, 1, rng)[0]
     if T > 1:

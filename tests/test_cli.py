@@ -341,6 +341,22 @@ def test_fit_k_zero_is_usage_error_without_traceback(tmp_path, blobs_csv):
     assert ">= 1" in proc.stderr
 
 
+# a well-formed data file of each input kind a --k family reads
+K_DATA = {"gmm": "x0,x1\n0,1\n2,3\n", "lca": "x0,x1\n0,1\n1,0\n", "lda": "0 1 2\n2 1\n",
+          "hmm": "0 1 0 1\n", "ghmm": "dx=1\n0.1 0.5 0.2\n"}
+
+
+@pytest.mark.parametrize("family", sorted(K_DATA))
+def test_fit_k_zero_is_one_count_error(family, tmp_path, capsys):
+    # LDA's field is K, the others' k
+    data, out = tmp_path / "data", tmp_path / "m.json"
+    data.write_text(K_DATA[family])
+    assert main(["fit", family, "--data", str(data), "--k", "0", "--out", str(out)]) == 2
+    name = "K" if family == "lda" else "k"
+    assert capsys.readouterr() == ("", f"latentlab: {name} must be >= 1, got 0\n")
+    assert not out.exists()
+
+
 @pytest.fixture
 def irt_fit_21(tmp_path):
     spec = SyntheticSpec("irt", {"a": [0.8, 1.5, 1.0, 2.0, 0.6],
@@ -549,6 +565,20 @@ def test_fit_writes_no_model_holding_nan(family, tmp_path, real_csv, capsys, mon
                    "non-finite number; no model file written\n")
     assert not out.exists()
     assert not (tmp_path / "m.json.trace.csv").exists()
+
+
+@pytest.mark.parametrize("error, text", [(ZeroDivisionError, "float division by zero"),
+                                         (OverflowError, "math range error")])
+def test_an_arithmetic_error_is_one_numeric_failure(error, text, tmp_path, capsys, monkeypatch):
+    # Python float arithmetic raises where numpy would warn
+    def fail(*_args):
+        raise error(text)
+    monkeypatch.setattr(latentlab.mixture, "gmm_loglik_rows", fail)
+    data = tmp_path / "x.csv"
+    write_csv(data, np.zeros((3, 2)))
+    model = os.path.join(os.path.dirname(__file__), "fixtures", "models", "gmm.json")
+    assert main(["eval", model, "--data", str(data)]) == 1
+    assert capsys.readouterr() == ("", f"latentlab: numeric failure: {text}\n")
 
 
 def test_arm_non_integer_codes_are_usage_errors(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import ast
 import glob
+import importlib
+import inspect
 import math
 import os
 import re
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import (gaussian_condition, gaussian_logpdf, kl_divergence_categorical,
                           log_sum_exp, sample_categorical, sample_gaussian)
-from latentlab import arm, core, mixture, nn, sequential
+from latentlab import arm, core, diffusion, mixture, nn, sequential
 from latentlab.core import (Gaussian, NumericError, RandomSource, Simplex,
                             category_codes, sample_dirichlet, sigmoid)
 from latentlab.irt import item_prob
@@ -537,6 +539,14 @@ def test_gaussian_noise_draws_as_the_oracle_and_nothing_at_a_zero_covariance():
     assert rng.standard_normal() == RandomSource(3).standard_normal()
 
 
+def _top_levels(tree):
+    """(top-level definition or None, node) of every node of a module tree,
+    with each method under its class's name."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            yield getattr(top, "name", None), node
+
+
 def _linalg_homes(*names):
     """(module, attribute, top-level definition) of every use of the named
     attributes in the modules of latentlab."""
@@ -544,19 +554,51 @@ def _linalg_homes(*names):
     for path in sorted(glob.glob(os.path.join(os.path.dirname(core.__file__), "*.py"))):
         with open(path) as fh:
             tree = ast.parse(fh.read())
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr in names:
-                    homes.add((os.path.basename(path), node.attr, getattr(top, "name", None)))
+        for top, node in _top_levels(tree):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                homes.add((os.path.basename(path), node.attr, top))
     return homes
 
 
 def test_the_covariance_factor_and_psd_test_have_one_home():
     # every covariance is checked by cov_fields and factored by chol_psd; the
-    # Kalman filter's batched innovation factor keeps its own no-jitter policy
+    # Kalman filter's per-step innovation factor keeps its own no-jitter policy
     assert _linalg_homes("cholesky", "eigvalsh") == {
         ("core.py", "eigvalsh", "cov_fields"), ("core.py", "cholesky", "chol_psd"),
         ("sequential.py", "cholesky", "_kalman_pass")}
+
+
+def test_each_failure_has_one_check():
+    # one input-error type (ValueError), one count check, one schedule input
+    # and one factorization of each innovation covariance; cli.main maps each
+    # failure kind to its exit code in three clauses
+    src = os.path.dirname(core.__file__)
+    classes, names, count_texts, kalman_factors, main_clauses = set(), set(), set(), 0, 0
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        module = os.path.basename(path)
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        if not module.startswith("__"):     # __main__ would run the command line
+            loaded = importlib.import_module(f"latentlab.{module[:-3]}")
+            classes |= {name for name, obj in vars(loaded).items()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == loaded.__name__}
+        for top, node in _top_levels(tree):
+            names.add(getattr(node, "id", getattr(node, "attr", getattr(node, "name", None))))
+            if isinstance(node, ast.Constant) and "must be >= 1" in str(node.value):
+                count_texts.add((module, top))
+            if (module, top) == ("sequential.py", "_kalman_pass") \
+                    and isinstance(node, ast.Attribute) and node.attr == "cholesky":
+                kalman_factors += 1
+            if (module, top) == ("cli.py", "main") and isinstance(node, ast.ExceptHandler):
+                main_clauses += 1
+    assert classes == {"NumericError", "MonotonicityError"}
+    assert not names & {"UsageError", "_check_k", "innov_covs"}
+    assert count_texts == {("core.py", "check_counts")}
+    assert kalman_factors == 1
+    # parse_args's SystemExit, then RuntimeWarning, numeric failures, input faults
+    assert main_clauses == 4
+    assert list(inspect.signature(diffusion.NoiseSchedule).parameters) == ["betas"]
 
 
 # -- the categorical rule --------------------------------------------------------------

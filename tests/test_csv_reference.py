@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentlab import cli, core, datasets
+from latentlab import core, datasets
 
 FMT = "%.17g"
 
@@ -190,7 +190,7 @@ def test_read_csv_matches_reference(tmp_path, name):
 def test_non_finite_files_remain_usage_errors(tmp_path, name):
     path = tmp_path / "in.csv"
     path.write_text(VALID[name], encoding="utf-8", newline="")
-    with pytest.raises(cli.UsageError, match="holds a non-finite value"):
+    with pytest.raises(ValueError, match="holds a non-finite value"):
         datasets.read_matrix(str(path))
 
 

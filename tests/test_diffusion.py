@@ -40,14 +40,22 @@ def test_schedule_recurrence_and_validation():
     recon = np.cumprod(1.0 - sched.betas)
     assert np.allclose(sched.alpha_bars, recon, atol=1e-14)
     with pytest.raises(ValueError):
-        NoiseSchedule(np.array([0.5, 0.0]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        NoiseSchedule(np.array([0.1, 0.2]), np.array([0.9, 0.5]))
+        NoiseSchedule(np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("betas, step", [([1e-17, 0.1], 0), ([1e-300], 0), ([0.1, 1e-17], 1),
+                                         ([1 - 1e-16] * 21, 20)])
+def test_a_schedule_whose_alpha_bar_stands_still_or_underflows_is_refused(betas, step):
+    # 1 - 1e-17 rounds to 1, so alpha_bar stands still; 21 factors of about
+    # 1.1e-16 underflow to 0. Either would make a reverse step divide by 0.
+    with pytest.raises(ValueError, match=rf"^betas\[{step}\] = .*: alpha_bar = cumprod"):
+        NoiseSchedule(np.array(betas))
+    assert NoiseSchedule(np.array(betas[:step] + [0.5])).alpha_bars[-1] > 0
 
 
 def test_q_sample_noiseless_schedule_limit():
     betas = np.full(10, 1e-12)
-    sched = NoiseSchedule(betas, np.cumprod(1.0 - betas))
+    sched = NoiseSchedule(betas)
     x0 = np.array([[1.0, -2.0]])
     x_t, _eps = q_sample(sched, x0, 10, RandomSource(0))
     assert np.allclose(x_t, x0, atol=1e-5)
@@ -55,7 +63,7 @@ def test_q_sample_noiseless_schedule_limit():
 
 def test_q_sample_terminal_pure_noise():
     betas = np.full(40, 0.5)
-    sched = NoiseSchedule(betas, np.cumprod(1.0 - betas))
+    sched = NoiseSchedule(betas)
     x0 = np.array([[3.0]])
     x_t, eps = q_sample(sched, x0, 40, RandomSource(1))
     assert np.allclose(x_t, eps, atol=1e-4)
@@ -214,7 +222,7 @@ def test_elbo_terms_zero_net_closed_form():
 
 def test_sample_single_step_perfect_oracle():
     betas = np.array([0.5])
-    sched = NoiseSchedule(betas, np.cumprod(1.0 - betas))
+    sched = NoiseSchedule(betas)
     c = np.array([2.5, -1.0])
     model = DiffusionModel(sched, OracleEpsNet(sched, c), 2)
     out = sample(model, 6, RandomSource(14))

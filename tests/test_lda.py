@@ -234,6 +234,13 @@ def test_corpus_validation():
         Corpus((np.array([0, 5]),), 3)
 
 
+def test_hyperparameter_counts_are_at_least_one():
+    # before their own check, a zero K or V left empty concentrations behind
+    for K, V, name in ((0, 6, "K"), (3, 0, "V")):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got 0$"):
+            LdaHyper(0.5, 0.3, K, V)
+
+
 def test_fit_documents_holds_the_topics_and_ascends():
     hyper = LdaHyper(np.ones(3), np.full(6, 0.5), 3, 6)
     corpus, _ = generate_corpus(hyper, [15] * 10, RandomSource(12))

@@ -10,7 +10,9 @@ process; each must exit 2 with one stderr line. The hypothesis test draws a
 path at any depth, list entries included, and a value from the same
 grammar; it must end in exit 0, 1 or 2, and exit 0 only with finite output.
 A third test draws the same way into the synth specs of
-test_generate_reference.
+test_generate_reference. A fourth sets one number of a fixture's params to
+an extreme value of LEAF_VALUES and runs every command the family defines
+on it.
 """
 import contextlib
 import io
@@ -21,9 +23,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from latentlab import families
 from latentlab.cli import main
 from latentlab.datasets import read_model, read_seq, write_csv, write_model, write_seq
 from latentlab.sequential import lds_infer
@@ -161,11 +164,13 @@ def test_every_malformed_field_is_one_usage_error(family, data_files, tmp_path):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_negative_sample_count_is_one_usage_error(family, tmp_path):
+    # a zero count too: sample draws at least one row, as synth does
     out = tmp_path / "out.csv"
-    code, stdout, err = _run(["sample", os.path.join(FIXTURES, f"{family}.json"), "--n", "-1",
-                              "--out", str(out)])
-    assert (code, stdout, err) == (2, "", "latentlab: n must be >= 0, got -1\n")
-    assert not out.exists()
+    for n in (-1, 0):
+        code, stdout, err = _run(["sample", os.path.join(FIXTURES, f"{family}.json"),
+                                  "--n", str(n), "--out", str(out)])
+        assert (code, stdout, err) == (2, "", f"latentlab: n must be >= 1, got {n}\n")
+        assert not out.exists()
 
 
 def test_a_bool_inside_a_numeric_array_is_one_usage_error(data_files, tmp_path):
@@ -381,6 +386,18 @@ def test_a_code_that_no_class_emits_is_one_numeric_failure(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_a_diffusion_beta_too_small_to_move_alpha_bar_is_one_usage_error(tmp_path):
+    # alpha_bar_1 would round to 1, and the t = 1 posterior divide by 1 - 1 = 0
+    doc, out = _load("diffusion"), str(tmp_path / "x.csv")
+    for value in (1e-17, 1e-300):
+        doc["params"]["betas"][0] = value
+        model = _model_with("diffusion", doc["params"], str(tmp_path))
+        code, stdout, err = _run(["sample", model, "--n", "3", "--out", out])
+        assert (code, stdout, err.count("\n")) == (2, "", 1), err
+        assert err.startswith(f"latentlab: betas[0] = {value!r}: alpha_bar = cumprod"), err
+    assert not os.path.exists(out)
+
+
 # each row sums to 1 - 1e-5, within check_simplex_rows' tolerance, its last entry 0
 SHORT_ROW = [0.5, 0.49999, 0.0]
 
@@ -448,6 +465,69 @@ def test_a_field_at_any_depth_keeps_the_cli_contract(data_files, tmp_path_factor
         assert values.size and np.all(np.isfinite(values))
     else:
         assert err.count("\n") == 1 and err.startswith("latentlab: ")
+
+
+# zero, the smallest subnormal, values too small to move 1, just below 1, a
+# negative, and magnitudes up to the float maximum
+LEAF_VALUES = [0, 5e-324, 1e-300, 1e-17, 1 - 1e-16, -1, 1e30, -1e30, 1e300, 1.7e308]
+
+
+def _leaves(node, prefix=()):
+    """Every key path to a number in node, at any depth."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], prefix + (key,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _leaves(v, prefix + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield prefix
+
+
+LEAVES = {family: list(_leaves(_load(family)["params"])) for family in FAMILIES}
+LEAF_CASES = st.sampled_from(FAMILIES).flatmap(lambda family: st.tuples(
+    st.just(family), st.sampled_from(LEAVES[family]), st.sampled_from(LEAF_VALUES)))
+
+
+def _every_command(family, model, data, out):
+    """eval, infer, sample and reconstruct of the model, where the family
+    defines them; infer, sample and reconstruct write out."""
+    record = families.FAMILIES[family]
+    return [argv for field, argv in (
+        ("loglik", ["eval", model, "--data", data]),
+        ("infer", ["infer", model, "--data", data, "--out", out]),
+        ("sample", ["sample", model, "--n", "5", "--out", out]),
+        ("reconstruct", ["reconstruct", model, "--data", data, "--out", out]))
+        if getattr(record, field) is not None]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=LEAF_CASES)
+# betas[0] too small to move alpha_bar_1 from 1: the t = 1 posterior would
+# divide by 1 - alpha_bar_1 = 0
+@example(case=("diffusion", ("betas", 0), 1e-300))
+def test_a_numeric_leaf_at_an_extreme_keeps_the_cli_contract(data_files, tmp_path_factory,
+                                                             case):
+    family, path, value = case
+    workdir = str(tmp_path_factory.mktemp("leaf"))
+    model, out = os.path.join(workdir, "m.json"), os.path.join(workdir, "out.csv")
+    with open(model, "w") as fh:
+        fh.write(_mutated(_load(family), ("params",) + path, value))
+    for argv in _every_command(family, model, data_files[DATA[family]], out):
+        code, stdout, err = _run(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            assert err.count("\n") == 1 and err.startswith("latentlab: "), (argv, err)
+            assert stdout == "" and not os.path.exists(out), argv
+            continue
+        assert err == "", (argv, err)
+        if argv[0] == "eval":
+            values = np.array([float(line.split()[-1]) for line in stdout.splitlines()])
+        else:
+            values = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=1)
+            os.remove(out)
+        assert values.size and np.all(np.isfinite(values)), argv
 
 
 @settings(max_examples=300, deadline=None,
