@@ -5,9 +5,9 @@ The generator direction z -> x is "forward". Every layer has one
 forward(z) and one inverse(x) over Tensors, each returning the result and
 the log-determinant of that direction's Jacobian per row; the two agree up
 to sign. Coupling and permutation layers invert analytically and
-differentiably; planar layers invert by scalar root-finding into constants,
-so flows containing planar layers support evaluation and inversion but not
-gradient-based likelihood training.
+differentiably; planar layers invert by one bisection of every row's scalar
+pre-activation at once, into constants, so flows containing planar layers
+support evaluation and inversion but not gradient-based likelihood training.
 
 log_likelihood and sample run the stack block by block of rows
 (nn.map_rows), each block on its own eager tape: a planar inverse builds its
@@ -29,8 +29,6 @@ __all__ = ["PlanarLayer", "CouplingLayer", "PermutationLayer", "FlowModel",
            "sample", "make_coupling_stack", "to_json", "from_json"]
 
 S_CLAMP = 5.0
-PLANAR_ROOT_MAX_ITERS = 100
-PLANAR_ROOT_TOL = 1e-12
 
 
 @dataclass
@@ -65,6 +63,14 @@ class PlanarLayer:
     def params(self):
         return [self.u, self.w, self.b]
 
+    def held(self, direction):
+        """Floats per row that a pass in direction keeps, and holds beyond that
+        while it runs. forward keeps its tape: the pre-activation's three steps,
+        the bump and the sum, and the log-det's seven. inverse keeps its
+        log-det and the running total; while it runs it holds its input and
+        output, the four bisection arrays and a forward tape at z."""
+        return (2 * self.dim + 10, 0) if direction == "forward" else (2, 4 * self.dim + 14)
+
     def _u_hat(self):
         wu = (self.w * self.u).sum()
         m = (-1.0) + wu.softplus()
@@ -82,44 +88,27 @@ class PlanarLayer:
         return out, logdet
 
     def inverse(self, x):
-        """Solve the scalar pre-activation per row, then subtract the bump.
-        z and its log-det (minus the forward one at z) are constants: no
-        gradient flows through this inverse."""
+        """Solve each row's pre-activation a from g(a) = a + wu tanh(a + b) = w.x
+        by one bisection over all rows at once, then subtract the bump.
+
+        g rises strictly since wu > -1, so the root lies in the bracket
+        w.x -+ (|wu| + 1); each halving keeps the root in every row's bracket,
+        and the loop stops once no midpoint lies strictly inside one, that is
+        when every bracket spans adjacent floats (a NaN row stops at once and
+        stays NaN). z and its log-det (minus the forward one at z) are
+        constants: no gradient flows through this inverse."""
         u_hat = self._u_hat().values
-        w = self.w.values
-        b = float(self.b.values[0])
-        wu = float(w @ u_hat)
-        X = x.values
-        z = np.empty_like(X)
-        for i, target in enumerate(X @ w):
-            alpha = _solve_planar_pre(target, wu, b)
-            z[i] = X[i] - u_hat * math.tanh(alpha + b)
-        z = Tensor(z)
+        w, b = self.w.values, self.b.values[0]
+        wu = w @ u_hat
+        target = x.values @ w
+        lo, hi = target - abs(wu) - 1.0, target + abs(wu) + 1.0
+        a = 0.5 * (lo + hi)
+        while np.any((lo < a) & (a < hi)):
+            above = a + wu * np.tanh(a + b) > target
+            lo, hi = np.where(above, lo, a), np.where(above, a, hi)
+            a = 0.5 * (lo + hi)
+        z = Tensor(x.values - np.tanh(a + b)[:, None] * u_hat)
         return z, Tensor(-self.forward(z)[1].values)
-
-
-def _solve_planar_pre(target, wu, b):
-    """Root of g(a) = a + wu * tanh(a + b) - target; g is strictly increasing
-    because wu > -1."""
-    lo = target - abs(wu) - 1.0
-    hi = target + abs(wu) + 1.0
-    a = 0.5 * (lo + hi)
-    for _ in range(PLANAR_ROOT_MAX_ITERS):
-        t = math.tanh(a + b)
-        g = a + wu * t - target
-        if abs(g) < PLANAR_ROOT_TOL:
-            return a
-        if g > 0:
-            hi = a
-        else:
-            lo = a
-        gp = 1.0 + wu * (1.0 - t * t)
-        a_newton = a - g / gp
-        a = a_newton if lo < a_newton < hi else 0.5 * (lo + hi)
-    t = math.tanh(a + b)
-    if abs(a + wu * t - target) > 1e-8:
-        raise RuntimeError("planar inversion did not converge")
-    return a
 
 
 @dataclass
@@ -157,6 +146,12 @@ class CouplingLayer:
 
     def params(self):
         return self.s_net.params() + self.t_net.params()
+
+    def held(self, direction):
+        """Floats per row that a pass keeps either way, rounded up: its tape of
+        the halves, both networks, the clamp and the affine steps, and the
+        concat with its gather."""
+        return 6 * self.dim + self.s_net.width + self.t_net.width, 0
 
     def _s_t(self, za):
         s_raw = self.s_net.forward(za)
@@ -201,6 +196,9 @@ class PermutationLayer:
     def params(self):
         return []
 
+    def held(self, direction):
+        return self.dim, 0
+
     def forward(self, z):
         return z[:, self.perm], Tensor(np.zeros(z.values.shape[0]))
 
@@ -230,13 +228,12 @@ class FlowModel:
             out.extend(layer.params())
         return out
 
-    @property
-    def width(self):
-        """Floats per row that a pass through the stack holds, roughly: the
-        row at each layer and each coupling network's forward."""
-        nets = [net for layer in self.layers if isinstance(layer, CouplingLayer)
-                for net in (layer.s_net, layer.t_net)]
-        return len(self.layers) * self.dim + sum(net.width for net in nets)
+    def width(self, direction):
+        """Floats per row that a pass through the stack in direction ("forward"
+        or "inverse") holds at once: its input row, what every layer keeps, and
+        the most one layer holds beyond that while it runs."""
+        kept, running = zip(*(layer.held(direction) for layer in self.layers))
+        return self.dim + sum(kept) + max(running)
 
 
 LAYER_KINDS = {"planar": PlanarLayer, "coupling": CouplingLayer,
@@ -314,7 +311,7 @@ def log_likelihood(model, x):
     """Exact log-density of each row of x, which must have the model's width,
     from one inverse pass per block of rows."""
     X = check_width(np.atleast_2d(np.asarray(x, dtype=float)), model.dim)
-    return map_rows(lambda xb: _loglik_tensor(model, xb).values, [X], model.width)
+    return map_rows(lambda xb: _loglik_tensor(model, xb).values, [X], model.width("inverse"))
 
 
 def fit(model, data, epochs, batch, rng, lr=1e-3):
@@ -332,4 +329,4 @@ def sample(model, n, rng):
     """Base draws pushed through the generator direction, block by block of
     rows."""
     return map_rows(lambda z: forward_with_logdet(model, z)[0].values,
-                    [rng.standard_normal((n, model.dim))], model.width)
+                    [rng.standard_normal((n, model.dim))], model.width("forward"))

@@ -8,7 +8,8 @@ small-matrix cut (M * N * K > 1e6) the bytes must be equal; below it that
 kernel rounds differently, and the results must agree within 1e-12 relative.
 A traced-memory test checks that the memory a call holds beyond its inputs,
 outputs and random draws stays under a fixed multiple of one block as N
-grows eightfold.
+grows eightfold, and another that a flow's width counts what one block of its
+scoring and sampling holds per row.
 """
 import math
 import tracemalloc
@@ -168,10 +169,11 @@ def cases():
         X = _data(4 * R - 5, model.dim) * 1.5
         exact = bool(nets) and _above_cut(nets, len(X) // 4)
         out[f"flow.log_likelihood.{name}"] = (flow.log_likelihood, ref_flow_log_likelihood,
-                                              model, lambda X=X: (X,), model.width, R, exact)
+                                              model, lambda X=X: (X,), model.width("inverse"),
+                                              R, exact)
         out[f"flow.sample.{name}"] = (flow.sample, ref_flow_sample, model,
-                                      lambda n=len(X): (n, RandomSource(9)), model.width, R,
-                                      exact)
+                                      lambda n=len(X): (n, RandomSource(9)),
+                                      model.width("forward"), R, exact)
     for name, (L, V, hidden, R) in {"wide": (16, 4, 64, 250), "small": (5, 3, 6, 9)}.items():
         model = arm.make_ar_model(L, V, RandomSource(10), hidden=hidden)
         codes = RandomSource(11).integers(0, V, (4 * R - 3, L))
@@ -279,7 +281,8 @@ def _memory_case(name):
                 model.width, 8 * (3 * model.latent_dim + 3))
     if name == "flow.log_likelihood":
         model = flow.make_coupling_stack(8, 3, RandomSource(22), hidden=16)
-        return (lambda X: flow.log_likelihood(model, X), lambda n: _data(n, 8), model.width, 8)
+        return (lambda X: flow.log_likelihood(model, X), lambda n: _data(n, 8),
+                model.width("inverse"), 8)
     model = arm.make_ar_model(6, 3, RandomSource(23), hidden=16)
     return (lambda X: arm.log_likelihood_batch(model, X),
             lambda n: RandomSource(24).integers(0, 3, (n // 6, 6)), 6 * model.cond_net.width, 8)
@@ -298,3 +301,26 @@ def test_memory_stays_within_a_multiple_of_one_block(name, monkeypatch):
         _out, peak = _traced_peak(lambda: call(X))
         excess.append(peak - per_row * len(X))
     assert max(excess) < 4 * budget, excess
+
+
+def _flow_stacks():
+    for d in (2, 8, 64):
+        rng = RandomSource(25)
+        yield flow.FlowModel([flow.PlanarLayer.create(d, rng.split(i)) for i in range(4)], d)
+    for d, hidden in ((8, 32), (16, 64), (64, 64)):
+        yield flow.make_coupling_stack(d, 3, RandomSource(26), hidden=hidden)
+
+
+@pytest.mark.parametrize("direction", ["inverse", "forward"])
+def test_flow_width_counts_what_a_pass_holds(direction, monkeypatch):
+    """The bytes a one-block log_likelihood (inverse) or sample (forward) holds
+    beyond its output, per row, are within [0.5, 1.25] of width * 8."""
+    monkeypatch.setattr(nn, "BLOCK_BYTES", 1 << 40)
+    n = 2000
+    for model in _flow_stacks():
+        X = _data(n, model.dim)
+        call = ((lambda: flow.log_likelihood(model, X)) if direction == "inverse"
+                else (lambda: flow.sample(model, n, RandomSource(27))))
+        out, peak = _traced_peak(call)
+        ratio = (peak - out.nbytes) / n / (8 * model.width(direction))
+        assert 0.5 <= ratio <= 1.25, (model.dim, type(model.layers[0]).__name__, ratio)

@@ -125,7 +125,21 @@ def test_usage_errors_exit_2(tmp_path):
     assert main([]) == 2
 
 
-def test_numeric_failure_exit_1(tmp_path):
+def test_numeric_failure_exit_1(tmp_path, capsys):
+    # a step size of 1e300 overflows the first Adam update
+    data = tmp_path / "x.csv"
+    write_csv(data, RandomSource(0).standard_normal((40, 3)))
+    out = tmp_path / "m.json"
+    rc = main(["fit", "vae", "--data", str(data), "--lr", "1e300", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("latentlab: numeric failure: ") and "overflow" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [data]
+
+
+def test_fit_with_more_components_than_points_exit_2(tmp_path):
     # two identical rows cannot support a 2-component fit with K > N
     data = tmp_path / "tiny.csv"
     write_csv(data, np.zeros((1, 2)))

@@ -3,13 +3,14 @@ inverse per flow layer over Tensors, a one-pass flow log-likelihood, one ARM
 masked-input builder and the log_softmax op, one network input for diffusion,
 and one descent step (nn.descend) behind every trainer, GAN's two updates
 included. This file holds the code those changes replaced, copied as it was
-written before them: the numpy flow inverses beside their tape twins and the
-two-pass log-likelihood, ARM's one-position input builder and hand-written
-log-softmax, the minibatch loop and GAN's loop with their own descent steps,
-the diffusion loss with its own network input, and Mlp.forward and the
-samplers with their own Tensor wrapping. It checks that every deep family
-trains, scores and samples to the same bits on both, and that the one-pass
-flow log-likelihood agrees with the two-pass one.
+written before them: the numpy flow inverses beside their tape twins, the
+planar inverse's per-row scalar root-finder, the two-pass log-likelihood,
+ARM's one-position input builder and hand-written log-softmax, the minibatch
+loop and GAN's loop with their own descent steps, the diffusion loss with its
+own network input, and Mlp.forward and the samplers with their own Tensor
+wrapping. It checks that every deep family trains, scores and samples to the
+same bits on both, and that the one-pass flow log-likelihood agrees with the
+two-pass one.
 """
 import math
 
@@ -78,9 +79,37 @@ def ref_planar_inverse(self, x):
     targets = X @ w
     z = np.empty_like(X)
     for i, target in enumerate(targets):
-        alpha = flow._solve_planar_pre(target, wu, b)
+        alpha = _solve_planar_pre(target, wu, b)
         z[i] = X[i] - u_hat * math.tanh(alpha + b)
     return z
+
+
+PLANAR_ROOT_MAX_ITERS = 100
+PLANAR_ROOT_TOL = 1e-12
+
+
+def _solve_planar_pre(target, wu, b):
+    """Root of g(a) = a + wu * tanh(a + b) - target; g is strictly increasing
+    because wu > -1."""
+    lo = target - abs(wu) - 1.0
+    hi = target + abs(wu) + 1.0
+    a = 0.5 * (lo + hi)
+    for _ in range(PLANAR_ROOT_MAX_ITERS):
+        t = math.tanh(a + b)
+        g = a + wu * t - target
+        if abs(g) < PLANAR_ROOT_TOL:
+            return a
+        if g > 0:
+            hi = a
+        else:
+            lo = a
+        gp = 1.0 + wu * (1.0 - t * t)
+        a_newton = a - g / gp
+        a = a_newton if lo < a_newton < hi else 0.5 * (lo + hi)
+    t = math.tanh(a + b)
+    if abs(a + wu * t - target) > 1e-8:
+        raise RuntimeError("planar inversion did not converge")
+    return a
 
 
 def ref_scatter_perm(self):
@@ -493,7 +522,8 @@ def test_flow_log_likelihood_matches_two_pass(seed):
         x, logdet = flow.forward_with_logdet(model, X)
         assert_same_bits([flow.inverse(model, X), x.values, logdet.values],
                          [ref_z0, ref_x.values, ref_logdet.values])
-    # the planar inverse root-finds to 1e-12 in the pre-activation
+    # the reference planar inverse root-finds to 1e-12 in the pre-activation;
+    # the library's bisects it to adjacent floats
     with pytest.MonkeyPatch.context() as mp:
         reference_code(mp)
         ref_ll = flow.log_likelihood(planar, X)

@@ -125,6 +125,26 @@ def test_planar_round_trip_d1():
     assert np.max(np.abs(inverse(model, x.values) - z)) < 1e-8
 
 
+def test_planar_round_trip_steep_layer():
+    # w.u_hat is about 4e6: the pre-activation's bracket is that wide, and
+    # the bisection still closes every row on its float-exact root
+    d = 4
+    layer = PlanarLayer(Tensor.param(1e6 * np.ones(d)), Tensor.param(np.ones(d)),
+                        Tensor.param(np.zeros(1)))
+    x = 3.0 * RandomSource(40).standard_normal((20000, d))
+    z, _ = layer.inverse(Tensor(x))
+    assert np.max(np.abs(layer.forward(z)[0].values - x)) < 1e-7
+
+
+def test_planar_inverse_keeps_nan_and_huge_rows_apart():
+    model = _planar_stack(3, 3, seed=41)
+    x = np.array([[np.nan, 0.0, 1.0], [1e50, -1e50, 0.0], [0.5, 0.2, -0.3]])
+    z0 = inverse(model, x)
+    assert np.isnan(z0[0]).all() and np.isfinite(z0[1:]).all()
+    ll = log_likelihood(model, x)
+    assert np.isnan(ll[0]) and np.isfinite(ll[1:]).all()
+
+
 # -- log-likelihood --------------------------------------------------------------------
 
 def test_identity_flow_standard_normal_density():

@@ -1,7 +1,8 @@
 """`import latentlab` loads submodules on first use, and the family records
 look their model module up at call time. The library's surface holds only
 what runs: every exported name resolves, and every private top-level
-function has a reader in the library itself, not only in the tests."""
+function and every module-level constant has a reader in the library itself,
+not only in the tests."""
 import ast
 import glob
 import importlib
@@ -62,6 +63,25 @@ def test_every_private_function_has_a_reader_in_the_library():
             read.update(_names_read(top))
     assert private
     assert [p for p in private if p[1] not in read] == []
+
+
+def test_every_constant_has_a_reader_in_the_library():
+    # a module-level UPPER_CASE name that no other top-level statement reads
+    # is left over from code that has gone
+    constants, tops = [], []
+    for path in SOURCES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            targets = (top.targets if isinstance(top, ast.Assign)
+                       else [top.target] if isinstance(top, ast.AnnAssign) else [])
+            constants += [(os.path.basename(path), node.id, top) for target in targets
+                          for node in ast.walk(target)
+                          if isinstance(node, ast.Name) and node.id.isupper()]
+            tops.append((top, set(_names_read(top))))
+    assert constants
+    assert [(path, name) for path, name, own in constants
+            if not any(name in read for top, read in tops if top is not own)] == []
 
 
 def test_only_datasets_binds_the_number_format():
