@@ -67,9 +67,9 @@ class PlanarLayer:
         """Floats per row that a pass in direction keeps, and holds beyond that
         while it runs. forward keeps its tape: the pre-activation's three steps,
         the bump and the sum, and the log-det's seven. inverse keeps its
-        log-det and the running total; while it runs it holds its input and
-        output, the four bisection arrays and a forward tape at z."""
-        return (2 * self.dim + 10, 0) if direction == "forward" else (2, 4 * self.dim + 14)
+        log-det and the running total; while it runs it holds its output, the
+        bump it subtracts and six bisection arrays."""
+        return (2 * self.dim + 10, 0) if direction == "forward" else (2, 2 * self.dim + 6)
 
     def _u_hat(self):
         wu = (self.w * self.u).sum()
@@ -92,11 +92,13 @@ class PlanarLayer:
         by one bisection over all rows at once, then subtract the bump.
 
         g rises strictly since wu > -1, so the root lies in the bracket
-        w.x -+ (|wu| + 1); each halving keeps the root in every row's bracket,
-        and the loop stops once no midpoint lies strictly inside one, that is
-        when every bracket spans adjacent floats (a NaN row stops at once and
-        stays NaN). z and its log-det (minus the forward one at z) are
-        constants: no gradient flows through this inverse."""
+        w.x -+ (|wu| + 1). Each halving keeps it in every row's bracket, and a
+        midpoint that hits it closes both ends; the loop stops once no
+        midpoint lies strictly inside its bracket, so every root ends between
+        adjacent floats (a NaN row stops at once and stays NaN). The log-det
+        is taken at a itself, since a steep layer's w.z at the rounded z can
+        lose it. z and the log-det are constants: no gradient flows through
+        this inverse."""
         u_hat = self._u_hat().values
         w, b = self.w.values, self.b.values[0]
         wu = w @ u_hat
@@ -104,11 +106,12 @@ class PlanarLayer:
         lo, hi = target - abs(wu) - 1.0, target + abs(wu) + 1.0
         a = 0.5 * (lo + hi)
         while np.any((lo < a) & (a < hi)):
-            above = a + wu * np.tanh(a + b) > target
-            lo, hi = np.where(above, lo, a), np.where(above, a, hi)
+            g = a + wu * np.tanh(a + b)
+            lo, hi = np.where(g > target, lo, a), np.where(g < target, hi, a)
             a = 0.5 * (lo + hi)
-        z = Tensor(x.values - np.tanh(a + b)[:, None] * u_hat)
-        return z, Tensor(-self.forward(z)[1].values)
+        t = np.tanh(a + b)
+        z = Tensor(x.values - t[:, None] * u_hat)
+        return z, Tensor(-np.log(np.abs(1.0 + (1.0 - t * t) * wu)))
 
 
 @dataclass

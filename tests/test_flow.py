@@ -136,13 +136,35 @@ def test_planar_round_trip_steep_layer():
     assert np.max(np.abs(layer.forward(z)[0].values - x)) < 1e-7
 
 
-def test_planar_inverse_keeps_nan_and_huge_rows_apart():
+def test_planar_inverse_keeps_nan_and_huge_rows_apart(monkeypatch):
+    # the all-zero row's root is exactly 0 (b = 0) and is the first midpoint:
+    # it closes at once instead of halving down through every exponent
     model = _planar_stack(3, 3, seed=41)
-    x = np.array([[np.nan, 0.0, 1.0], [1e50, -1e50, 0.0], [0.5, 0.2, -0.3]])
+    x = np.array([[np.nan, 0.0, 1.0], [1e50, -1e50, 0.0], [0.5, 0.2, -0.3], [0.0, 0.0, 0.0]])
+    calls = []
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda v: calls.append(1) or tanh(v))
     z0 = inverse(model, x)
-    assert np.isnan(z0[0]).all() and np.isfinite(z0[1:]).all()
+    monkeypatch.undo()
+    assert len(calls) <= 3 * 70, len(calls)
+    assert np.isnan(z0[0]).all() and np.isfinite(z0[1:]).all() and (z0[3] == 0).all()
     ll = log_likelihood(model, x)
     assert np.isnan(ll[0]) and np.isfinite(ll[1:]).all()
+
+
+def test_planar_log_det_of_a_degenerate_layer_is_exact():
+    # u = w = 1e150 * 1 gives u_hat = u and w.u_hat = 4e300; the root is about
+    # sum(x) / 4e150, so z = x - mean(x) and the inverse log-det is -log(4e300)
+    d = 4
+    layer = PlanarLayer(Tensor.param(1e150 * np.ones(d)), Tensor.param(1e150 * np.ones(d)),
+                        Tensor.param(np.zeros(1)))
+    x = RandomSource(42).standard_normal((200, d))
+    z = x - x.mean(axis=1, keepdims=True)
+    z0, logdet = layer.inverse(Tensor(x))
+    assert np.allclose(z0.values, z, rtol=0, atol=1e-14)
+    assert np.allclose(logdet.values, -math.log(4e300), rtol=1e-14, atol=0)
+    want = -0.5 * (z * z).sum(axis=1) - 0.5 * d * math.log(2 * math.pi) - math.log(4e300)
+    assert np.allclose(log_likelihood(FlowModel([layer], d), x), want, rtol=1e-13, atol=0)
 
 
 # -- log-likelihood --------------------------------------------------------------------
